@@ -70,7 +70,6 @@ from .scorer import (
     load_model,
     potential_normalize,
     save_model,
-    score_sentence,
 )
 from .train import (
     EvalReport,

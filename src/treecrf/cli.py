@@ -4,18 +4,16 @@ Exit codes are a stable contract: 0 on success, 1 on runtime or data
 failures (I/O, parse errors, diverging training, value disagreement in the
 benchmark), 2 on usage errors (bad flag values, guard violations, empty
 corpora).
-
-``TREECRF_THREADS`` sets the default thread count for the bench command;
-the ``--threads`` flag overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 import time
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
@@ -252,12 +250,19 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    fault = contextlib.nullcontext()
     if args.inject_fault:
-        inference.set_fault_injection(True)
-    try:
+        # Flip the sign of the right split operand inside the DP, for this
+        # run only, to show that the checks catch a broken kernel.
+        split_operands = inference._split_operands
+
+        def flipped(flat, n, w):
+            left, right = split_operands(flat, n, w)
+            return left, -right
+
+        fault = mock.patch.object(inference, "_split_operands", flipped)
+    with fault:
         results = run_selfcheck(args.max_n, args.cases, args.seed)
-    finally:
-        inference.set_fault_injection(False)
     for result in results:
         print(result.line())
     return 0 if all(r.failures == 0 for r in results) else 1
@@ -268,8 +273,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise BadConfig(
             "--batch, --length, --repeats must be positive and --labels >= 2"
         )
-    if args.threads < 1:
-        raise BadConfig("--threads must be positive")
     rng = np.random.default_rng(args.seed)
     schema = LabelSchema(
         observed_labels=tuple(f"L{i}" for i in range(args.labels - 1)),
@@ -295,7 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         t_vanilla = time.perf_counter() - t0
         t0 = time.perf_counter()
-        batched_values = batched_masked_inside(charts, masks, threads=args.threads)
+        batched_values = batched_masked_inside(charts, masks)
         t_batched = time.perf_counter() - t0
         discrepancy = float(
             np.abs(np.array(vanilla_values) - batched_values).max()
@@ -310,21 +313,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 t_batched,
                 t_vanilla / t_batched,
                 discrepancy,
-                args.threads,
             )
         )
 
     print(
         "batch_size,sentence_length,label_count,vanilla_time,"
-        "masked_batched_time,speedup_ratio,max_value_discrepancy,threads"
+        "masked_batched_time,speedup_ratio,max_value_discrepancy"
     )
     for row in rows:
-        b, n, k, tv, tb, ratio, disc, threads = row
-        print(f"{b},{n},{k},{tv:.6f},{tb:.6f},{ratio:.3f},{disc:.3e},{threads}")
+        b, n, k, tv, tb, ratio, disc = row
+        print(f"{b},{n},{k},{tv:.6f},{tb:.6f},{ratio:.3f},{disc:.3e}")
     median_ratio = float(np.median([r[5] for r in rows]))
     print(
         f"summary: median speedup {median_ratio:.2f}x over {args.repeats} repeats, "
-        f"max value discrepancy {worst:.3e}, threads={args.threads}",
+        f"max value discrepancy {worst:.3e}",
         file=sys.stderr,
     )
     if worst > 1e-6:
@@ -406,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=40)
     p.add_argument("--labels", type=int, default=8)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TREECRF_THREADS", "4")),
-        help="threads for the batched path (default: $TREECRF_THREADS or 4)",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

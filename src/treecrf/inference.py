@@ -15,14 +15,24 @@ first, substituting ``LOG_ZERO`` for ``log 0``; with an all-ones mask this
 is bit-identical to the plain recursion, and with a mask built from a full
 tree it degenerates to evaluating that tree.
 
-Cells below the diagonal are never read; tests poison them with NaN to
-prove it.
+One kernel, :func:`_chart_dp`, runs this recursion for every algorithm
+here: width by width over a batch of charts (a single sentence is a batch
+of one), with the reduction as a parameter, log-sum-exp for the inside
+pass and max with first argmax for CKY.  It reads the split operands of
+a whole diagonal as strided views of the chart, keeping every cell also
+at its mirror below the diagonal.  Posteriors are the gradient of the
+root, taken by one reverse sweep over the same views (inside-outside as
+backpropagation).  :func:`vanilla_partial_marginalization` keeps its own
+cell-by-cell loop as the reference the kernel is checked against.
+
+Score cells below the diagonal are never read into a result; tests poison
+them with NaN to prove it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,19 +43,6 @@ from .errors import DegenerateChart, DimensionMismatch
 # that exp(LOG_ZERO) underflows to exactly 0.0 in double precision, so
 # masked-out structures contribute nothing detectable to any sum.
 LOG_ZERO = -1.0e6
-
-_split_sign_fault = False
-
-
-def set_fault_injection(enabled: bool) -> None:
-    """Flip the sign of the split sum inside the DP (selfcheck harness).
-
-    Used only to demonstrate that the selfcheck command actually detects a
-    broken dynamic program; never enable during real work.
-    """
-    global _split_sign_fault
-    _split_sign_fault = bool(enabled)
-
 
 # Smallest positive double; lets log() skip the undefined log(0) lanes
 # without an errstate context (the -inf branch is selected separately).
@@ -199,117 +196,138 @@ def _apply_mask(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     return s + logm
 
 
-_inside_index_cache: dict[int, list[tuple]] = {}
-_outside_index_cache: dict[int, list[tuple]] = {}
+def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, None]:
+    """Log-semiring reduction of the last axis (the inside pass).
 
-
-def _inside_indices(n: int) -> list[tuple]:
-    """Per-width gather indices for the inside recursion (cached by n)."""
-    if n not in _inside_index_cache:
-        plan = []
-        for w in range(1, n + 1):
-            i = np.arange(n - w + 1)
-            j = i + w - 1
-            if w == 1:
-                plan.append((i, j, None, None, None, None))
-                continue
-            t = np.arange(w - 1)
-            li = i[:, None] + np.zeros_like(t)[None, :]
-            lj = i[:, None] + t[None, :]
-            ri = lj + 1
-            rj = j[:, None] + np.zeros_like(t)[None, :]
-            plan.append((i, j, li, lj, ri, rj))
-        _inside_index_cache[n] = plan
-    return _inside_index_cache[n]
-
-
-def _inside_dp(sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the inside recursion; return (beta, per-cell label LSE).
-
-    Processes one span-width diagonal at a time, vectorized over all start
-    positions.  Reads only upper-triangular cells of ``sp``.
+    The kernel only sees finite values (``LOG_ZERO`` stands in for log 0),
+    so this is :func:`_lse` without its -inf lanes, with the same result.
     """
-    n = sp.shape[0]
-    beta = np.full((n, n), np.nan)
-    lab = np.full((n, n), np.nan)
-    for i, j, li, lj, ri, rj in _inside_indices(n):
-        a = _lse(sp[i, j, :], axis=1)
-        lab[i, j] = a
-        if li is None:
-            beta[i, j] = a
-            continue
-        left = beta[li, lj]
-        right = beta[ri, rj]
-        cand = left - right if _split_sign_fault else left + right
-        beta[i, j] = a + _lse(cand, axis=1)
-    return beta, lab
+    m = x.max(axis=-1)
+    x -= m[..., None]
+    total = np.exp(x, out=x).sum(axis=-1)
+    return np.log(total, out=total) + m, None
 
 
-def _outside_dp(beta: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Log outside scores.
+def _max_argmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-semiring reduction of the last axis with its first argmax (CKY)."""
+    return x.max(axis=-1), x.argmax(axis=-1)
 
-    Cells are processed in decreasing width; every parent of a cell is
-    strictly wider, so each cell gathers from already-final values.  A
-    span (i, j) is reached either as a left child of a parent (i, jp)
-    with sibling (j+1, jp), or as a right child of a parent (ip, j) with
-    sibling (ip, i-1); both gathers vectorize over one diagonal, padding
-    out-of-range parents with -inf.
+
+def _stripe(flat: np.ndarray, n: int, offset: int, rows: int, cols: int) -> np.ndarray:
+    """Writable view ``[b, i, t] = flat[b, offset + i * (n + 1) + t]``.
+
+    ``flat`` holds one chart per row: cell ``(i, j)`` at ``i * n + j``, plus
+    one padding entry.  A slice and a reshape give the view, never a copy.
     """
-    n = beta.shape[0]
-    alpha = np.full((n, n), -np.inf)
-    alpha[0, n - 1] = 0.0
-    if n == 1:
-        return alpha
-    # alpha + lab of finalized cells, the quantity every child gathers.
-    plab = np.full((n, n), -np.inf)
-    plab[0, n - 1] = lab[0, n - 1]
-    for i, j, ok_l, jp_c, sib_row, ok_r, ip_c, sib_col in _outside_indices(n):
-        left = np.where(ok_l, plab[i[:, None], jp_c] + beta[sib_row, jp_c], -np.inf)
-        right = np.where(ok_r, plab[ip_c, j[:, None]] + beta[ip_c, sib_col], -np.inf)
-        alpha[i, j] = _lse(np.concatenate([left, right], axis=1), axis=1)
-        plab[i, j] = alpha[i, j] + lab[i, j]
-    return alpha
+    block = flat[:, offset : offset + rows * (n + 1)]
+    return block.reshape(-1, rows, n + 1)[:, :, :cols]
 
 
-def _outside_indices(n: int) -> list[tuple]:
-    """Per-width gather indices for the outside recursion (cached by n)."""
-    if n not in _outside_index_cache:
-        plan = []
-        for w in range(n - 1, 0, -1):
-            i = np.arange(n - w + 1)
-            j = i + w - 1
-            t = np.arange(n - w)
-            jp = j[:, None] + 1 + t[None, :]
-            ok_l = jp <= n - 1
-            jp_c = np.minimum(jp, n - 1)
-            sib_row = np.minimum(j + 1, n - 1)[:, None] + np.zeros_like(t)[None, :]
-            ip = i[:, None] - 1 - t[None, :]
-            ok_r = ip >= 0
-            ip_c = np.maximum(ip, 0)
-            sib_col = np.maximum(i - 1, 0)[:, None] + np.zeros_like(t)[None, :]
-            plan.append((i, j, ok_l, jp_c, sib_row, ok_r, ip_c, sib_col))
-        _outside_index_cache[n] = plan
-    return _outside_index_cache[n]
+def _cells(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The width-``w`` cells ``(i, i + w - 1)`` and their mirrors, ``(B, rows)``."""
+    rows = n - w + 1
+    upper = _stripe(flat, n, w - 1, rows, 1)[:, :, 0]
+    mirror = _stripe(flat, n, (w - 1) * n, rows, 1)[:, :, 0]
+    return upper, mirror
 
 
-def _posterior(sp: np.ndarray, beta: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Span-label posteriors: gradient of the root log-sum w.r.t. ``sp``."""
-    n = sp.shape[0]
-    log_z = beta[0, n - 1]
-    alpha = _outside_dp(beta, lab)
-    log_mu = (alpha + beta - lab)[:, :, None] + sp - log_z
+def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right children of every split of the width-``w`` cells.
+
+    ``left[b, i, t]`` is cell ``(i, i + t)`` and ``right[b, i, t]`` is cell
+    ``(i + t + 1, i + w - 1)``, read from its mirror ``(i + w - 1, i + t + 1)``
+    in the lower triangle, so both are stripes with strides ``(n + 1, 1)``.
+    """
+    rows = n - w + 1
+    left = _stripe(flat, n, 0, rows, w - 1)
+    right = _stripe(flat, n, (w - 1) * n + 1, rows, w - 1)
+    return left, right
+
+
+class _Chart(NamedTuple):
+    """What one run of :func:`_chart_dp` leaves behind."""
+
+    flat: np.ndarray  # see _stripe; cell (i, j) also stored at its mirror (j, i)
+    lab: np.ndarray  # label reduction of each cell, (B, n, n), upper triangle
+    label_arg: np.ndarray | None  # its argument, same shape
+    split: list  # per width w >= 2: split reduction (value, argument), (B, n - w + 1)
+
+
+def _chart_dp(sp: np.ndarray, reduce) -> _Chart:
+    """The chart recursion over a batch of ``(B, n, n, L)`` potentials.
+
+    ``reduce`` maps a fresh array, which it may overwrite, to ``(value,
+    argument)`` over its last axis: :func:`_logsumexp` for inside,
+    :func:`_max_argmax` for CKY.  Runs one width at a time over all start
+    positions and batch rows, reading the split operands as stripes.
+    """
+    b, n = sp.shape[:2]
+    iu, ju = triu_cells(n)
+    lab = np.zeros((b, n, n))
+    lab[:, iu, ju], arg = reduce(sp[:, iu, ju])
+    label_arg = None
+    if arg is not None:
+        label_arg = np.zeros((b, n, n), dtype=np.int64)
+        label_arg[:, iu, ju] = arg
+    flat = np.empty((b, n * (n + 1) + 1))
+    split = [None, None]
+    for w in range(1, n + 1):
+        value = np.diagonal(lab, w - 1, 1, 2)
+        if w > 1:
+            left, right = _split_operands(flat, n, w)
+            split.append(reduce(left + right))
+            value = value + split[w][0]
+        upper, mirror = _cells(flat, n, w)
+        upper[...] = value
+        mirror[...] = value
+    return _Chart(flat, lab, label_arg, split)
+
+
+def _posteriors(sp: np.ndarray, chart: _Chart) -> np.ndarray:
+    """Span-label posteriors ``d logZ / d sp`` of each chart in the batch.
+
+    One reverse sweep over the inside pass's stripes: ``g = d logZ / d beta``
+    starts at 1 on the root and flows from each cell to both children of
+    each split, weighted by the softmax of the split scores; then
+    ``mu = g * softmax_k(sp)``.  Left children collect their share in the
+    upper triangle of ``g`` and right children at their mirror, so each
+    update writes distinct cells; a cell adds its two parts when its own
+    width comes up.
+    """
+    b, n = sp.shape[:2]
+    g = np.zeros_like(chart.flat)
+    g[:, n - 1] = 1.0
+    for w in range(n, 1, -1):
+        upper, mirror = _cells(g, n, w)
+        upper += mirror
+        left, right = _split_operands(chart.flat, n, w)
+        share = left + right
+        share -= chart.split[w][0][..., None]
+        np.exp(share, out=share)
+        share *= upper[..., None]
+        to_left, to_right = _split_operands(g, n, w)
+        to_left += share
+        to_right += share
+    g = g[:, : n * n].reshape(b, n, n)
+    mu = sp - chart.lab[..., None]
     with np.errstate(invalid="ignore", over="ignore"):
-        mu = np.exp(log_mu)
-    mu[tril_cells(n)] = 0.0
-    # exp can overshoot 1 by an ulp; the posterior is a probability.
+        np.exp(mu, out=mu)
+        mu *= g[..., None]
+    il, jl = tril_cells(n)
+    mu[:, il, jl] = 0.0
+    # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0)
+
+
+def _inside_flat(sp: np.ndarray) -> np.ndarray:
+    """Flat inside chart (see :func:`_stripe`) of one ``(n, n, L)`` array."""
+    return _chart_dp(sp[None], _logsumexp).flat
 
 
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _require_nonempty(chart.n)
-    beta, _ = _inside_dp(chart.s)
-    return float(beta[0, chart.n - 1])
+    return float(_inside_flat(chart.s)[0, chart.n - 1])
 
 
 def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChart:
@@ -319,7 +337,9 @@ def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChar
     if mask is not None:
         _check_mask(chart, mask)
         sp = _apply_mask(chart.s, mask.m)
-    beta, _ = _inside_dp(sp)
+    n = chart.n
+    beta = _inside_flat(sp)[0, : n * n].reshape(n, n)
+    beta[tril_cells(n)] = np.nan
     return InsideChart(beta=beta)
 
 
@@ -332,8 +352,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     _require_nonempty(chart.n)
     _check_mask(chart, mask)
     sp = _apply_mask(chart.s, mask.m)
-    beta, _ = _inside_dp(sp)
-    return float(beta[0, chart.n - 1])
+    return float(_inside_flat(sp)[0, chart.n - 1])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -390,8 +409,8 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> MarginalChart
     if mask is not None:
         _check_mask(chart, mask)
         sp = _apply_mask(chart.s, mask.m)
-    beta, lab = _inside_dp(sp)
-    return MarginalChart(mu=_posterior(sp, beta, lab))
+    sp = sp[None]
+    return MarginalChart(mu=_posteriors(sp, _chart_dp(sp, _logsumexp))[0])
 
 
 def loss_and_score_gradient(
@@ -400,17 +419,17 @@ def loss_and_score_gradient(
     """Negative log conditional probability and its exact score gradient.
 
     The gradient at each cell is the unmasked posterior minus the masked
-    posterior; the two node-count identities make it sum to zero.
+    posterior; the two node-count identities make it sum to zero.  The
+    unmasked and masked charts run through the kernel as a batch of two.
     """
     _require_nonempty(chart.n)
     _check_mask(chart, mask)
-    beta_u, lab_u = _inside_dp(chart.s)
-    sp_m = _apply_mask(chart.s, mask.m)
-    beta_m, lab_m = _inside_dp(sp_m)
-    root = (0, chart.n - 1)
-    loss = float(beta_u[root] - beta_m[root])
-    grad = _posterior(chart.s, beta_u, lab_u) - _posterior(sp_m, beta_m, lab_m)
-    return loss, grad
+    sp = np.stack([chart.s, _apply_mask(chart.s, mask.m)])
+    inside_pass = _chart_dp(sp, _logsumexp)
+    root = chart.n - 1
+    loss = float(inside_pass.flat[0, root] - inside_pass.flat[1, root])
+    mu = _posteriors(sp, inside_pass)
+    return loss, mu[0] - mu[1]
 
 
 def cky_decode(chart: ScoreChart) -> FullTree:
@@ -420,36 +439,15 @@ def cky_decode(chart: ScoreChart) -> FullTree:
     split point (numpy argmax picks the first maximum).
     """
     _require_nonempty(chart.n)
-    s = chart.s
     n = chart.n
-    beta = np.full((n, n), np.nan)
-    best_label = np.zeros((n, n), dtype=np.int64)
-    best_split = np.zeros((n, n), dtype=np.int64)
-    for w in range(1, n + 1):
-        i = np.arange(n - w + 1)
-        j = i + w - 1
-        cell = s[i, j, :]
-        kstar = np.argmax(cell, axis=1)
-        a = cell[np.arange(len(i)), kstar]
-        best_label[i, j] = kstar
-        if w == 1:
-            beta[i, j] = a
-            continue
-        t = np.arange(w - 1)
-        cand = (
-            beta[i[:, None], i[:, None] + t[None, :]]
-            + beta[i[:, None] + t[None, :] + 1, j[:, None]]
-        )
-        tstar = np.argmax(cand, axis=1)
-        best_split[i, j] = i + tstar
-        beta[i, j] = a + cand[np.arange(len(i)), tstar]
+    best = _chart_dp(chart.s[None], _max_argmax)
     nodes: list[tuple[int, int, int]] = []
     stack = [(0, n - 1)]
     while stack:
         i0, j0 = stack.pop()
-        nodes.append((i0, j0, int(best_label[i0, j0])))
+        nodes.append((i0, j0, int(best.label_arg[0, i0, j0])))
         if i0 < j0:
-            m = int(best_split[i0, j0])
+            m = i0 + int(best.split[j0 - i0 + 1][1][0, i0])
             stack.append((m + 1, j0))
             stack.append((i0, m))
     return FullTree(n=n, nodes=tuple(nodes))
@@ -467,21 +465,21 @@ def tree_score(chart: ScoreChart, tree: FullTree) -> float:
 
     Associates the sum exactly as the chart recursions do
     (node + (left subtree + right subtree)), so a decoded tree's score is
-    bit-identical to the decoder's root value.
+    bit-identical to the decoder's root value.  Nodes are visited in
+    reverse preorder, which reaches both children before their parent.
     """
     if tree.n != chart.n:
         raise DimensionMismatch(f"tree over {tree.n} tokens, chart over {chart.n}")
     s = chart.s
-    label = tree.label_of()
-
-    def rec(i: int, j: int) -> float:
-        v = s[i, j, label[(i, j)]]
+    score: dict[tuple[int, int], float] = {}
+    for i, j, k in reversed(tree.nodes):
+        v = s[i, j, k]
         if i == j:
-            return float(v)
-        m = tree.splits[(i, j)]
-        return float(v + (rec(i, m) + rec(m + 1, j)))
-
-    return rec(0, tree.n - 1)
+            score[(i, j)] = float(v)
+        else:
+            m = tree.splits[(i, j)]
+            score[(i, j)] = float(v + (score.pop((i, m)) + score.pop((m + 1, j))))
+    return score[(0, tree.n - 1)]
 
 
 def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
@@ -497,18 +495,17 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
 
 
 def batched_masked_inside(
-    charts: Sequence[ScoreChart],
-    masks: Sequence[ChartMask],
-    threads: int = 1,
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
 ) -> np.ndarray:
     """Masked inside over a batch of sentences in one padded computation.
 
     Sentences are padded to the longest length; padded cells carry all-zero
     masks (LOG_ZERO potentials) and cannot influence any in-range cell,
     because a cell's split sum only reads cells inside its own span.  Each
-    sentence's result is read at its own root cell, so values are bitwise
+    sentence's result is read at its own root cell, and every cell runs the
+    same operations as in :func:`masked_inside`, so values are bitwise
     identical to the per-sentence computation regardless of batch
-    composition or thread count.
+    composition.
     """
     if len(charts) != len(masks):
         raise DimensionMismatch("need one mask per chart")
@@ -523,37 +520,9 @@ def batched_masked_inside(
             raise DimensionMismatch("charts in a batch must share a label count")
         lengths.append(chart.n)
     n_max = max(lengths)
-    batch = len(charts)
-    sp = np.full((batch, n_max, n_max, n_labels), LOG_ZERO)
+    sp = np.full((len(charts), n_max, n_max, n_labels), LOG_ZERO)
     for b, (chart, mask) in enumerate(zip(charts, masks)):
         nb = chart.n
         sp[b, :nb, :nb, :] = _apply_mask(chart.s, mask.m)
-
-    def run(block: np.ndarray) -> np.ndarray:
-        bs = block.shape[0]
-        beta = np.full((bs, n_max, n_max), LOG_ZERO)
-        for w in range(1, n_max + 1):
-            i = np.arange(n_max - w + 1)
-            j = i + w - 1
-            a = _lse(block[:, i, j, :], axis=2)
-            if w == 1:
-                beta[:, i, j] = a
-                continue
-            t = np.arange(w - 1)
-            left = beta[:, i[:, None], i[:, None] + t[None, :]]
-            right = beta[:, i[:, None] + t[None, :] + 1, j[:, None]]
-            beta[:, i, j] = a + _lse(left + right, axis=2)
-        return beta
-
-    if threads <= 1 or batch == 1:
-        beta_all = run(sp)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(batch), min(threads, batch))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda ix: run(sp[ix]), chunks))
-        beta_all = np.concatenate(parts, axis=0)
-    return np.array(
-        [beta_all[b, 0, lengths[b] - 1] for b in range(batch)], dtype=np.float64
-    )
+    flat = _chart_dp(sp, _logsumexp).flat
+    return flat[np.arange(len(charts)), np.array(lengths) - 1]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -366,13 +367,6 @@ def backward(
     return _backward_from_caches(cache, ncache, params, score_gradient)
 
 
-def score_sentence(tokens: Sequence[str], params: ScorerParams) -> ScoreChart:
-    """Full forward pass: encode, biaffine, potential normalization."""
-    cache = _forward_encode(params.vocab.encode(tokens), params)
-    raw = biaffine_scores(cache.out, params)
-    return potential_normalize(raw)
-
-
 def save_model(params: ScorerParams, path: str) -> None:
     """Write a self-describing model file (see module docstring)."""
     arrays = params.arrays()
@@ -401,8 +395,29 @@ def save_model(params: ScorerParams, path: str) -> None:
         fh.write(payload)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_array_list(value: object) -> bool:
+    """A list of ``{"name": ..., "shape": [int, ...]}`` entries."""
+    return isinstance(value, list) and all(
+        isinstance(a, dict)
+        and isinstance(a.get("shape"), list)
+        and all(_is_int(d) for d in a["shape"])
+        for a in value
+    )
+
+
 def load_model(path: str) -> ScorerParams:
-    """Read a model file, verifying magic, version, shapes, and checksum."""
+    """Read a model file, verifying magic, version, shapes, and checksum.
+
+    Any malformed header field raises :class:`ModelFormatError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16:
@@ -419,29 +434,47 @@ def load_model(path: str) -> ScorerParams:
     header_end = 16 + header_len
     try:
         header = json.loads(data[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: corrupt header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
     payload = data[header_end:]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise ModelFormatError(f"{path}: payload checksum mismatch")
-    schema = LabelSchema(
-        observed_labels=tuple(header["observed_labels"]),
-        latent_label_count=header["latent_label_count"],
-    )
-    config = ScorerConfig(
-        embed_dim=header["embed_dim"],
-        hidden_dim=header["hidden_dim"],
-        schema=schema,
-    )
-    vocab = Vocab(tokens=tuple(header["vocab_tokens"]))
+
+    def header_field(key: str, valid) -> object:
+        value = header.get(key)
+        if not valid(value):
+            raise ModelFormatError(f"{path}: malformed header field {key!r}")
+        return value
+
+    try:
+        schema = LabelSchema(
+            observed_labels=tuple(header_field("observed_labels", _is_str_list)),
+            latent_label_count=header_field("latent_label_count", _is_int),
+        )
+        embed_dim = header_field("embed_dim", _is_int)
+        hidden_dim = header_field("hidden_dim", _is_int)
+        config = ScorerConfig(embed_dim=embed_dim, hidden_dim=hidden_dim, schema=schema)
+        vocab = Vocab(tokens=tuple(header_field("vocab_tokens", _is_str_list)))
+    except BadConfig as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    expected = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
-    if [name for name, _ in expected] != list(PARAM_ORDER):
-        raise ModelFormatError(f"{path}: unexpected parameter array list")
+    expected = [
+        (a.get("name"), tuple(a["shape"]))
+        for a in header_field("arrays", _is_array_list)
+    ]
+    d, h, h2, n_labels = embed_dim, hidden_dim, config.half_dim, schema.n_labels
+    shapes = [(len(vocab), d), (d, 3 * d), (d,), (h, d), (h,), (h2, h), (h2,)]
+    shapes += [(n_labels, h2, h2), (n_labels, h2), (n_labels,)]
+    if expected != list(zip(PARAM_ORDER, shapes)):
+        raise ModelFormatError(
+            f"{path}: parameter arrays do not match the header's dimensions"
+        )
     for name, shape in expected:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         end = offset + 8 * size
         if end > len(payload):
             raise ModelFormatError(f"{path}: truncated payload at array {name!r}")

@@ -297,7 +297,7 @@ def test_criterion_09_benchmark_validity_and_speed():
     """Batched masked inside matches vanilla values and is not slower."""
     rng = np.random.default_rng(109)
     schema = LabelSchema(tuple(f"L{i}" for i in range(7)), latent_label_count=1)
-    length, batch, threads = 40, 32, 4
+    length, batch = 40, 32
     charts, symbol_trees, masks = [], [], []
     for _ in range(batch):
         charts.append(random_chart(length, schema, rng))
@@ -315,7 +315,7 @@ def test_criterion_09_benchmark_validity_and_speed():
         ]
         t_vanilla = min(t_vanilla, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        batched_values = batched_masked_inside(charts, masks, threads=threads)
+        batched_values = batched_masked_inside(charts, masks)
         t_batched = min(t_batched, time.perf_counter() - t0)
     discrepancy = float(np.abs(np.array(vanilla_values) - batched_values).max())
     speedup = t_vanilla / t_batched
@@ -323,7 +323,7 @@ def test_criterion_09_benchmark_validity_and_speed():
     report(
         9,
         ok,
-        f"batch {batch}, n {length}, labels 8, {threads} threads: "
+        f"batch {batch}, n {length}, labels 8: "
         f"discrepancy {discrepancy:.3e}, speedup {speedup:.1f}x "
         f"(vanilla {t_vanilla:.3f}s, batched {t_batched:.3f}s)",
     )

@@ -163,6 +163,15 @@ class TestSelfcheck:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_injected_fault_does_not_outlive_its_run(self, capsys):
+        args = ["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"]
+        assert main(args + ["--inject-fault"]) == 1
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
+
     def test_oracle_guard(self):
         assert main(["selfcheck", "--max-n", "9"]) == 2
 
@@ -180,8 +189,6 @@ class TestBench:
                 "3",
                 "--repeats",
                 "2",
-                "--threads",
-                "2",
             ]
         )
         captured = capsys.readouterr()
@@ -197,13 +204,6 @@ class TestBench:
     def test_nonpositive_sizes_usage_error(self):
         assert main(["bench", "--batch", "0"]) == 2
         assert main(["bench", "--length", "-3"]) == 2
-
-    def test_thread_env_var_default(self, monkeypatch, capsys):
-        from treecrf.cli import build_parser
-
-        monkeypatch.setenv("TREECRF_THREADS", "7")
-        args = build_parser().parse_args(["bench"])
-        assert args.threads == 7
 
 
 class TestSweepLatent:

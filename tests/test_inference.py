@@ -9,6 +9,7 @@ from treecrf import (
     DegenerateChart,
     DimensionMismatch,
     FullTree,
+    LabelSchema,
     PartialTree,
     ScoreChart,
     Span,
@@ -331,6 +332,15 @@ class TestCkyDecode:
         with pytest.raises(DegenerateChart):
             cky_decode(ScoreChart(s=np.zeros((0, 0, 2)), schema=schema2))
 
+    def test_tree_score_of_a_deep_tree(self):
+        # A left-branching tree over 1500 tokens is 1500 levels deep.
+        n = 1500
+        schema = LabelSchema(("A",), latent_label_count=1)
+        nodes = [(0, j, 0) for j in range(n)] + [(j, j, 0) for j in range(1, n)]
+        tree = FullTree(n=n, nodes=tuple(nodes))
+        chart = ScoreChart(s=np.ones((n, n, 2)), schema=schema)
+        assert tree_score(chart, tree) == 2 * n - 1
+
     def test_root_value_is_tree_score_bitwise(self, schema3):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -419,32 +429,27 @@ class TestNaNPoisoning:
 
 
 class TestBatchedMaskedInside:
-    def test_matches_per_sentence_bitwise(self, schema3):
-        rng = np.random.default_rng(15)
-        charts, masks = [], []
-        for _ in range(9):
-            n = int(rng.integers(1, 9))
-            charts.append(random_chart(n, schema3, rng))
-            tree = random_partial_tree(n, schema3, rng)
-            sym = classify_nodes(tree)
-            masks.append(build_mask(sym, schema3))
-        got = batched_masked_inside(charts, masks)
-        expected = np.array(
-            [masked_inside(c, m) for c, m in zip(charts, masks)]
-        )
-        np.testing.assert_allclose(got, expected, atol=1e-10)
-
-    def test_thread_count_does_not_change_values(self, schema3):
-        rng = np.random.default_rng(16)
-        charts, masks = [], []
-        for _ in range(8):
-            n = int(rng.integers(2, 8))
-            charts.append(random_chart(n, schema3, rng))
-            tree = random_partial_tree(n, schema3, rng)
-            masks.append(build_mask(classify_nodes(tree), schema3))
-        one = batched_masked_inside(charts, masks, threads=1)
-        four = batched_masked_inside(charts, masks, threads=4)
-        np.testing.assert_array_equal(one, four)
+    def test_matches_per_sentence_bitwise(self):
+        # (sentences, length range, labels): mixed short lengths, the bench
+        # shape (32 x n 40 x 8 labels), and padded mixed lengths 1..29.
+        cases = ((9, (1, 9), 3), (32, (40, 41), 8), (32, (1, 30), 4))
+        for count, lengths, n_labels in cases:
+            schema = LabelSchema(
+                tuple(f"L{k}" for k in range(n_labels - 1)), latent_label_count=1
+            )
+            rng = np.random.default_rng(15)
+            charts, masks = [], []
+            for _ in range(count):
+                n = int(rng.integers(*lengths))
+                charts.append(random_chart(n, schema, rng))
+                tree = random_partial_tree(n, schema, rng)
+                sym = classify_nodes(tree)
+                masks.append(build_mask(sym, schema))
+            got = batched_masked_inside(charts, masks)
+            expected = np.array(
+                [masked_inside(c, m) for c, m in zip(charts, masks)]
+            )
+            np.testing.assert_array_equal(got, expected)
 
     def test_empty_batch(self):
         assert batched_masked_inside([], []).shape == (0,)

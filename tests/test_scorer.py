@@ -1,5 +1,14 @@
+import functools
+import hashlib
+import json
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecrf import (
     BadConfig,
@@ -24,6 +33,8 @@ from treecrf import (
 from treecrf.inference import ScoreChart, cky_decode
 from treecrf.oracle import random_partial_tree
 from treecrf.scorer import (
+    MODEL_FORMAT_VERSION,
+    MODEL_MAGIC,
     PARAM_ORDER,
     _forward_encode,
     _normalize_with_cache,
@@ -314,3 +325,84 @@ class TestSerialization:
         open(path, "wb").write(b"definitely not a model")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@functools.cache
+def _valid_model_parts():
+    """Header dict and payload bytes of a small saved model."""
+    schema = LabelSchema(observed_labels=("PER",), latent_label_count=1)
+    config = ScorerConfig(embed_dim=2, hidden_dim=2, schema=schema)
+    params = init_params(Vocab.build(["a", "b"]), config, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.tcrf")
+        save_model(params, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len :]
+
+
+@st.composite
+def model_headers(draw):
+    """Any JSON value, or the valid header with some fields dropped or
+    replaced, or with one array's shape replaced."""
+    valid_header, valid_payload = _valid_model_parts()
+    payload = draw(st.sampled_from([valid_payload, b""]) | st.binary(max_size=64))
+    if draw(st.booleans()):
+        return draw(JSON_VALUES), payload
+    header = dict(valid_header)
+    for key in sorted(valid_header):
+        action = draw(st.sampled_from(("keep", "keep", "drop", "replace")))
+        if action == "drop":
+            del header[key]
+        elif action == "replace":
+            header[key] = draw(JSON_VALUES)
+    if header.get("arrays") == valid_header["arrays"] and draw(st.booleans()):
+        arrays = [dict(a) for a in valid_header["arrays"]]
+        entry = draw(st.sampled_from(arrays))
+        entry["shape"] = draw(JSON_VALUES | st.lists(st.integers(), max_size=3))
+        header["arrays"] = arrays
+    if draw(st.booleans()):
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    return header, payload
+
+
+def _load_from_parts(header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.tcrf")
+        with open(path, "wb") as fh:
+            fh.write(MODEL_MAGIC)
+            fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob + payload)
+        return load_model(path)
+
+
+class TestMalformedModelHeader:
+    @settings(deadline=None, max_examples=300)
+    @given(case=model_headers())
+    def test_loads_or_raises_model_format_error(self, case):
+        try:
+            params = _load_from_parts(*case)
+        except ModelFormatError:
+            return
+        fresh = init_params(params.vocab, params.config, 0)
+        for name in PARAM_ORDER:
+            assert getattr(params, name).shape == getattr(fresh, name).shape
+
+    def test_shape_that_disagrees_with_dimensions(self):
+        header, payload = _valid_model_parts()
+        header = json.loads(json.dumps(header))
+        emb = next(a for a in header["arrays"] if a["name"] == "emb")
+        emb["shape"] = emb["shape"][::-1]  # same size, transposed
+        with pytest.raises(ModelFormatError, match="dimensions"):
+            _load_from_parts(header, payload)
