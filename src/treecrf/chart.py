@@ -18,6 +18,8 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
 
 The classification is turned into a dense ``n x n x |labels|`` 0/1 mask;
 structure smoothing later relaxes rejected cells from 0 to a small epsilon.
+The cells ``i > j`` below the diagonal stand for no span;
+:func:`below_diagonal` marks them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ from .errors import (
     OutOfBounds,
     UnknownLabel,
 )
+
+
+def below_diagonal(n: int) -> np.ndarray:
+    """Boolean ``(n, n)`` mask of the unused cells ``i > j``.
+
+    Indexing a chart with its negation visits the span cells in the same
+    row-major order as ``np.triu_indices(n)``.
+    """
+    return np.tri(n, k=-1, dtype=bool)
 
 
 class NodeKind(IntEnum):
@@ -168,9 +179,6 @@ class SymbolTree:
 
     def __post_init__(self) -> None:
         self.node_kind.flags.writeable = False
-
-    def kind(self, i: int, j: int) -> NodeKind:
-        return NodeKind(int(self.node_kind[i, j]))
 
 
 @dataclass(frozen=True)

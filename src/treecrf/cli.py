@@ -336,7 +336,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_latent(args: argparse.Namespace) -> int:
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
+    try:
+        counts = [int(c) for c in args.counts.split(",") if c.strip()]
+    except ValueError:
+        raise BadConfig(
+            f"--counts must be comma-separated integers, got {args.counts!r}"
+        ) from None
     if not counts:
         raise BadConfig("--counts must name at least one latent label count")
     records = read_corpus(args.data)

@@ -123,18 +123,29 @@ def _record_from_obj(obj: object, line: int) -> CorpusRecord:
 
 
 def read_corpus(path: str) -> list[CorpusRecord]:
-    """Parse a line-delimited corpus file; blank lines are ignored."""
+    """Parse a line-delimited UTF-8 corpus file; blank lines are ignored.
+
+    Lines break at ``\\n``, ``\\r\\n`` or ``\\r``.  Any line that is not
+    valid UTF-8 or not a valid record raises :class:`ParseError` with its
+    line number.
+    """
     records: list[CorpusRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid record ({exc.msg})") from None
-            records.append(_record_from_obj(obj, line_no))
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(line_no, f"invalid UTF-8 ({exc.reason})") from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid record ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(line_no, f"invalid record ({exc})") from None
+        records.append(_record_from_obj(obj, line_no))
     return records
 
 

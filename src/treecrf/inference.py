@@ -25,8 +25,10 @@ root, taken by one reverse sweep over the same views (inside-outside as
 backpropagation).  :func:`vanilla_partial_marginalization` keeps its own
 cell-by-cell loop as the reference the kernel is checked against.
 
-Score cells below the diagonal are never read into a result; tests poison
-them with NaN to prove it.
+Score cells below the diagonal (``i > j``, see
+:func:`treecrf.chart.below_diagonal`) are unspecified: they may hold any
+value, NaN included, and no result reads them; tests poison them with NaN
+to prove it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import ChartMask, LabelSchema, NodeKind, Span, SymbolTree
+from .chart import ChartMask, LabelSchema, NodeKind, Span, SymbolTree, below_diagonal
 from .errors import DegenerateChart, DimensionMismatch
 
 # Substitute for log 0 when masking in the logarithm scale.  Large enough
@@ -58,29 +60,12 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return out + np.squeeze(shift, axis=axis)
 
 
-_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_tril_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def triu_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached index arrays of the meaningful (upper-triangular) cells."""
-    if n not in _triu_cache:
-        _triu_cache[n] = np.triu_indices(n)
-    return _triu_cache[n]
-
-
-def tril_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached index arrays of the strictly-lower (unused) cells."""
-    if n not in _tril_cache:
-        _tril_cache[n] = np.tril_indices(n, k=-1)
-    return _tril_cache[n]
-
-
 @dataclass(frozen=True)
 class ScoreChart:
     """Log potentials ``s[i, j, k]`` for spans ``i <= j`` and labels ``k``.
 
     Only the upper triangle is meaningful; entries there must be finite.
+    Cells below the diagonal are unspecified and may hold anything.
     """
 
     s: np.ndarray
@@ -93,11 +78,9 @@ class ScoreChart:
             raise DimensionMismatch(
                 f"chart has {self.s.shape[2]} labels, schema {self.schema.n_labels}"
             )
-        n = self.s.shape[0]
-        if n:
-            iu, ju = triu_cells(n)
-            if not np.isfinite(self.s[iu, ju, :]).all():
-                raise ValueError("non-finite score in an upper-triangular cell")
+        finite = np.isfinite(self.s)
+        if not finite.all() and not finite[~below_diagonal(self.n)].all():
+            raise ValueError("non-finite score in an upper-triangular cell")
         self.s.flags.writeable = False
 
     @property
@@ -262,13 +245,13 @@ def _chart_dp(sp: np.ndarray, reduce) -> _Chart:
     positions and batch rows, reading the split operands as stripes.
     """
     b, n = sp.shape[:2]
-    iu, ju = triu_cells(n)
+    spans = ~below_diagonal(n)
     lab = np.zeros((b, n, n))
-    lab[:, iu, ju], arg = reduce(sp[:, iu, ju])
+    lab[:, spans], arg = reduce(sp[:, spans])
     label_arg = None
     if arg is not None:
         label_arg = np.zeros((b, n, n), dtype=np.int64)
-        label_arg[:, iu, ju] = arg
+        label_arg[:, spans] = arg
     flat = np.empty((b, n * (n + 1) + 1))
     split = [None, None]
     for w in range(1, n + 1):
@@ -313,8 +296,7 @@ def _posteriors(sp: np.ndarray, chart: _Chart) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         np.exp(mu, out=mu)
         mu *= g[..., None]
-    il, jl = tril_cells(n)
-    mu[:, il, jl] = 0.0
+    mu[:, below_diagonal(n)] = 0.0
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0)
 
@@ -339,7 +321,7 @@ def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChar
         sp = _apply_mask(chart.s, mask.m)
     n = chart.n
     beta = _inside_flat(sp)[0, : n * n].reshape(n, n)
-    beta[tril_cells(n)] = np.nan
+    beta[below_diagonal(n)] = np.nan
     return InsideChart(beta=beta)
 
 

@@ -30,14 +30,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import LabelSchema
+from .chart import LabelSchema, below_diagonal
 from .errors import (
     BadConfig,
     DimensionMismatch,
     EmptySentence,
     ModelFormatError,
 )
-from .inference import ScoreChart, tril_cells, triu_cells
+from .inference import ScoreChart
 
 UNK_TOKEN = "<unk>"
 
@@ -219,40 +219,37 @@ def encode(tokens: Sequence[str], params: ScorerParams) -> np.ndarray:
 
 
 def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
-    """Span potentials for every cell ``i <= j`` and every label."""
+    """Span potentials for every cell ``i <= j`` and every label.
+
+    Cells below the diagonal are unspecified; nothing reads them.
+    """
     h2 = params.config.half_dim
     if embeddings.ndim != 2 or embeddings.shape[1] != h2:
         raise DimensionMismatch(
             f"embeddings have shape {embeddings.shape}, expected (n, {h2})"
         )
     e = embeddings
-    n = e.shape[0]
     # tmp[i, k, b] = sum_a e[i, a] U1[k, a, b]
     tmp = np.tensordot(e, params.bi_u1, axes=([1], [1]))
     bilinear = (tmp @ e.T).transpose(0, 2, 1)
     linear = (e[:, None, :] + e[None, :, :]) @ params.bi_u2.T
     s = bilinear + linear + params.bi_b[None, None, :]
-    s[tril_cells(n)] = 0.0
     return ScoreChart(s=s, schema=params.config.schema)
 
 
 class NormalizeCache(NamedTuple):
-    mean: float
     std: float
     degenerate: bool
     normalized: np.ndarray
 
 
 def _normalize_with_cache(chart: ScoreChart) -> tuple[ScoreChart, NormalizeCache]:
-    n = chart.n
-    iu, ju = triu_cells(n)
-    vals = chart.s[iu, ju, :]
+    vals = chart.s[~below_diagonal(chart.n)]
     mean = float(vals.mean())
     std = float(np.sqrt(((vals - mean) ** 2).mean()))
     degenerate = std < STD_FLOOR
     out = chart.s - mean if degenerate else (chart.s - mean) / std
-    out[tril_cells(n)] = 0.0
-    cache = NormalizeCache(mean=mean, std=std, degenerate=degenerate, normalized=out)
+    cache = NormalizeCache(std=std, degenerate=degenerate, normalized=out)
     return ScoreChart(s=out, schema=chart.schema), cache
 
 
@@ -261,7 +258,8 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
 
     Subtracts the mean and divides by the population standard deviation of
     the upper-triangular entries; a chart with essentially constant scores
-    is only mean-centered.
+    is only mean-centered.  Cells below the diagonal go through the same
+    affine map and stay unspecified.
     """
     normalized, _ = _normalize_with_cache(chart)
     return normalized
@@ -270,15 +268,18 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
 def _normalize_backward(
     cache: NormalizeCache, grad: np.ndarray, n: int
 ) -> np.ndarray:
-    """Chain a gradient w.r.t. normalized scores back to raw scores."""
-    iu, ju = triu_cells(n)
-    g = grad[iu, ju, :]
+    """Chain a gradient w.r.t. normalized scores back to raw scores.
+
+    Reads only the span cells of ``grad``; the result is 0 below the diagonal.
+    """
+    spans = ~below_diagonal(n)
+    g = grad[spans]
     out = np.zeros_like(grad)
     if cache.degenerate:
-        out[iu, ju, :] = g - g.mean()
+        out[spans] = g - g.mean()
         return out
-    y = cache.normalized[iu, ju, :]
-    out[iu, ju, :] = (g - g.mean() - y * (g * y).mean()) / cache.std
+    y = cache.normalized[spans]
+    out[spans] = (g - g.mean() - y * (g * y).mean()) / cache.std
     return out
 
 

@@ -58,7 +58,6 @@ class TrainConfig:
     latent_label_count: int = 1
     embed_dim: int = 16
     hidden_dim: int = 32
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -69,8 +68,6 @@ class TrainConfig:
             raise BadConfig("epochs and batch_size must be positive")
         if self.latent_label_count < 1:
             raise BadConfig("latent_label_count must be at least 1")
-        if self.weight_decay < 0:
-            raise BadConfig("weight_decay must be non-negative")
 
 
 @dataclass
@@ -94,9 +91,8 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    weight_decay: float = 0.0,
 ) -> None:
-    """One adaptive-moment update, in place, with decoupled weight decay."""
+    """One adaptive-moment update, in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -109,10 +105,7 @@ def adam_step(
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if weight_decay:
-            update = update + weight_decay * p
-        p -= learning_rate * update
+        p -= learning_rate * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
 
 
 @dataclass(frozen=True)
@@ -222,9 +215,7 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
             scale = 1.0 / len(batch)
             for name in acc:
                 acc[name] *= scale
-            adam_step(
-                params.arrays(), acc, adam, config.learning_rate, config.weight_decay
-            )
+            adam_step(params.arrays(), acc, adam, config.learning_rate)
         report = evaluate(params, eval_records)
         mean_loss = float(np.mean(losses))
         log.append(

@@ -102,27 +102,27 @@ class TestClassifyNodes:
     def test_single_entity(self, schema3):
         tree = PartialTree(n=3, entities=(Span(0, 1, 0),))
         sym = classify_nodes(tree)
-        assert sym.kind(0, 0) == NodeKind.LATENT
-        assert sym.kind(1, 1) == NodeKind.LATENT
-        assert sym.kind(2, 2) == NodeKind.LATENT
-        assert sym.kind(0, 1) == NodeKind.OBSERVED
-        assert sym.kind(1, 2) == NodeKind.REJECTED
-        assert sym.kind(0, 2) == NodeKind.LATENT
+        assert sym.node_kind[0, 0] == NodeKind.LATENT
+        assert sym.node_kind[1, 1] == NodeKind.LATENT
+        assert sym.node_kind[2, 2] == NodeKind.LATENT
+        assert sym.node_kind[0, 1] == NodeKind.OBSERVED
+        assert sym.node_kind[1, 2] == NodeKind.REJECTED
+        assert sym.node_kind[0, 2] == NodeKind.LATENT
 
     def test_single_token(self):
         tree = PartialTree(n=1, entities=())
         sym = classify_nodes(tree)
-        assert sym.kind(0, 0) == NodeKind.LATENT
+        assert sym.node_kind[0, 0] == NodeKind.LATENT
 
     def test_nested_entities(self, schema3):
         tree = PartialTree(n=3, entities=(Span(0, 2, 0), Span(0, 1, 0)))
         sym = classify_nodes(tree)
-        assert sym.kind(0, 2) == NodeKind.OBSERVED
-        assert sym.kind(0, 1) == NodeKind.OBSERVED
-        assert sym.kind(1, 2) == NodeKind.REJECTED
-        assert sym.kind(0, 0) == NodeKind.LATENT
-        assert sym.kind(1, 1) == NodeKind.LATENT
-        assert sym.kind(2, 2) == NodeKind.LATENT
+        assert sym.node_kind[0, 2] == NodeKind.OBSERVED
+        assert sym.node_kind[0, 1] == NodeKind.OBSERVED
+        assert sym.node_kind[1, 2] == NodeKind.REJECTED
+        assert sym.node_kind[0, 0] == NodeKind.LATENT
+        assert sym.node_kind[1, 1] == NodeKind.LATENT
+        assert sym.node_kind[2, 2] == NodeKind.LATENT
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
@@ -142,7 +142,7 @@ class TestClassifyNodes:
                     expected = NodeKind.REJECTED
                 else:
                     expected = NodeKind.LATENT
-                assert sym.kind(i, j) == expected
+                assert sym.node_kind[i, j] == expected
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
@@ -151,8 +151,8 @@ class TestClassifyNodes:
         rng = np.random.default_rng(seed)
         sym = classify_nodes(random_partial_tree(n, schema, rng))
         for i in range(n):
-            assert sym.kind(i, i) != NodeKind.REJECTED
-        assert sym.kind(0, n - 1) != NodeKind.REJECTED
+            assert sym.node_kind[i, i] != NodeKind.REJECTED
+        assert sym.node_kind[0, n - 1] != NodeKind.REJECTED
 
 
 class TestBuildMask:
@@ -234,7 +234,7 @@ class TestSmoothMask:
         smoothed = smooth_mask(base, sym, eps)
         for i in range(n):
             for j in range(i, n):
-                if sym.kind(i, j) == NodeKind.REJECTED:
+                if sym.node_kind[i, j] == NodeKind.REJECTED:
                     assert np.all(smoothed.m[i, j] == eps)
                 else:
                     assert np.array_equal(smoothed.m[i, j], base.m[i, j])

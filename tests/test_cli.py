@@ -92,6 +92,25 @@ class TestTrainCommand:
         assert rc == 0
         assert "RESULT split=dev" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"tokens":["\xff"],"entities":[]}\n', "error: line 1: invalid UTF-8"),
+            (b"\n" + b"[" * 100_000 + b"\n", "error: line 2: invalid record"),
+        ],
+        ids=["invalid-utf8", "deep-nesting"],
+    )
+    def test_unreadable_corpus_is_a_parse_error(
+        self, tmp_path, capsys, content, message
+    ):
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(content)
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
 
 class TestPredictEval:
     def test_predict_output_validates(self, model_path, corpus_path, tmp_path, capsys):
@@ -227,3 +246,8 @@ class TestSweepLatent:
         assert lines[0] == "latent_labels,dev_precision,dev_recall,dev_f1"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
+
+    def test_non_integer_count_is_usage_error(self, corpus_path, capsys):
+        rc = main(["sweep-latent", "--data", corpus_path, "--counts", "1,x"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --counts")

@@ -1,7 +1,10 @@
 import collections
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecrf import (
     BadConfig,
@@ -86,6 +89,80 @@ class TestCorpusIO:
         )
         with pytest.raises(ParseError, match="exceeds sentence length"):
             read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b'{"tokens":["\xff"],"entities":[]}', "invalid UTF-8"),
+            (b"[" * 100_000, "invalid record"),
+            (b'{"tokens":["a"],"entities":[{"start":' + b"9" * 5000 + b"}]}", "invalid record"),
+        ],
+        ids=["invalid-utf8", "deep-nesting", "oversized-integer"],
+    )
+    def test_unreadable_line_reports_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "bad.jsonl"
+        good = record_to_line(CorpusRecord(("a",), ())).encode("utf-8")
+        path.write_bytes(good + b"\n\n" + bad_line + b"\n")
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            read_corpus(str(path))
+
+    def test_carriage_returns_break_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = record_to_line(CorpusRecord(("a",), ()))
+        path.write_bytes(f"{good}\r{good}\r\n\r{{bad".encode("utf-8"))
+        with pytest.raises(ParseError, match="line 4"):
+            read_corpus(str(path))
+        path.write_bytes(f"{good}\r{good}\r\n".encode("utf-8"))
+        assert len(read_corpus(str(path))) == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_RECORDISH = st.fixed_dictionaries(
+    {
+        "tokens": st.one_of(_JSON, st.lists(st.text(max_size=3), max_size=4)),
+        "entities": st.one_of(
+            _JSON,
+            st.lists(
+                st.dictionaries(
+                    st.sampled_from(["start", "end", "label"]), _JSON, max_size=3
+                ),
+                max_size=3,
+            ),
+        ),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        line=st.one_of(
+            st.binary(max_size=64),
+            _JSON.map(lambda v: json.dumps(v).encode("utf-8")),
+            _RECORDISH.map(lambda v: json.dumps(v).encode("utf-8")),
+        )
+    )
+    def test_any_line_gives_records_or_parse_error(self, fuzz_path, line):
+        fuzz_path.write_bytes(line + b"\n")
+        try:
+            records = read_corpus(str(fuzz_path))
+        except ParseError as exc:
+            assert exc.line >= 1
+            return
+        for record in records:
+            assert isinstance(record, CorpusRecord) and record.tokens
+            for ent in record.entities:
+                assert 0 <= ent.start < ent.end <= len(record.tokens)
 
 
 class TestGenSynthetic:

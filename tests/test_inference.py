@@ -29,7 +29,18 @@ from treecrf import (
     tree_score,
     vanilla_partial_marginalization,
 )
+from treecrf import inference as inference_module
+from treecrf import scorer as scorer_module
 from treecrf.oracle import catalan, random_chart, random_partial_tree
+from treecrf.scorer import (
+    ScorerConfig,
+    Vocab,
+    _normalize_backward,
+    _normalize_with_cache,
+    backward,
+    init_params,
+    potential_normalize,
+)
 
 from conftest import zero_chart
 
@@ -426,6 +437,58 @@ class TestNaNPoisoning:
             assert loss_p == loss_c
             np.testing.assert_array_equal(grad_p[iu, ju], grad_c[iu, ju])
             assert np.isfinite(grad_p[iu, ju]).all()
+
+    def test_normalization_and_its_backward(self, schema3):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 5, 9):
+            clean, poisoned = self._poisoned_pair(n, schema3, rng)
+            iu, ju = np.triu_indices(n)
+            np.testing.assert_array_equal(
+                potential_normalize(poisoned).s[iu, ju],
+                potential_normalize(clean).s[iu, ju],
+            )
+            grad = rng.normal(size=clean.s.shape)
+            grad_poisoned = grad.copy()
+            grad_poisoned[np.tril_indices(n, k=-1)] = np.nan
+            _, cache_c = _normalize_with_cache(clean)
+            _, cache_p = _normalize_with_cache(poisoned)
+            back_c = _normalize_backward(cache_c, grad, n)
+            back_p = _normalize_backward(cache_p, grad_poisoned, n)
+            # the raw gradient feeds sums over the whole chart, so it must
+            # be zero (not NaN) below the diagonal
+            np.testing.assert_array_equal(back_p, back_c)
+            assert np.isfinite(back_p).all()
+
+
+class TestNoModuleState:
+    """Calls leave no growing state behind in the engine's modules."""
+
+    @staticmethod
+    def _container_sizes():
+        return {
+            (module.__name__, name): len(value)
+            for module in (inference_module, scorer_module)
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    def test_module_containers_do_not_grow(self, schema3):
+        rng = np.random.default_rng(17)
+        vocab = Vocab.build(f"t{i}" for i in range(10))
+        params = init_params(vocab, ScorerConfig(4, 8, schema3), seed=0)
+        before = self._container_sizes()
+        charts, masks = [], []
+        for n in range(101, 131, 3):
+            chart = random_chart(n, schema3, rng)
+            mask = build_mask(classify_nodes(random_partial_tree(n, schema3, rng)), schema3)
+            loss_and_score_gradient(chart, mask)
+            cky_decode(chart)
+            charts.append(chart)
+            masks.append(mask)
+            tokens = [f"t{int(k)}" for k in rng.integers(0, 10, size=n)]
+            backward(tokens, params, rng.normal(size=chart.s.shape))
+        batched_masked_inside(charts, masks)
+        assert self._container_sizes() == before
 
 
 class TestBatchedMaskedInside:

@@ -63,13 +63,6 @@ class TestAdam:
             adam_step(p, {"w": g}, state, lr)
             np.testing.assert_allclose(p["w"], expect, atol=1e-10)
 
-    def test_decoupled_weight_decay(self):
-        p = {"w": np.array([10.0])}
-        state = AdamState.init(p)
-        adam_step(p, {"w": np.array([0.0])}, state, learning_rate=0.1, weight_decay=0.5)
-        # zero gradient: only the decay term moves the parameter
-        np.testing.assert_allclose(p["w"], [10.0 - 0.1 * 0.5 * 10.0], atol=1e-12)
-
 
 class TestOverfit:
     def test_unnormalized_pipeline_reaches_near_zero_loss(self):
