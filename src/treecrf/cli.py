@@ -29,6 +29,7 @@ from .data import (
 )
 from .errors import BadConfig, EmptyCorpus, TooLarge, TreecrfError
 from .inference import (
+    batch_loss_and_score_gradient,
     batched_masked_inside,
     cky_decode,
     inside,
@@ -185,6 +186,11 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     marginal = _CheckResult("marginal identities and enumerated posteriors", 0, 0, 0.0)
     decode = _CheckResult("decoder equals enumerated best tree", 0, 0, 0.0)
     full_eval = _CheckResult("full-tree mask recovers tree evaluation", 0, 0, 0.0)
+    batched = _CheckResult(
+        "batched loss and gradient equal enumerated ones", 0, 0, 0.0
+    )
+    # (chart, mask, enumerated loss, enumerated gradient) of every case
+    sentences = []
 
     for case in range(cases):
         n = case % max_n + 1
@@ -194,7 +200,8 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         symbols = classify_nodes(tree)
         mask = build_mask(symbols, schema)
 
-        err = abs(inside(chart) - oracle.brute_force_log_z(chart))
+        log_z = oracle.brute_force_log_z(chart)
+        err = abs(inside(chart) - log_z)
         partition.cases += 1
         partition.worst = max(partition.worst, err)
         partition.failures += err > 1e-8
@@ -214,11 +221,12 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
             abs(mu[0, n - 1, :].sum() - 1.0),
         )
         bounds_ok = bool((mu >= 0.0).all() and (mu <= 1.0).all())
-        vs_oracle = np.abs(mu - oracle.brute_force_marginals(chart).mu).max()
+        oracle_mu = oracle.brute_force_marginals(chart).mu
+        oracle_mu_masked = oracle.brute_force_marginals(chart, symbols).mu
+        vs_oracle = np.abs(mu - oracle_mu).max()
         mu_masked = marginals(chart, mask).mu
-        vs_oracle_masked = np.abs(
-            mu_masked - oracle.brute_force_marginals(chart, symbols).mu
-        ).max()
+        vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
+        sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked))
         err = max(node_count, leaf_root, vs_oracle, vs_oracle_masked)
         marginal.cases += 1
         marginal.worst = max(marginal.worst, err)
@@ -246,7 +254,24 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         full_eval.worst = max(full_eval.worst, err)
         full_eval.failures += err > 1e-6
 
-    return [partition, three_way, marginal, decode, full_eval]
+    # The cases again, as shuffled batches of 1 to 8 sentences of mixed
+    # lengths; a batch shares one label count.
+    by_labels: dict[int, list] = {}
+    for sentence in sentences:
+        by_labels.setdefault(sentence[0].s.shape[2], []).append(sentence)
+    for group in by_labels.values():
+        order = list(rng.permutation(len(group)))
+        while order:
+            size = int(rng.integers(1, 9))
+            batch, order = order[:size], order[size:]
+            charts, masks, losses, grads = zip(*(group[k] for k in batch))
+            results = batch_loss_and_score_gradient(charts, masks)
+            for (loss, grad), want_loss, want_grad in zip(results, losses, grads):
+                err = max(abs(loss - want_loss), np.abs(grad - want_grad).max())
+                batched.cases += 1
+                batched.worst = max(batched.worst, err)
+                batched.failures += err > 1e-6
+    return [partition, three_way, marginal, decode, full_eval, batched]
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:

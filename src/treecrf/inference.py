@@ -16,14 +16,23 @@ is bit-identical to the plain recursion, and with a mask built from a full
 tree it degenerates to evaluating that tree.
 
 One kernel, :func:`_chart_dp`, runs this recursion for every algorithm
-here: width by width over a batch of charts (a single sentence is a batch
-of one), with the reduction as a parameter, log-sum-exp for the inside
-pass and max with first argmax for CKY.  It reads the split operands of
-a whole diagonal as strided views of the chart, keeping every cell also
-at its mirror below the diagonal.  Posteriors are the gradient of the
-root, taken by one reverse sweep over the same views (inside-outside as
-backpropagation).  :func:`vanilla_partial_marginalization` keeps its own
-cell-by-cell loop as the reference the kernel is checked against.
+here, with the reduction as a parameter: log-sum-exp for the inside pass
+and max with first argmax for CKY.  It takes a batch of charts of mixed
+lengths (a single sentence is a batch of one).  Each chart's label part
+is reduced on that chart alone; the split part runs width by width over
+one flat array that holds the charts as rows, longest first, in the
+layout of the longest one, so that at width ``w`` only the prefix of rows
+at least ``w`` long takes part.  The split operands of a whole diagonal
+are strided views of that array, which keeps every cell also at its
+mirror below the diagonal.  Each chart's result sits at its own root,
+``(0, n_b - 1)``.  Posteriors are the gradient of the roots, taken by one
+reverse sweep over the same views (inside-outside as backpropagation)
+that starts at every row's own root.  :func:`batch_loss_and_score_gradient`
+runs a minibatch's unmasked and masked charts through the kernel in one
+call and hands out one sentence's gradient at a time, bit-identical to
+the per-sentence :func:`loss_and_score_gradient`.
+:func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
+as the reference the kernel is checked against.
 
 Score cells below the diagonal (``i > j``, see
 :func:`treecrf.chart.below_diagonal`) are unspecified: they may hold any
@@ -34,7 +43,7 @@ to prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,89 +236,146 @@ def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.nd
     return left, right
 
 
+def _label_reduce(
+    sp: np.ndarray, spans: np.ndarray, reduce
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The label part of every span cell of one ``(n, n, L)`` chart.
+
+    ``spans`` marks the span cells, ``~below_diagonal(n)``, and ``reduce``
+    is the kernel's reduction (see :func:`_chart_dp`).  Returns its value
+    and argument as ``(n, n)`` arrays, 0 below the diagonal.
+    """
+    n = len(sp)
+    value, arg = reduce(sp[spans])
+    lab = np.zeros((n, n))
+    lab[spans] = value
+    if arg is None:
+        return lab, None
+    label_arg = np.zeros((n, n), dtype=np.int64)
+    label_arg[spans] = arg
+    return lab, label_arg
+
+
 class _Chart(NamedTuple):
-    """What one run of :func:`_chart_dp` leaves behind."""
+    """What one run of :func:`_chart_dp` leaves behind.
 
-    flat: np.ndarray  # see _stripe; cell (i, j) also stored at its mirror (j, i)
-    lab: np.ndarray  # label reduction of each cell, (B, n, n), upper triangle
-    label_arg: np.ndarray | None  # its argument, same shape
-    split: list  # per width w >= 2: split reduction (value, argument), (B, n - w + 1)
-
-
-def _chart_dp(sp: np.ndarray, reduce) -> _Chart:
-    """The chart recursion over a batch of ``(B, n, n, L)`` potentials.
-
-    ``reduce`` maps a fresh array, which it may overwrite, to ``(value,
-    argument)`` over its last axis: :func:`_logsumexp` for inside,
-    :func:`_max_argmax` for CKY.  Runs one width at a time over all start
-    positions and batch rows, reading the split operands as stripes.
+    ``flat`` holds one chart per row, longest first, all in the layout of
+    the longest length ``n`` (see :func:`_stripe`; cell ``(i, j)`` is also
+    stored at its mirror ``(j, i)``).  ``row`` and ``lengths`` are in the
+    order the charts were given.
     """
-    b, n = sp.shape[:2]
-    spans = ~below_diagonal(n)
-    lab = np.zeros((b, n, n))
-    lab[:, spans], arg = reduce(sp[:, spans])
-    label_arg = None
-    if arg is not None:
-        label_arg = np.zeros((b, n, n), dtype=np.int64)
-        label_arg[:, spans] = arg
-    flat = np.empty((b, n * (n + 1) + 1))
-    split = [None, None]
-    for w in range(1, n + 1):
-        value = np.diagonal(lab, w - 1, 1, 2)
-        if w > 1:
-            left, right = _split_operands(flat, n, w)
-            split.append(reduce(left + right))
-            value = value + split[w][0]
-        upper, mirror = _cells(flat, n, w)
-        upper[...] = value
-        mirror[...] = value
-    return _Chart(flat, lab, label_arg, split)
+
+    flat: np.ndarray
+    n: int
+    row: np.ndarray  # row of ``flat`` that holds each chart
+    lengths: np.ndarray  # each chart's own length
+    # per width w >= 2: split reduction (value, argument) of the rows whose
+    # charts are at least w long, (rows, n - w + 1)
+    split: list
+
+    def square(self, flat: np.ndarray, b: int) -> np.ndarray:
+        """Chart ``b``'s ``(n_b, n_b)`` cells of an array laid out as ``flat``."""
+        n, nb = self.n, self.lengths[b]
+        return flat[self.row[b], : n * n].reshape(n, n)[:nb, :nb]
+
+    def roots(self) -> np.ndarray:
+        """Each chart's value at its own root cell ``(0, n_b - 1)``."""
+        return self.flat[self.row, self.lengths - 1]
 
 
-def _posteriors(sp: np.ndarray, chart: _Chart) -> np.ndarray:
-    """Span-label posteriors ``d logZ / d sp`` of each chart in the batch.
+def _chart_dp(labels: Sequence[np.ndarray], reduce) -> _Chart:
+    """The chart recursion over a batch of charts, from their label parts.
 
-    One reverse sweep over the inside pass's stripes: ``g = d logZ / d beta``
-    starts at 1 on the root and flows from each cell to both children of
-    each split, weighted by the softmax of the split scores; then
-    ``mu = g * softmax_k(sp)``.  Left children collect their share in the
-    upper triangle of ``g`` and right children at their mirror, so each
+    ``labels`` holds each chart's :func:`_label_reduce` value, ``(n_b,
+    n_b)``; charts may differ in length.  ``reduce`` maps a fresh array,
+    which it may overwrite, to ``(value, argument)`` over its last axis:
+    :func:`_logsumexp` for inside, :func:`_max_argmax` for CKY.  Each label
+    part seeds its chart's row of the flat chart; then the split recursion
+    runs one width at a time over all start positions of every row long
+    enough for that width (a prefix, since rows are longest first),
+    reading the split operands as stripes.  Cells of a row past its own
+    length hold finite values that no cell of its chart reads, because a
+    cell's splits stay inside its span.
+    """
+    lengths = np.array([len(lab) for lab in labels])
+    order = np.argsort(-lengths, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(labels))
+    n = int(lengths[order[0]])
+    # at_least[w]: the number of charts at least w long, a prefix of the rows
+    at_least = np.searchsorted(-lengths[order], -np.arange(n + 1), side="right")
+    flat = np.zeros((len(labels), n * (n + 1) + 1))
+    chart = _Chart(flat, n, row, lengths, split=[None, None])
+    for b, lab in enumerate(labels):
+        chart.square(flat, b)[...] = lab
+    for w, count in enumerate(at_least.tolist()[2:], start=2):
+        rows = flat[:count]
+        left, right = _split_operands(rows, n, w)
+        chart.split.append(reduce(left + right))
+        upper, mirror = _cells(rows, n, w)
+        upper += chart.split[w][0]
+        mirror[...] = upper
+    return chart
+
+
+def _outside(chart: _Chart) -> np.ndarray:
+    """``g = d logZ / d beta`` of every chart, laid out as ``chart.flat``.
+
+    One reverse sweep over the inside pass's stripes: ``g`` starts at 1 on
+    each row's own root and flows from each cell to both children of each
+    split, weighted by the softmax of the split scores, over the same rows
+    as the inside pass at each width.  Left children collect their share
+    in the upper triangle and right children at their mirror, so each
     update writes distinct cells; a cell adds its two parts when its own
-    width comes up.
+    width comes up.  Only the upper triangle of the result is meaningful.
     """
-    b, n = sp.shape[:2]
+    n = chart.n
     g = np.zeros_like(chart.flat)
-    g[:, n - 1] = 1.0
+    g[chart.row, chart.lengths - 1] = 1.0
     for w in range(n, 1, -1):
-        upper, mirror = _cells(g, n, w)
+        value = chart.split[w][0]
+        rows = slice(0, len(value))
+        upper, mirror = _cells(g[rows], n, w)
         upper += mirror
-        left, right = _split_operands(chart.flat, n, w)
+        left, right = _split_operands(chart.flat[rows], n, w)
         share = left + right
-        share -= chart.split[w][0][..., None]
+        share -= value[..., None]
         np.exp(share, out=share)
         share *= upper[..., None]
-        to_left, to_right = _split_operands(g, n, w)
+        to_left, to_right = _split_operands(g[rows], n, w)
         to_left += share
         to_right += share
-    g = g[:, : n * n].reshape(b, n, n)
-    mu = sp - chart.lab[..., None]
+    return g
+
+
+def _posterior(
+    sp: np.ndarray, spans: np.ndarray, lab: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Span-label posteriors ``mu = g * softmax_k(sp)`` of one chart.
+
+    ``lab`` is the chart's :func:`_label_reduce` value and ``g`` its
+    ``(n, n)`` square of :func:`_outside`; the result is 0 below the
+    diagonal.
+    """
+    mu = sp - lab[..., None]
     with np.errstate(invalid="ignore", over="ignore"):
         np.exp(mu, out=mu)
         mu *= g[..., None]
-    mu[:, below_diagonal(n)] = 0.0
+    mu[~spans] = 0.0
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
-    return np.clip(mu, 0.0, 1.0)
+    return np.clip(mu, 0.0, 1.0, out=mu)
 
 
-def _inside_flat(sp: np.ndarray) -> np.ndarray:
-    """Flat inside chart (see :func:`_stripe`) of one ``(n, n, L)`` array."""
-    return _chart_dp(sp[None], _logsumexp).flat
+def _inside(sp: np.ndarray) -> _Chart:
+    """The inside pass over one ``(n, n, L)`` chart."""
+    lab, _ = _label_reduce(sp, ~below_diagonal(len(sp)), _logsumexp)
+    return _chart_dp([lab], _logsumexp)
 
 
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _require_nonempty(chart.n)
-    return float(_inside_flat(chart.s)[0, chart.n - 1])
+    return float(_inside(chart.s).roots()[0])
 
 
 def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChart:
@@ -320,7 +386,7 @@ def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChar
         _check_mask(chart, mask)
         sp = _apply_mask(chart.s, mask.m)
     n = chart.n
-    beta = _inside_flat(sp)[0, : n * n].reshape(n, n)
+    beta = _inside(sp).flat[0, : n * n].reshape(n, n)
     beta[below_diagonal(n)] = np.nan
     return InsideChart(beta=beta)
 
@@ -334,7 +400,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     _require_nonempty(chart.n)
     _check_mask(chart, mask)
     sp = _apply_mask(chart.s, mask.m)
-    return float(_inside_flat(sp)[0, chart.n - 1])
+    return float(_inside(sp).roots()[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -391,8 +457,11 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> MarginalChart
     if mask is not None:
         _check_mask(chart, mask)
         sp = _apply_mask(chart.s, mask.m)
-    sp = sp[None]
-    return MarginalChart(mu=_posteriors(sp, _chart_dp(sp, _logsumexp))[0])
+    spans = ~below_diagonal(chart.n)
+    lab, _ = _label_reduce(sp, spans, _logsumexp)
+    inside_pass = _chart_dp([lab], _logsumexp)
+    g = inside_pass.square(_outside(inside_pass), 0)
+    return MarginalChart(mu=_posterior(sp, spans, lab, g))
 
 
 def loss_and_score_gradient(
@@ -401,17 +470,59 @@ def loss_and_score_gradient(
     """Negative log conditional probability and its exact score gradient.
 
     The gradient at each cell is the unmasked posterior minus the masked
-    posterior; the two node-count identities make it sum to zero.  The
-    unmasked and masked charts run through the kernel as a batch of two.
+    posterior; the two node-count identities make it sum to zero.  This is
+    the batch-of-one case of :func:`batch_loss_and_score_gradient`.
     """
-    _require_nonempty(chart.n)
-    _check_mask(chart, mask)
-    sp = np.stack([chart.s, _apply_mask(chart.s, mask.m)])
-    inside_pass = _chart_dp(sp, _logsumexp)
-    root = chart.n - 1
-    loss = float(inside_pass.flat[0, root] - inside_pass.flat[1, root])
-    mu = _posteriors(sp, inside_pass)
-    return loss, mu[0] - mu[1]
+    return next(batch_loss_and_score_gradient([chart], [mask]))
+
+
+def batch_loss_and_score_gradient(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
+) -> Iterator[tuple[float, np.ndarray]]:
+    """:func:`loss_and_score_gradient` of each sentence, in input order.
+
+    The unmasked and masked charts of all sentences, whatever their
+    lengths, run through the kernel as one batch, so every value is
+    bit-identical to the per-sentence call.  Arguments are checked and the
+    inside pass runs at the call; each sentence's gradient is built only
+    when the iterator reaches it, so one gradient is held at a time.
+    """
+    _check_batch(charts, masks)
+    if not charts:
+        return iter(())
+    spans = ~below_diagonal(max(chart.n for chart in charts))
+    labs = [
+        _label_reduce(sp, spans[: chart.n, : chart.n], _logsumexp)[0]
+        for chart, mask in zip(charts, masks)
+        for sp in (chart.s, _apply_mask(chart.s, mask.m))
+    ]
+    inside_pass = _chart_dp(labs, _logsumexp)
+    return _losses_and_gradients(charts, masks, spans, labs, inside_pass)
+
+
+def _losses_and_gradients(
+    charts: Sequence[ScoreChart],
+    masks: Sequence[ChartMask],
+    spans: np.ndarray,
+    labs: list[np.ndarray],
+    inside_pass: _Chart,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The results of :func:`batch_loss_and_score_gradient`, one at a time.
+
+    Sentence ``b`` is charts ``2b`` (unmasked) and ``2b + 1`` (masked) of
+    the inside pass.  Its masked potentials are built again here instead
+    of being kept from the label reduction, so the batch holds one
+    sentence's at a time.
+    """
+    roots = inside_pass.roots()
+    g = _outside(inside_pass)
+    for b, (chart, mask) in enumerate(zip(charts, masks)):
+        u, m = 2 * b, 2 * b + 1
+        cells = spans[: chart.n, : chart.n]
+        unmasked = _posterior(chart.s, cells, labs[u], inside_pass.square(g, u))
+        masked_sp = _apply_mask(chart.s, mask.m)
+        masked = _posterior(masked_sp, cells, labs[m], inside_pass.square(g, m))
+        yield float(roots[u] - roots[m]), unmasked - masked
 
 
 def cky_decode(chart: ScoreChart) -> FullTree:
@@ -422,12 +533,13 @@ def cky_decode(chart: ScoreChart) -> FullTree:
     """
     _require_nonempty(chart.n)
     n = chart.n
-    best = _chart_dp(chart.s[None], _max_argmax)
+    lab, label_arg = _label_reduce(chart.s, ~below_diagonal(n), _max_argmax)
+    best = _chart_dp([lab], _max_argmax)
     nodes: list[tuple[int, int, int]] = []
     stack = [(0, n - 1)]
     while stack:
         i0, j0 = stack.pop()
-        nodes.append((i0, j0, int(best.label_arg[0, i0, j0])))
+        nodes.append((i0, j0, int(label_arg[i0, j0])))
         if i0 < j0:
             m = i0 + int(best.split[j0 - i0 + 1][1][0, i0])
             stack.append((m + 1, j0))
@@ -476,35 +588,32 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
     return ChartMask(n=tree.n, m=m)
 
 
-def batched_masked_inside(
-    charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
-) -> np.ndarray:
-    """Masked inside over a batch of sentences in one padded computation.
-
-    Sentences are padded to the longest length; padded cells carry all-zero
-    masks (LOG_ZERO potentials) and cannot influence any in-range cell,
-    because a cell's split sum only reads cells inside its own span.  Each
-    sentence's result is read at its own root cell, and every cell runs the
-    same operations as in :func:`masked_inside`, so values are bitwise
-    identical to the per-sentence computation regardless of batch
-    composition.
-    """
+def _check_batch(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> None:
     if len(charts) != len(masks):
         raise DimensionMismatch("need one mask per chart")
-    if not charts:
-        return np.zeros(0)
-    n_labels = charts[0].s.shape[2]
-    lengths = []
     for chart, mask in zip(charts, masks):
         _require_nonempty(chart.n)
         _check_mask(chart, mask)
-        if chart.s.shape[2] != n_labels:
+        if chart.s.shape[2] != charts[0].s.shape[2]:
             raise DimensionMismatch("charts in a batch must share a label count")
-        lengths.append(chart.n)
-    n_max = max(lengths)
-    sp = np.full((len(charts), n_max, n_max, n_labels), LOG_ZERO)
-    for b, (chart, mask) in enumerate(zip(charts, masks)):
-        nb = chart.n
-        sp[b, :nb, :nb, :] = _apply_mask(chart.s, mask.m)
-    flat = _chart_dp(sp, _logsumexp).flat
-    return flat[np.arange(len(charts)), np.array(lengths) - 1]
+
+
+def batched_masked_inside(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
+) -> np.ndarray:
+    """Masked inside over a batch of sentences in one kernel call.
+
+    Sentences may differ in length (see :func:`_chart_dp`); each result is
+    read at the sentence's own root cell, and every cell runs the same
+    operations as in :func:`masked_inside`, so values are bitwise identical
+    to the per-sentence computation regardless of batch composition.
+    """
+    _check_batch(charts, masks)
+    if not charts:
+        return np.zeros(0)
+    spans = ~below_diagonal(max(chart.n for chart in charts))
+    labs = []
+    for chart, mask in zip(charts, masks):
+        sp = _apply_mask(chart.s, mask.m)
+        labs.append(_label_reduce(sp, spans[: chart.n, : chart.n], _logsumexp)[0])
+    return _chart_dp(labs, _logsumexp).roots()

@@ -6,9 +6,17 @@ epsilon-smoothed during training only.  Scores always pass through
 per-sentence potential normalization before the structured layer;
 evaluation and prediction never see masks or smoothing.
 
+Each minibatch is one step in three parts: the scorer forward pass of
+every sentence, one :func:`~treecrf.inference.batch_loss_and_score_gradient`
+call that runs the structured layer of the whole minibatch through the
+chart kernel at once, and each sentence's scorer backward pass.  The values
+equal those of running the sentences one by one.  A diverging run raises
+:class:`~treecrf.errors.NonFiniteLoss` naming the sentence, its length
+and the phase (scorer forward or loss) where scores stopped being finite.
+
 Runs are bit-reproducible: the corpus split, parameter initialization, and
 the per-epoch shuffle all derive from ``TrainConfig.seed``, and batch
-gradients accumulate in a fixed order.
+gradients accumulate in batch order.
 
 The training log is line-oriented CSV with header
 ``epoch,mean_loss,dev_precision,dev_recall,dev_f1``.
@@ -17,6 +25,7 @@ The training log is line-oriented CSV with header
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -32,7 +41,14 @@ from .data import (
     split_corpus,
 )
 from .errors import BadConfig, EmptyCorpus, EmptySentence, NonFiniteLoss
-from .inference import cky_decode, extract_entities, loss_and_score_gradient
+# loss_and_score_gradient is re-exported: the per-sentence step is looked
+# up here by callers that check a trained model sentence by sentence.
+from .inference import (  # noqa: F401
+    batch_loss_and_score_gradient,
+    cky_decode,
+    extract_entities,
+    loss_and_score_gradient,
+)
 from .scorer import (
     ScorerConfig,
     ScorerParams,
@@ -60,8 +76,10 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise BadConfig("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise BadConfig(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 <= self.epsilon_smoothing < 1.0:
             raise BadConfig("epsilon_smoothing must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -153,18 +171,52 @@ def _prf(gold: int, predicted: int, matched: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _sentence_loss_and_grads(
-    example: PreprocessedExample, params: ScorerParams
-) -> tuple[float, dict[str, np.ndarray]]:
-    cache = _forward_encode(example.token_ids, params)
-    raw = biaffine_scores(cache.out, params)
-    normalized, ncache = _normalize_with_cache(raw)
-    loss, score_grad = loss_and_score_gradient(normalized, example.mask)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(
-            f"loss={loss}, max |score|={np.abs(normalized.s).max():.3e}"
-        )
-    return loss, _backward_from_caches(cache, ncache, params, score_grad)
+def _diverged(idx: int, n: int, phase: str, detail: str) -> NonFiniteLoss:
+    return NonFiniteLoss(f"sentence {idx} (length {n}), {phase}: {detail}")
+
+
+def _batch_gradient(
+    batch: np.ndarray,
+    examples: Sequence[PreprocessedExample],
+    params: ScorerParams,
+    losses: list[float],
+) -> dict[str, np.ndarray]:
+    """Mean parameter gradient of one minibatch; appends its losses.
+
+    Three steps: the scorer forward for every sentence, one batched
+    structured loss and gradient, then each sentence's backward pass,
+    accumulated in batch order.  Diverged parameters overflow to non-finite
+    scores, which :class:`ScoreChart` rejects with a ``ValueError``; the
+    overflow itself is not reported as a warning.
+    """
+    forwards = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in batch:
+            ids = examples[idx].token_ids
+            try:
+                cache = _forward_encode(ids, params)
+                raw = biaffine_scores(cache.out, params)
+                chart, ncache = _normalize_with_cache(raw)
+            except ValueError as exc:
+                raise _diverged(idx, len(ids), "scorer forward", str(exc)) from None
+            forwards.append((cache, ncache, chart))
+    results = batch_loss_and_score_gradient(
+        [chart for _, _, chart in forwards], [examples[idx].mask for idx in batch]
+    )
+    acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    for idx, forward, (loss, score_grad) in zip(batch, forwards, results):
+        cache, ncache, chart = forward
+        if not np.isfinite(loss):
+            detail = f"loss={loss}, max |score|={np.abs(chart.s).max():.3e}"
+            raise _diverged(idx, chart.n, "loss", detail)
+        losses.append(loss)
+        grads = _backward_from_caches(cache, ncache, params, score_grad)
+        for name in acc:
+            acc[name] += grads[name]
+    scale = 1.0 / len(batch)
+    for name in acc:
+        acc[name] *= scale
+    return acc
 
 
 def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
@@ -203,19 +255,8 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
         losses: list[float] = []
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-            for idx in batch:
-                try:
-                    loss, grads = _sentence_loss_and_grads(examples[idx], params)
-                except NonFiniteLoss as exc:
-                    raise NonFiniteLoss(f"sentence {int(idx)}: {exc}") from None
-                losses.append(loss)
-                for name in acc:
-                    acc[name] += grads[name]
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
-            adam_step(params.arrays(), acc, adam, config.learning_rate)
+            grads = _batch_gradient(batch, examples, params, losses)
+            adam_step(params.arrays(), grads, adam, config.learning_rate)
         report = evaluate(params, eval_records)
         mean_loss = float(np.mean(losses))
         log.append(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from treecrf import read_corpus, validate_annotation
@@ -111,6 +113,28 @@ class TestTrainCommand:
         assert err.startswith(message)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(
+        self, corpus_path, tmp_path, capsys, rate
+    ):
+        model = str(tmp_path / "m")
+        rc = main(["train", "--data", corpus_path, "--model", model, "--lr", rate])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: learning_rate must be positive and finite")
+
+    def test_diverging_training_is_a_runtime_error(self, tmp_path, capsys):
+        data = str(tmp_path / "g.jsonl")
+        assert main(["gen", "--out", data, "--sentences", "40", "--seed", "0"]) == 0
+        capsys.readouterr()
+        rc = main(
+            ["train", "--data", data, "--model", str(tmp_path / "m"), "--lr", "1e308"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert re.match(r"error: sentence \d+ \(length \d+\), scorer forward: ", err)
+        assert "Traceback" not in err
+
 
 class TestPredictEval:
     def test_predict_output_validates(self, model_path, corpus_path, tmp_path, capsys):
@@ -163,7 +187,7 @@ class TestSelfcheck:
         rc = main(["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_injected_fault_fails_loudly(self, capsys):
@@ -180,7 +204,9 @@ class TestSelfcheck:
             ]
         )
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" not in out
+        assert "FAIL  batched loss and gradient" in out
 
     def test_injected_fault_does_not_outlive_its_run(self, capsys):
         args = ["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"]
@@ -188,7 +214,7 @@ class TestSelfcheck:
         capsys.readouterr()
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_oracle_guard(self):

@@ -13,6 +13,7 @@ from treecrf import (
     PartialTree,
     ScoreChart,
     Span,
+    batch_loss_and_score_gradient,
     batched_masked_inside,
     build_mask,
     cky_decode,
@@ -519,3 +520,56 @@ class TestBatchedMaskedInside:
 
     def test_log_zero_constant(self):
         assert LOG_ZERO == -1.0e6
+
+
+class TestBatchLossAndScoreGradient:
+    @staticmethod
+    def _sentences(lengths, schema, rng, poison=True):
+        charts, masks = [], []
+        for n in lengths:
+            s = random_chart(n, schema, rng).s.copy()
+            if poison:
+                s[np.tril_indices(n, k=-1)] = np.nan
+            charts.append(ScoreChart(s=s, schema=schema))
+            sym = classify_nodes(random_partial_tree(n, schema, rng))
+            masks.append(smooth_mask(build_mask(sym, schema), sym, 0.01))
+        return charts, masks
+
+    def _assert_matches_per_sentence(self, charts, masks):
+        results = list(batch_loss_and_score_gradient(charts, masks))
+        assert len(results) == len(charts)
+        for chart, mask, (loss, grad) in zip(charts, masks, results):
+            expected_loss, expected_grad = loss_and_score_gradient(chart, mask)
+            assert loss == expected_loss
+            np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_mixed_lengths_bitwise_in_input_order(self, schema3):
+        # lengths 1..30, some repeated, shuffled so that the longest-first
+        # rows of the kernel differ from the input order; cells below the
+        # diagonal are NaN
+        rng = np.random.default_rng(18)
+        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30])
+        charts, masks = self._sentences(lengths, schema3, rng)
+        self._assert_matches_per_sentence(charts, masks)
+
+    def test_batch_of_one(self, schema3):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 9):
+            charts, masks = self._sentences([n], schema3, rng)
+            self._assert_matches_per_sentence(charts, masks)
+
+    def test_empty_batch(self):
+        assert list(batch_loss_and_score_gradient([], [])) == []
+
+    def test_mismatches_raise_dimension_mismatch(self, schema2, schema3):
+        rng = np.random.default_rng(20)
+        charts, masks = self._sentences([3, 4], schema3, rng, poison=False)
+        other, other_masks = self._sentences([4], schema2, rng, poison=False)
+        bad = [
+            (charts, masks[:1]),  # one mask short
+            (charts, masks[::-1]),  # each mask over the other length
+            (charts + other, masks + other_masks),  # label counts differ
+        ]
+        for batch_charts, batch_masks in bad:
+            with pytest.raises(DimensionMismatch):
+                batch_loss_and_score_gradient(batch_charts, batch_masks)

@@ -17,7 +17,7 @@ from treecrf import (
     train,
     validate_annotation,
 )
-from treecrf.data import corpus_schema, corpus_vocab, preprocess
+from treecrf.data import corpus_schema, corpus_vocab, preprocess, split_corpus
 from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
     PARAM_ORDER,
@@ -25,8 +25,11 @@ from treecrf.scorer import (
     _biaffine_backward,
     _encode_backward,
     _forward_encode,
+    backward,
     biaffine_scores,
+    encode,
     init_params,
+    potential_normalize,
 )
 from treecrf.train import (
     ADAM_EPS,
@@ -34,8 +37,14 @@ from treecrf.train import (
     EpochLog,
     adam_step,
     write_training_log,
-    _sentence_loss_and_grads,
 )
+
+
+def sentence_loss_and_grads(tokens, mask, params):
+    """The training objective of one sentence, through public functions."""
+    chart = potential_normalize(biaffine_scores(encode(tokens, params), params))
+    loss, score_grad = loss_and_score_gradient(chart, mask)
+    return loss, backward(tokens, params, score_grad)
 
 
 def single_record():
@@ -95,7 +104,7 @@ class TestOverfit:
         params = init_params(vocab, ScorerConfig(8, 16, schema), seed=0)
         adam = AdamState.init(params.arrays())
         for _ in range(200):
-            loss, grads = _sentence_loss_and_grads(example, params)
+            loss, grads = sentence_loss_and_grads(record.tokens, example.mask, params)
             adam_step(params.arrays(), grads, adam, 0.05)
         gold = validate_annotation(
             record.tokens, [(e.start, e.end, e.label) for e in record.entities], schema
@@ -130,6 +139,52 @@ class TestTrain:
             )
         assert a.log == b.log
 
+    def test_matches_per_sentence_reference_loop(self, small_corpus):
+        # train() batches the structured layer over each minibatch; this
+        # loop runs it sentence by sentence and sums gradients in batch
+        # order, so any change of values or accumulation order shows here.
+        records = small_corpus[:70]
+        config = TrainConfig(epochs=2, seed=3, batch_size=8)
+        schema = corpus_schema(records)
+        vocab = corpus_vocab(records)
+        train_records, dev_records, _ = split_corpus(records, config.seed)
+        examples = preprocess(train_records, schema, vocab, config.epsilon_smoothing)
+        scorer_config = ScorerConfig(config.embed_dim, config.hidden_dim, schema)
+        params = init_params(vocab, scorer_config, config.seed)
+        adam = AdamState.init(params.arrays())
+        rng = np.random.default_rng(config.seed)
+        log, snapshots = [], []
+        for epoch in (1, 2):
+            order = rng.permutation(len(examples))
+            losses = []
+            for lo in range(0, len(order), config.batch_size):
+                batch = order[lo : lo + config.batch_size]
+                acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+                for idx in batch:
+                    loss, grads = sentence_loss_and_grads(
+                        train_records[idx].tokens, examples[idx].mask, params
+                    )
+                    losses.append(loss)
+                    for name in acc:
+                        acc[name] += grads[name]
+                for name in acc:
+                    acc[name] *= 1.0 / len(batch)
+                adam_step(params.arrays(), acc, adam, config.learning_rate)
+            report = evaluate(params, dev_records)
+            log.append(
+                EpochLog(
+                    epoch, float(np.mean(losses)), report.precision, report.recall, report.f1
+                )
+            )
+            snapshots.append(params.copy())
+        result = train(records, config)
+        assert result.log == log
+        best = snapshots[result.best_epoch - 1]
+        for name in PARAM_ORDER:
+            np.testing.assert_array_equal(
+                getattr(result.params, name), getattr(best, name)
+            )
+
     def test_losses_nonnegative_without_smoothing(self, small_corpus):
         config = TrainConfig(epochs=1, seed=0, epsilon_smoothing=0.0)
         result = train(small_corpus[:40], config)
@@ -153,6 +208,9 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(BadConfig):
             TrainConfig(epsilon_smoothing=1.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(BadConfig):
+                TrainConfig(learning_rate=rate)
 
     def test_best_checkpoint_earliest_on_tie(self, small_corpus):
         result = train(small_corpus, TrainConfig(epochs=3, seed=0))
