@@ -46,7 +46,7 @@ class EmptyCorpus(TreecrfError):
 
 
 class NonFiniteLoss(TreecrfError):
-    """Training produced a NaN or infinite loss."""
+    """Span scores, their spread, or a training loss became NaN or infinite."""
 
 
 class ParseError(TreecrfError):

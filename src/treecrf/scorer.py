@@ -8,10 +8,10 @@ boundary embeddings::
 
     s[i, j, k] = e_i' U1_k e_j + (e_i + e_j)' U2_k + b_k
 
-All forward passes have matching hand-written reverse-mode gradients,
-including the Jacobian of per-sentence potential normalization; the test
-suite certifies every parameter gradient against central finite
-differences.
+:func:`forward` returns a sentence's normalized chart and a :class:`Tape`
+whose ``backward`` chains hand-written reverse-mode gradients of every
+layer, normalization's Jacobian included; the test suite certifies every
+parameter gradient against central finite differences.
 
 Model files are self-describing: magic, a little-endian uint32 format
 version, a JSON config block (dimensions, label schema, vocabulary, array
@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     EmptySentence,
     ModelFormatError,
+    NonFiniteLoss,
 )
 from .inference import ScoreChart
 
@@ -180,9 +181,10 @@ def init_params(vocab: Vocab, config: ScorerConfig, seed: int) -> ScorerParams:
     )
 
 
-class EncodeCache(NamedTuple):
-    """Forward activations kept for the backward pass."""
+class Tape(NamedTuple):
+    """What :func:`forward` keeps of one sentence for :meth:`backward`."""
 
+    params: ScorerParams
     ids: np.ndarray
     ctx: np.ndarray  # (n, 3d) concatenated neighbor embeddings
     zm: np.ndarray  # mixer pre-activation
@@ -190,9 +192,30 @@ class EncodeCache(NamedTuple):
     z1: np.ndarray  # first feed-forward pre-activation
     a1: np.ndarray  # first feed-forward activation
     out: np.ndarray  # contextual embeddings, (n, h/2)
+    normalized: np.ndarray  # the scores of the chart forward returned
+    std: float  # of the raw span scores
+    degenerate: bool  # std below STD_FLOOR: scores were only mean-centered
+
+    def backward(self, score_gradient: np.ndarray) -> dict[str, np.ndarray]:
+        """Exact parameter gradients, in ``PARAM_ORDER``, of a loss whose
+        gradient with respect to the chart :func:`forward` returned is
+        ``score_gradient``."""
+        if score_gradient.shape != self.normalized.shape:
+            raise DimensionMismatch(
+                f"score gradient shape {score_gradient.shape} "
+                f"!= chart {self.normalized.shape}"
+            )
+        raw_grad = _normalize_backward(
+            self.normalized, self.std, self.degenerate, score_gradient
+        )
+        bi_grads, de = _biaffine_backward(self.out, self.params, raw_grad)
+        grads = _encode_backward(self, de)
+        grads.update(bi_grads)
+        return {name: grads[name] for name in PARAM_ORDER}
 
 
-def _forward_encode(ids: np.ndarray, params: ScorerParams) -> EncodeCache:
+def _encode(ids: np.ndarray, params: ScorerParams) -> tuple[np.ndarray, ...]:
+    """Encoder activations, in :class:`Tape` field order."""
     if len(ids) == 0:
         raise EmptySentence("cannot encode an empty sentence")
     d = params.config.embed_dim
@@ -206,7 +229,7 @@ def _forward_encode(ids: np.ndarray, params: ScorerParams) -> EncodeCache:
     z1 = a0 @ params.ff1_w.T + params.ff1_b
     a1 = np.maximum(z1, 0.0)
     out = a1 @ params.ff2_w.T + params.ff2_b
-    return EncodeCache(ids=ids, ctx=ctx, zm=zm, a0=a0, z1=z1, a1=a1, out=out)
+    return ctx, zm, a0, z1, a1, out
 
 
 def encode(tokens: Sequence[str], params: ScorerParams) -> np.ndarray:
@@ -215,14 +238,10 @@ def encode(tokens: Sequence[str], params: ScorerParams) -> np.ndarray:
     Each token sees its immediate neighbors through the width-3 mixer;
     sentence edges are padded with zero vectors.
     """
-    return _forward_encode(params.vocab.encode(tokens), params).out
+    return _encode(params.vocab.encode(tokens), params)[-1]
 
 
-def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
-    """Span potentials for every cell ``i <= j`` and every label.
-
-    Cells below the diagonal are unspecified; nothing reads them.
-    """
+def _biaffine(embeddings: np.ndarray, params: ScorerParams) -> np.ndarray:
     h2 = params.config.half_dim
     if embeddings.ndim != 2 or embeddings.shape[1] != h2:
         raise DimensionMismatch(
@@ -233,24 +252,24 @@ def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
     tmp = np.tensordot(e, params.bi_u1, axes=([1], [1]))
     bilinear = (tmp @ e.T).transpose(0, 2, 1)
     linear = (e[:, None, :] + e[None, :, :]) @ params.bi_u2.T
-    s = bilinear + linear + params.bi_b[None, None, :]
-    return ScoreChart(s=s, schema=params.config.schema)
+    return bilinear + linear + params.bi_b[None, None, :]
 
 
-class NormalizeCache(NamedTuple):
-    std: float
-    degenerate: bool
-    normalized: np.ndarray
+def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
+    """Span potentials for every cell ``i <= j`` and every label.
+
+    Cells below the diagonal are unspecified; nothing reads them.
+    """
+    return ScoreChart(s=_biaffine(embeddings, params), schema=params.config.schema)
 
 
-def _normalize_with_cache(chart: ScoreChart) -> tuple[ScoreChart, NormalizeCache]:
-    vals = chart.s[~below_diagonal(chart.n)]
+def _normalize(s: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """``(normalized, std, degenerate)`` of a raw score array."""
+    vals = s[~below_diagonal(len(s))]
     mean = float(vals.mean())
     std = float(np.sqrt(((vals - mean) ** 2).mean()))
     degenerate = std < STD_FLOOR
-    out = chart.s - mean if degenerate else (chart.s - mean) / std
-    cache = NormalizeCache(std=std, degenerate=degenerate, normalized=out)
-    return ScoreChart(s=out, schema=chart.schema), cache
+    return (s - mean if degenerate else (s - mean) / std), std, degenerate
 
 
 def potential_normalize(chart: ScoreChart) -> ScoreChart:
@@ -261,25 +280,39 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
     is only mean-centered.  Cells below the diagonal go through the same
     affine map and stay unspecified.
     """
-    normalized, _ = _normalize_with_cache(chart)
-    return normalized
+    return ScoreChart(s=_normalize(chart.s)[0], schema=chart.schema)
+
+
+def forward(ids: np.ndarray, params: ScorerParams) -> tuple[ScoreChart, Tape]:
+    """The chart training consumes and ``predict`` decodes, and its tape.
+
+    The chart is :func:`potential_normalize` of :func:`biaffine_scores` of
+    the token ids' embeddings.  Scores that are not finite, or whose spread
+    overflows, raise :class:`NonFiniteLoss` without a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers = _encode(ids, params)
+        tape = Tape(params, ids, *layers, *_normalize(_biaffine(layers[-1], params)))
+    if not math.isfinite(tape.std):
+        raise NonFiniteLoss(f"scorer forward: non-finite span scores (std {tape.std})")
+    return ScoreChart(s=tape.normalized, schema=params.config.schema), tape
 
 
 def _normalize_backward(
-    cache: NormalizeCache, grad: np.ndarray, n: int
+    normalized: np.ndarray, std: float, degenerate: bool, grad: np.ndarray
 ) -> np.ndarray:
     """Chain a gradient w.r.t. normalized scores back to raw scores.
 
     Reads only the span cells of ``grad``; the result is 0 below the diagonal.
     """
-    spans = ~below_diagonal(n)
+    spans = ~below_diagonal(len(grad))
     g = grad[spans]
     out = np.zeros_like(grad)
-    if cache.degenerate:
+    if degenerate:
         out[spans] = g - g.mean()
         return out
-    y = cache.normalized[spans]
-    out[spans] = (g - g.mean() - y * (g * y).mean()) / cache.std
+    y = normalized[spans]
+    out[spans] = (g - g.mean() - y * (g * y).mean()) / std
     return out
 
 
@@ -307,24 +340,23 @@ def _biaffine_backward(
     return grads, de
 
 
-def _encode_backward(
-    cache: EncodeCache, params: ScorerParams, de: np.ndarray
-) -> dict[str, np.ndarray]:
+def _encode_backward(tape: Tape, de: np.ndarray) -> dict[str, np.ndarray]:
+    params = tape.params
     d = params.config.embed_dim
     grads: dict[str, np.ndarray] = {}
-    grads["ff2_w"] = de.T @ cache.a1
+    grads["ff2_w"] = de.T @ tape.a1
     grads["ff2_b"] = de.sum(axis=0)
     da1 = de @ params.ff2_w
-    dz1 = da1 * (cache.z1 > 0.0)
-    grads["ff1_w"] = dz1.T @ cache.a0
+    dz1 = da1 * (tape.z1 > 0.0)
+    grads["ff1_w"] = dz1.T @ tape.a0
     grads["ff1_b"] = dz1.sum(axis=0)
     da0 = dz1 @ params.ff1_w
-    dzm = da0 * (cache.zm > 0.0)
-    grads["mix_w"] = dzm.T @ cache.ctx
+    dzm = da0 * (tape.zm > 0.0)
+    grads["mix_w"] = dzm.T @ tape.ctx
     grads["mix_b"] = dzm.sum(axis=0)
     dctx = dzm @ params.mix_w
     demb = np.zeros_like(params.emb)
-    ids = cache.ids
+    ids = tape.ids
     n = len(ids)
     np.add.at(demb, ids, dctx[:, d : 2 * d])
     if n > 1:
@@ -332,40 +364,6 @@ def _encode_backward(
         np.add.at(demb, ids[1:], dctx[: n - 1, 2 * d :])
     grads["emb"] = demb
     return grads
-
-
-def _backward_from_caches(
-    cache: EncodeCache,
-    ncache: NormalizeCache,
-    params: ScorerParams,
-    score_gradient: np.ndarray,
-) -> dict[str, np.ndarray]:
-    n = len(cache.ids)
-    raw_grad = _normalize_backward(ncache, score_gradient, n)
-    bi_grads, de = _biaffine_backward(cache.out, params, raw_grad)
-    grads = _encode_backward(cache, params, de)
-    grads.update(bi_grads)
-    return {name: grads[name] for name in PARAM_ORDER}
-
-
-def backward(
-    tokens: Sequence[str], params: ScorerParams, score_gradient: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact parameter gradients for a loss given via ``score_gradient``.
-
-    ``score_gradient`` is the loss gradient with respect to the NORMALIZED
-    score chart (the chart the training objective consumes); the chain
-    runs back through normalization, the biaffine layer, the feed-forward
-    stack, the mixer, and the embedding table.
-    """
-    cache = _forward_encode(params.vocab.encode(tokens), params)
-    raw = biaffine_scores(cache.out, params)
-    if score_gradient.shape != raw.s.shape:
-        raise DimensionMismatch(
-            f"score gradient shape {score_gradient.shape} != chart {raw.s.shape}"
-        )
-    _, ncache = _normalize_with_cache(raw)
-    return _backward_from_caches(cache, ncache, params, score_gradient)
 
 
 def save_model(params: ScorerParams, path: str) -> None:
@@ -417,7 +415,8 @@ def _is_array_list(value: object) -> bool:
 def load_model(path: str) -> ScorerParams:
     """Read a model file, verifying magic, version, shapes, and checksum.
 
-    Any malformed header field raises :class:`ModelFormatError`.
+    Any malformed header field, and any NaN or infinite parameter, raises
+    :class:`ModelFormatError`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -482,6 +481,8 @@ def load_model(path: str) -> ScorerParams:
         arrays[name] = (
             np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
         )
+        if not np.isfinite(arrays[name]).all():
+            raise ModelFormatError(f"{path}: array {name!r} holds non-finite values")
         offset = end
     if offset != len(payload):
         raise ModelFormatError(f"{path}: trailing bytes after parameter arrays")

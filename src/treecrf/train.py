@@ -6,13 +6,15 @@ epsilon-smoothed during training only.  Scores always pass through
 per-sentence potential normalization before the structured layer;
 evaluation and prediction never see masks or smoothing.
 
-Each minibatch is one step in three parts: the scorer forward pass of
-every sentence, one :func:`~treecrf.inference.batch_loss_and_score_gradient`
-call that runs the structured layer of the whole minibatch through the
-chart kernel at once, and each sentence's scorer backward pass.  The values
-equal those of running the sentences one by one.  A diverging run raises
+Each minibatch is one step in three parts: :func:`~treecrf.scorer.forward`
+of every sentence, which gives its normalized score chart and tape, one
+:func:`~treecrf.inference.batch_loss_and_score_gradient` call that runs
+the structured layer of the whole minibatch through the chart kernel at
+once, and each sentence's ``tape.backward``.  The values equal those of
+running the sentences one by one.  A diverging run raises
 :class:`~treecrf.errors.NonFiniteLoss` naming the sentence, its length
 and the phase (scorer forward or loss) where scores stopped being finite.
+Prediction decodes the chart of the same :func:`~treecrf.scorer.forward`.
 
 Runs are bit-reproducible: the corpus split, parameter initialization, and
 the per-epoch shuffle all derive from ``TrainConfig.seed``, and batch
@@ -40,7 +42,7 @@ from .data import (
     preprocess,
     split_corpus,
 )
-from .errors import BadConfig, EmptyCorpus, EmptySentence, NonFiniteLoss
+from .errors import BadConfig, EmptyCorpus, NonFiniteLoss
 # loss_and_score_gradient is re-exported: the per-sentence step is looked
 # up here by callers that check a trained model sentence by sentence.
 from .inference import (  # noqa: F401
@@ -49,15 +51,7 @@ from .inference import (  # noqa: F401
     extract_entities,
     loss_and_score_gradient,
 )
-from .scorer import (
-    ScorerConfig,
-    ScorerParams,
-    _backward_from_caches,
-    _forward_encode,
-    _normalize_with_cache,
-    biaffine_scores,
-    init_params,
-)
+from .scorer import ScorerConfig, ScorerParams, forward, init_params
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -171,8 +165,8 @@ def _prf(gold: int, predicted: int, matched: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _diverged(idx: int, n: int, phase: str, detail: str) -> NonFiniteLoss:
-    return NonFiniteLoss(f"sentence {idx} (length {n}), {phase}: {detail}")
+def _diverged(idx: int, n: int, detail: object) -> NonFiniteLoss:
+    return NonFiniteLoss(f"sentence {idx} (length {n}), {detail}")
 
 
 def _batch_gradient(
@@ -185,32 +179,26 @@ def _batch_gradient(
 
     Three steps: the scorer forward for every sentence, one batched
     structured loss and gradient, then each sentence's backward pass,
-    accumulated in batch order.  Diverged parameters overflow to non-finite
-    scores, which :class:`ScoreChart` rejects with a ``ValueError``; the
-    overflow itself is not reported as a warning.
+    accumulated in batch order.  A :class:`NonFiniteLoss` from the forward
+    gets the sentence's index and length.
     """
     forwards = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx in batch:
-            ids = examples[idx].token_ids
-            try:
-                cache = _forward_encode(ids, params)
-                raw = biaffine_scores(cache.out, params)
-                chart, ncache = _normalize_with_cache(raw)
-            except ValueError as exc:
-                raise _diverged(idx, len(ids), "scorer forward", str(exc)) from None
-            forwards.append((cache, ncache, chart))
+    for idx in batch:
+        ids = examples[idx].token_ids
+        try:
+            forwards.append(forward(ids, params))
+        except NonFiniteLoss as exc:
+            raise _diverged(idx, len(ids), exc) from None
     results = batch_loss_and_score_gradient(
-        [chart for _, _, chart in forwards], [examples[idx].mask for idx in batch]
+        [chart for chart, _ in forwards], [examples[idx].mask for idx in batch]
     )
     acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-    for idx, forward, (loss, score_grad) in zip(batch, forwards, results):
-        cache, ncache, chart = forward
+    for idx, (chart, tape), (loss, score_grad) in zip(batch, forwards, results):
         if not np.isfinite(loss):
-            detail = f"loss={loss}, max |score|={np.abs(chart.s).max():.3e}"
-            raise _diverged(idx, chart.n, "loss", detail)
+            detail = f"loss: loss={loss}, max |score|={np.abs(chart.s).max():.3e}"
+            raise _diverged(idx, chart.n, detail)
         losses.append(loss)
-        grads = _backward_from_caches(cache, ncache, params, score_grad)
+        grads = tape.backward(score_grad)
         for name in acc:
             acc[name] += grads[name]
     scale = 1.0 / len(batch)
@@ -278,13 +266,8 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
 
 def predict(params: ScorerParams, tokens: Sequence[str]) -> list[Span]:
     """Entities of the highest-probability tree (latent nodes dismissed)."""
-    if not tokens:
-        raise EmptySentence("cannot predict on an empty sentence")
-    cache = _forward_encode(params.vocab.encode(tokens), params)
-    raw = biaffine_scores(cache.out, params)
-    normalized, _ = _normalize_with_cache(raw)
-    tree = cky_decode(normalized)
-    return extract_entities(tree, params.config.schema)
+    chart, _ = forward(params.vocab.encode(tokens), params)
+    return extract_entities(cky_decode(chart), params.config.schema)
 
 
 def _gold_spans(record: CorpusRecord, schema: LabelSchema) -> set[tuple[int, int, int]]:

@@ -38,15 +38,7 @@ from treecrf.oracle import (
     random_chart,
     random_partial_tree,
 )
-from treecrf.scorer import (
-    ScorerConfig,
-    Vocab,
-    _forward_encode,
-    _normalize_with_cache,
-    backward,
-    biaffine_scores,
-    init_params,
-)
+from treecrf.scorer import ScorerConfig, Vocab, forward, init_params
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -131,9 +123,7 @@ def test_criterion_03_gradient_exactness():
         symbols = classify_nodes(ptree)
         mask = smooth_mask(build_mask(symbols, schema), symbols, 0.01)
 
-        cache = _forward_encode(params.vocab.encode(tokens), params)
-        raw = biaffine_scores(cache.out, params)
-        normed, _ = _normalize_with_cache(raw)
+        normed, tape = forward(params.vocab.encode(tokens), params)
         _, score_grad = loss_and_score_gradient(normed, mask)
 
         # gradients w.r.t. every potential s_ijk
@@ -160,12 +150,10 @@ def test_criterion_03_gradient_exactness():
 
         # gradients w.r.t. every scorer parameter
         def pipeline_loss() -> float:
-            c = _forward_encode(params.vocab.encode(tokens), params)
-            r = biaffine_scores(c.out, params)
-            nm, _ = _normalize_with_cache(r)
+            nm, _ = forward(params.vocab.encode(tokens), params)
             return loss_and_score_gradient(nm, mask)[0]
 
-        grads = backward(tokens, params, score_grad)
+        grads = tape.backward(score_grad)
         for name, arr in params.arrays().items():
             flat = arr.reshape(-1)
             gflat = grads[name].reshape(-1)

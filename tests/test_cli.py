@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from treecrf import read_corpus, validate_annotation
+import treecrf
+from treecrf import load_model, read_corpus, save_model, validate_annotation
 from treecrf.cli import main
 from treecrf.data import corpus_schema
 
@@ -180,6 +185,43 @@ class TestPredictEval:
 
     def test_missing_model_file(self, corpus_path):
         assert main(["eval", "--model", "/no/such/model", "--data", corpus_path]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("bi_b", 0, np.nan, "array 'bi_b' holds non-finite values"),
+            # finite scores (about 1e299) whose standard deviation overflows
+            ("bi_u1", ..., 1e300, "scorer forward: "),
+        ],
+        ids=["nan-parameter", "overflowing-scores"],
+    )
+    def test_broken_model_is_a_runtime_error(
+        self, model_path, corpus_path, tmp_path, command, name, index, value, message
+    ):
+        params = load_model(model_path)
+        getattr(params, name)[index] = value
+        bad = str(tmp_path / "bad.tcrf")
+        save_model(params, bad)
+        argv = [command, "--model", bad, "--data", corpus_path]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "pred.jsonl")]
+        # a child process, so that a traceback or a floating-point warning
+        # reaches stderr as it would for a user
+        src = os.path.dirname(os.path.dirname(treecrf.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecrf.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestSelfcheck:

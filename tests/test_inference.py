@@ -36,9 +36,9 @@ from treecrf.oracle import catalan, random_chart, random_partial_tree
 from treecrf.scorer import (
     ScorerConfig,
     Vocab,
+    _normalize,
     _normalize_backward,
-    _normalize_with_cache,
-    backward,
+    forward,
     init_params,
     potential_normalize,
 )
@@ -451,10 +451,8 @@ class TestNaNPoisoning:
             grad = rng.normal(size=clean.s.shape)
             grad_poisoned = grad.copy()
             grad_poisoned[np.tril_indices(n, k=-1)] = np.nan
-            _, cache_c = _normalize_with_cache(clean)
-            _, cache_p = _normalize_with_cache(poisoned)
-            back_c = _normalize_backward(cache_c, grad, n)
-            back_p = _normalize_backward(cache_p, grad_poisoned, n)
+            back_c = _normalize_backward(*_normalize(clean.s), grad)
+            back_p = _normalize_backward(*_normalize(poisoned.s), grad_poisoned)
             # the raw gradient feeds sums over the whole chart, so it must
             # be zero (not NaN) below the diagonal
             np.testing.assert_array_equal(back_p, back_c)
@@ -487,7 +485,8 @@ class TestNoModuleState:
             charts.append(chart)
             masks.append(mask)
             tokens = [f"t{int(k)}" for k in rng.integers(0, 10, size=n)]
-            backward(tokens, params, rng.normal(size=chart.s.shape))
+            _, tape = forward(params.vocab.encode(tokens), params)
+            tape.backward(rng.normal(size=chart.s.shape))
         batched_masked_inside(charts, masks)
         assert self._container_sizes() == before
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -10,19 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecrf
 from treecrf import (
     BadConfig,
     DimensionMismatch,
     EmptySentence,
     LabelSchema,
     ModelFormatError,
+    NonFiniteLoss,
     ScorerConfig,
     Vocab,
-    backward,
     biaffine_scores,
     build_mask,
     classify_nodes,
     encode,
+    forward,
     init_params,
     load_model,
     loss_and_score_gradient,
@@ -32,13 +35,7 @@ from treecrf import (
 )
 from treecrf.inference import ScoreChart, cky_decode
 from treecrf.oracle import random_partial_tree
-from treecrf.scorer import (
-    MODEL_FORMAT_VERSION,
-    MODEL_MAGIC,
-    PARAM_ORDER,
-    _forward_encode,
-    _normalize_with_cache,
-)
+from treecrf.scorer import MODEL_FORMAT_VERSION, MODEL_MAGIC, PARAM_ORDER
 
 
 @pytest.fixture
@@ -227,6 +224,59 @@ class TestPotentialNormalize:
             ).nodes
 
 
+class TestForward:
+    def test_chart_is_the_stages_composed(self, small_vocab, small_config):
+        params = noised_params(small_vocab, small_config, seed=2)
+        for n in (1, 2, 7):
+            tokens = [f"tok{k}" for k in range(n)]
+            chart, tape = forward(params.vocab.encode(tokens), params)
+            staged = potential_normalize(
+                biaffine_scores(encode(tokens, params), params)
+            )
+            np.testing.assert_array_equal(chart.s, staged.s)
+            np.testing.assert_array_equal(tape.out, encode(tokens, params))
+
+    @pytest.mark.parametrize(
+        "name, value", [("bi_b", np.nan), ("emb", np.inf), ("bi_u1", 1e300)]
+    )
+    def test_non_finite_scores_raise(self, small_vocab, small_config, name, value):
+        # bi_u1 = 1e300 keeps the scores finite, but their spread overflows
+        params = noised_params(small_vocab, small_config, seed=2)
+        getattr(params, name)[...] = value
+        with pytest.raises(NonFiniteLoss, match="scorer forward: "):
+            forward(params.vocab.encode(["tok1", "tok2", "tok3"]), params)
+
+    def test_empty_sentence(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        with pytest.raises(EmptySentence):
+            forward(params.vocab.encode([]), params)
+
+
+class TestModuleBoundary:
+    def test_no_module_imports_private_scorer_names(self):
+        # the scorer's public surface is forward/Tape.backward and the
+        # stage functions; its underscore helpers stay inside the module
+        package = os.path.dirname(treecrf.__file__)
+        offenders = []
+        for fname in sorted(os.listdir(package)):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(package, fname), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), fname)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = "." * node.level + (node.module or "")
+                if source not in (".scorer", "treecrf.scorer"):
+                    continue
+                offenders += [
+                    f"{fname}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        assert offenders == []
+
+
 class TestBackward:
     def test_matches_finite_differences(self, small_vocab, small_config, schema3):
         rng = np.random.default_rng(0)
@@ -239,16 +289,12 @@ class TestBackward:
             mask = smooth_mask(build_mask(sym, schema3), sym, 0.01)
 
             def loss_of(p):
-                cache = _forward_encode(p.vocab.encode(tokens), p)
-                raw = biaffine_scores(cache.out, p)
-                normed, _ = _normalize_with_cache(raw)
+                normed, _ = forward(p.vocab.encode(tokens), p)
                 return loss_and_score_gradient(normed, mask)[0]
 
-            cache = _forward_encode(params.vocab.encode(tokens), params)
-            raw = biaffine_scores(cache.out, params)
-            normed, _ = _normalize_with_cache(raw)
+            normed, tape = forward(params.vocab.encode(tokens), params)
             _, sg = loss_and_score_gradient(normed, mask)
-            grads = backward(tokens, params, sg)
+            grads = tape.backward(sg)
             h = 1e-5
             for name, arr in params.arrays().items():
                 flat = arr.reshape(-1)
@@ -270,21 +316,24 @@ class TestBackward:
 
     def test_zero_score_gradient(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
-        grads = backward(["tok1", "tok2"], params, np.zeros((2, 2, 3)))
+        _, tape = forward(params.vocab.encode(["tok1", "tok2"]), params)
+        grads = tape.backward(np.zeros((2, 2, 3)))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_gradient_keys_cover_all_parameters(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
-        grads = backward(["tok1"], params, np.zeros((1, 1, 3)))
+        _, tape = forward(params.vocab.encode(["tok1"]), params)
+        grads = tape.backward(np.zeros((1, 1, 3)))
         assert tuple(grads.keys()) == PARAM_ORDER
         for name in PARAM_ORDER:
             assert grads[name].shape == getattr(params, name).shape
 
     def test_shape_mismatch(self, small_vocab, small_config):
         params = init_params(small_vocab, small_config, seed=0)
+        _, tape = forward(params.vocab.encode(["tok1", "tok2"]), params)
         with pytest.raises(DimensionMismatch):
-            backward(["tok1", "tok2"], params, np.zeros((3, 3, 3)))
+            tape.backward(np.zeros((3, 3, 3)))
 
 
 class TestSerialization:
@@ -318,6 +367,15 @@ class TestSerialization:
         blob[4] = 9  # format version field
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ModelFormatError, match=r"version 9.*version 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, value", [("bi_b", np.nan), ("mix_w", -np.inf)])
+    def test_non_finite_parameter(self, small_vocab, small_config, tmp_path, name, value):
+        params = init_params(small_vocab, small_config, seed=4)
+        getattr(params, name).flat[0] = value
+        path = str(tmp_path / "model.tcrf")
+        save_model(params, path)
+        with pytest.raises(ModelFormatError, match=f"array '{name}' holds non-finite"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
@@ -398,6 +456,7 @@ class TestMalformedModelHeader:
         fresh = init_params(params.vocab, params.config, 0)
         for name in PARAM_ORDER:
             assert getattr(params, name).shape == getattr(fresh, name).shape
+            assert np.isfinite(getattr(params, name)).all()
 
     def test_shape_that_disagrees_with_dimensions(self):
         header, payload = _valid_model_parts()

@@ -24,12 +24,9 @@ from treecrf.scorer import (
     ScorerConfig,
     _biaffine_backward,
     _encode_backward,
-    _forward_encode,
-    backward,
     biaffine_scores,
-    encode,
+    forward,
     init_params,
-    potential_normalize,
 )
 from treecrf.train import (
     ADAM_EPS,
@@ -42,9 +39,9 @@ from treecrf.train import (
 
 def sentence_loss_and_grads(tokens, mask, params):
     """The training objective of one sentence, through public functions."""
-    chart = potential_normalize(biaffine_scores(encode(tokens, params), params))
+    chart, tape = forward(params.vocab.encode(tokens), params)
     loss, score_grad = loss_and_score_gradient(chart, mask)
-    return loss, backward(tokens, params, score_grad)
+    return loss, tape.backward(score_grad)
 
 
 def single_record():
@@ -85,11 +82,11 @@ class TestOverfit:
         adam = AdamState.init(params.arrays())
         loss = math.inf
         for _ in range(200):
-            cache = _forward_encode(example.token_ids, params)
-            raw = biaffine_scores(cache.out, params)
+            _, tape = forward(example.token_ids, params)
+            raw = biaffine_scores(tape.out, params)
             loss, sg = loss_and_score_gradient(raw, example.mask)
-            bi_grads, de = _biaffine_backward(cache.out, params, sg)
-            grads = _encode_backward(cache, params, de)
+            bi_grads, de = _biaffine_backward(tape.out, params, sg)
+            grads = _encode_backward(tape, de)
             grads.update(bi_grads)
             adam_step(params.arrays(), {k: grads[k] for k in PARAM_ORDER}, adam, 0.05)
         assert loss < 0.01
