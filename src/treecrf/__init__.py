@@ -43,7 +43,6 @@ from .errors import (
 from .inference import (
     LOG_ZERO,
     FullTree,
-    InsideChart,
     MarginalChart,
     ScoreChart,
     batch_loss_and_score_gradient,
@@ -51,7 +50,6 @@ from .inference import (
     cky_decode,
     extract_entities,
     inside,
-    inside_chart,
     log_prob,
     loss_and_score_gradient,
     marginals,

@@ -18,19 +18,25 @@ tree it degenerates to evaluating that tree.
 One kernel, :func:`_chart_dp`, runs this recursion for every algorithm
 here, with the reduction as a parameter: log-sum-exp for the inside pass
 and max with first argmax for CKY.  It takes a batch of charts of mixed
-lengths (a single sentence is a batch of one).  Each chart's label part
-is reduced on that chart alone; the split part runs width by width over
-one flat array that holds the charts as rows, longest first, in the
-layout of the longest one, so that at width ``w`` only the prefix of rows
-at least ``w`` long takes part.  The split operands of a whole diagonal
-are strided views of that array, which keeps every cell also at its
-mirror below the diagonal.  Each chart's result sits at its own root,
-``(0, n_b - 1)``.  Posteriors are the gradient of the roots, taken by one
-reverse sweep over the same views (inside-outside as backpropagation)
-that starts at every row's own root.  :func:`batch_loss_and_score_gradient`
-runs a minibatch's unmasked and masked charts through the kernel in one
-call and hands out one sentence's gradient at a time, bit-identical to
-the per-sentence :func:`loss_and_score_gradient`.
+lengths.  Each chart's label part is reduced on that chart alone; the
+split part runs width by width over one flat array that holds the charts
+as rows, longest first, in the layout of the longest one, so that at
+width ``w`` only the prefix of rows at least ``w`` long takes part.  The
+split operands of a whole diagonal are strided views of that array, which
+keeps every cell also at its mirror below the diagonal.  Each chart's
+result sits at its own root, ``(0, n_b - 1)``.
+
+Every structured entry point is one :func:`_check_batch` (masks may be
+``None``, unmasked) and one :func:`_inside_pass`, which masks and
+label-reduces each chart and runs the kernel once over the whole batch;
+a single sentence is a batch of one.  Posteriors are the gradient of the
+roots, which :func:`_posteriors` takes by one reverse sweep over the same
+views (inside-outside as backpropagation) from every row's own root,
+handing out one chart's posteriors at a time.
+:func:`batch_loss_and_score_gradient` runs each sentence's unmasked and
+masked charts through that pair as one batch, so its values equal
+``inside - masked_inside`` and the difference of the two
+:func:`marginals` bit for bit.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
 as the reference the kernel is checked against.
 
@@ -95,13 +101,6 @@ class ScoreChart:
     @property
     def n(self) -> int:
         return self.s.shape[0]
-
-
-@dataclass(frozen=True)
-class InsideChart:
-    """Log inside scores ``beta[i, j]`` for every span."""
-
-    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,22 +169,32 @@ class FullTree:
         return {(i, j): k for i, j, k in self.nodes}
 
 
-def _require_nonempty(n: int) -> None:
-    if n == 0:
-        raise DegenerateChart("chart over zero tokens")
-
-
-def _check_mask(chart: ScoreChart, mask: ChartMask) -> None:
-    if mask.m.shape != chart.s.shape:
-        raise DimensionMismatch(
-            f"mask shape {mask.m.shape} does not match chart shape {chart.s.shape}"
-        )
+def _check_batch(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+) -> None:
+    """Validate a batch of charts and their masks (``None``: unmasked)."""
+    if len(charts) != len(masks):
+        raise DimensionMismatch("need one mask per chart")
+    for chart, mask in zip(charts, masks):
+        if chart.n == 0:
+            raise DegenerateChart("chart over zero tokens")
+        if mask is not None and mask.m.shape != chart.s.shape:
+            raise DimensionMismatch(
+                f"mask shape {mask.m.shape} does not match chart shape {chart.s.shape}"
+            )
+        if chart.s.shape[2] != charts[0].s.shape[2]:
+            raise DimensionMismatch("charts in a batch must share a label count")
 
 
 def _apply_mask(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Offset potentials by log-mask, with LOG_ZERO substituted for log 0."""
     logm = np.where(m > 0.0, np.log(np.maximum(m, _TINY)), LOG_ZERO)
     return s + logm
+
+
+def _potentials(chart: ScoreChart, mask: ChartMask | None) -> np.ndarray:
+    """The potentials the kernel runs on: ``s``, or ``s + log M`` if masked."""
+    return chart.s if mask is None else _apply_mask(chart.s, mask.m)
 
 
 def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, None]:
@@ -348,47 +357,54 @@ def _outside(chart: _Chart) -> np.ndarray:
     return g
 
 
-def _posterior(
-    sp: np.ndarray, spans: np.ndarray, lab: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Span-label posteriors ``mu = g * softmax_k(sp)`` of one chart.
+def _inside_pass(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], reduce=_logsumexp
+) -> tuple[list[tuple[np.ndarray, np.ndarray | None]], _Chart]:
+    """The chart recursion over a checked, non-empty batch of charts.
 
-    ``lab`` is the chart's :func:`_label_reduce` value and ``g`` its
-    ``(n, n)`` square of :func:`_outside`; the result is 0 below the
-    diagonal.
+    Each chart's potentials (masked when its mask is not ``None``) are
+    built and label-reduced one chart at a time, then :func:`_chart_dp`
+    runs once over all of them.  Returns each chart's :func:`_label_reduce`
+    ``(value, argument)`` in input order and the kernel's :class:`_Chart`.
     """
-    mu = sp - lab[..., None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.exp(mu, out=mu)
-        mu *= g[..., None]
-    mu[~spans] = 0.0
-    # Rounding can overshoot 1 by an ulp; the posterior is a probability.
-    return np.clip(mu, 0.0, 1.0, out=mu)
+    spans = ~below_diagonal(max(chart.n for chart in charts))
+    parts = [
+        _label_reduce(_potentials(chart, mask), spans[: chart.n, : chart.n], reduce)
+        for chart, mask in zip(charts, masks)
+    ]
+    return parts, _chart_dp([value for value, _ in parts], reduce)
 
 
-def _inside(sp: np.ndarray) -> _Chart:
-    """The inside pass over one ``(n, n, L)`` chart."""
-    lab, _ = _label_reduce(sp, ~below_diagonal(len(sp)), _logsumexp)
-    return _chart_dp([lab], _logsumexp)
+def _posteriors(
+    charts: Sequence[ScoreChart],
+    masks: Sequence[ChartMask | None],
+    parts: list[tuple[np.ndarray, np.ndarray | None]],
+    inside_pass: _Chart,
+) -> Iterator[np.ndarray]:
+    """Span-label posteriors ``mu = g * softmax_k(s)`` of each chart, in order.
+
+    Takes the arguments and results of one log-sum-exp :func:`_inside_pass`;
+    ``g`` is the chart's square of :func:`_outside`, which runs at the
+    first step.  Each chart's potentials are built again here instead of
+    being kept from the label reduction, so one chart's are held at a time.
+    Each result is 0 below the diagonal.
+    """
+    g = _outside(inside_pass)
+    below = below_diagonal(inside_pass.n)
+    for b, (chart, mask) in enumerate(zip(charts, masks)):
+        mu = _potentials(chart, mask) - parts[b][0][..., None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.exp(mu, out=mu)
+            mu *= inside_pass.square(g, b)[..., None]
+        mu[below[: chart.n, : chart.n]] = 0.0
+        # Rounding can overshoot 1 by an ulp; the posterior is a probability.
+        yield np.clip(mu, 0.0, 1.0, out=mu)
 
 
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
-    _require_nonempty(chart.n)
-    return float(_inside(chart.s).roots()[0])
-
-
-def inside_chart(chart: ScoreChart, mask: ChartMask | None = None) -> InsideChart:
-    """Full table of log inside scores, optionally masked."""
-    _require_nonempty(chart.n)
-    sp = chart.s
-    if mask is not None:
-        _check_mask(chart, mask)
-        sp = _apply_mask(chart.s, mask.m)
-    n = chart.n
-    beta = _inside(sp).flat[0, : n * n].reshape(n, n)
-    beta[below_diagonal(n)] = np.nan
-    return InsideChart(beta=beta)
+    _check_batch([chart], [None])
+    return float(_inside_pass([chart], [None])[1].roots()[0])
 
 
 def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
@@ -397,10 +413,8 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     Computed exactly as ``inside(s + log M)`` with LOG_ZERO substituted
     for ``log 0``; an all-ones mask reproduces :func:`inside` bit for bit.
     """
-    _require_nonempty(chart.n)
-    _check_mask(chart, mask)
-    sp = _apply_mask(chart.s, mask.m)
-    return float(_inside(sp).roots()[0])
+    _check_batch([chart], [mask])
+    return float(_inside_pass([chart], [mask])[1].roots()[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -412,7 +426,7 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
     Slow on purpose; it is the per-sentence baseline the batched masked
     path is checked and benchmarked against.
     """
-    _require_nonempty(chart.n)
+    _check_batch([chart], [None])
     if symbols.n != chart.n:
         raise DimensionMismatch(
             f"symbols over {symbols.n} tokens but chart over {chart.n}"
@@ -452,16 +466,9 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> MarginalChart
     Equals the gradient of the (masked) log partition function with
     respect to each potential ``s[i, j, k]``.
     """
-    _require_nonempty(chart.n)
-    sp = chart.s
-    if mask is not None:
-        _check_mask(chart, mask)
-        sp = _apply_mask(chart.s, mask.m)
-    spans = ~below_diagonal(chart.n)
-    lab, _ = _label_reduce(sp, spans, _logsumexp)
-    inside_pass = _chart_dp([lab], _logsumexp)
-    g = inside_pass.square(_outside(inside_pass), 0)
-    return MarginalChart(mu=_posterior(sp, spans, lab, g))
+    _check_batch([chart], [mask])
+    parts, inside_pass = _inside_pass([chart], [mask])
+    return MarginalChart(mu=next(_posteriors([chart], [mask], parts, inside_pass)))
 
 
 def loss_and_score_gradient(
@@ -481,48 +488,27 @@ def batch_loss_and_score_gradient(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """:func:`loss_and_score_gradient` of each sentence, in input order.
 
-    The unmasked and masked charts of all sentences, whatever their
-    lengths, run through the kernel as one batch, so every value is
-    bit-identical to the per-sentence call.  Arguments are checked and the
-    inside pass runs at the call; each sentence's gradient is built only
-    when the iterator reaches it, so one gradient is held at a time.
+    Each sentence's unmasked and masked charts, whatever their lengths,
+    run through the kernel as one batch, in that order, so every value is
+    bit-identical to ``inside - masked_inside`` and to the difference of
+    the two :func:`marginals`.  Arguments are checked and the inside pass
+    runs at the call; each sentence's gradient is built only when the
+    iterator reaches it, so one gradient is held at a time.
     """
     _check_batch(charts, masks)
     if not charts:
         return iter(())
-    spans = ~below_diagonal(max(chart.n for chart in charts))
-    labs = [
-        _label_reduce(sp, spans[: chart.n, : chart.n], _logsumexp)[0]
-        for chart, mask in zip(charts, masks)
-        for sp in (chart.s, _apply_mask(chart.s, mask.m))
-    ]
-    inside_pass = _chart_dp(labs, _logsumexp)
-    return _losses_and_gradients(charts, masks, spans, labs, inside_pass)
-
-
-def _losses_and_gradients(
-    charts: Sequence[ScoreChart],
-    masks: Sequence[ChartMask],
-    spans: np.ndarray,
-    labs: list[np.ndarray],
-    inside_pass: _Chart,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """The results of :func:`batch_loss_and_score_gradient`, one at a time.
-
-    Sentence ``b`` is charts ``2b`` (unmasked) and ``2b + 1`` (masked) of
-    the inside pass.  Its masked potentials are built again here instead
-    of being kept from the label reduction, so the batch holds one
-    sentence's at a time.
-    """
+    both = [chart for chart in charts for _ in range(2)]
+    both_masks = [m for mask in masks for m in (None, mask)]
+    parts, inside_pass = _inside_pass(both, both_masks)
     roots = inside_pass.roots()
-    g = _outside(inside_pass)
-    for b, (chart, mask) in enumerate(zip(charts, masks)):
-        u, m = 2 * b, 2 * b + 1
-        cells = spans[: chart.n, : chart.n]
-        unmasked = _posterior(chart.s, cells, labs[u], inside_pass.square(g, u))
-        masked_sp = _apply_mask(chart.s, mask.m)
-        masked = _posterior(masked_sp, cells, labs[m], inside_pass.square(g, m))
-        yield float(roots[u] - roots[m]), unmasked - masked
+    mus = _posteriors(both, both_masks, parts, inside_pass)
+    return (
+        (float(unmasked - masked), mu_unmasked - mu_masked)
+        for unmasked, masked, (mu_unmasked, mu_masked) in zip(
+            roots[::2], roots[1::2], zip(mus, mus)
+        )
+    )
 
 
 def cky_decode(chart: ScoreChart) -> FullTree:
@@ -531,10 +517,9 @@ def cky_decode(chart: ScoreChart) -> FullTree:
     Ties break deterministically: lowest label index first, then lowest
     split point (numpy argmax picks the first maximum).
     """
-    _require_nonempty(chart.n)
+    _check_batch([chart], [None])
+    [(_, label_arg)], best = _inside_pass([chart], [None], _max_argmax)
     n = chart.n
-    lab, label_arg = _label_reduce(chart.s, ~below_diagonal(n), _max_argmax)
-    best = _chart_dp([lab], _max_argmax)
     nodes: list[tuple[int, int, int]] = []
     stack = [(0, n - 1)]
     while stack:
@@ -588,16 +573,6 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
     return ChartMask(n=tree.n, m=m)
 
 
-def _check_batch(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> None:
-    if len(charts) != len(masks):
-        raise DimensionMismatch("need one mask per chart")
-    for chart, mask in zip(charts, masks):
-        _require_nonempty(chart.n)
-        _check_mask(chart, mask)
-        if chart.s.shape[2] != charts[0].s.shape[2]:
-            raise DimensionMismatch("charts in a batch must share a label count")
-
-
 def batched_masked_inside(
     charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
 ) -> np.ndarray:
@@ -611,9 +586,4 @@ def batched_masked_inside(
     _check_batch(charts, masks)
     if not charts:
         return np.zeros(0)
-    spans = ~below_diagonal(max(chart.n for chart in charts))
-    labs = []
-    for chart, mask in zip(charts, masks):
-        sp = _apply_mask(chart.s, mask.m)
-        labs.append(_label_reduce(sp, spans[: chart.n, : chart.n], _logsumexp)[0])
-    return _chart_dp(labs, _logsumexp).roots()
+    return _inside_pass(charts, masks)[1].roots()

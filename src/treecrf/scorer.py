@@ -264,12 +264,19 @@ def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
 
 
 def _normalize(s: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """``(normalized, std, degenerate)`` of a raw score array."""
+    """``(normalized, std, degenerate)`` of a raw score array.
+
+    Span scores that are not finite, or whose spread overflows, raise
+    :class:`NonFiniteLoss` without a floating-point warning.
+    """
     vals = s[~below_diagonal(len(s))]
-    mean = float(vals.mean())
-    std = float(np.sqrt(((vals - mean) ** 2).mean()))
-    degenerate = std < STD_FLOOR
-    return (s - mean if degenerate else (s - mean) / std), std, degenerate
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(vals.mean())
+        std = float(np.sqrt(((vals - mean) ** 2).mean()))
+        if not math.isfinite(std):
+            raise NonFiniteLoss(f"scorer forward: non-finite span scores (std {std})")
+        degenerate = std < STD_FLOOR
+        return (s - mean if degenerate else (s - mean) / std), std, degenerate
 
 
 def potential_normalize(chart: ScoreChart) -> ScoreChart:
@@ -278,7 +285,8 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
     Subtracts the mean and divides by the population standard deviation of
     the upper-triangular entries; a chart with essentially constant scores
     is only mean-centered.  Cells below the diagonal go through the same
-    affine map and stay unspecified.
+    affine map and stay unspecified.  Raises :class:`NonFiniteLoss`, as
+    :func:`forward` does, when the spread of the scores is not finite.
     """
     return ScoreChart(s=_normalize(chart.s)[0], schema=chart.schema)
 
@@ -293,8 +301,6 @@ def forward(ids: np.ndarray, params: ScorerParams) -> tuple[ScoreChart, Tape]:
     with np.errstate(over="ignore", invalid="ignore"):
         layers = _encode(ids, params)
         tape = Tape(params, ids, *layers, *_normalize(_biaffine(layers[-1], params)))
-    if not math.isfinite(tape.std):
-        raise NonFiniteLoss(f"scorer forward: non-finite span scores (std {tape.std})")
     return ScoreChart(s=tape.normalized, schema=params.config.schema), tape
 
 

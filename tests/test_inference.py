@@ -20,7 +20,6 @@ from treecrf import (
     classify_nodes,
     extract_entities,
     inside,
-    inside_chart,
     log_prob,
     loss_and_score_gradient,
     marginals,
@@ -126,10 +125,9 @@ class TestMaskedInside:
             chart = random_chart(n, schema3, rng)
             loose = rng.uniform(0, 1, size=(n, n, 3))
             tight = loose * rng.uniform(0, 1, size=loose.shape)
-            beta_loose = inside_chart(chart, ChartMask(n=n, m=loose)).beta
-            beta_tight = inside_chart(chart, ChartMask(n=n, m=tight)).beta
-            iu, ju = np.triu_indices(n)
-            assert (beta_tight[iu, ju] <= beta_loose[iu, ju] + 1e-6).all()
+            assert masked_inside(chart, ChartMask(n=n, m=tight)) <= masked_inside(
+                chart, ChartMask(n=n, m=loose)
+            ) + 1e-6
 
 
 class TestVanillaPartialMarginalization:
@@ -359,8 +357,7 @@ class TestCkyDecode:
             n = int(rng.integers(1, 8))
             chart = random_chart(n, schema3, rng)
             tree = cky_decode(chart)
-            beta = inside_chart(chart)  # sanity: inside differs from max
-            assert tree_score(chart, tree) <= beta.beta[0, n - 1] + 1e-9
+            assert tree_score(chart, tree) <= inside(chart) + 1e-9
 
 
 class TestExtractEntities:
@@ -551,6 +548,18 @@ class TestBatchLossAndScoreGradient:
         charts, masks = self._sentences(lengths, schema3, rng)
         self._assert_matches_per_sentence(charts, masks)
 
+    def test_equals_inside_and_marginals_bitwise(self, schema3):
+        # the loss and gradient come from the same inside pass and sweep as
+        # inside, masked_inside and marginals, so they match them exactly
+        rng = np.random.default_rng(21)
+        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30])
+        charts, masks = self._sentences(lengths, schema3, rng)
+        for chart, mask in zip(charts, masks):
+            loss, grad = loss_and_score_gradient(chart, mask)
+            assert loss == inside(chart) - masked_inside(chart, mask)
+            expected = marginals(chart).mu - marginals(chart, mask).mu
+            assert np.array_equal(grad, expected)
+
     def test_batch_of_one(self, schema3):
         rng = np.random.default_rng(19)
         for n in (1, 2, 9):
@@ -572,3 +581,35 @@ class TestBatchLossAndScoreGradient:
         for batch_charts, batch_masks in bad:
             with pytest.raises(DimensionMismatch):
                 batch_loss_and_score_gradient(batch_charts, batch_masks)
+
+
+# Every public structured entry point as ``f(chart, mask)``; the ones that
+# take no mask ignore it.
+ENTRY_POINTS = {
+    "inside": lambda chart, mask: inside(chart),
+    "masked_inside": masked_inside,
+    "log_prob": log_prob,
+    "marginals": lambda chart, mask: marginals(chart),
+    "marginals_masked": marginals,
+    "loss_and_score_gradient": loss_and_score_gradient,
+    "batch_loss_and_score_gradient": lambda chart, mask: (
+        batch_loss_and_score_gradient([chart], [mask])
+    ),
+    "batched_masked_inside": lambda chart, mask: batched_masked_inside([chart], [mask]),
+    "cky_decode": lambda chart, mask: cky_decode(chart),
+}
+TAKES_MASK = sorted(set(ENTRY_POINTS) - {"inside", "marginals", "cky_decode"})
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_empty_chart_is_degenerate(self, name, schema2):
+        mask = ChartMask(n=0, m=np.zeros((0, 0, 2)))
+        with pytest.raises(DegenerateChart):
+            ENTRY_POINTS[name](zero_chart(0, schema2), mask)
+
+    @pytest.mark.parametrize("name", TAKES_MASK)
+    def test_mask_of_the_wrong_shape(self, name, schema2):
+        mask = ChartMask(n=3, m=np.ones((3, 3, 2)))
+        with pytest.raises(DimensionMismatch):
+            ENTRY_POINTS[name](zero_chart(2, schema2), mask)

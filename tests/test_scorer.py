@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,16 @@ class TestPotentialNormalize:
             assert cky_decode(chart).nodes == cky_decode(
                 potential_normalize(chart)
             ).nodes
+
+
+    def test_overflowing_spread_raises(self, schema2):
+        # finite scores whose squared deviations overflow: std is inf
+        rng = np.random.default_rng(0)
+        chart = ScoreChart(s=rng.normal(size=(4, 4, 2)) * 1e300, schema=schema2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLoss, match="non-finite span scores"):
+                potential_normalize(chart)
 
 
 class TestForward:
