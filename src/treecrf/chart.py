@@ -186,7 +186,8 @@ class ChartMask:
     """Dense ``n x n x |labels|`` mask with weights in [0, 1].
 
     Unsmoothed masks are 0/1 valued; lower-triangular cells are all zero
-    and never read by the dynamic programs.
+    and never read by the dynamic programs.  A weight outside [0, 1], NaN
+    included, raises :class:`BadConfig`.
     """
 
     n: int
@@ -197,6 +198,8 @@ class ChartMask:
             raise DimensionMismatch(
                 f"mask shape {self.m.shape} does not match n={self.n}"
             )
+        if not ((self.m >= 0.0) & (self.m <= 1.0)).all():
+            raise BadConfig("mask weights must lie in [0, 1]")
         self.m.flags.writeable = False
 
     @property

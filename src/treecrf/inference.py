@@ -18,27 +18,33 @@ tree it degenerates to evaluating that tree.
 One kernel, :func:`_chart_dp`, runs this recursion for every algorithm
 here, with the reduction as a parameter: log-sum-exp for the inside pass
 and max with first argmax for CKY.  It takes a batch of charts of mixed
-lengths.  Each chart's label part is reduced on that chart alone; the
-split part runs width by width over one flat array that holds the charts
-as rows, longest first, in the layout of the longest one, so that at
-width ``w`` only the prefix of rows at least ``w`` long takes part.  The
-split operands of a whole diagonal are strided views of that array, which
-keeps every cell also at its mirror below the diagonal.  Each chart's
-result sits at its own root, ``(0, n_b - 1)``.
+lengths.  The split part runs width by width over one flat array that
+holds the charts as rows, longest first, in the layout of the longest
+one, so that at width ``w`` only the prefix of rows at least ``w`` long
+takes part.  The split operands of a whole diagonal are strided views of
+that array, which keeps every cell also at its mirror below the
+diagonal.  Each chart's result sits at its own root, ``(0, n_b - 1)``.
 
-Every structured entry point is one :func:`_check_batch` (masks may be
-``None``, unmasked) and one :func:`_inside_pass`, which masks and
-label-reduces each chart and runs the kernel once over the whole batch;
-a single sentence is a batch of one.  Posteriors are the gradient of the
-roots, which :func:`_posteriors` takes by one reverse sweep over the same
-views (inside-outside as backpropagation) from every row's own root,
-handing out one chart's posteriors at a time.
-:func:`batch_loss_and_score_gradient` runs each sentence's unmasked and
-masked charts through that pair as one batch, so its values equal
-``inside - masked_inside`` and the difference of the two
-:func:`marginals` bit for bit.
-:func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
-as the reference the kernel is checked against.
+Everything done per cell runs on a packed layout: one ``(cells, L)``
+array holds the span cells of every chart of a batch, chart after chart,
+each chart's cells in row-major order (those of ``~below_diagonal(n_b)``)
+and the unmasked charts first.  Every structured entry point is one
+:func:`_check_batch` (masks may be ``None``, unmasked) and one
+:func:`_inside_pass`, which gathers each chart's cells into that array,
+adds the log-masks of all masked charts in one :func:`_apply_mask` call,
+takes the label part of every cell in one reduction, scatters it into
+the flat chart in one step and runs the kernel once; a single sentence
+is a batch of one.  Posteriors are the gradient of the roots:
+:func:`_posteriors` takes it by one reverse sweep over the same views
+(inside-outside as backpropagation) from every row's own root, and turns
+the packed potentials of the whole batch into posteriors in place.  Each
+chart's ``(n_b, n_b, L)`` result is unpacked only when the caller
+reaches it.  :func:`batch_loss_and_score_gradient` runs every sentence's
+unmasked and masked charts through that pair as one batch, so its values
+equal ``inside - masked_inside`` and the difference of the two
+:func:`marginals` bit for bit.  :func:`vanilla_partial_marginalization`
+keeps its own cell-by-cell loop as the reference the kernel is checked
+against.
 
 Score cells below the diagonal (``i > j``, see
 :func:`treecrf.chart.below_diagonal`) are unspecified: they may hold any
@@ -49,6 +55,7 @@ to prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -186,15 +193,16 @@ def _check_batch(
             raise DimensionMismatch("charts in a batch must share a label count")
 
 
-def _apply_mask(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Offset potentials by log-mask, with LOG_ZERO substituted for log 0."""
-    logm = np.where(m > 0.0, np.log(np.maximum(m, _TINY)), LOG_ZERO)
-    return s + logm
+def _apply_mask(s: np.ndarray, m: np.ndarray) -> None:
+    """Add the log-mask to potentials ``s`` in place, LOG_ZERO for log 0.
 
-
-def _potentials(chart: ScoreChart, mask: ChartMask | None) -> np.ndarray:
-    """The potentials the kernel runs on: ``s``, or ``s + log M`` if masked."""
-    return chart.s if mask is None else _apply_mask(chart.s, mask.m)
+    Overwrites the mask weights ``m``, which :class:`ChartMask` keeps in
+    [0, 1].
+    """
+    zero = m == 0.0
+    np.log(m, out=m, where=~zero)
+    m[zero] = LOG_ZERO
+    s += m
 
 
 def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, None]:
@@ -225,10 +233,14 @@ def _stripe(flat: np.ndarray, n: int, offset: int, rows: int, cols: int) -> np.n
 
 
 def _cells(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The width-``w`` cells ``(i, i + w - 1)`` and their mirrors, ``(B, rows)``."""
+    """The width-``w`` cells ``(i, i + w - 1)`` and their mirrors, ``(B, rows)``.
+
+    One-column :func:`_stripe` views taken as basic slices with step
+    ``n + 1``, which skips the reshape.
+    """
     rows = n - w + 1
-    upper = _stripe(flat, n, w - 1, rows, 1)[:, :, 0]
-    mirror = _stripe(flat, n, (w - 1) * n, rows, 1)[:, :, 0]
+    upper = flat[:, w - 1 : w - 1 + rows * (n + 1) : n + 1]
+    mirror = flat[:, (w - 1) * n : (w - 1) * n + rows * (n + 1) : n + 1]
     return upper, mirror
 
 
@@ -245,24 +257,11 @@ def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.nd
     return left, right
 
 
-def _label_reduce(
-    sp: np.ndarray, spans: np.ndarray, reduce
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The label part of every span cell of one ``(n, n, L)`` chart.
-
-    ``spans`` marks the span cells, ``~below_diagonal(n)``, and ``reduce``
-    is the kernel's reduction (see :func:`_chart_dp`).  Returns its value
-    and argument as ``(n, n)`` arrays, 0 below the diagonal.
-    """
-    n = len(sp)
-    value, arg = reduce(sp[spans])
-    lab = np.zeros((n, n))
-    lab[spans] = value
-    if arg is None:
-        return lab, None
-    label_arg = np.zeros((n, n), dtype=np.int64)
-    label_arg[spans] = arg
-    return lab, label_arg
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """One chart's packed ``(cells, L)`` as ``(n, n, L)``, 0 below the diagonal."""
+    out = np.zeros((n, n, packed.shape[1]))
+    out[~below_diagonal(n)] = packed
+    return out
 
 
 class _Chart(NamedTuple):
@@ -276,48 +275,53 @@ class _Chart(NamedTuple):
 
     flat: np.ndarray
     n: int
-    row: np.ndarray  # row of ``flat`` that holds each chart
-    lengths: np.ndarray  # each chart's own length
+    row: list[int]  # row of ``flat`` that holds each chart, see :func:`_rows`
+    lengths: list[int]  # each chart's own length
     # per width w >= 2: split reduction (value, argument) of the rows whose
     # charts are at least w long, (rows, n - w + 1)
     split: list
 
-    def square(self, flat: np.ndarray, b: int) -> np.ndarray:
-        """Chart ``b``'s ``(n_b, n_b)`` cells of an array laid out as ``flat``."""
-        n, nb = self.n, self.lengths[b]
-        return flat[self.row[b], : n * n].reshape(n, n)[:nb, :nb]
-
     def roots(self) -> np.ndarray:
         """Each chart's value at its own root cell ``(0, n_b - 1)``."""
-        return self.flat[self.row, self.lengths - 1]
+        return self.flat[self.row, [m - 1 for m in self.lengths]]
 
 
-def _chart_dp(labels: Sequence[np.ndarray], reduce) -> _Chart:
+def _rows(lengths: Sequence[int]) -> list[int]:
+    """The row of the flat chart that holds each chart: longest first."""
+    row = [0] * len(lengths)
+    for r, b in enumerate(sorted(range(len(lengths)), key=lambda b: -lengths[b])):
+        row[b] = r
+    return row
+
+
+def _chart_dp(
+    labels: np.ndarray, cells: np.ndarray, lengths: Sequence[int], reduce
+) -> _Chart:
     """The chart recursion over a batch of charts, from their label parts.
 
-    ``labels`` holds each chart's :func:`_label_reduce` value, ``(n_b,
-    n_b)``; charts may differ in length.  ``reduce`` maps a fresh array,
-    which it may overwrite, to ``(value, argument)`` over its last axis:
-    :func:`_logsumexp` for inside, :func:`_max_argmax` for CKY.  Each label
-    part seeds its chart's row of the flat chart; then the split recursion
-    runs one width at a time over all start positions of every row long
-    enough for that width (a prefix, since rows are longest first),
-    reading the split operands as stripes.  Cells of a row past its own
-    length hold finite values that no cell of its chart reads, because a
-    cell's splits stay inside its span.
+    ``labels`` holds the label part of every span cell of every chart, and
+    ``cells`` where each goes in the flat chart's ``ravel()``: cell ``(i,
+    j)`` of the chart in row ``r`` (:func:`_rows`) at ``r * (n * (n + 1) +
+    1) + i * n + j``, ``n`` the longest of ``lengths``.  Charts may differ
+    in length.  ``reduce`` maps a fresh array, which it may overwrite, to
+    ``(value, argument)`` over its last axis: :func:`_logsumexp` for
+    inside, :func:`_max_argmax` for CKY.  One scatter seeds the flat chart
+    with the label parts; then the split recursion runs one width at a
+    time over all start positions of every row long enough for that width
+    (a prefix, since rows are longest first), reading the split operands
+    as stripes.  Cells of a row past its own length hold finite values
+    that no cell of its chart reads, because a cell's splits stay inside
+    its span.
     """
-    lengths = np.array([len(lab) for lab in labels])
-    order = np.argsort(-lengths, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(len(labels))
-    n = int(lengths[order[0]])
-    # at_least[w]: the number of charts at least w long, a prefix of the rows
-    at_least = np.searchsorted(-lengths[order], -np.arange(n + 1), side="right")
-    flat = np.zeros((len(labels), n * (n + 1) + 1))
-    chart = _Chart(flat, n, row, lengths, split=[None, None])
-    for b, lab in enumerate(labels):
-        chart.square(flat, b)[...] = lab
-    for w, count in enumerate(at_least.tolist()[2:], start=2):
+    n = max(lengths)
+    flat = np.zeros((len(lengths), n * (n + 1) + 1))
+    flat.ravel()[cells] = labels
+    chart = _Chart(flat, n, _rows(lengths), lengths, split=[None, None])
+    descending = sorted(lengths, reverse=True)
+    count = len(lengths)  # rows at least w long
+    for w in range(2, n + 1):
+        while descending[count - 1] < w:
+            count -= 1
         rows = flat[:count]
         left, right = _split_operands(rows, n, w)
         chart.split.append(reduce(left + right))
@@ -340,7 +344,7 @@ def _outside(chart: _Chart) -> np.ndarray:
     """
     n = chart.n
     g = np.zeros_like(chart.flat)
-    g[chart.row, chart.lengths - 1] = 1.0
+    g[chart.row, [m - 1 for m in chart.lengths]] = 1.0
     for w in range(n, 1, -1):
         value = chart.split[w][0]
         rows = slice(0, len(value))
@@ -357,54 +361,87 @@ def _outside(chart: _Chart) -> np.ndarray:
     return g
 
 
+class _Pass(NamedTuple):
+    """What one :func:`_inside_pass` leaves behind."""
+
+    potentials: np.ndarray  # (cells, L): every chart's span cells, packed
+    slots: list[slice]  # each chart's cells in the packed arrays, input order
+    cells: np.ndarray  # each packed cell's index into ``chart.flat.ravel()``
+    value: np.ndarray  # label reduction of each packed cell
+    arg: np.ndarray | None  # and its argument (CKY)
+    chart: _Chart
+
+
 def _inside_pass(
-    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], reduce=_logsumexp
-) -> tuple[list[tuple[np.ndarray, np.ndarray | None]], _Chart]:
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], reduce
+) -> _Pass:
     """The chart recursion over a checked, non-empty batch of charts.
 
-    Each chart's potentials (masked when its mask is not ``None``) are
-    built and label-reduced one chart at a time, then :func:`_chart_dp`
-    runs once over all of them.  Returns each chart's :func:`_label_reduce`
-    ``(value, argument)`` in input order and the kernel's :class:`_Chart`.
+    The unmasked charts (mask ``None``) come first.  Packs the potentials
+    of every span cell of every chart into one ``(cells, L)`` array, chart
+    after chart, each chart's cells in row-major order, so that one
+    :func:`_apply_mask` call adds the masks of the masked charts at the
+    end.  One ``reduce`` call takes the label part of every cell, on a
+    copy, so the potentials stay for :func:`_posteriors`; then
+    :func:`_chart_dp` runs once over the whole batch.
     """
-    spans = ~below_diagonal(max(chart.n for chart in charts))
-    parts = [
-        _label_reduce(_potentials(chart, mask), spans[: chart.n, : chart.n], reduce)
-        for chart, mask in zip(charts, masks)
-    ]
-    return parts, _chart_dp([value for value, _ in parts], reduce)
+    lengths = [chart.n for chart in charts]
+    sizes = [m * (m + 1) // 2 for m in lengths]
+    n = max(lengths)
+    spans = ~below_diagonal(n)
+    # ``scratch`` holds the mask weights, then the copy that ``reduce``
+    # overwrites.  One allocation for both: with glibc's malloc, two large
+    # arrays freed together go back to the system and every call faults
+    # them in again (a quarter of a 32 x 40 batched_masked_inside call).
+    n_labels = charts[0].s.shape[2]
+    potentials, scratch = np.empty((2, sum(sizes), n_labels))
+    starts = list(accumulate(sizes, initial=0))
+    slots = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    for chart, mask, slot in zip(charts, masks, slots):
+        keep = spans[: chart.n, : chart.n].ravel()
+        s = chart.s.reshape(-1, n_labels)
+        np.compress(keep, s, axis=0, out=potentials[slot])
+        if mask is not None:
+            m = mask.m.reshape(-1, n_labels)
+            np.compress(keep, m, axis=0, out=scratch[slot])
+    unmasked = sum(mask is None for mask in masks)
+    assert all(mask is None for mask in masks[:unmasked]), "unmasked charts first"
+    first_masked = starts[unmasked]
+    if first_masked < len(potentials):
+        _apply_mask(potentials[first_masked:], scratch[first_masked:])
+    np.copyto(scratch, potentials)
+    value, arg = reduce(scratch)
+    # Chart b's cell (i, j) is b * n * n + i * n + j in a stack of (n, n)
+    # squares; shift it to the chart's row of the flat chart.
+    row = _rows(lengths)
+    cells = np.flatnonzero(spans & (np.arange(n) < np.array(lengths)[:, None, None]))
+    cells += np.repeat(
+        [r * (n * (n + 1) + 1) - b * n * n for b, r in enumerate(row)], sizes
+    )
+    chart = _chart_dp(value, cells, lengths, reduce)
+    return _Pass(potentials, slots, cells, value, arg, chart)
 
 
-def _posteriors(
-    charts: Sequence[ScoreChart],
-    masks: Sequence[ChartMask | None],
-    parts: list[tuple[np.ndarray, np.ndarray | None]],
-    inside_pass: _Chart,
-) -> Iterator[np.ndarray]:
-    """Span-label posteriors ``mu = g * softmax_k(s)`` of each chart, in order.
+def _posteriors(inside_pass: _Pass) -> np.ndarray:
+    """Span-label posteriors ``mu = g * softmax_k(s)`` of every packed cell.
 
-    Takes the arguments and results of one log-sum-exp :func:`_inside_pass`;
-    ``g`` is the chart's square of :func:`_outside`, which runs at the
-    first step.  Each chart's potentials are built again here instead of
-    being kept from the label reduction, so one chart's are held at a time.
-    Each result is 0 below the diagonal.
+    Takes one log-sum-exp :func:`_inside_pass` and turns its packed
+    potentials into the posteriors in place, for the whole batch at once;
+    ``g`` is :func:`_outside` read at each cell's place in the flat chart.
+    Callers unpack each chart's cells (:func:`_unpack`) when they reach it.
     """
-    g = _outside(inside_pass)
-    below = below_diagonal(inside_pass.n)
-    for b, (chart, mask) in enumerate(zip(charts, masks)):
-        mu = _potentials(chart, mask) - parts[b][0][..., None]
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.exp(mu, out=mu)
-            mu *= inside_pass.square(g, b)[..., None]
-        mu[below[: chart.n, : chart.n]] = 0.0
-        # Rounding can overshoot 1 by an ulp; the posterior is a probability.
-        yield np.clip(mu, 0.0, 1.0, out=mu)
+    mu = inside_pass.potentials
+    mu -= inside_pass.value[:, None]
+    np.exp(mu, out=mu)
+    mu *= _outside(inside_pass.chart).ravel()[inside_pass.cells][:, None]
+    # Rounding can overshoot 1 by an ulp; the posterior is a probability.
+    return np.clip(mu, 0.0, 1.0, out=mu)
 
 
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _check_batch([chart], [None])
-    return float(_inside_pass([chart], [None])[1].roots()[0])
+    return float(_inside_pass([chart], [None], _logsumexp).chart.roots()[0])
 
 
 def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
@@ -414,7 +451,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     for ``log 0``; an all-ones mask reproduces :func:`inside` bit for bit.
     """
     _check_batch([chart], [mask])
-    return float(_inside_pass([chart], [mask])[1].roots()[0])
+    return float(_inside_pass([chart], [mask], _logsumexp).chart.roots()[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -467,8 +504,8 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> MarginalChart
     respect to each potential ``s[i, j, k]``.
     """
     _check_batch([chart], [mask])
-    parts, inside_pass = _inside_pass([chart], [mask])
-    return MarginalChart(mu=next(_posteriors([chart], [mask], parts, inside_pass)))
+    mu = _posteriors(_inside_pass([chart], [mask], _logsumexp))
+    return MarginalChart(mu=_unpack(mu, chart.n))
 
 
 def loss_and_score_gradient(
@@ -488,26 +525,27 @@ def batch_loss_and_score_gradient(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """:func:`loss_and_score_gradient` of each sentence, in input order.
 
-    Each sentence's unmasked and masked charts, whatever their lengths,
-    run through the kernel as one batch, in that order, so every value is
-    bit-identical to ``inside - masked_inside`` and to the difference of
-    the two :func:`marginals`.  Arguments are checked and the inside pass
-    runs at the call; each sentence's gradient is built only when the
-    iterator reaches it, so one gradient is held at a time.
+    Every sentence's unmasked chart and then every sentence's masked
+    chart, whatever their lengths, run through the kernel as one batch, so
+    every value is bit-identical to ``inside - masked_inside`` and to the
+    difference of the two :func:`marginals`.  Arguments are checked and
+    the inside pass and the posteriors for the whole batch run at the
+    call; each sentence's gradient is unpacked only when the iterator
+    reaches it.
     """
     _check_batch(charts, masks)
     if not charts:
         return iter(())
-    both = [chart for chart in charts for _ in range(2)]
-    both_masks = [m for mask in masks for m in (None, mask)]
-    parts, inside_pass = _inside_pass(both, both_masks)
-    roots = inside_pass.roots()
-    mus = _posteriors(both, both_masks, parts, inside_pass)
+    count = len(charts)
+    inside_pass = _inside_pass(
+        [*charts, *charts], [None] * count + list(masks), _logsumexp
+    )
+    roots = inside_pass.chart.roots()
+    mu = _posteriors(inside_pass)
+    unmasked, masked = inside_pass.slots[:count], inside_pass.slots[count:]
     return (
-        (float(unmasked - masked), mu_unmasked - mu_masked)
-        for unmasked, masked, (mu_unmasked, mu_masked) in zip(
-            roots[::2], roots[1::2], zip(mus, mus)
-        )
+        (float(roots[b] - roots[count + b]), _unpack(mu[u] - mu[m], chart.n))
+        for b, (chart, u, m) in enumerate(zip(charts, unmasked, masked))
     )
 
 
@@ -518,15 +556,16 @@ def cky_decode(chart: ScoreChart) -> FullTree:
     split point (numpy argmax picks the first maximum).
     """
     _check_batch([chart], [None])
-    [(_, label_arg)], best = _inside_pass([chart], [None], _max_argmax)
+    best = _inside_pass([chart], [None], _max_argmax)
     n = chart.n
     nodes: list[tuple[int, int, int]] = []
     stack = [(0, n - 1)]
     while stack:
         i0, j0 = stack.pop()
-        nodes.append((i0, j0, int(label_arg[i0, j0])))
+        # packed after rows r < i0 of n - r cells each: i0 * n - i0 * (i0 - 1) / 2
+        nodes.append((i0, j0, int(best.arg[i0 * n - i0 * (i0 + 1) // 2 + j0])))
         if i0 < j0:
-            m = i0 + int(best.split[j0 - i0 + 1][1][0, i0])
+            m = i0 + int(best.chart.split[j0 - i0 + 1][1][0, i0])
             stack.append((m + 1, j0))
             stack.append((i0, m))
     return FullTree(n=n, nodes=tuple(nodes))
@@ -586,4 +625,4 @@ def batched_masked_inside(
     _check_batch(charts, masks)
     if not charts:
         return np.zeros(0)
-    return _inside_pass(charts, masks)[1].roots()
+    return _inside_pass(charts, masks, _logsumexp).chart.roots()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecrf import (
+    ChartMask,
     CrossingSpans,
     EmptySentence,
     EmptySpan,
@@ -245,6 +246,23 @@ class TestSmoothMask:
         base = build_mask(sym, schema2)
         with pytest.raises(BadConfig):
             smooth_mask(base, sym, 1.0)
+
+
+class TestChartMask:
+    @pytest.mark.parametrize("weight", [np.nan, -1.0, 2.0, np.inf])
+    def test_weight_outside_unit_interval_raises(self, weight):
+        # one cell of a 3x3x2 mask of zeros; unchecked, NaN and -1 act as
+        # weight 0 and inf turns masked_inside into NaN
+        m = np.zeros((3, 3, 2))
+        m[0, 2, 1] = weight
+        with pytest.raises(BadConfig):
+            ChartMask(n=3, m=m)
+
+    def test_weights_in_unit_interval_accepted(self):
+        m = np.zeros((3, 3, 2))
+        m[0, 2] = (0.0, 1.0)
+        m[1, 1] = (0.5, 5e-324)
+        assert ChartMask(n=3, m=m).n_labels == 2
 
 
 class TestPartialTree:

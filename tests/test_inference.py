@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -540,11 +541,11 @@ class TestBatchLossAndScoreGradient:
             np.testing.assert_array_equal(grad, expected_grad)
 
     def test_mixed_lengths_bitwise_in_input_order(self, schema3):
-        # lengths 1..30, some repeated, shuffled so that the longest-first
-        # rows of the kernel differ from the input order; cells below the
-        # diagonal are NaN
+        # lengths 1..30, some repeated, and a few long ones, shuffled so
+        # that the longest-first rows of the kernel differ from the input
+        # order; cells below the diagonal are NaN
         rng = np.random.default_rng(18)
-        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30])
+        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30, 45, 76, 100])
         charts, masks = self._sentences(lengths, schema3, rng)
         self._assert_matches_per_sentence(charts, masks)
 
@@ -552,13 +553,31 @@ class TestBatchLossAndScoreGradient:
         # the loss and gradient come from the same inside pass and sweep as
         # inside, masked_inside and marginals, so they match them exactly
         rng = np.random.default_rng(21)
-        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30])
+        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30, 45, 76, 100])
         charts, masks = self._sentences(lengths, schema3, rng)
         for chart, mask in zip(charts, masks):
             loss, grad = loss_and_score_gradient(chart, mask)
             assert loss == inside(chart) - masked_inside(chart, mask)
             expected = marginals(chart).mu - marginals(chart, mask).mu
             assert np.array_equal(grad, expected)
+
+    @pytest.mark.parametrize("count", [1, 4, 16])
+    def test_one_mask_and_label_reduction_per_batch(self, schema3, count):
+        # the masks, the label reduction and the kernel run once per batch,
+        # whatever its size: one _apply_mask call and n _logsumexp calls
+        # (1 label reduction + n - 1 widths), n the longest length
+        rng = np.random.default_rng(22)
+        n = 12
+        lengths = rng.permutation([n, *rng.integers(1, n + 1, size=count - 1)])
+        charts, masks = self._sentences(lengths, schema3, rng)
+        with mock.patch.object(
+            inference_module, "_apply_mask", wraps=inference_module._apply_mask
+        ) as apply_mask, mock.patch.object(
+            inference_module, "_logsumexp", wraps=inference_module._logsumexp
+        ) as logsumexp:
+            assert len(list(batch_loss_and_score_gradient(charts, masks))) == count
+        assert apply_mask.call_count == 1
+        assert logsumexp.call_count == n
 
     def test_batch_of_one(self, schema3):
         rng = np.random.default_rng(19)
