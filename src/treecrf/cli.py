@@ -64,15 +64,17 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epsilon", type=float, default=0.01,
+    d = TrainConfig()
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--epsilon", type=float, default=d.epsilon_smoothing,
                    help="structure smoothing for rejected cells")
-    p.add_argument("--latent", type=int, default=1, help="latent label count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--hidden-dim", type=int, default=32)
+    p.add_argument("--latent", type=int, default=d.latent_label_count,
+                   help="latent label count")
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--batch", type=int, default=d.batch_size)
+    p.add_argument("--embed-dim", type=int, default=d.embed_dim)
+    p.add_argument("--hidden-dim", type=int, default=d.hidden_dim)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -155,6 +157,11 @@ class _CheckResult:
     worst: float
     detail: str = ""
 
+    def add(self, err: float, failed: bool) -> None:
+        self.cases += 1
+        self.worst = max(self.worst, err)
+        self.failures += failed
+
     def line(self) -> str:
         status = "PASS" if self.failures == 0 else "FAIL"
         extra = f"  {self.detail}" if self.detail else ""
@@ -179,6 +186,8 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         )
     if max_n < 1 or cases < 1:
         raise BadConfig("--max-n and --cases must be positive")
+    if seed < 0:
+        raise BadConfig("--seed must be non-negative")
     rng = np.random.default_rng(seed)
 
     partition = _CheckResult("inside equals enumerated log-partition", 0, 0, 0.0)
@@ -202,17 +211,13 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
 
         log_z = oracle.brute_force_log_z(chart)
         err = abs(inside(chart) - log_z)
-        partition.cases += 1
-        partition.worst = max(partition.worst, err)
-        partition.failures += err > 1e-8
+        partition.add(err, err > 1e-8)
 
         mi = masked_inside(chart, mask)
         vp = vanilla_partial_marginalization(chart, symbols)
         bf = oracle.brute_force_partial_score(chart, symbols)
         err = max(abs(mi - vp), abs(mi - bf))
-        three_way.cases += 1
-        three_way.worst = max(three_way.worst, err)
-        three_way.failures += err > 1e-6
+        three_way.add(err, err > 1e-6)
 
         mu = marginals(chart).mu
         node_count = abs(mu.sum() - (2 * n - 1))
@@ -228,14 +233,13 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
         sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked))
         err = max(node_count, leaf_root, vs_oracle, vs_oracle_masked)
-        marginal.cases += 1
-        marginal.worst = max(marginal.worst, err)
-        marginal.failures += (
+        marginal.add(
+            err,
             node_count > 1e-6
             or leaf_root > 1e-9
             or not bounds_ok
             or vs_oracle > 1e-6
-            or vs_oracle_masked > 1e-6
+            or vs_oracle_masked > 1e-6,
         )
 
         decoded = cky_decode(chart)
@@ -243,16 +247,13 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         same = decoded.nodes == best.nodes and tree_score(chart, decoded) == tree_score(
             chart, best
         )
-        decode.cases += 1
-        decode.failures += not same
+        decode.add(0.0, not same)
 
         target = oracle.random_chart(n, schema, rng)
         probe = cky_decode(target)
         tree_mask = inference.mask_from_full_tree(probe, schema)
         err = abs(masked_inside(chart, tree_mask) - tree_score(chart, probe))
-        full_eval.cases += 1
-        full_eval.worst = max(full_eval.worst, err)
-        full_eval.failures += err > 1e-6
+        full_eval.add(err, err > 1e-6)
 
     # The cases again, as shuffled batches of 1 to 8 sentences of mixed
     # lengths; a batch shares one label count.
@@ -268,9 +269,7 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
             results = batch_loss_and_score_gradient(charts, masks)
             for (loss, grad), want_loss, want_grad in zip(results, losses, grads):
                 err = max(abs(loss - want_loss), np.abs(grad - want_grad).max())
-                batched.cases += 1
-                batched.worst = max(batched.worst, err)
-                batched.failures += err > 1e-6
+                batched.add(err, err > 1e-6)
     return [partition, three_way, marginal, decode, full_eval, batched]
 
 
@@ -298,6 +297,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise BadConfig(
             "--batch, --length, --repeats must be positive and --labels >= 2"
         )
+    if args.seed < 0:
+        raise BadConfig("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     schema = LabelSchema(
         observed_labels=tuple(f"L{i}" for i in range(args.labels - 1)),
@@ -393,12 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic nested-entity corpus")
     p.add_argument("--out", required=True)
+    d = SynthConfig(num_sentences=1)
     p.add_argument("--sentences", type=int, default=2000)
-    p.add_argument("--types", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab", type=int, default=50)
-    p.add_argument("--max-length", type=int, default=20)
+    p.add_argument("--types", type=int, default=d.num_entity_types)
+    p.add_argument("--depth", type=int, default=d.max_nesting_depth)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--vocab", type=int, default=d.vocab_size)
+    p.add_argument("--max-length", type=int, default=d.max_length)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on a corpus")

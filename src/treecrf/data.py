@@ -67,14 +67,16 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_sentences < 1:
             raise BadConfig("num_sentences must be at least 1")
-        if self.vocab_size < 1:
-            raise BadConfig("vocab_size must be at least 1")
+        if not 1 <= self.vocab_size <= np.iinfo(np.int64).max:
+            raise BadConfig("vocab_size must be between 1 and 2**63 - 1")
         if self.num_entity_types < 1:
             raise BadConfig("num_entity_types must be at least 1")
         if self.max_nesting_depth < 1:
             raise BadConfig("max_nesting_depth must be at least 1")
         if self.max_length < 3:
             raise BadConfig("max_length must be at least 3")
+        if self.seed < 0:
+            raise BadConfig("seed must be non-negative")
         if self.max_nesting_depth >= 2:
             if self.num_entity_types < 2:
                 raise BadConfig("nesting requires at least 2 entity types")

@@ -15,36 +15,36 @@ first, substituting ``LOG_ZERO`` for ``log 0``; with an all-ones mask this
 is bit-identical to the plain recursion, and with a mask built from a full
 tree it degenerates to evaluating that tree.
 
-One kernel, :func:`_chart_dp`, runs this recursion for every algorithm
-here, with the reduction as a parameter: log-sum-exp for the inside pass
-and max with first argmax for CKY.  It takes a batch of charts of mixed
-lengths.  The split part runs width by width over one flat array that
-holds the charts as rows, longest first, in the layout of the longest
-one, so that at width ``w`` only the prefix of rows at least ``w`` long
-takes part.  The split operands of a whole diagonal are strided views of
-that array, which keeps every cell also at its mirror below the
-diagonal.  Each chart's result sits at its own root, ``(0, n_b - 1)``.
+One kernel, :func:`_inside_pass`, runs this recursion for every
+algorithm here, with the reduction as a parameter: log-sum-exp for the
+inside pass and max with first argmax for CKY.  It takes a batch of
+charts of mixed lengths; a single sentence is a batch of one.  Everything
+done per cell runs on a packed layout: one ``(cells, L)`` array holds the
+span cells of every chart, chart after chart, each chart's cells in
+row-major order (those of ``~below_diagonal(n_b)``) and the unmasked
+charts first.  One :func:`_apply_mask` call adds the log-masks of all
+masked charts and one reduction takes the label part of every cell.  The
+split part runs width by width over one flat array that holds the charts
+as rows, longest first, in the layout of the longest one, so that at
+width ``w`` only the prefix of rows at least ``w`` long takes part.  The
+split operands of a whole diagonal are strided views of that array, which
+keeps every cell also at its mirror below the diagonal.  Each chart's
+result sits at its own root, ``(0, n_b - 1)``.  The pass's result,
+:class:`_Pass`, owns that layout: the packed arrays, the flat chart, each
+cell's and each root's place in it and the per-width split reductions.
 
-Everything done per cell runs on a packed layout: one ``(cells, L)``
-array holds the span cells of every chart of a batch, chart after chart,
-each chart's cells in row-major order (those of ``~below_diagonal(n_b)``)
-and the unmasked charts first.  Every structured entry point is one
-:func:`_check_batch` (masks may be ``None``, unmasked) and one
-:func:`_inside_pass`, which gathers each chart's cells into that array,
-adds the log-masks of all masked charts in one :func:`_apply_mask` call,
-takes the label part of every cell in one reduction, scatters it into
-the flat chart in one step and runs the kernel once; a single sentence
-is a batch of one.  Posteriors are the gradient of the roots:
-:func:`_posteriors` takes it by one reverse sweep over the same views
-(inside-outside as backpropagation) from every row's own root, and turns
-the packed potentials of the whole batch into posteriors in place.  Each
-chart's ``(n_b, n_b, L)`` result is unpacked only when the caller
-reaches it.  :func:`batch_loss_and_score_gradient` runs every sentence's
-unmasked and masked charts through that pair as one batch, so its values
-equal ``inside - masked_inside`` and the difference of the two
-:func:`marginals` bit for bit.  :func:`vanilla_partial_marginalization`
-keeps its own cell-by-cell loop as the reference the kernel is checked
-against.
+Every structured entry point is one :func:`_check_batch` (masks may be
+``None``, unmasked) and one :func:`_inside_pass`.  Posteriors are the
+gradient of the roots: :func:`_posteriors` takes it by one reverse sweep
+over the same views (inside-outside as backpropagation) from every row's
+own root, and turns the packed potentials of the whole batch into
+posteriors in place.  Each chart's ``(n_b, n_b, L)`` result is unpacked
+only when the caller reaches it.  :func:`batch_loss_and_score_gradient`
+runs every sentence's unmasked and masked charts through that pair as one
+batch, so its values equal ``inside - masked_inside`` and the difference
+of the two :func:`marginals` bit for bit.
+:func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
+as the reference the kernel is checked against.
 
 Score cells below the diagonal (``i > j``, see
 :func:`treecrf.chart.below_diagonal`) are unspecified: they may hold any
@@ -139,38 +139,24 @@ class FullTree:
         n = self.n
         if len(nodes) != 2 * n - 1:
             raise ValueError(f"expected {2 * n - 1} nodes, got {len(nodes)}")
-        spans = [(i, j) for i, j, _ in nodes]
-        span_set = set(spans)
-        if len(span_set) != len(spans):
-            raise ValueError("duplicate spans in tree")
         for i, j, k in nodes:
             if not (0 <= i <= j < n) or k < 0:
                 raise ValueError(f"bad node ({i}, {j}, {k})")
-        ends_by_start: dict[int, list[int]] = {}
-        for i, j in spans:
-            ends_by_start.setdefault(i, []).append(j)
-        splits: dict[tuple[int, int], int] = {}
-        stack = [(0, n - 1)]
-        if (0, n - 1) not in span_set:
-            raise ValueError("root span missing")
-        visited = 0
-        while stack:
-            i, j = stack.pop()
-            visited += 1
-            if i == j:
-                continue
-            inner = [e for e in ends_by_start.get(i, ()) if e < j]
-            if not inner:
-                raise ValueError(f"span ({i}, {j}) has no left child")
-            m = max(inner)
-            if (m + 1, j) not in span_set:
-                raise ValueError(f"span ({i}, {j}) has no right child at {m + 1}")
-            splits[(i, j)] = m
-            stack.append((i, m))
-            stack.append((m + 1, j))
-        if visited != len(nodes):
-            raise ValueError("spans do not form a single binary bracketing")
-        object.__setattr__(self, "splits", splits)
+        # One preorder walk: each node must be the next span due, and an
+        # internal span (i, j) comes right before its left child (i, m),
+        # which gives the split.  The nodes walked so far are a preorder
+        # prefix of some bracketing, whose 2n - 1 nodes end in a leaf, so
+        # an internal node is never the last one.
+        due = [(0, n - 1)]  # spans still to come, the next one last
+        for at, (i, j, _) in enumerate(nodes):
+            if due.pop() != (i, j):
+                raise ValueError("spans do not form a single binary bracketing")
+            if i < j:
+                m = nodes[at + 1][1]
+                if m >= j:
+                    raise ValueError(f"span ({i}, {j}) has no left child")
+                self.splits[(i, j)] = m
+                due += [(m + 1, j), (i, m)]
 
     def label_of(self) -> dict[tuple[int, int], int]:
         return {(i, j): k for i, j, k in self.nodes}
@@ -264,112 +250,30 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class _Chart(NamedTuple):
-    """What one run of :func:`_chart_dp` leaves behind.
+class _Pass(NamedTuple):
+    """What one :func:`_inside_pass` leaves behind.
 
     ``flat`` holds one chart per row, longest first, all in the layout of
     the longest length ``n`` (see :func:`_stripe`; cell ``(i, j)`` is also
-    stored at its mirror ``(j, i)``).  ``row`` and ``lengths`` are in the
-    order the charts were given.
+    stored at its mirror ``(j, i)``).  Positions index ``flat.ravel()``;
+    per-chart fields are in the order the charts were given.
     """
 
+    potentials: np.ndarray  # (cells, L): every chart's span cells, packed
+    slots: list[slice]  # each chart's cells in the packed arrays
+    value: np.ndarray  # label reduction of each packed cell
+    arg: np.ndarray | None  # and its argument (CKY)
     flat: np.ndarray
     n: int
-    row: list[int]  # row of ``flat`` that holds each chart, see :func:`_rows`
-    lengths: list[int]  # each chart's own length
+    cells: np.ndarray  # each packed cell's position
+    root_cells: np.ndarray  # each chart's root position, cell (0, n_b - 1)
     # per width w >= 2: split reduction (value, argument) of the rows whose
     # charts are at least w long, (rows, n - w + 1)
     split: list
 
     def roots(self) -> np.ndarray:
-        """Each chart's value at its own root cell ``(0, n_b - 1)``."""
-        return self.flat[self.row, [m - 1 for m in self.lengths]]
-
-
-def _rows(lengths: Sequence[int]) -> list[int]:
-    """The row of the flat chart that holds each chart: longest first."""
-    row = [0] * len(lengths)
-    for r, b in enumerate(sorted(range(len(lengths)), key=lambda b: -lengths[b])):
-        row[b] = r
-    return row
-
-
-def _chart_dp(
-    labels: np.ndarray, cells: np.ndarray, lengths: Sequence[int], reduce
-) -> _Chart:
-    """The chart recursion over a batch of charts, from their label parts.
-
-    ``labels`` holds the label part of every span cell of every chart, and
-    ``cells`` where each goes in the flat chart's ``ravel()``: cell ``(i,
-    j)`` of the chart in row ``r`` (:func:`_rows`) at ``r * (n * (n + 1) +
-    1) + i * n + j``, ``n`` the longest of ``lengths``.  Charts may differ
-    in length.  ``reduce`` maps a fresh array, which it may overwrite, to
-    ``(value, argument)`` over its last axis: :func:`_logsumexp` for
-    inside, :func:`_max_argmax` for CKY.  One scatter seeds the flat chart
-    with the label parts; then the split recursion runs one width at a
-    time over all start positions of every row long enough for that width
-    (a prefix, since rows are longest first), reading the split operands
-    as stripes.  Cells of a row past its own length hold finite values
-    that no cell of its chart reads, because a cell's splits stay inside
-    its span.
-    """
-    n = max(lengths)
-    flat = np.zeros((len(lengths), n * (n + 1) + 1))
-    flat.ravel()[cells] = labels
-    chart = _Chart(flat, n, _rows(lengths), lengths, split=[None, None])
-    descending = sorted(lengths, reverse=True)
-    count = len(lengths)  # rows at least w long
-    for w in range(2, n + 1):
-        while descending[count - 1] < w:
-            count -= 1
-        rows = flat[:count]
-        left, right = _split_operands(rows, n, w)
-        chart.split.append(reduce(left + right))
-        upper, mirror = _cells(rows, n, w)
-        upper += chart.split[w][0]
-        mirror[...] = upper
-    return chart
-
-
-def _outside(chart: _Chart) -> np.ndarray:
-    """``g = d logZ / d beta`` of every chart, laid out as ``chart.flat``.
-
-    One reverse sweep over the inside pass's stripes: ``g`` starts at 1 on
-    each row's own root and flows from each cell to both children of each
-    split, weighted by the softmax of the split scores, over the same rows
-    as the inside pass at each width.  Left children collect their share
-    in the upper triangle and right children at their mirror, so each
-    update writes distinct cells; a cell adds its two parts when its own
-    width comes up.  Only the upper triangle of the result is meaningful.
-    """
-    n = chart.n
-    g = np.zeros_like(chart.flat)
-    g[chart.row, [m - 1 for m in chart.lengths]] = 1.0
-    for w in range(n, 1, -1):
-        value = chart.split[w][0]
-        rows = slice(0, len(value))
-        upper, mirror = _cells(g[rows], n, w)
-        upper += mirror
-        left, right = _split_operands(chart.flat[rows], n, w)
-        share = left + right
-        share -= value[..., None]
-        np.exp(share, out=share)
-        share *= upper[..., None]
-        to_left, to_right = _split_operands(g[rows], n, w)
-        to_left += share
-        to_right += share
-    return g
-
-
-class _Pass(NamedTuple):
-    """What one :func:`_inside_pass` leaves behind."""
-
-    potentials: np.ndarray  # (cells, L): every chart's span cells, packed
-    slots: list[slice]  # each chart's cells in the packed arrays, input order
-    cells: np.ndarray  # each packed cell's index into ``chart.flat.ravel()``
-    value: np.ndarray  # label reduction of each packed cell
-    arg: np.ndarray | None  # and its argument (CKY)
-    chart: _Chart
+        """Each chart's value at its own root."""
+        return self.flat.ravel()[self.root_cells]
 
 
 def _inside_pass(
@@ -377,13 +281,21 @@ def _inside_pass(
 ) -> _Pass:
     """The chart recursion over a checked, non-empty batch of charts.
 
-    The unmasked charts (mask ``None``) come first.  Packs the potentials
-    of every span cell of every chart into one ``(cells, L)`` array, chart
-    after chart, each chart's cells in row-major order, so that one
-    :func:`_apply_mask` call adds the masks of the masked charts at the
-    end.  One ``reduce`` call takes the label part of every cell, on a
-    copy, so the potentials stay for :func:`_posteriors`; then
-    :func:`_chart_dp` runs once over the whole batch.
+    The unmasked charts (mask ``None``) come first; charts may differ in
+    length.  Packs the potentials of every span cell of every chart into
+    one ``(cells, L)`` array, chart after chart, each chart's cells in
+    row-major order, so that one :func:`_apply_mask` call adds the masks
+    of the masked charts at the end.  ``reduce`` maps a fresh array, which
+    it may overwrite, to ``(value, argument)`` over its last axis:
+    :func:`_logsumexp` for inside, :func:`_max_argmax` for CKY.  One
+    ``reduce`` call takes the label part of every cell, on a copy, so the
+    potentials stay for :func:`_posteriors`, and one scatter seeds the
+    flat chart with it.  Then the split recursion runs one width at a time
+    over all start positions of every row long enough for that width (a
+    prefix, since rows are longest first), reading the split operands as
+    stripes.  Cells of a row past its own length hold finite values that
+    no cell of its chart reads, because a cell's splits stay inside its
+    span.
     """
     lengths = [chart.n for chart in charts]
     sizes = [m * (m + 1) // 2 for m in lengths]
@@ -411,15 +323,62 @@ def _inside_pass(
         _apply_mask(potentials[first_masked:], scratch[first_masked:])
     np.copyto(scratch, potentials)
     value, arg = reduce(scratch)
-    # Chart b's cell (i, j) is b * n * n + i * n + j in a stack of (n, n)
-    # squares; shift it to the chart's row of the flat chart.
-    row = _rows(lengths)
-    cells = np.flatnonzero(spans & (np.arange(n) < np.array(lengths)[:, None, None]))
-    cells += np.repeat(
-        [r * (n * (n + 1) + 1) - b * n * n for b, r in enumerate(row)], sizes
+    # Rows longest first, in a stable order.  Chart b's cell (i, j) is
+    # b * n * n + i * n + j in a stack of (n, n) squares; shift it to the
+    # chart's row.
+    count = len(charts)
+    order = sorted(range(count), key=lambda b: -lengths[b])
+    row = np.empty(count, dtype=int)
+    row[order] = range(count)
+    stride = n * (n + 1) + 1
+    ends = np.array(lengths) - 1
+    cells = np.flatnonzero(spans & (np.arange(n) <= ends[:, None, None]))
+    cells += np.repeat(row * stride - np.arange(count) * n * n, sizes)
+    flat = np.zeros((count, stride))
+    flat.ravel()[cells] = value
+    split = [None, None]
+    for w in range(2, n + 1):
+        while lengths[order[count - 1]] < w:
+            count -= 1  # rows at least w long
+        rows = flat[:count]
+        left, right = _split_operands(rows, n, w)
+        split.append(reduce(left + right))
+        upper, mirror = _cells(rows, n, w)
+        upper += split[w][0]
+        mirror[...] = upper
+    return _Pass(
+        potentials, slots, value, arg, flat, n, cells, row * stride + ends, split
     )
-    chart = _chart_dp(value, cells, lengths, reduce)
-    return _Pass(potentials, slots, cells, value, arg, chart)
+
+
+def _outside(inside_pass: _Pass) -> np.ndarray:
+    """``g = d logZ / d beta`` of every chart, laid out as the flat chart.
+
+    One reverse sweep over the inside pass's stripes: ``g`` starts at 1 on
+    each row's own root and flows from each cell to both children of each
+    split, weighted by the softmax of the split scores, over the same rows
+    as the inside pass at each width.  Left children collect their share
+    in the upper triangle and right children at their mirror, so each
+    update writes distinct cells; a cell adds its two parts when its own
+    width comes up.  Only the upper triangle of the result is meaningful.
+    """
+    n, flat = inside_pass.n, inside_pass.flat
+    g = np.zeros_like(flat)
+    g.ravel()[inside_pass.root_cells] = 1.0
+    for w in range(n, 1, -1):
+        value = inside_pass.split[w][0]
+        rows = slice(0, len(value))
+        upper, mirror = _cells(g[rows], n, w)
+        upper += mirror
+        left, right = _split_operands(flat[rows], n, w)
+        share = left + right
+        share -= value[..., None]
+        np.exp(share, out=share)
+        share *= upper[..., None]
+        to_left, to_right = _split_operands(g[rows], n, w)
+        to_left += share
+        to_right += share
+    return g
 
 
 def _posteriors(inside_pass: _Pass) -> np.ndarray:
@@ -433,7 +392,7 @@ def _posteriors(inside_pass: _Pass) -> np.ndarray:
     mu = inside_pass.potentials
     mu -= inside_pass.value[:, None]
     np.exp(mu, out=mu)
-    mu *= _outside(inside_pass.chart).ravel()[inside_pass.cells][:, None]
+    mu *= _outside(inside_pass).ravel()[inside_pass.cells][:, None]
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0, out=mu)
 
@@ -441,7 +400,7 @@ def _posteriors(inside_pass: _Pass) -> np.ndarray:
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _check_batch([chart], [None])
-    return float(_inside_pass([chart], [None], _logsumexp).chart.roots()[0])
+    return float(_inside_pass([chart], [None], _logsumexp).roots()[0])
 
 
 def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
@@ -451,7 +410,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     for ``log 0``; an all-ones mask reproduces :func:`inside` bit for bit.
     """
     _check_batch([chart], [mask])
-    return float(_inside_pass([chart], [mask], _logsumexp).chart.roots()[0])
+    return float(_inside_pass([chart], [mask], _logsumexp).roots()[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -540,7 +499,7 @@ def batch_loss_and_score_gradient(
     inside_pass = _inside_pass(
         [*charts, *charts], [None] * count + list(masks), _logsumexp
     )
-    roots = inside_pass.chart.roots()
+    roots = inside_pass.roots()
     mu = _posteriors(inside_pass)
     unmasked, masked = inside_pass.slots[:count], inside_pass.slots[count:]
     return (
@@ -565,7 +524,7 @@ def cky_decode(chart: ScoreChart) -> FullTree:
         # packed after rows r < i0 of n - r cells each: i0 * n - i0 * (i0 - 1) / 2
         nodes.append((i0, j0, int(best.arg[i0 * n - i0 * (i0 + 1) // 2 + j0])))
         if i0 < j0:
-            m = i0 + int(best.chart.split[j0 - i0 + 1][1][0, i0])
+            m = i0 + int(best.split[j0 - i0 + 1][1][0, i0])
             stack.append((m + 1, j0))
             stack.append((i0, m))
     return FullTree(n=n, nodes=tuple(nodes))
@@ -617,12 +576,12 @@ def batched_masked_inside(
 ) -> np.ndarray:
     """Masked inside over a batch of sentences in one kernel call.
 
-    Sentences may differ in length (see :func:`_chart_dp`); each result is
-    read at the sentence's own root cell, and every cell runs the same
+    Sentences may differ in length (see :func:`_inside_pass`); each result
+    is read at the sentence's own root cell, and every cell runs the same
     operations as in :func:`masked_inside`, so values are bitwise identical
     to the per-sentence computation regardless of batch composition.
     """
     _check_batch(charts, masks)
     if not charts:
         return np.zeros(0)
-    return _inside_pass(charts, masks, _logsumexp).chart.roots()
+    return _inside_pass(charts, masks, _logsumexp).roots()

@@ -80,6 +80,8 @@ class TrainConfig:
             raise BadConfig("epochs and batch_size must be positive")
         if self.latent_label_count < 1:
             raise BadConfig("latent_label_count must be at least 1")
+        if self.seed < 0:
+            raise BadConfig("seed must be non-negative")
 
 
 @dataclass

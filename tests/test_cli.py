@@ -8,8 +8,9 @@ import pytest
 
 import treecrf
 from treecrf import load_model, read_corpus, save_model, validate_annotation
-from treecrf.cli import main
+from treecrf.cli import _train_config, build_parser, main
 from treecrf.data import corpus_schema
+from treecrf.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,48 @@ class TestTrainCommand:
         assert rc == 1
         assert re.match(r"error: sentence \d+ \(length \d+\), scorer forward: ", err)
         assert "Traceback" not in err
+
+
+class TestDefaults:
+    def test_bare_train_flags_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "X", "--model", "Y"])
+        assert _train_config(args) == TrainConfig()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "-1"],
+        ["gen", "--vocab", "100000000000000000000"],
+        ["train", "--seed", "-1"],
+        ["sweep-latent", "--seed", "-1", "--counts", "1"],
+        ["selfcheck", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
+    ],
+    ids=["gen-seed", "gen-vocab", "train-seed", "sweep-seed", "selfcheck-seed",
+         "bench-seed"],
+)
+def test_out_of_range_integer_is_usage_error(argv, corpus_path, tmp_path):
+    command = argv[0]
+    if command == "gen":
+        argv = argv + ["--out", str(tmp_path / "out.jsonl")]
+    elif command in ("train", "sweep-latent"):
+        argv = argv + ["--data", corpus_path]
+        if command == "train":
+            argv += ["--model", str(tmp_path / "m")]
+    # a child process, so that a traceback reaches stderr as it would for
+    # a user
+    src = os.path.dirname(os.path.dirname(treecrf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecrf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestPredictEval:

@@ -1,8 +1,12 @@
+import functools
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecrf import (
     LOG_ZERO,
@@ -32,7 +36,7 @@ from treecrf import (
 )
 from treecrf import inference as inference_module
 from treecrf import scorer as scorer_module
-from treecrf.oracle import catalan, random_chart, random_partial_tree
+from treecrf.oracle import _structures, catalan, random_chart, random_partial_tree
 from treecrf.scorer import (
     ScorerConfig,
     Vocab,
@@ -403,6 +407,104 @@ class TestFullTree:
             (0, 0, 0),
             (1, 1, 0),
         )
+
+
+@functools.cache
+def _bracketings(n):
+    """Each binary bracketing over ``n`` tokens: sorted spans -> splits."""
+    return {
+        tuple(sorted((i, j) for i, j, _ in structure)): {
+            (i, j): m for i, j, m in structure if m >= 0
+        }
+        for structure in _structures(0, n - 1)
+    }
+
+
+def _expected_splits(n, nodes):
+    """The splits of the bracketing ``nodes`` label, or None if they do not."""
+    if any(k < 0 for *_, k in nodes):
+        return None
+    return _bracketings(n).get(tuple(sorted((i, j) for i, j, _ in nodes)))
+
+
+@st.composite
+def _node_lists(draw):
+    """``2n - 1`` labeled spans: a bracketing with some nodes redrawn."""
+    n = draw(st.integers(1, 5))
+    spans = draw(st.sampled_from(sorted(_bracketings(n))))
+    nodes = [(i, j, draw(st.integers(0, 2))) for i, j in spans]
+    coord = st.integers(-1, n)
+    for _ in range(draw(st.integers(0, len(nodes)))):
+        at = draw(st.integers(0, len(nodes) - 1))
+        nodes[at] = (draw(coord), draw(coord), draw(st.integers(-1, 2)))
+    return n, tuple(draw(st.permutations(nodes)))
+
+
+class TestFullTreeAcceptance:
+    """FullTree accepts exactly the binary bracketings, with their splits."""
+
+    def _check(self, n, nodes):
+        splits = _expected_splits(n, nodes)
+        if splits is None:
+            with pytest.raises(ValueError):
+                FullTree(n=n, nodes=nodes)
+        else:
+            assert FullTree(n=n, nodes=nodes).splits == splits
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_bracketing_in_any_order(self, n):
+        rng = np.random.default_rng(n)
+        for spans in _bracketings(n):
+            nodes = [(i, j, int(rng.integers(0, 3))) for i, j in spans]
+            rng.shuffle(nodes)
+            self._check(n, tuple(nodes))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_multiset_of_spans(self, n):
+        spans = [(i, j) for i in range(n) for j in range(i, n)]
+        accepted = 0
+        for chosen in itertools.combinations_with_replacement(spans, 2 * n - 1):
+            nodes = tuple((i, j, 0) for i, j in chosen)
+            self._check(n, nodes)
+            accepted += _expected_splits(n, nodes) is not None
+        assert accepted == catalan(n - 1)
+
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [
+            (3, ((0, 2, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0), (2, 2, 0))),
+            (3, ((0, 2, 0), (0, 2, 1), (0, 0, 0), (1, 1, 0), (2, 2, 0))),
+            (3, ((0, 2, 0), (0, 1, 0), (1, 2, 0), (0, 0, 0), (1, 1, 0))),
+            (4, ((0, 3, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0), (2, 3, 0), (0, 2, 0),
+                 (3, 3, 0))),
+            (3, ((0, 1, 0), (0, 0, 0), (1, 1, 0), (2, 2, 0), (1, 2, 0))),
+            (2, ((0, 1, 0), (0, 0, 0), (1, 2, 0))),
+            (2, ((0, 1, 0), (-1, 0, 0), (1, 1, 0))),
+            (2, ((0, 1, 0), (1, 0, 0), (1, 1, 0))),
+            (2, ((0, 1, -1), (0, 0, 0), (1, 1, 0))),
+            (2, ((0, 1, 0), (0, 0, 0))),
+        ],
+        ids=[
+            "duplicate-leaf",
+            "duplicate-root",
+            "crossing",
+            "missing-leaf",
+            "missing-root",
+            "end-past-n",
+            "negative-start",
+            "start-after-end",
+            "negative-label",
+            "too-few-nodes",
+        ],
+    )
+    def test_malformed_lists_raise_value_error(self, n, nodes):
+        assert _expected_splits(n, nodes) is None
+        self._check(n, nodes)
+
+    @settings(deadline=None, max_examples=500)
+    @given(case=_node_lists())
+    def test_accepts_exactly_the_bracketings(self, case):
+        self._check(*case)
 
 
 class TestNaNPoisoning:
