@@ -43,7 +43,6 @@ from .errors import (
 from .inference import (
     LOG_ZERO,
     FullTree,
-    MarginalChart,
     ScoreChart,
     batch_loss_and_score_gradient,
     batched_masked_inside,
@@ -62,12 +61,9 @@ from .scorer import (
     ScorerConfig,
     ScorerParams,
     Vocab,
-    biaffine_scores,
-    encode,
     forward,
     init_params,
     load_model,
-    potential_normalize,
     save_model,
 )
 from .train import (

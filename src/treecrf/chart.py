@@ -84,10 +84,6 @@ class LabelSchema:
         return len(self.observed_labels)
 
     @property
-    def n_latent(self) -> int:
-        return self.latent_label_count
-
-    @property
     def n_labels(self) -> int:
         return self.n_observed + self.latent_label_count
 
@@ -96,13 +92,6 @@ class LabelSchema:
             return self.observed_labels.index(name)
         except ValueError:
             raise UnknownLabel(f"unknown label {name!r}") from None
-
-    def is_latent(self, label: int) -> bool:
-        return label >= self.n_observed
-
-    @property
-    def latent_indices(self) -> range:
-        return range(self.n_observed, self.n_labels)
 
 
 @dataclass(frozen=True, order=True)

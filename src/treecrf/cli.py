@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -94,8 +94,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    records = read_corpus(args.data)
     config = _train_config(args)
+    records = read_corpus(args.data)
     result = train(records, config)
     for row in result.log:
         print(
@@ -152,10 +152,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 @dataclass
 class _CheckResult:
     name: str
-    cases: int
-    failures: int
-    worst: float
-    detail: str = ""
+    cases: int = 0
+    failures: int = 0
+    worst: float = 0.0
 
     def add(self, err: float, failed: bool) -> None:
         self.cases += 1
@@ -164,10 +163,9 @@ class _CheckResult:
 
     def line(self) -> str:
         status = "PASS" if self.failures == 0 else "FAIL"
-        extra = f"  {self.detail}" if self.detail else ""
         return (
             f"{status}  {self.name}: {self.cases} cases, "
-            f"{self.failures} failures, worst error {self.worst:.3e}{extra}"
+            f"{self.failures} failures, worst error {self.worst:.3e}"
         )
 
 
@@ -190,14 +188,12 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         raise BadConfig("--seed must be non-negative")
     rng = np.random.default_rng(seed)
 
-    partition = _CheckResult("inside equals enumerated log-partition", 0, 0, 0.0)
-    three_way = _CheckResult("masked = vanilla = enumerated partial score", 0, 0, 0.0)
-    marginal = _CheckResult("marginal identities and enumerated posteriors", 0, 0, 0.0)
-    decode = _CheckResult("decoder equals enumerated best tree", 0, 0, 0.0)
-    full_eval = _CheckResult("full-tree mask recovers tree evaluation", 0, 0, 0.0)
-    batched = _CheckResult(
-        "batched loss and gradient equal enumerated ones", 0, 0, 0.0
-    )
+    partition = _CheckResult("inside equals enumerated log-partition")
+    three_way = _CheckResult("masked = vanilla = enumerated partial score")
+    marginal = _CheckResult("marginal identities and enumerated posteriors")
+    decode = _CheckResult("decoder equals enumerated best tree")
+    full_eval = _CheckResult("full-tree mask recovers tree evaluation")
+    batched = _CheckResult("batched loss and gradient equal enumerated ones")
     # (chart, mask, enumerated loss, enumerated gradient) of every case
     sentences = []
 
@@ -219,17 +215,17 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         err = max(abs(mi - vp), abs(mi - bf))
         three_way.add(err, err > 1e-6)
 
-        mu = marginals(chart).mu
+        mu = marginals(chart)
         node_count = abs(mu.sum() - (2 * n - 1))
         leaf_root = max(
             max(abs(mu[i, i, :].sum() - 1.0) for i in range(n)),
             abs(mu[0, n - 1, :].sum() - 1.0),
         )
         bounds_ok = bool((mu >= 0.0).all() and (mu <= 1.0).all())
-        oracle_mu = oracle.brute_force_marginals(chart).mu
-        oracle_mu_masked = oracle.brute_force_marginals(chart, symbols).mu
+        oracle_mu = oracle.brute_force_marginals(chart)
+        oracle_mu_masked = oracle.brute_force_marginals(chart, symbols)
         vs_oracle = np.abs(mu - oracle_mu).max()
-        mu_masked = marginals(chart, mask).mu
+        mu_masked = marginals(chart, mask)
         vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
         sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked))
         err = max(node_count, leaf_root, vs_oracle, vs_oracle_masked)
@@ -370,8 +366,11 @@ def cmd_sweep_latent(args: argparse.Namespace) -> int:
         ) from None
     if not counts:
         raise BadConfig("--counts must name at least one latent label count")
+    config = _train_config(args)
+    for count in counts:
+        replace(config, latent_label_count=count)  # checked before the read
     records = read_corpus(args.data)
-    rows = sweep_latent_labels(records, _train_config(args), counts)
+    rows = sweep_latent_labels(records, config, counts)
     print(
         "# context: on real nested-entity corpora, adding latent labels tends to"
     )

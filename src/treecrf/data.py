@@ -249,16 +249,6 @@ def _nested_sentence() -> CorpusRecord:
     return CorpusRecord(tokens=tokens, entities=entities)
 
 
-def _has_nesting(record: CorpusRecord) -> bool:
-    for outer in record.entities:
-        for inner in record.entities:
-            if inner is outer:
-                continue
-            if outer.start <= inner.start and inner.end <= outer.end:
-                return True
-    return False
-
-
 def nesting_depths(record: CorpusRecord) -> list[int]:
     """Depth of each entity: 1 + the number of entities strictly containing it."""
     depths = []
@@ -288,7 +278,7 @@ def gen_synthetic(cfg: SynthConfig) -> list[CorpusRecord]:
     records = [_gen_sentence(rng, cfg) for _ in range(cfg.num_sentences)]
 
     tail: list[CorpusRecord] = []
-    if cfg.max_nesting_depth >= 2 and not any(_has_nesting(r) for r in records):
+    if cfg.max_nesting_depth >= 2 and not any(2 in nesting_depths(r) for r in records):
         tail.append(_nested_sentence())
     # Replacing the last k sentences may itself remove types, so find the
     # smallest k whose kept prefix plus k replacement sentences covers

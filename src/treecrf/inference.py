@@ -54,7 +54,7 @@ to prove it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -111,27 +111,17 @@ class ScoreChart:
 
 
 @dataclass(frozen=True)
-class MarginalChart:
-    """Posterior span-label probabilities ``mu[i, j, k]``."""
-
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
 class FullTree:
     """A full labeled binary bracketing: exactly ``2n - 1`` labeled spans.
 
-    Nodes are stored in document order (start ascending, end descending),
-    which coincides with preorder traversal.  Construction validates that
-    the spans form a binary tree whose children exactly partition their
-    parent, and records each internal span's split point.
+    The tree is just its nodes ``(i, j, k)``, stored in document order
+    (start ascending, end descending), which coincides with preorder
+    traversal.  Construction validates that the spans form a binary tree
+    whose children exactly partition their parent.
     """
 
     n: int
     nodes: tuple[tuple[int, int, int], ...]
-    splits: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         nodes = tuple(sorted(self.nodes, key=lambda t: (t[0], -t[1])))
@@ -155,11 +145,7 @@ class FullTree:
                 m = nodes[at + 1][1]
                 if m >= j:
                     raise ValueError(f"span ({i}, {j}) has no left child")
-                self.splits[(i, j)] = m
                 due += [(m + 1, j), (i, m)]
-
-    def label_of(self) -> dict[tuple[int, int], int]:
-        return {(i, j): k for i, j, k in self.nodes}
 
 
 def _check_batch(
@@ -456,15 +442,16 @@ def log_prob(chart: ScoreChart, mask: ChartMask) -> float:
     return masked_inside(chart, mask) - inside(chart)
 
 
-def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> MarginalChart:
-    """Posterior probability of each span-label pair under the (masked) model.
+def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> np.ndarray:
+    """Posterior probability ``mu[i, j, k]`` of each span-label pair.
 
-    Equals the gradient of the (masked) log partition function with
-    respect to each potential ``s[i, j, k]``.
+    Returns an ``(n, n, L)`` array: the gradient of the (masked) log
+    partition function with respect to each potential ``s[i, j, k]``.
+    Cells below the diagonal are zero.
     """
     _check_batch([chart], [mask])
     mu = _posteriors(_inside_pass([chart], [mask], _logsumexp))
-    return MarginalChart(mu=_unpack(mu, chart.n))
+    return _unpack(mu, chart.n)
 
 
 def loss_and_score_gradient(
@@ -542,21 +529,18 @@ def tree_score(chart: ScoreChart, tree: FullTree) -> float:
 
     Associates the sum exactly as the chart recursions do
     (node + (left subtree + right subtree)), so a decoded tree's score is
-    bit-identical to the decoder's root value.  Nodes are visited in
-    reverse preorder, which reaches both children before their parent.
+    bit-identical to the decoder's root value.  A stack evaluates the
+    reversed preorder: a leaf pushes its potential, an internal node pops
+    its left and then its right subtree's score and pushes its own.
     """
     if tree.n != chart.n:
         raise DimensionMismatch(f"tree over {tree.n} tokens, chart over {chart.n}")
     s = chart.s
-    score: dict[tuple[int, int], float] = {}
+    stack: list[float] = []
     for i, j, k in reversed(tree.nodes):
         v = s[i, j, k]
-        if i == j:
-            score[(i, j)] = float(v)
-        else:
-            m = tree.splits[(i, j)]
-            score[(i, j)] = float(v + (score.pop((i, m)) + score.pop((m + 1, j))))
-    return score[(0, tree.n - 1)]
+        stack.append(float(v) if i == j else float(v + (stack.pop() + stack.pop())))
+    return stack[0]
 
 
 def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:

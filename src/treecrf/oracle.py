@@ -23,7 +23,7 @@ import numpy as np
 
 from .chart import LabelSchema, NodeKind, PartialTree, Span, SymbolTree, _spans_cross
 from .errors import TooLarge
-from .inference import FullTree, MarginalChart, ScoreChart, _lse
+from .inference import FullTree, ScoreChart, _lse
 
 ENUMERATION_LIMIT = 10_000_000
 MAX_ORACLE_N = 8
@@ -166,8 +166,12 @@ def brute_force_partial_score(chart: ScoreChart, symbols: SymbolTree) -> float:
 
 def brute_force_marginals(
     chart: ScoreChart, symbols: SymbolTree | None = None
-) -> MarginalChart:
-    """Posterior span-label probabilities by normalized counting."""
+) -> np.ndarray:
+    """Posterior span-label probabilities by normalized counting.
+
+    The ``(n, n, L)`` array, zero below the diagonal, that
+    :func:`treecrf.inference.marginals` must match.
+    """
     _check_structure_guard(chart.n)
     n = chart.n
     n_labels = chart.schema.n_labels
@@ -199,7 +203,7 @@ def brute_force_marginals(
             ks = np.nonzero(admissible[i, j])[0]
             p_label = np.exp(s[i, j, ks] - lab[i, j])
             mu[i, j, ks] += p_structure * p_label
-    return MarginalChart(mu=np.clip(mu, 0.0, 1.0))
+    return np.clip(mu, 0.0, 1.0)
 
 
 def _structure_score_and_labels(
@@ -248,10 +252,9 @@ def brute_force_best_tree(chart: ScoreChart) -> FullTree:
 
 def is_compatible(tree: FullTree, symbols: SymbolTree, schema: LabelSchema) -> bool:
     """Definitional compatibility of a full tree with a partial annotation."""
-    labels = tree.label_of()
-    spans = set(labels)
-    for (i, j), ks in symbols.observed_label.items():
-        if (i, j) not in spans or labels[(i, j)] not in ks:
+    labels = {(i, j): k for i, j, k in tree.nodes}
+    for span, ks in symbols.observed_label.items():
+        if labels.get(span) not in ks:
             return False
     for (i, j), k in labels.items():
         kind = symbols.node_kind[i, j]
@@ -268,11 +271,9 @@ def random_chart(
     n: int,
     schema: LabelSchema,
     rng: np.random.Generator,
-    low: float = -2.0,
-    high: float = 2.0,
 ) -> ScoreChart:
     """Random score chart with uniform potentials on the upper triangle."""
-    s = rng.uniform(low, high, size=(n, n, schema.n_labels))
+    s = rng.uniform(-2.0, 2.0, size=(n, n, schema.n_labels))
     if n > 1:
         s[np.tril_indices(n, k=-1)] = 0.0
     return ScoreChart(s=s, schema=schema)

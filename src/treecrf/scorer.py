@@ -83,15 +83,19 @@ class Vocab:
         seen = sorted(set(tokens) - {UNK_TOKEN})
         return cls(tokens=(UNK_TOKEN, *seen))
 
-    @property
-    def unk_index(self) -> int:
-        return 0
-
     def __len__(self) -> int:
         return len(self.tokens)
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.index.get(t, 0) for t in tokens], dtype=np.int64)
+
+
+def check_dimensions(embed_dim: int, hidden_dim: int) -> None:
+    """Reject layer sizes the scorer cannot be built with."""
+    if embed_dim < 2 or hidden_dim < 2:
+        raise BadConfig("embed_dim and hidden_dim must be at least 2")
+    if hidden_dim % 2:
+        raise BadConfig(f"hidden_dim must be even, got {hidden_dim}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,7 @@ class ScorerConfig:
     schema: LabelSchema
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 2 or self.hidden_dim < 2:
-            raise BadConfig("embed_dim and hidden_dim must be at least 2")
-        if self.hidden_dim % 2:
-            raise BadConfig(f"hidden_dim must be even, got {self.hidden_dim}")
+        check_dimensions(self.embed_dim, self.hidden_dim)
 
     @property
     def half_dim(self) -> int:
@@ -143,9 +144,6 @@ class ScorerParams:
             config=self.config,
             **{name: getattr(self, name).copy() for name in PARAM_ORDER},
         )
-
-    def parameter_count(self) -> int:
-        return sum(a.size for a in self.arrays().values())
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:

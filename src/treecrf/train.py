@@ -51,7 +51,7 @@ from .inference import (  # noqa: F401
     extract_entities,
     loss_and_score_gradient,
 )
-from .scorer import ScorerConfig, ScorerParams, forward, init_params
+from .scorer import ScorerConfig, ScorerParams, check_dimensions, forward, init_params
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -82,6 +82,7 @@ class TrainConfig:
             raise BadConfig("latent_label_count must be at least 1")
         if self.seed < 0:
             raise BadConfig("seed must be non-negative")
+        check_dimensions(self.embed_dim, self.hidden_dim)
 
 
 @dataclass
@@ -328,13 +329,10 @@ def sweep_latent_labels(
     counts: Sequence[int],
 ) -> list[tuple[int, EvalReport]]:
     """Train once per latent-label count (same seed) and collect dev reports."""
-    if any(c < 1 for c in counts):
-        raise BadConfig("latent label counts must be at least 1")
-    rows = []
-    for count in counts:
-        result = train(records, replace(config, latent_label_count=count))
-        rows.append((count, result.dev_report))
-    return rows
+    configs = [replace(config, latent_label_count=c) for c in counts]  # check all first
+    return [
+        (count, train(records, cfg).dev_report) for count, cfg in zip(counts, configs)
+    ]
 
 
 def write_training_log(log: Sequence[EpochLog], path: str) -> None:

@@ -185,7 +185,7 @@ def test_criterion_04_marginal_identities():
             tuple(f"L{i}" for i in range(n_labels - 1)), latent_label_count=1
         )
         chart = random_chart(n, schema, rng)
-        mu = marginals(chart).mu
+        mu = marginals(chart)
         worst_count = max(worst_count, abs(mu.sum() - (2 * n - 1)))
         for i in range(n):
             worst_unit = max(worst_unit, abs(mu[i, i, :].sum() - 1.0))

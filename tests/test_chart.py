@@ -29,8 +29,9 @@ class TestLabelSchema:
         assert schema3.n_observed == 2
         assert schema3.n_labels == 3
         assert schema3.label_index("ORG") == 1
-        assert list(schema3.latent_indices) == [2]
-        assert schema3.is_latent(2) and not schema3.is_latent(1)
+        # latent labels take the indices after the observed ones
+        assert schema3.latent_label_count == 1
+        assert list(range(schema3.n_observed, schema3.n_labels)) == [2]
 
     def test_unknown_label(self, schema3):
         with pytest.raises(UnknownLabel):

@@ -184,6 +184,36 @@ def test_out_of_range_integer_is_usage_error(argv, corpus_path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--seed", "-1"],
+        ["train", "--hidden-dim", "3"],
+        ["train", "--embed-dim", "1"],
+        ["sweep-latent", "--counts", "0"],
+    ],
+    ids=["train-seed", "train-hidden-dim", "train-embed-dim", "sweep-counts"],
+)
+def test_usage_error_comes_before_the_corpus_is_read(argv, tmp_path):
+    # the corpus does not exist: a flag checked only after the read would
+    # surface as the I/O error (exit 1) instead of the usage error
+    argv = argv + ["--data", str(tmp_path / "missing.jsonl")]
+    if argv[0] == "train":
+        argv += ["--model", str(tmp_path / "m")]
+    src = os.path.dirname(os.path.dirname(treecrf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecrf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "missing.jsonl" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestPredictEval:
     def test_predict_output_validates(self, model_path, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "pred.jsonl")

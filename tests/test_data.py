@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 
 import numpy as np
@@ -218,6 +219,36 @@ class TestGenSynthetic:
         assert labels == {"E0", "E1", "E2"}
         assert any(2 in nesting_depths(r) for r in records)
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            # the standard corpus
+            (
+                SynthConfig(
+                    num_sentences=2000,
+                    num_entity_types=3,
+                    max_nesting_depth=3,
+                    max_length=20,
+                    seed=0,
+                ),
+                "eab44a296406919f72510f66c556a1fc5b6cfc8724adb546a70d9cc2a5c04f3a",
+            ),
+            # three sentences with no nesting and only E2: the tail repair
+            # puts the nested template (E0 around E1) in the last place
+            (
+                SynthConfig(num_sentences=3, max_length=8, seed=4),
+                "1f631143ba73ac79ed791644678f0fe6b7c7f3894178b8b6bcdd0d3a45c38458",
+            ),
+        ],
+        ids=["standard", "tail-repair"],
+    )
+    def test_output_bytes_are_pinned(self, config, digest, tmp_path):
+        # every benchmark corpus is generator output, so any change to the
+        # generated bytes must be deliberate
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(gen_synthetic(config), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_bad_configs(self):
         with pytest.raises(BadConfig):
             SynthConfig(num_sentences=0)
@@ -285,7 +316,7 @@ class TestCorpusSchema:
         ]
         schema = corpus_schema(records, latent_label_count=2)
         assert schema.observed_labels == ("A", "Z")
-        assert schema.n_latent == 2
+        assert schema.latent_label_count == 2
 
     def test_no_annotations(self):
         with pytest.raises(BadConfig):

@@ -202,7 +202,7 @@ class TestLogProb:
 
 class TestMarginals:
     def test_two_tokens_uniform(self, schema2):
-        mu = marginals(zero_chart(2, schema2)).mu
+        mu = marginals(zero_chart(2, schema2))
         for i, j in ((0, 0), (1, 1), (0, 1)):
             np.testing.assert_allclose(mu[i, j], [0.5, 0.5], atol=1e-12)
 
@@ -210,13 +210,13 @@ class TestMarginals:
         s = np.zeros((1, 1, 3))
         s[0, 0] = [1.0, 2.0, -0.5]
         chart = ScoreChart(s=s, schema=schema3)
-        mu = marginals(chart).mu
+        mu = marginals(chart)
         e = np.exp(s[0, 0])
         np.testing.assert_allclose(mu[0, 0], e / e.sum(), atol=1e-12)
 
     def test_masked_single_compatible_tree(self, schema2):
         _, mask = annotation_mask(2, (Span(0, 1, 0),), schema2)
-        mu = marginals(zero_chart(2, schema2), mask).mu
+        mu = marginals(zero_chart(2, schema2), mask)
         np.testing.assert_allclose(mu[0, 1], [1.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(mu[0, 0], [0.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(mu[1, 1], [0.0, 1.0], atol=1e-9)
@@ -226,7 +226,7 @@ class TestMarginals:
         for _ in range(20):
             n = int(rng.integers(1, 8))
             chart = random_chart(n, schema3, rng)
-            mu = marginals(chart).mu
+            mu = marginals(chart)
             assert mu.sum() == pytest.approx(2 * n - 1, abs=1e-6)
             for i in range(n):
                 assert mu[i, i].sum() == pytest.approx(1.0, abs=1e-9)
@@ -250,7 +250,7 @@ class TestLossAndScoreGradient:
         sym, mask = annotation_mask(3, (Span(0, 1, 0),), schema2)
         chart = zero_chart(3, schema2)
         _, grad = loss_and_score_gradient(chart, mask)
-        mu_unmasked = marginals(chart).mu
+        mu_unmasked = marginals(chart)
         np.testing.assert_allclose(grad[1, 2], mu_unmasked[1, 2], atol=1e-9)
 
     def test_all_ones_mask_gives_zero_loss_and_gradient(self, schema3):
@@ -339,9 +339,10 @@ class TestCkyDecode:
 
     def test_tie_break_left_splits_label_zero(self, schema3):
         tree = cky_decode(zero_chart(4, schema3))
-        assert all(k == 0 for _, _, k in tree.nodes)
-        # left-most splits: fully left-branching tree
-        assert tree.splits == {(0, 3): 0, (1, 3): 1, (2, 3): 2}
+        # left-most splits, label 0: (0, 3) -> (0, 0) + (1, 3), and so on
+        assert tree.nodes == (
+            (0, 3, 0), (0, 0, 0), (1, 3, 0), (1, 1, 0), (2, 3, 0), (2, 2, 0), (3, 3, 0)
+        )
 
     def test_degenerate(self, schema2):
         with pytest.raises(DegenerateChart):
@@ -441,15 +442,15 @@ def _node_lists(draw):
 
 
 class TestFullTreeAcceptance:
-    """FullTree accepts exactly the binary bracketings, with their splits."""
+    """FullTree accepts exactly the binary bracketings, in preorder."""
 
     def _check(self, n, nodes):
-        splits = _expected_splits(n, nodes)
-        if splits is None:
+        if _expected_splits(n, nodes) is None:
             with pytest.raises(ValueError):
                 FullTree(n=n, nodes=nodes)
         else:
-            assert FullTree(n=n, nodes=nodes).splits == splits
+            preorder = tuple(sorted(nodes, key=lambda t: (t[0], -t[1])))
+            assert FullTree(n=n, nodes=nodes).nodes == preorder
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_bracketing_in_any_order(self, n):
@@ -531,7 +532,7 @@ class TestNaNPoisoning:
             assert cky_decode(poisoned).nodes == cky_decode(clean).nodes
             iu, ju = np.triu_indices(n)
             np.testing.assert_array_equal(
-                marginals(poisoned, mask).mu[iu, ju], marginals(clean, mask).mu[iu, ju]
+                marginals(poisoned, mask)[iu, ju], marginals(clean, mask)[iu, ju]
             )
             loss_p, grad_p = loss_and_score_gradient(poisoned, mask)
             loss_c, grad_c = loss_and_score_gradient(clean, mask)
@@ -660,7 +661,7 @@ class TestBatchLossAndScoreGradient:
         for chart, mask in zip(charts, masks):
             loss, grad = loss_and_score_gradient(chart, mask)
             assert loss == inside(chart) - masked_inside(chart, mask)
-            expected = marginals(chart).mu - marginals(chart, mask).mu
+            expected = marginals(chart) - marginals(chart, mask)
             assert np.array_equal(grad, expected)
 
     @pytest.mark.parametrize("count", [1, 4, 16])
@@ -720,6 +721,53 @@ ENTRY_POINTS = {
     "cky_decode": lambda chart, mask: cky_decode(chart),
 }
 TAKES_MASK = sorted(set(ENTRY_POINTS) - {"inside", "marginals", "cky_decode"})
+
+
+class TestLongestFirstRows:
+    """At each width ``w`` the split operands span exactly the charts at
+    least ``w`` long: the kernel keeps its rows longest first and runs
+    each width over the prefix of rows long enough for it."""
+
+    LENGTHS = [3, 17, 1, 9, 17, 5]  # shuffled, with a repeat and a 1
+
+    def _rows_per_width(self, run):
+        with mock.patch.object(
+            inference_module,
+            "_split_operands",
+            wraps=inference_module._split_operands,
+        ) as split_operands:
+            run()
+        rows: dict[int, set[int]] = {}
+        for call in split_operands.call_args_list:
+            flat, _, w = call.args
+            rows.setdefault(w, set()).add(flat.shape[0])
+        return rows
+
+    def _expected(self, copies):
+        # every sentence is ``copies`` rows: its unmasked and masked chart
+        return {
+            w: {copies * sum(n >= w for n in self.LENGTHS)}
+            for w in range(2, max(self.LENGTHS) + 1)
+        }
+
+    def test_batched_masked_inside(self, schema3):
+        rng = np.random.default_rng(23)
+        charts, masks = TestBatchLossAndScoreGradient._sentences(
+            self.LENGTHS, schema3, rng
+        )
+        rows = self._rows_per_width(lambda: batched_masked_inside(charts, masks))
+        assert rows == self._expected(1)
+
+    def test_batch_loss_and_score_gradient(self, schema3):
+        # the inside pass and the posterior sweep both run over the prefix
+        rng = np.random.default_rng(24)
+        charts, masks = TestBatchLossAndScoreGradient._sentences(
+            self.LENGTHS, schema3, rng
+        )
+        rows = self._rows_per_width(
+            lambda: list(batch_loss_and_score_gradient(charts, masks))
+        )
+        assert rows == self._expected(2)
 
 
 class TestArgumentChecks:

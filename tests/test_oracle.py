@@ -154,7 +154,7 @@ class TestBruteForceMarginals:
                 for i, j, k in tree.nodes:
                     mu[i, j, k] += math.exp(w - z)
             np.testing.assert_allclose(
-                brute_force_marginals(chart).mu, mu, atol=1e-10
+                brute_force_marginals(chart), mu, atol=1e-10
             )
 
 
@@ -175,8 +175,10 @@ class TestBruteForceBestTree:
 
     def test_tie_break_all_zero(self, schema3):
         got = brute_force_best_tree(zero_chart(4, schema3))
-        assert all(k == 0 for _, _, k in got.nodes)
-        assert got.splits == {(0, 3): 0, (1, 3): 1, (2, 3): 2}
+        # split at the lowest point: (0, 3) -> (0, 0) + (1, 3), and so on
+        assert got.nodes == (
+            (0, 3, 0), (0, 0, 0), (1, 3, 0), (1, 1, 0), (2, 3, 0), (2, 2, 0), (3, 3, 0)
+        )
 
 
 class TestRandomPartialTree:

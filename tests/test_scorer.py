@@ -22,21 +22,25 @@ from treecrf import (
     NonFiniteLoss,
     ScorerConfig,
     Vocab,
-    biaffine_scores,
     build_mask,
     classify_nodes,
-    encode,
     forward,
     init_params,
     load_model,
     loss_and_score_gradient,
-    potential_normalize,
     save_model,
     smooth_mask,
 )
 from treecrf.inference import ScoreChart, cky_decode
 from treecrf.oracle import random_partial_tree
-from treecrf.scorer import MODEL_FORMAT_VERSION, MODEL_MAGIC, PARAM_ORDER
+from treecrf.scorer import (
+    MODEL_FORMAT_VERSION,
+    MODEL_MAGIC,
+    PARAM_ORDER,
+    biaffine_scores,
+    encode,
+    potential_normalize,
+)
 
 
 @pytest.fixture
@@ -62,11 +66,11 @@ class TestVocab:
     def test_build_sorted_with_unk_first(self):
         vocab = Vocab.build(["b", "a", "b"])
         assert vocab.tokens == ("<unk>", "a", "b")
-        assert vocab.unk_index == 0
+        assert vocab.index["<unk>"] == 0
 
     def test_encode_unknowns(self, small_vocab):
         ids = small_vocab.encode(["tok1", "never-seen"])
-        assert ids[1] == small_vocab.unk_index
+        assert ids[1] == 0  # <unk>
 
 
 class TestInitParams:
@@ -100,7 +104,7 @@ class TestInitParams:
         schema = LabelSchema(("A", "B", "C"), 1)
         config = ScorerConfig(embed_dim=16, hidden_dim=32, schema=schema)
         params = init_params(vocab, config, seed=0)
-        assert params.parameter_count() == 4548
+        assert sum(a.size for a in params.arrays().values()) == 4548
 
     def test_bad_config(self, schema3):
         with pytest.raises(BadConfig):
