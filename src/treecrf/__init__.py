@@ -10,6 +10,7 @@ from .chart import (
     build_mask,
     classify_nodes,
     smooth_mask,
+    smoothed_masks,
     validate_annotation,
 )
 from .data import (
@@ -44,6 +45,7 @@ from .inference import (
     LOG_ZERO,
     FullTree,
     ScoreChart,
+    batch_cky_decode,
     batch_loss_and_score_gradient,
     batched_masked_inside,
     cky_decode,
@@ -70,6 +72,7 @@ from .train import (
     EvalReport,
     TrainConfig,
     TrainResult,
+    batch_predict,
     evaluate,
     predict,
     sweep_latent_labels,

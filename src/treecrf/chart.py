@@ -228,6 +228,68 @@ def validate_annotation(
     return PartialTree(n=n, entities=tuple(entities))
 
 
+def _annotated(trees: Sequence[PartialTree]) -> np.ndarray:
+    """``(entities, 4)`` rows ``(tree, start, end, label)`` of every entity."""
+    rows = [
+        (t, e.start, e.end, e.label) for t, tree in enumerate(trees) for e in tree.entities
+    ]
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def _node_kinds(n: int, count: int, annotated: np.ndarray) -> np.ndarray:
+    """``(count, n, n)`` node kinds of ``count`` trees over ``n`` tokens.
+
+    ``annotated`` holds their entities (see :func:`_annotated`).  One
+    crossing test covers every annotated span at once: cell ``(i, j)``
+    crosses ``(a, b)`` iff ``i < a <= j < b`` or ``a < i <= b < j``, which
+    no cell on or below the diagonal does.
+    """
+    owner, start, end = annotated[:, 0], annotated[:, 1], annotated[:, 2]
+    a, b = start[:, None, None], end[:, None, None]
+    i, j = np.arange(n)[:, None], np.arange(n)
+    crossing = (i < a) & (a <= j) & (j < b)
+    crossing |= (a < i) & (i <= b) & (b < j)
+    span, ci, cj = np.nonzero(crossing)
+    kinds = np.full((count, n, n), int(NodeKind.LATENT), dtype=np.int8)
+    kinds[owner[span], ci, cj] = int(NodeKind.REJECTED)
+    kinds[owner, start, end] = int(NodeKind.OBSERVED)
+    return kinds
+
+
+def _reject(m: np.ndarray, kinds: np.ndarray, epsilon: float) -> None:
+    """Set every label of the rejected span cells of masks ``m`` to epsilon."""
+    m[(kinds == int(NodeKind.REJECTED)) & ~below_diagonal(kinds.shape[-1])] = epsilon
+
+
+def _masks(
+    kinds: np.ndarray, annotated: np.ndarray, schema: LabelSchema, epsilon: float
+) -> np.ndarray:
+    """The ``(count, n, n, L)`` masks of trees with node kinds ``kinds``.
+
+    The one mask rule: a latent span cell admits every latent label, a
+    rejected one every label at weight ``epsilon`` and an observed one
+    exactly its annotated labels (rows of ``annotated``, see
+    :func:`_annotated`); everything else is 0.
+    """
+    latent = annotated[:, 3] >= schema.n_observed
+    if latent.any():
+        raise DimensionMismatch(
+            f"annotated label index {annotated[latent, 3][0]} is not an observed label"
+        )
+    count, n, _ = kinds.shape
+    m = np.zeros((count, n, n, schema.n_labels))
+    m[(kinds == int(NodeKind.LATENT)) & ~below_diagonal(n), schema.n_observed :] = 1.0
+    _reject(m, kinds, epsilon)
+    owner, i, j, k = annotated.T
+    m[owner, i, j, k] = 1.0
+    return m
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 1.0:
+        raise BadConfig(f"epsilon must be in [0, 1), got {epsilon}")
+
+
 def classify_nodes(tree: PartialTree) -> SymbolTree:
     """Classify every chart cell as Observed, Latent, or Rejected.
 
@@ -235,19 +297,8 @@ def classify_nodes(tree: PartialTree) -> SymbolTree:
     at least one annotated span; Latent otherwise.  Width-1 cells and the
     root cell can never cross anything, so they are never Rejected.
     """
-    n = tree.n
-    labels = tree.span_labels()
-    kinds = np.full((n, n), int(NodeKind.LATENT), dtype=np.int8)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    rejected = np.zeros((n, n), dtype=bool)
-    for a, b in labels.keys():
-        # (i, j) crosses (a, b) iff i < a <= j < b or a < i <= b < j
-        rejected |= (ii < a) & (a <= jj) & (jj < b)
-        rejected |= (a < ii) & (ii <= b) & (b < jj)
-    kinds[rejected] = int(NodeKind.REJECTED)
-    for i, j in labels.keys():
-        kinds[i, j] = int(NodeKind.OBSERVED)
-    return SymbolTree(n=n, node_kind=kinds, observed_label=labels)
+    kinds = _node_kinds(tree.n, 1, _annotated([tree]))
+    return SymbolTree(n=tree.n, node_kind=kinds[0], observed_label=tree.span_labels())
 
 
 def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
@@ -256,21 +307,12 @@ def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
     Observed cells admit exactly their annotated label(s); latent cells
     admit all latent labels; rejected cells admit nothing.
     """
-    n = symbols.n
-    n_labels = schema.n_labels
-    m = np.zeros((n, n, n_labels), dtype=np.float64)
-    for (i, j), annotated in symbols.observed_label.items():
-        for k in annotated:
-            if k >= schema.n_observed:
-                raise DimensionMismatch(
-                    f"annotated label index {k} is not an observed label"
-                )
-            m[i, j, k] = 1.0
-    lat_i, lat_j = np.nonzero(
-        np.triu(symbols.node_kind == int(NodeKind.LATENT))
-    )
-    m[lat_i, lat_j, schema.n_observed :] = 1.0
-    return ChartMask(n=n, m=m)
+    annotated = np.array(
+        [(0, i, j, k) for (i, j), ks in symbols.observed_label.items() for k in ks],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    m = _masks(symbols.node_kind[None], annotated, schema, 0.0)
+    return ChartMask(n=symbols.n, m=m[0])
 
 
 def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMask:
@@ -279,15 +321,35 @@ def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMa
     Only rejected cells change; zero entries of observed and latent cells
     stay zero.  ``epsilon = 0`` returns an identical mask.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise BadConfig(f"epsilon must be in [0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if mask.n != symbols.n:
         raise DimensionMismatch(
             f"mask is over {mask.n} tokens but symbols over {symbols.n}"
         )
     m = mask.m.copy()
-    rej_i, rej_j = np.nonzero(
-        np.triu(symbols.node_kind == NodeKind.REJECTED)
-    )
-    m[rej_i, rej_j, :] = epsilon
+    _reject(m, symbols.node_kind, epsilon)
     return ChartMask(n=mask.n, m=m)
+
+
+def smoothed_masks(
+    trees: Sequence[PartialTree], schema: LabelSchema, epsilon: float
+) -> list[ChartMask]:
+    """``smooth_mask(build_mask(classify_nodes(t), schema), ...)`` of each tree.
+
+    The masks of all trees of one length are built together, in one
+    ``(count, n, n, L)`` array: one crossing test over every annotated span
+    of the group, one fill each for the latent and the rejected cells and
+    one scatter for the observed cells.  Each returned mask, in input
+    order, is a view of its group's array.
+    """
+    _check_epsilon(epsilon)
+    groups: dict[int, list[int]] = {}
+    for idx, tree in enumerate(trees):
+        groups.setdefault(tree.n, []).append(idx)
+    masks: dict[int, ChartMask] = {}
+    for n, members in groups.items():
+        annotated = _annotated([trees[idx] for idx in members])
+        m = _masks(_node_kinds(n, len(members), annotated), annotated, schema, epsilon)
+        for g, idx in enumerate(members):
+            masks[idx] = ChartMask(n=n, m=m[g])
+    return [masks[idx] for idx in range(len(trees))]

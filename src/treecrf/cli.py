@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -29,6 +29,7 @@ from .data import (
 )
 from .errors import BadConfig, EmptyCorpus, TooLarge, TreecrfError
 from .inference import (
+    batch_cky_decode,
     batch_loss_and_score_gradient,
     batched_masked_inside,
     cky_decode,
@@ -41,25 +42,26 @@ from .inference import (
 from .scorer import load_model, save_model
 from .train import (
     TrainConfig,
+    batch_predict,
     evaluate,
     format_eval_report,
-    predict,
     sweep_latent_labels,
     train,
     write_training_log,
 )
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
+def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
+    """The config of the shared training flags; ``fields`` set the others."""
     return TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch,
         epsilon_smoothing=args.epsilon,
         seed=args.seed,
-        latent_label_count=args.latent,
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
+        **fields,
     )
 
 
@@ -69,8 +71,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=d.learning_rate)
     p.add_argument("--epsilon", type=float, default=d.epsilon_smoothing,
                    help="structure smoothing for rejected cells")
-    p.add_argument("--latent", type=int, default=d.latent_label_count,
-                   help="latent label count")
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--batch", type=int, default=d.batch_size)
     p.add_argument("--embed-dim", type=int, default=d.embed_dim)
@@ -94,7 +94,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _train_config(args)
+    config = _train_config(args, latent_label_count=args.latent)
     records = read_corpus(args.data)
     result = train(records, config)
     for row in result.log:
@@ -124,8 +124,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     records = read_corpus(args.data)
     schema = params.config.schema
     out = []
-    for record in records:
-        spans = predict(params, record.tokens)
+    predictions = batch_predict(params, (record.tokens for record in records))
+    for record, spans in zip(records, predictions):
         entities = tuple(
             Entity(start=s.start, end=s.end + 1, label=schema.observed_labels[s.label])
             for s in spans
@@ -176,6 +176,13 @@ def _case_schema(rng: np.random.Generator) -> LabelSchema:
     return LabelSchema(observed_labels=names, latent_label_count=n_labels - n_observed)
 
 
+def _same_tree(chart, decoded, best) -> bool:
+    """Same nodes and the same score, bit for bit."""
+    return decoded.nodes == best.nodes and tree_score(chart, decoded) == tree_score(
+        chart, best
+    )
+
+
 def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     """Certify the chart DP against the enumeration oracles."""
     if max_n > oracle.MAX_ORACLE_N:
@@ -194,7 +201,9 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     decode = _CheckResult("decoder equals enumerated best tree")
     full_eval = _CheckResult("full-tree mask recovers tree evaluation")
     batched = _CheckResult("batched loss and gradient equal enumerated ones")
-    # (chart, mask, enumerated loss, enumerated gradient) of every case
+    batched_decode = _CheckResult("batched decoder equals enumerated best tree")
+    # (chart, mask, enumerated loss, enumerated gradient, enumerated best
+    # tree) of every case
     sentences = []
 
     for case in range(cases):
@@ -227,7 +236,6 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         vs_oracle = np.abs(mu - oracle_mu).max()
         mu_masked = marginals(chart, mask)
         vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
-        sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked))
         err = max(node_count, leaf_root, vs_oracle, vs_oracle_masked)
         marginal.add(
             err,
@@ -238,12 +246,9 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
             or vs_oracle_masked > 1e-6,
         )
 
-        decoded = cky_decode(chart)
         best = oracle.brute_force_best_tree(chart)
-        same = decoded.nodes == best.nodes and tree_score(chart, decoded) == tree_score(
-            chart, best
-        )
-        decode.add(0.0, not same)
+        decode.add(0.0, not _same_tree(chart, cky_decode(chart), best))
+        sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked, best))
 
         target = oracle.random_chart(n, schema, rng)
         probe = cky_decode(target)
@@ -261,12 +266,14 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         while order:
             size = int(rng.integers(1, 9))
             batch, order = order[:size], order[size:]
-            charts, masks, losses, grads = zip(*(group[k] for k in batch))
+            charts, masks, losses, grads, bests = zip(*(group[k] for k in batch))
             results = batch_loss_and_score_gradient(charts, masks)
             for (loss, grad), want_loss, want_grad in zip(results, losses, grads):
                 err = max(abs(loss - want_loss), np.abs(grad - want_grad).max())
                 batched.add(err, err > 1e-6)
-    return [partition, three_way, marginal, decode, full_eval, batched]
+            for chart, decoded, best in zip(charts, batch_cky_decode(charts), bests):
+                batched_decode.add(0.0, not _same_tree(chart, decoded, best))
+    return [partition, three_way, marginal, decode, full_eval, batched, batched_decode]
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
@@ -366,11 +373,10 @@ def cmd_sweep_latent(args: argparse.Namespace) -> int:
         ) from None
     if not counts:
         raise BadConfig("--counts must name at least one latent label count")
-    config = _train_config(args)
-    for count in counts:
-        replace(config, latent_label_count=count)  # checked before the read
+    # every count's config is checked before the read
+    configs = [_train_config(args, latent_label_count=count) for count in counts]
     records = read_corpus(args.data)
-    rows = sweep_latent_labels(records, config, counts)
+    rows = sweep_latent_labels(records, configs[0], counts)
     print(
         "# context: on real nested-entity corpora, adding latent labels tends to"
     )
@@ -406,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--log", default=None, help="training log path (CSV)")
+    p.add_argument("--latent", type=int, default=TrainConfig().latent_label_count,
+                   help="latent label count")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 

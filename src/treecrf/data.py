@@ -28,12 +28,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import (
+# classify_nodes, build_mask and smooth_mask are re-exported: a tracer that
+# times the mask layer looks them up here.
+from .chart import (  # noqa: F401
     ChartMask,
     LabelSchema,
     build_mask,
     classify_nodes,
     smooth_mask,
+    smoothed_masks,
     validate_annotation,
 )
 from .errors import BadConfig, EmptyCorpus, ParseError
@@ -351,19 +354,20 @@ def preprocess(
 ) -> list[PreprocessedExample]:
     """Validate every record and cache its token ids and smoothed mask.
 
-    Masks are built once here, ahead of training; the training loop only
-    consumes the cache.
+    Masks are built once here, ahead of training, by
+    :func:`~treecrf.chart.smoothed_masks`, one length group at a time; the
+    training loop only consumes the cache.
     """
-    out = []
-    for record in records:
-        tree = validate_annotation(
+    trees = [
+        validate_annotation(
             record.tokens,
             [(e.start, e.end, e.label) for e in record.entities],
             schema,
         )
-        symbols = classify_nodes(tree)
-        mask = smooth_mask(build_mask(symbols, schema), symbols, epsilon)
-        out.append(
-            PreprocessedExample(token_ids=vocab.encode(record.tokens), mask=mask)
-        )
-    return out
+        for record in records
+    ]
+    masks = smoothed_masks(trees, schema, epsilon)
+    return [
+        PreprocessedExample(token_ids=vocab.encode(record.tokens), mask=mask)
+        for record, mask in zip(records, masks)
+    ]

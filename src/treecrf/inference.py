@@ -34,7 +34,9 @@ result sits at its own root, ``(0, n_b - 1)``.  The pass's result,
 cell's and each root's place in it and the per-width split reductions.
 
 Every structured entry point is one :func:`_check_batch` (masks may be
-``None``, unmasked) and one :func:`_inside_pass`.  Posteriors are the
+``None``, unmasked) and one :func:`_inside_pass`.  CKY,
+:func:`batch_cky_decode`, walks each chart's tree back from its own root
+through the argmax the pass keeps.  Posteriors are the
 gradient of the roots: :func:`_posteriors` takes it by one reverse sweep
 over the same views (inside-outside as backpropagation) from every row's
 own root, and turns the packed potentials of the whole batch into
@@ -499,22 +501,45 @@ def cky_decode(chart: ScoreChart) -> FullTree:
     """Highest-scoring full labeled binary tree.
 
     Ties break deterministically: lowest label index first, then lowest
-    split point (numpy argmax picks the first maximum).
+    split point (numpy argmax picks the first maximum).  This is the
+    batch-of-one case of :func:`batch_cky_decode`.
     """
-    _check_batch([chart], [None])
-    best = _inside_pass([chart], [None], _max_argmax)
-    n = chart.n
-    nodes: list[tuple[int, int, int]] = []
-    stack = [(0, n - 1)]
-    while stack:
-        i0, j0 = stack.pop()
-        # packed after rows r < i0 of n - r cells each: i0 * n - i0 * (i0 - 1) / 2
-        nodes.append((i0, j0, int(best.arg[i0 * n - i0 * (i0 + 1) // 2 + j0])))
-        if i0 < j0:
-            m = i0 + int(best.split[j0 - i0 + 1][1][0, i0])
-            stack.append((m + 1, j0))
-            stack.append((i0, m))
-    return FullTree(n=n, nodes=tuple(nodes))
+    return batch_cky_decode([chart])[0]
+
+
+def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
+    """:func:`cky_decode` of each chart, in input order, by one kernel call.
+
+    The charts may differ in length.  One max-with-argmax
+    :func:`_inside_pass` runs them all; each tree is then read back from
+    its own root, through its chart's packed label argmax and its row of
+    the split argmax of every width.  Max and argmax are exact, so every
+    tree, ties included, is the one its chart gets alone.
+    """
+    _check_batch(charts, [None] * len(charts))
+    if not charts:
+        return []
+    best = _inside_pass(charts, [None] * len(charts), _max_argmax)
+    # each chart's row of the flat chart, and the argmax as Python lists:
+    # the walk reads one element per node
+    rows = [cell // best.flat.shape[1] for cell in best.root_cells.tolist()]
+    labels = best.arg.tolist()
+    splits = [None, None] + [arg.tolist() for _, arg in best.split[2:]]
+    trees = []
+    for chart, slot, row in zip(charts, best.slots, rows):
+        n = chart.n
+        nodes: list[tuple[int, int, int]] = []
+        stack = [(0, n - 1)]
+        while stack:
+            i0, j0 = stack.pop()
+            # packed after rows r < i0 of n - r cells each: i0 * n - i0 * (i0 - 1) / 2
+            nodes.append((i0, j0, labels[slot.start + i0 * n - i0 * (i0 + 1) // 2 + j0]))
+            if i0 < j0:
+                m = i0 + splits[j0 - i0 + 1][row][i0]
+                stack.append((m + 1, j0))
+                stack.append((i0, m))
+        trees.append(FullTree(n=n, nodes=tuple(nodes)))
+    return trees
 
 
 def extract_entities(tree: FullTree, schema: LabelSchema) -> list[Span]:

@@ -14,7 +14,16 @@ once, and each sentence's ``tape.backward``.  The values equal those of
 running the sentences one by one.  A diverging run raises
 :class:`~treecrf.errors.NonFiniteLoss` naming the sentence, its length
 and the phase (scorer forward or loss) where scores stopped being finite.
+The masks are built ahead of training by
+:func:`~treecrf.data.preprocess`, one length group at a time.
+
 Prediction decodes the chart of the same :func:`~treecrf.scorer.forward`.
+:func:`predict` decodes one sentence.  :func:`batch_predict`, and so
+:func:`evaluate` and the dev evaluation after each epoch, runs ``forward``
+once per sentence and decodes consecutive sentences together, one
+:func:`~treecrf.inference.batch_cky_decode` call per chunk whose padded
+span cells stay within ``DECODE_CHUNK_CELLS``; the trees are those of
+decoding each sentence alone.
 
 Runs are bit-reproducible: the corpus split, parameter initialization, and
 the per-epoch shuffle all derive from ``TrainConfig.seed``, and batch
@@ -29,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from .errors import BadConfig, EmptyCorpus, NonFiniteLoss
 # loss_and_score_gradient is re-exported: the per-sentence step is looked
 # up here by callers that check a trained model sentence by sentence.
 from .inference import (  # noqa: F401
+    batch_cky_decode,
     batch_loss_and_score_gradient,
     cky_decode,
     extract_entities,
@@ -56,6 +66,12 @@ from .scorer import ScorerConfig, ScorerParams, check_dimensions, forward, init_
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Bound on one batch_cky_decode call of batch_predict and evaluate: a chunk
+# of consecutive sentences is decoded together while its size times the
+# span cells n (n + 1) / 2 of its longest sentence, the padded chart the
+# kernel holds, stays within this many cells.  A longer sentence goes alone.
+DECODE_CHUNK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -273,6 +289,30 @@ def predict(params: ScorerParams, tokens: Sequence[str]) -> list[Span]:
     return extract_entities(cky_decode(chart), params.config.schema)
 
 
+def batch_predict(
+    params: ScorerParams, sentences: Iterable[Sequence[str]]
+) -> Iterator[list[Span]]:
+    """:func:`predict` of each sentence, in order, decoded chunk by chunk.
+
+    Runs :func:`~treecrf.scorer.forward` once per sentence and
+    :func:`~treecrf.inference.batch_cky_decode` once per chunk of
+    consecutive sentences (see ``DECODE_CHUNK_CELLS``), so the entities
+    equal those of :func:`predict`.  Lazy: a chunk is scored and decoded
+    when the iterator reaches it.
+    """
+    schema = params.config.schema
+    chunk: list = []
+    longest = 0
+    for tokens in sentences:
+        longest = max(longest, len(tokens))
+        padded = (len(chunk) + 1) * longest * (longest + 1) // 2
+        if chunk and padded > DECODE_CHUNK_CELLS:
+            yield from (extract_entities(t, schema) for t in batch_cky_decode(chunk))
+            chunk, longest = [], len(tokens)
+        chunk.append(forward(params.vocab.encode(tokens), params)[0])
+    yield from (extract_entities(t, schema) for t in batch_cky_decode(chunk))
+
+
 def _gold_spans(record: CorpusRecord, schema: LabelSchema) -> set[tuple[int, int, int]]:
     tree = validate_annotation(
         record.tokens, [(e.start, e.end, e.label) for e in record.entities], schema
@@ -284,6 +324,7 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
     """Micro-averaged exact-match precision/recall/F1 with per-label rows.
 
     An entity counts as matched only when start, end, and label all agree.
+    Predictions come from :func:`batch_predict`.
     """
     if not records:
         raise EmptyCorpus("cannot evaluate on an empty corpus")
@@ -292,9 +333,10 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
     by_label: dict[str, list[int]] = {
         name: [0, 0, 0] for name in schema.observed_labels
     }
-    for record in records:
+    predictions = batch_predict(params, (record.tokens for record in records))
+    for record, spans in zip(records, predictions):
         gold = _gold_spans(record, schema)
-        pred = {(s.start, s.end, s.label) for s in predict(params, record.tokens)}
+        pred = {(s.start, s.end, s.label) for s in spans}
         matched = gold & pred
         gold_n += len(gold)
         pred_n += len(pred)

@@ -17,10 +17,11 @@ from treecrf import (
     build_mask,
     classify_nodes,
     smooth_mask,
+    smoothed_masks,
     validate_annotation,
 )
 from treecrf.chart import _spans_cross
-from treecrf.errors import BadConfig
+from treecrf.errors import BadConfig, DimensionMismatch
 from treecrf.oracle import random_partial_tree
 
 
@@ -247,6 +248,65 @@ class TestSmoothMask:
         base = build_mask(sym, schema2)
         with pytest.raises(BadConfig):
             smooth_mask(base, sym, 1.0)
+
+
+def reference_mask(tree, schema, epsilon):
+    """The smoothed mask of one tree, cell by cell from the three rules."""
+    m = np.zeros((tree.n, tree.n, schema.n_labels))
+    spans = tree.span_labels()
+    for i in range(tree.n):
+        for j in range(i, tree.n):
+            if (i, j) in spans:
+                m[i, j, list(spans[(i, j)])] = 1.0
+            elif any(_spans_cross((i, j), span) for span in spans):
+                m[i, j] = epsilon
+            else:
+                m[i, j, schema.n_observed :] = 1.0
+    return m
+
+
+class TestSmoothedMasks:
+    """The masks of a length group equal the per-sentence composition and
+    the cell-by-cell rules, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        seed=st.integers(0, 10_000),
+        epsilon=st.sampled_from([0.0, 0.01, 0.5]),
+        latent=st.integers(1, 2),
+    )
+    def test_equal_per_sentence_and_reference(self, lengths, seed, epsilon, latent):
+        # mixed and repeated lengths, n = 1, trees with no entities (every
+        # third, and any the draw leaves empty) and multi-label spans
+        schema = LabelSchema(observed_labels=("A", "B", "C"), latent_label_count=latent)
+        rng = np.random.default_rng(seed)
+        trees = [
+            random_partial_tree(n, schema, rng, multilabel_prob=0.3)
+            if b % 3
+            else PartialTree(n=n, entities=())
+            for b, n in enumerate(lengths)
+        ]
+        masks = smoothed_masks(trees, schema, epsilon)
+        assert [mask.n for mask in masks] == lengths
+        for tree, mask in zip(trees, masks):
+            sym = classify_nodes(tree)
+            single = smooth_mask(build_mask(sym, schema), sym, epsilon)
+            np.testing.assert_array_equal(mask.m, single.m)
+            np.testing.assert_array_equal(mask.m, reference_mask(tree, schema, epsilon))
+            assert not mask.m.flags.writeable
+
+    def test_empty_list(self, schema3):
+        assert smoothed_masks([], schema3, 0.01) == []
+
+    def test_bad_epsilon(self, schema3):
+        with pytest.raises(BadConfig):
+            smoothed_masks([PartialTree(n=2, entities=())], schema3, 1.0)
+
+    def test_latent_label_annotation(self, schema3):
+        tree = PartialTree(n=2, entities=(Span(0, 1, 2),))  # label 2 is latent
+        with pytest.raises(DimensionMismatch):
+            smoothed_masks([tree], schema3, 0.0)
 
 
 class TestChartMask:

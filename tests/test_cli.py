@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treecrf
-from treecrf import load_model, read_corpus, save_model, validate_annotation
+from treecrf import load_model, predict, read_corpus, save_model, validate_annotation
 from treecrf.cli import _train_config, build_parser, main
 from treecrf.data import corpus_schema
 from treecrf.train import TrainConfig
@@ -82,6 +82,12 @@ class TestTrainCommand:
             ]
         )
         assert rc == 2
+
+    def test_latent_flag_sets_the_latent_label_count(self, corpus_path, tmp_path):
+        path = str(tmp_path / "m")
+        argv = ["train", "--data", corpus_path, "--model", path, "--epochs", "1"]
+        assert main(argv + ["--latent", "2"]) == 0
+        assert load_model(path).config.schema.latent_label_count == 2
 
     def test_epsilon_zero_valid(self, corpus_path, tmp_path, capsys):
         rc = main(
@@ -220,6 +226,14 @@ class TestPredictEval:
         assert main(["predict", "--model", model_path, "--data", corpus_path, "--out", out]) == 0
         records = read_corpus(out)
         assert len(records) == 200
+        # the chunked decoding of the command gives predict's entities
+        params = load_model(model_path)
+        names = params.config.schema.observed_labels
+        for record, gold in zip(records, read_corpus(corpus_path)):
+            spans = predict(params, gold.tokens)
+            assert [(e.start, e.end - 1, e.label) for e in record.entities] == [
+                (s.start, s.end, names[s.label]) for s in spans
+            ]
         schema = corpus_schema(read_corpus(corpus_path))
         for record in records:
             if record.entities:
@@ -302,7 +316,7 @@ class TestSelfcheck:
         rc = main(["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
 
     def test_injected_fault_fails_loudly(self, capsys):
@@ -322,6 +336,7 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "PASS" not in out
         assert "FAIL  batched loss and gradient" in out
+        assert "FAIL  batched decoder equals enumerated best tree" in out
 
     def test_injected_fault_does_not_outlive_its_run(self, capsys):
         args = ["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"]
@@ -329,7 +344,7 @@ class TestSelfcheck:
         capsys.readouterr()
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
 
     def test_oracle_guard(self):
@@ -387,6 +402,14 @@ class TestSweepLatent:
         assert lines[0] == "latent_labels,dev_precision,dev_recall,dev_f1"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
+
+    def test_has_no_latent_flag(self, capsys):
+        # --counts sets every run's latent label count
+        with pytest.raises(SystemExit):
+            main(["sweep-latent", "--help"])
+        out = capsys.readouterr().out
+        assert "--counts" in out
+        assert "--latent" not in out
 
     def test_non_integer_count_is_usage_error(self, corpus_path, capsys):
         rc = main(["sweep-latent", "--data", corpus_path, "--counts", "1,x"])

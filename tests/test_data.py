@@ -23,7 +23,7 @@ from treecrf import (
     write_corpus,
 )
 from treecrf.chart import build_mask, classify_nodes, smooth_mask
-from treecrf.data import nesting_depths, record_to_line
+from treecrf.data import _gen_sentence, nesting_depths, record_to_line
 
 
 class TestCorpusIO:
@@ -214,7 +214,13 @@ class TestGenSynthetic:
             assert len(labels) == len(set(labels))
 
     def test_tiny_corpus_gets_repaired(self):
-        records = gen_synthetic(SynthConfig(num_sentences=3, seed=0))
+        # the three raw draws hold only E2 and nest nothing, so the output
+        # differs from them: the repair ran
+        config = SynthConfig(num_sentences=3, max_length=8, seed=4)
+        rng = np.random.default_rng(config.seed)
+        raw = [_gen_sentence(rng, config) for _ in range(config.num_sentences)]
+        records = gen_synthetic(config)
+        assert records != raw
         labels = {e.label for r in records for e in r.entities}
         assert labels == {"E0", "E1", "E2"}
         assert any(2 in nesting_depths(r) for r in records)
@@ -300,6 +306,20 @@ class TestPreprocess:
         sym = classify_nodes(tree)
         fresh = smooth_mask(build_mask(sym, schema3), sym, 0.02)
         np.testing.assert_array_equal(example.mask.m, fresh.m)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_masks_equal_per_sentence_build_on_standard_corpus(self, epsilon):
+        records = gen_synthetic(SynthConfig(num_sentences=2000, seed=0))
+        schema = corpus_schema(records)
+        examples = preprocess(records, schema, corpus_vocab(records), epsilon)
+        assert len(examples) == len(records)
+        for record, example in zip(records, examples):
+            tree = validate_annotation(
+                record.tokens, [(e.start, e.end, e.label) for e in record.entities], schema
+            )
+            sym = classify_nodes(tree)
+            fresh = smooth_mask(build_mask(sym, schema), sym, epsilon)
+            np.testing.assert_array_equal(example.mask.m, fresh.m)
 
     def test_token_ids_use_vocab(self, schema3):
         record = CorpusRecord(tokens=("b", "a"), entities=(Entity(0, 1, "PER"),))

@@ -18,6 +18,7 @@ from treecrf import (
     PartialTree,
     ScoreChart,
     Span,
+    batch_cky_decode,
     batch_loss_and_score_gradient,
     batched_masked_inside,
     build_mask,
@@ -705,6 +706,33 @@ class TestBatchLossAndScoreGradient:
                 batch_loss_and_score_gradient(batch_charts, batch_masks)
 
 
+class TestBatchCkyDecode:
+    def test_mixed_lengths_equal_per_sentence(self, schema3):
+        # lengths 1..30, some repeated, and a few long ones, shuffled; every
+        # third chart is all zeros, so every label and split ties; cells
+        # below the diagonal are NaN
+        rng = np.random.default_rng(25)
+        lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30, 45, 76, 100])
+        charts = []
+        for b, n in enumerate(lengths):
+            s = random_chart(n, schema3, rng).s.copy() if b % 3 else np.zeros((n, n, 3))
+            s[np.tril_indices(n, k=-1)] = np.nan
+            charts.append(ScoreChart(s=s, schema=schema3))
+        trees = batch_cky_decode(charts)
+        assert [tree.nodes for tree in trees] == [cky_decode(c).nodes for c in charts]
+        for n, tree in zip(lengths[::3], trees[::3]):
+            # the tie-break: left-most splits, label 0
+            nodes = [(i, n - 1, 0) for i in range(n)] + [(i, i, 0) for i in range(n - 1)]
+            assert tree.nodes == FullTree(n=n, nodes=tuple(nodes)).nodes
+
+    def test_empty_batch(self):
+        assert batch_cky_decode([]) == []
+
+    def test_label_counts_must_agree(self, schema2, schema3):
+        with pytest.raises(DimensionMismatch):
+            batch_cky_decode([zero_chart(2, schema2), zero_chart(2, schema3)])
+
+
 # Every public structured entry point as ``f(chart, mask)``; the ones that
 # take no mask ignore it.
 ENTRY_POINTS = {
@@ -719,8 +747,11 @@ ENTRY_POINTS = {
     ),
     "batched_masked_inside": lambda chart, mask: batched_masked_inside([chart], [mask]),
     "cky_decode": lambda chart, mask: cky_decode(chart),
+    "batch_cky_decode": lambda chart, mask: batch_cky_decode([chart]),
 }
-TAKES_MASK = sorted(set(ENTRY_POINTS) - {"inside", "marginals", "cky_decode"})
+TAKES_MASK = sorted(
+    set(ENTRY_POINTS) - {"inside", "marginals", "cky_decode", "batch_cky_decode"}
+)
 
 
 class TestLongestFirstRows:
@@ -768,6 +799,12 @@ class TestLongestFirstRows:
             lambda: list(batch_loss_and_score_gradient(charts, masks))
         )
         assert rows == self._expected(2)
+
+    def test_batch_cky_decode(self, schema3):
+        rng = np.random.default_rng(26)
+        charts = [random_chart(n, schema3, rng) for n in self.LENGTHS]
+        rows = self._rows_per_width(lambda: batch_cky_decode(charts))
+        assert rows == self._expected(1)
 
 
 class TestArgumentChecks:

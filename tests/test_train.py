@@ -1,4 +1,6 @@
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from treecrf import (
     Entity,
     SynthConfig,
     TrainConfig,
+    batch_predict,
     evaluate,
     gen_synthetic,
     predict,
@@ -253,6 +256,52 @@ class TestPredictEvaluate:
             pseudo_gold.append(CorpusRecord(tokens=record.tokens, entities=entities))
         report = evaluate(trained.params, pseudo_gold)
         assert report.precision == report.recall == report.f1 == 1.0
+
+    @pytest.mark.parametrize("bound", [None, 1, 3000], ids=["default", "1", "3000"])
+    def test_chunked_decoding_equals_per_record_predict(
+        self, trained, small_corpus, monkeypatch, bound
+    ):
+        # chunks at the default bound, of one sentence each, and of a few
+        # sentences, with sentences of up to 60 tokens (1830 span cells)
+        train_module = importlib.import_module("treecrf.train")
+        if bound is not None:
+            monkeypatch.setattr(train_module, "DECODE_CHUNK_CELLS", bound)
+        longer = gen_synthetic(SynthConfig(num_sentences=12, max_length=60, seed=3))
+        records = small_corpus[:150] + longer + small_corpus[150:]
+        params = trained.params
+        schema = params.config.schema
+        singles = [predict(params, record.tokens) for record in records]
+        decode = mock.patch.object(
+            train_module, "batch_cky_decode", wraps=train_module.batch_cky_decode
+        )
+        with decode as batch_cky_decode:
+            assert list(batch_predict(params, (r.tokens for r in records))) == singles
+        # consecutive chunks, each as long as the bound allows
+        chunks = [[c.n for c in call.args[0]] for call in batch_cky_decode.call_args_list]
+        assert sum(chunks, []) == [len(r.tokens) for r in records]
+        padded = [len(c) * max(c) * (max(c) + 1) // 2 for c in chunks]
+        limit = train_module.DECODE_CHUNK_CELLS
+        assert all(p <= limit for p, c in zip(padded, chunks) if len(c) > 1)
+        for chunk, after in zip(chunks, chunks[1:]):
+            longest = max(chunk + after[:1])
+            assert (len(chunk) + 1) * longest * (longest + 1) // 2 > limit
+        counts = {name: [0, 0, 0] for name in schema.observed_labels}
+        for record, spans in zip(records, singles):
+            tree = validate_annotation(
+                record.tokens, [(e.start, e.end, e.label) for e in record.entities], schema
+            )
+            gold = {(e.start, e.end, e.label) for e in tree.entities}
+            pred = {(s.start, s.end, s.label) for s in spans}
+            for spans_of, column in ((gold, 0), (pred, 1), (gold & pred, 2)):
+                for _, _, k in spans_of:
+                    counts[schema.observed_labels[k]][column] += 1
+        report = evaluate(params, records)
+        per_label = {
+            name: (m.gold, m.predicted, m.matched) for name, m in report.per_label.items()
+        }
+        assert per_label == {name: tuple(c) for name, c in counts.items()}
+        totals = tuple(sum(c[column] for c in counts.values()) for column in range(3))
+        assert (report.gold_count, report.predicted_count, report.matched_count) == totals
 
     def test_report_arithmetic(self):
         from treecrf.train import _prf
