@@ -64,6 +64,7 @@ from .scorer import (
     ScorerParams,
     Vocab,
     forward,
+    forward_batch,
     init_params,
     load_model,
     save_model,

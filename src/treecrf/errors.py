@@ -46,7 +46,15 @@ class EmptyCorpus(TreecrfError):
 
 
 class NonFiniteLoss(TreecrfError):
-    """Span scores, their spread, or a training loss became NaN or infinite."""
+    """Span scores, their spread, or a training loss became NaN or infinite.
+
+    ``position`` is the batch position of the sentence, when a batched
+    scorer forward raised it, else ``None``.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 class ParseError(TreecrfError):

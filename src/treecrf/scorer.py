@@ -8,9 +8,18 @@ boundary embeddings::
 
     s[i, j, k] = e_i' U1_k e_j + (e_i + e_j)' U2_k + b_k
 
-:func:`forward` returns a sentence's normalized chart and a :class:`Tape`
-whose ``backward`` chains hand-written reverse-mode gradients of every
-layer, normalization's Jacobian included; the test suite certifies every
+:func:`forward_batch` scores a minibatch: its normalized charts, in input
+order, and one :class:`BatchTape` whose ``backward`` chains hand-written
+reverse-mode gradients of every layer, normalization's Jacobian included,
+and returns the minibatch's parameter gradients summed in batch order.
+Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run as one group padded to
+the longest of them: each encoder layer and each backward layer is one
+stacked ``@`` for the group, one gemm per sentence.  A sentence's biaffine
+products and its normalization statistics are its own.  Every other
+sentence is a group of one.  At the default dimensions every chart, and
+every sentence's share of the gradients, is bit-identical to the sentence
+alone (see ``PADDED_MAX_TOKENS``).  :func:`forward` is the batch of one,
+and its :class:`Tape` the batch's tape; the test suite certifies every
 parameter gradient against central finite differences.
 
 Model files are self-describing: magic, a little-endian uint32 format
@@ -26,11 +35,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import LabelSchema, below_diagonal
+from .chart import LabelSchema
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -60,6 +70,18 @@ PARAM_ORDER = (
 
 # Degenerate-scale floor for potential normalization.
 STD_FLOOR = 1e-8
+
+# The longest sentence forward_batch pads into its shared group.  Measured
+# on OpenBLAS 0.3.31 (Haswell kernels), embed 16, hidden 32, 2 to 8 labels:
+# in a group whose longest sentence has at most 75 tokens, every sentence
+# of 2 to 75 tokens keeps the bits it has alone; at 76 every shorter one
+# changes (a gemm of 16 columns and K >= 32 switches kernel at 76 rows, and
+# longer sentences change its K blocking).  A 1-token sentence takes numpy's
+# gemv path alone, so it never joins.  Other dimensions pick other kernels:
+# hidden 8 or 64 differs in the last bit in groups of at most 40 tokens.  A
+# fact, not a knob; TestPaddingFacts in the test suite checks it at every
+# length.
+PADDED_MAX_TOKENS = 75
 
 
 @dataclass(frozen=True)
@@ -179,55 +201,41 @@ def init_params(vocab: Vocab, config: ScorerConfig, seed: int) -> ScorerParams:
     )
 
 
-class Tape(NamedTuple):
-    """What :func:`forward` keeps of one sentence for :meth:`backward`."""
+def _rows(lengths: Sequence[int], stride: int) -> np.ndarray:
+    """Row ``b * stride + i`` of token ``i`` of sentence ``b``, sentence
+    after sentence."""
+    shift = [b * stride - start for b, start in enumerate(accumulate([0, *lengths[:-1]]))]
+    return np.arange(sum(lengths)) + np.repeat(shift, lengths)
 
-    params: ScorerParams
-    ids: np.ndarray
-    ctx: np.ndarray  # (n, 3d) concatenated neighbor embeddings
-    zm: np.ndarray  # mixer pre-activation
+
+def _context(ids_list: Sequence[np.ndarray], n: int, emb: np.ndarray) -> np.ndarray:
+    """``(B, n, 3d)``: each token's left neighbor, itself and its right
+    neighbor; a sentence's edges, and the rows past its end, see zeros."""
+    x = emb[np.concatenate(ids_list)]
+    padded = np.zeros((len(ids_list), n + 2, emb.shape[1]))
+    start = 0
+    for row, ids in zip(padded, ids_list):
+        row[1 : len(ids) + 1] = x[start : start + len(ids)]
+        start += len(ids)
+    return np.concatenate([padded[:, :-2], padded[:, 1:-1], padded[:, 2:]], axis=2)
+
+
+class _Layers(NamedTuple):
+    """Encoder activations of a group, each ``(B, n, ·)``.  The backward
+    pass rebuilds the context, and reads each ReLU's derivative off its
+    output: ``a > 0`` exactly where ``z > 0``."""
+
     a0: np.ndarray  # mixer activation
-    z1: np.ndarray  # first feed-forward pre-activation
     a1: np.ndarray  # first feed-forward activation
-    out: np.ndarray  # contextual embeddings, (n, h/2)
-    normalized: np.ndarray  # the scores of the chart forward returned
-    std: float  # of the raw span scores
-    degenerate: bool  # std below STD_FLOOR: scores were only mean-centered
-
-    def backward(self, score_gradient: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact parameter gradients, in ``PARAM_ORDER``, of a loss whose
-        gradient with respect to the chart :func:`forward` returned is
-        ``score_gradient``."""
-        if score_gradient.shape != self.normalized.shape:
-            raise DimensionMismatch(
-                f"score gradient shape {score_gradient.shape} "
-                f"!= chart {self.normalized.shape}"
-            )
-        raw_grad = _normalize_backward(
-            self.normalized, self.std, self.degenerate, score_gradient
-        )
-        bi_grads, de = _biaffine_backward(self.out, self.params, raw_grad)
-        grads = _encode_backward(self, de)
-        grads.update(bi_grads)
-        return {name: grads[name] for name in PARAM_ORDER}
+    out: np.ndarray  # contextual embeddings, (B, n, h/2)
 
 
-def _encode(ids: np.ndarray, params: ScorerParams) -> tuple[np.ndarray, ...]:
-    """Encoder activations, in :class:`Tape` field order."""
-    if len(ids) == 0:
-        raise EmptySentence("cannot encode an empty sentence")
-    d = params.config.embed_dim
-    x = params.emb[ids]
-    zero = np.zeros((1, d))
-    left = np.concatenate([zero, x[:-1]], axis=0)
-    right = np.concatenate([x[1:], zero], axis=0)
-    ctx = np.concatenate([left, x, right], axis=1)
-    zm = ctx @ params.mix_w.T + params.mix_b
-    a0 = np.maximum(zm, 0.0)
-    z1 = a0 @ params.ff1_w.T + params.ff1_b
-    a1 = np.maximum(z1, 0.0)
-    out = a1 @ params.ff2_w.T + params.ff2_b
-    return ctx, zm, a0, z1, a1, out
+def _encode(ids_list: Sequence[np.ndarray], params: ScorerParams) -> _Layers:
+    """The encoder of non-empty sentences, padded to the longest."""
+    ctx = _context(ids_list, max(len(ids) for ids in ids_list), params.emb)
+    a0 = np.maximum(ctx @ params.mix_w.T + params.mix_b, 0.0)
+    a1 = np.maximum(a0 @ params.ff1_w.T + params.ff1_b, 0.0)
+    return _Layers(a0, a1, a1 @ params.ff2_w.T + params.ff2_b)
 
 
 def encode(tokens: Sequence[str], params: ScorerParams) -> np.ndarray:
@@ -236,21 +244,41 @@ def encode(tokens: Sequence[str], params: ScorerParams) -> np.ndarray:
     Each token sees its immediate neighbors through the width-3 mixer;
     sentence edges are padded with zero vectors.
     """
-    return _encode(params.vocab.encode(tokens), params)[-1]
+    if not tokens:
+        raise EmptySentence("cannot encode an empty sentence")
+    return _encode([params.vocab.encode(tokens)], params).out[0]
 
 
-def _biaffine(embeddings: np.ndarray, params: ScorerParams) -> np.ndarray:
-    h2 = params.config.half_dim
-    if embeddings.ndim != 2 or embeddings.shape[1] != h2:
-        raise DimensionMismatch(
-            f"embeddings have shape {embeddings.shape}, expected (n, {h2})"
-        )
-    e = embeddings
-    # tmp[i, k, b] = sum_a e[i, a] U1[k, a, b]
-    tmp = np.tensordot(e, params.bi_u1, axes=([1], [1]))
-    bilinear = (tmp @ e.T).transpose(0, 2, 1)
-    linear = (e[:, None, :] + e[None, :, :]) @ params.bi_u2.T
-    return bilinear + linear + params.bi_b[None, None, :]
+def _times_u1(e: np.ndarray, params: ScorerParams) -> np.ndarray:
+    """``eu[b, i, k, c] = sum_a e[b, i, a] U1[k, a, c]``, ``(B, n, L, h/2)``."""
+    count, n, h2 = e.shape
+    n_labels = len(params.bi_b)
+    u1 = params.bi_u1.transpose(1, 0, 2).reshape(h2, n_labels * h2)
+    return (e @ u1).reshape(count, n, n_labels, h2)
+
+
+def _squares(scores: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
+    """Each sentence's ``(m, m, L)`` square of the cells of ``scores``."""
+    ends = accumulate(m * m for m in lengths)
+    return [scores[end - m * m : end].reshape(m, m, -1) for end, m in zip(ends, lengths)]
+
+
+def _biaffine(e: np.ndarray, lengths: Sequence[int], params: ScorerParams) -> np.ndarray:
+    """Raw scores of every cell of each sentence's ``(m, m)`` square, square
+    after square, ``(cells, L)``, from embeddings ``e`` ``(B, n, h/2)``.
+
+    Each square is computed with the products of its sentence alone:
+    padded, the pairwise sums ``e_i + e_j`` of a group would take
+    ``(B, n, n, h/2)`` floats, most of them past the sentences' ends.
+    """
+    eu = _times_u1(e, params)
+    scores = np.empty((sum(m * m for m in lengths), len(params.bi_b)))
+    for b, (m, square) in enumerate(zip(lengths, _squares(scores, lengths))):
+        x = e[b, :m]
+        square[...] = (x[:, None, :] + x[None, :, :]) @ params.bi_u2.T
+        square += (eu[b, :m] @ x.T).transpose(0, 2, 1)
+    scores += params.bi_b
+    return scores
 
 
 def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
@@ -258,23 +286,48 @@ def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
 
     Cells below the diagonal are unspecified; nothing reads them.
     """
-    return ScoreChart(s=_biaffine(embeddings, params), schema=params.config.schema)
+    h2 = params.config.half_dim
+    if embeddings.ndim != 2 or embeddings.shape[1] != h2:
+        raise DimensionMismatch(
+            f"embeddings have shape {embeddings.shape}, expected (n, {h2})"
+        )
+    n = len(embeddings)
+    scores = _biaffine(embeddings[None], [n], params)
+    return ScoreChart(s=scores.reshape(n, n, -1), schema=params.config.schema)
 
 
-def _normalize(s: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """``(normalized, std, degenerate)`` of a raw score array.
+def _upper(n: int) -> np.ndarray:
+    """``(n, n)`` mask of the span cells ``i <= j``: ``~below_diagonal(n)``."""
+    return np.arange(n) >= np.arange(n)[:, None]
 
-    Span scores that are not finite, or whose spread overflows, raise
-    :class:`NonFiniteLoss` without a floating-point warning.
+
+def _normalize(s: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Standardize, in place, the cells ``(cells, L)`` of each sentence's
+    ``(m, m)`` square, stacked square after square; return the standard
+    deviations of the sentences' raw span cells.
+
+    A sentence's mean and standard deviation sum its span cells in
+    row-major order, as one contiguous array, exactly as alone.  A spread
+    below ``STD_FLOOR`` is degenerate: those scores are only mean-centered.
+    Non-finite standard deviations are returned, not raised.
     """
-    vals = s[~below_diagonal(len(s))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(vals.mean())
-        std = float(np.sqrt(((vals - mean) ** 2).mean()))
-        if not math.isfinite(std):
-            raise NonFiniteLoss(f"scorer forward: non-finite span scores (std {std})")
-        degenerate = std < STD_FLOOR
-        return (s - mean if degenerate else (s - mean) / std), std, degenerate
+    upper = _upper(max(lengths))
+    std = []
+    for m, square in zip(lengths, _squares(s, lengths)):
+        vals = square[upper[:m, :m]]
+        # ndarray.mean's sum and division, without its Python overhead
+        mean = np.add.reduce(vals, axis=None) / vals.size
+        dev = vals - mean
+        std.append(math.sqrt(np.add.reduce(dev * dev, axis=None) / vals.size))
+        square -= mean
+        square /= std[-1] if std[-1] >= STD_FLOOR else 1.0
+    return np.array(std)
+
+
+def _non_finite(std: float, position: int) -> NonFiniteLoss:
+    return NonFiniteLoss(
+        f"scorer forward: non-finite span scores (std {std})", position=position
+    )
 
 
 def potential_normalize(chart: ScoreChart) -> ScoreChart:
@@ -286,88 +339,248 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
     affine map and stay unspecified.  Raises :class:`NonFiniteLoss`, as
     :func:`forward` does, when the spread of the scores is not finite.
     """
-    return ScoreChart(s=_normalize(chart.s)[0], schema=chart.schema)
+    s = chart.s.reshape(chart.n * chart.n, -1).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        (std,) = _normalize(s, [chart.n])
+    if not math.isfinite(std):
+        raise _non_finite(float(std), 0)
+    return ScoreChart(s=s.reshape(chart.s.shape), schema=chart.schema)
+
+
+def _normalize_backward(
+    normalized: np.ndarray,
+    lengths: Sequence[int],
+    std: np.ndarray,
+    grads: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Chain the gradients w.r.t. each sentence's square of the
+    ``normalized`` scores back to raw scores, as ``(B, n, n, L)`` squares
+    padded to the longest.  Reads only the span cells; the rest is 0."""
+    n = max(lengths)
+    upper = _upper(n)
+    padded = np.zeros((len(lengths), n, n, normalized.shape[1]))
+    squares = _squares(normalized, lengths)
+    for raw, m, square, sd, grad in zip(padded, lengths, squares, std.tolist(), grads):
+        spans = upper[:m, :m]
+        y = square[spans]
+        g = grad[spans]
+        out = g - np.add.reduce(g, axis=None) / g.size
+        if sd >= STD_FLOOR:
+            out -= y * (np.add.reduce(g * y, axis=None) / g.size)
+            out /= sd
+        raw[:m, :m][spans] = out
+    return padded
+
+
+def _biaffine_backward(
+    e: np.ndarray, params: ScorerParams, grad: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-sentence gradients of the biaffine layer, stacked, plus the
+    embedding gradient, from the padded raw-score gradient ``grad``."""
+    count, n, h2 = e.shape
+    n_labels = grad.shape[-1]
+    row_col = grad.sum(axis=2) + grad.sum(axis=1)  # (B, n, L)
+    # t1[b, i, k, c] = sum_j grad[b, i, j, k] e[b, j, c]
+    t1 = grad.transpose(0, 1, 3, 2).reshape(count, n * n_labels, n) @ e
+    bi_u1 = e.transpose(0, 2, 1) @ t1.reshape(count, n, n_labels * h2)
+    grads = {
+        "bi_u1": bi_u1.reshape(count, h2, n_labels, h2).transpose(0, 2, 1, 3),
+        "bi_u2": row_col.transpose(0, 2, 1) @ e,
+        "bi_b": grad.sum(axis=(1, 2)),
+    }
+    # ue[b, k, a, j] = sum_c U1[k, a, c] e[b, j, c]
+    ue = params.bi_u1 @ e.transpose(0, 2, 1)[:, None]
+    ue = ue.transpose(0, 3, 1, 2).reshape(count, n * n_labels, h2)
+    de = grad.reshape(count, n, n * n_labels) @ ue
+    swapped = grad.transpose(0, 2, 1, 3).reshape(count, n, n * n_labels)
+    de += swapped @ _times_u1(e, params).reshape(count, n * n_labels, h2)
+    de += row_col @ params.bi_u2
+    return grads, de
+
+
+def _encode_backward(
+    layers: _Layers, ctx: np.ndarray, params: ScorerParams, de: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-sentence encoder weight gradients, stacked, and the context
+    gradient ``(B, n, 3d)``."""
+    grads: dict[str, np.ndarray] = {}
+    grads["ff2_w"] = de.transpose(0, 2, 1) @ layers.a1
+    grads["ff2_b"] = de.sum(axis=1)
+    dz1 = (de @ params.ff2_w) * (layers.a1 > 0.0)
+    grads["ff1_w"] = dz1.transpose(0, 2, 1) @ layers.a0
+    grads["ff1_b"] = dz1.sum(axis=1)
+    dzm = (dz1 @ params.ff1_w) * (layers.a0 > 0.0)
+    grads["mix_w"] = dzm.transpose(0, 2, 1) @ ctx
+    grads["mix_b"] = dzm.sum(axis=1)
+    return grads, dzm @ params.mix_w
+
+
+class _Group(NamedTuple):
+    """Sentences of a batch whose layers run as one padded stack."""
+
+    members: list[int]  # positions in the batch, ascending
+    ids: list[np.ndarray]
+    layers: _Layers
+    normalized: np.ndarray  # (cells, L): the charts, square after square
+    std: np.ndarray  # of each sentence's raw span scores
+
+
+def _padded_groups(lengths: Sequence[int]) -> list[list[int]]:
+    """Batch positions by group: the padded one first, then one per sentence
+    outside ``2 .. PADDED_MAX_TOKENS``."""
+    padded = [b for b, n in enumerate(lengths) if 2 <= n <= PADDED_MAX_TOKENS]
+    alone = [[b] for b, n in enumerate(lengths) if not 2 <= n <= PADDED_MAX_TOKENS]
+    return [padded, *alone] if padded else alone
+
+
+class BatchTape:
+    """What :func:`forward_batch` keeps of a batch for :meth:`backward`."""
+
+    def __init__(
+        self, params: ScorerParams, charts: list[ScoreChart], groups: list[_Group]
+    ) -> None:
+        self.params = params
+        self._charts = charts
+        self._groups = groups
+
+    def backward(self, score_gradients: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+        """Parameter gradients, in ``PARAM_ORDER``, of a loss whose gradient
+        with respect to the charts :func:`forward_batch` returned is
+        ``score_gradients``, one per chart in input order.
+
+        Each is the sum over the batch, in batch order, of the sentences'
+        gradients, as adding each sentence's :meth:`Tape.backward` to zeros
+        in turn gives it (bit for bit at the default dimensions).
+        """
+        if len(score_gradients) != len(self._charts):
+            raise DimensionMismatch(
+                f"{len(score_gradients)} score gradients for a batch of "
+                f"{len(self._charts)} charts"
+            )
+        for b, (grad, chart) in enumerate(zip(score_gradients, self._charts)):
+            if np.shape(grad) != chart.s.shape:
+                raise DimensionMismatch(
+                    f"score gradient {b} has shape {np.shape(grad)}, "
+                    f"its chart {chart.s.shape}"
+                )
+        return self._backward_raw(
+            [
+                _normalize_backward(
+                    group.normalized,
+                    [len(ids) for ids in group.ids],
+                    group.std,
+                    [score_gradients[b] for b in group.members],
+                )
+                for group in self._groups
+            ]
+        )
+
+    def _backward_raw(self, raw_grads: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+        """:meth:`backward` from each group's padded raw-score gradient."""
+        params = self.params
+        d = params.config.embed_dim
+        stacks: dict[str, np.ndarray] = {}
+        slots, rows = [], []
+        for group, grad in zip(self._groups, raw_grads):
+            lengths = [len(ids) for ids in group.ids]
+            n = grad.shape[1]
+            ctx = _context(group.ids, n, params.emb)
+            grads, de = _biaffine_backward(group.layers.out, params, grad)
+            more, dctx = _encode_backward(group.layers, ctx, params, de)
+            grads.update(more)
+            if len(self._groups) == 1:
+                stacks = grads
+            else:
+                for name, value in grads.items():
+                    stacks.setdefault(name, np.zeros((len(self._charts), *value.shape[1:])))
+                    stacks[name][group.members] = value
+            # a token's embedding slot in its sentence, b * V + id, takes its
+            # centre contributions, then its part of its right neighbor's
+            # context, then of its left neighbor's (zeros past the edges)
+            padded = np.zeros((len(lengths), n + 2, 3 * d))
+            padded[:, 1:-1] = dctx
+            padded = padded.reshape(-1, 3 * d)
+            at = _rows(lengths, n + 2) + 1
+            slot = np.repeat(group.members, lengths) * len(params.emb)
+            slots.append(np.tile(slot + np.concatenate(group.ids), 3))
+            rows += [padded[at, d : 2 * d], padded[at + 1, :d], padded[at - 1, 2 * d :]]
+        out = {"emb": np.zeros_like(params.emb)}
+        if slots:
+            # each sentence's sum per token id, then those sums in batch order
+            used, slot = np.unique(np.concatenate(slots), return_inverse=True)
+            sums = np.zeros((len(used), d))
+            np.add.at(sums, slot, np.concatenate(rows))
+            np.add.at(out["emb"], used % len(params.emb), sums)
+        for name in PARAM_ORDER[1:]:
+            stack = stacks.get(name)
+            out[name] = (
+                np.zeros_like(getattr(params, name))
+                if stack is None
+                else np.add.reduce(stack, axis=0, initial=0.0)
+            )
+        return out
+
+
+def forward_batch(
+    ids_list: Sequence[np.ndarray], params: ScorerParams
+) -> tuple[list[ScoreChart], BatchTape]:
+    """:func:`forward` of each sentence, in input order, and one tape.
+
+    Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run together, each layer
+    once for all of them, padded to the longest; every other sentence runs
+    alone.  Each chart is :func:`forward` of its sentence alone, and each
+    sentence's share of the gradients too, bit for bit at the default
+    dimensions and to rounding at others.  An empty sentence raises
+    :class:`EmptySentence`; scores that are not finite, or whose spread
+    overflows, raise :class:`NonFiniteLoss` for the first such sentence,
+    its batch position in ``position``.
+    """
+    for b, ids in enumerate(ids_list):
+        if len(ids) == 0:
+            raise EmptySentence(f"cannot encode an empty sentence (batch position {b})")
+    schema = params.config.schema
+    charts: list = [None] * len(ids_list)
+    groups = []
+    failed = []
+    for members in _padded_groups([len(ids) for ids in ids_list]):
+        ids = [ids_list[b] for b in members]
+        lengths = [len(x) for x in ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            layers = _encode(ids, params)
+            scores = _biaffine(layers.out, lengths, params)
+            std = _normalize(scores, lengths)
+        failed += [(b, sd) for b, sd in zip(members, std.tolist()) if not math.isfinite(sd)]
+        if failed:
+            continue
+        for b, s in zip(members, _squares(scores, lengths)):
+            charts[b] = ScoreChart(s=s, schema=schema)
+        groups.append(_Group(members, ids, layers, scores, std))
+    if failed:
+        b, std = min(failed)
+        raise _non_finite(std, b)
+    return charts, BatchTape(params, charts, groups)
+
+
+class Tape(NamedTuple):
+    """What :func:`forward` keeps of one sentence: its batch of one."""
+
+    batch: BatchTape
+
+    def backward(self, score_gradient: np.ndarray) -> dict[str, np.ndarray]:
+        """Exact parameter gradients, in ``PARAM_ORDER``, of a loss whose
+        gradient with respect to the chart :func:`forward` returned is
+        ``score_gradient``."""
+        return self.batch.backward([score_gradient])
 
 
 def forward(ids: np.ndarray, params: ScorerParams) -> tuple[ScoreChart, Tape]:
     """The chart training consumes and ``predict`` decodes, and its tape.
 
     The chart is :func:`potential_normalize` of :func:`biaffine_scores` of
-    the token ids' embeddings.  Scores that are not finite, or whose spread
-    overflows, raise :class:`NonFiniteLoss` without a floating-point warning.
+    the token ids' embeddings: :func:`forward_batch` of a batch of one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        layers = _encode(ids, params)
-        tape = Tape(params, ids, *layers, *_normalize(_biaffine(layers[-1], params)))
-    return ScoreChart(s=tape.normalized, schema=params.config.schema), tape
-
-
-def _normalize_backward(
-    normalized: np.ndarray, std: float, degenerate: bool, grad: np.ndarray
-) -> np.ndarray:
-    """Chain a gradient w.r.t. normalized scores back to raw scores.
-
-    Reads only the span cells of ``grad``; the result is 0 below the diagonal.
-    """
-    spans = ~below_diagonal(len(grad))
-    g = grad[spans]
-    out = np.zeros_like(grad)
-    if degenerate:
-        out[spans] = g - g.mean()
-        return out
-    y = normalized[spans]
-    out[spans] = (g - g.mean() - y * (g * y).mean()) / std
-    return out
-
-
-def _biaffine_backward(
-    e: np.ndarray, params: ScorerParams, grad: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of the biaffine layer plus the embedding gradient."""
-    row = grad.sum(axis=1)  # (n, L)
-    col = grad.sum(axis=0)  # (n, L)
-    # t1[i, k, b] = sum_j grad[i, j, k] e[j, b]
-    t1 = np.tensordot(grad, e, axes=([1], [0]))
-    grads = {
-        "bi_u1": np.tensordot(e, t1, axes=([0], [0])).transpose(1, 0, 2),
-        "bi_u2": (row + col).T @ e,
-        "bi_b": grad.sum(axis=(0, 1)),
-    }
-    # ue[k, a, j] = sum_b U1[k, a, b] e[j, b]; eu[i, k, b] = sum_a e[i, a] U1[k, a, b]
-    ue = params.bi_u1 @ e.T
-    eu = np.tensordot(e, params.bi_u1, axes=([1], [1]))
-    de = (
-        np.tensordot(grad, ue, axes=([1, 2], [2, 0]))
-        + np.tensordot(grad, eu, axes=([0, 2], [0, 1]))
-        + (row + col) @ params.bi_u2
-    )
-    return grads, de
-
-
-def _encode_backward(tape: Tape, de: np.ndarray) -> dict[str, np.ndarray]:
-    params = tape.params
-    d = params.config.embed_dim
-    grads: dict[str, np.ndarray] = {}
-    grads["ff2_w"] = de.T @ tape.a1
-    grads["ff2_b"] = de.sum(axis=0)
-    da1 = de @ params.ff2_w
-    dz1 = da1 * (tape.z1 > 0.0)
-    grads["ff1_w"] = dz1.T @ tape.a0
-    grads["ff1_b"] = dz1.sum(axis=0)
-    da0 = dz1 @ params.ff1_w
-    dzm = da0 * (tape.zm > 0.0)
-    grads["mix_w"] = dzm.T @ tape.ctx
-    grads["mix_b"] = dzm.sum(axis=0)
-    dctx = dzm @ params.mix_w
-    demb = np.zeros_like(params.emb)
-    ids = tape.ids
-    n = len(ids)
-    np.add.at(demb, ids, dctx[:, d : 2 * d])
-    if n > 1:
-        np.add.at(demb, ids[: n - 1], dctx[1:, :d])
-        np.add.at(demb, ids[1:], dctx[: n - 1, 2 * d :])
-    grads["emb"] = demb
-    return grads
+    charts, tape = forward_batch([ids], params)
+    return charts[0], Tape(tape)
 
 
 def save_model(params: ScorerParams, path: str) -> None:

@@ -6,21 +6,24 @@ epsilon-smoothed during training only.  Scores always pass through
 per-sentence potential normalization before the structured layer;
 evaluation and prediction never see masks or smoothing.
 
-Each minibatch is one step in three parts: :func:`~treecrf.scorer.forward`
-of every sentence, which gives its normalized score chart and tape, one
+Each minibatch is one step in three calls: one
+:func:`~treecrf.scorer.forward_batch`, which gives every sentence's
+normalized score chart and one tape for the minibatch, one
 :func:`~treecrf.inference.batch_loss_and_score_gradient` call that runs
 the structured layer of the whole minibatch through the chart kernel at
-once, and each sentence's ``tape.backward``.  The values equal those of
-running the sentences one by one.  A diverging run raises
+once, and one ``tape.backward``, which sums the sentences' parameter
+gradients in batch order.  The values equal those of running the
+sentences one by one (bit for bit at the default scorer dimensions; see
+:mod:`treecrf.scorer`).  A diverging run raises
 :class:`~treecrf.errors.NonFiniteLoss` naming the sentence, its length
 and the phase (scorer forward or loss) where scores stopped being finite.
 The masks are built ahead of training by
 :func:`~treecrf.data.preprocess`, one length group at a time.
 
-Prediction decodes the chart of the same :func:`~treecrf.scorer.forward`.
-:func:`predict` decodes one sentence.  :func:`batch_predict`, and so
-:func:`evaluate` and the dev evaluation after each epoch, runs ``forward``
-once per sentence and decodes consecutive sentences together, one
+Prediction decodes the chart of the same scorer forward.  :func:`predict`
+decodes one sentence.  :func:`batch_predict`, and so :func:`evaluate` and
+the dev evaluation after each epoch, scores and decodes consecutive
+sentences together, one ``forward_batch`` and one
 :func:`~treecrf.inference.batch_cky_decode` call per chunk whose padded
 span cells stay within ``DECODE_CHUNK_CELLS``; the trees are those of
 decoding each sentence alone.
@@ -61,7 +64,14 @@ from .inference import (  # noqa: F401
     extract_entities,
     loss_and_score_gradient,
 )
-from .scorer import ScorerConfig, ScorerParams, check_dimensions, forward, init_params
+from .scorer import (
+    ScorerConfig,
+    ScorerParams,
+    check_dimensions,
+    forward,
+    forward_batch,
+    init_params,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -196,34 +206,31 @@ def _batch_gradient(
 ) -> dict[str, np.ndarray]:
     """Mean parameter gradient of one minibatch; appends its losses.
 
-    Three steps: the scorer forward for every sentence, one batched
-    structured loss and gradient, then each sentence's backward pass,
-    accumulated in batch order.  A :class:`NonFiniteLoss` from the forward
-    gets the sentence's index and length.
+    Three calls: one scorer :func:`~treecrf.scorer.forward_batch`, one
+    batched structured loss and gradient, then the batch tape's backward,
+    which sums the sentences' gradients in batch order.  A
+    :class:`NonFiniteLoss` from the forward gets the sentence's index and
+    length.
     """
-    forwards = []
-    for idx in batch:
-        ids = examples[idx].token_ids
-        try:
-            forwards.append(forward(ids, params))
-        except NonFiniteLoss as exc:
-            raise _diverged(idx, len(ids), exc) from None
-    results = batch_loss_and_score_gradient(
-        [chart for chart, _ in forwards], [examples[idx].mask for idx in batch]
-    )
-    acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-    for idx, (chart, tape), (loss, score_grad) in zip(batch, forwards, results):
+    try:
+        charts, tape = forward_batch([examples[idx].token_ids for idx in batch], params)
+    except NonFiniteLoss as exc:
+        idx = batch[exc.position]
+        raise _diverged(idx, len(examples[idx].token_ids), exc) from None
+    results = batch_loss_and_score_gradient(charts, [examples[idx].mask for idx in batch])
+    score_grads = []
+    for idx, chart, (loss, score_grad) in zip(batch, charts, results):
         if not np.isfinite(loss):
             detail = f"loss: loss={loss}, max |score|={np.abs(chart.s).max():.3e}"
             raise _diverged(idx, chart.n, detail)
         losses.append(loss)
-        grads = tape.backward(score_grad)
-        for name in acc:
-            acc[name] += grads[name]
+        score_grads.append(score_grad)
+    del results  # the structured layer's posteriors, before the backward pass
+    grads = tape.backward(score_grads)
     scale = 1.0 / len(batch)
-    for name in acc:
-        acc[name] *= scale
-    return acc
+    for name in grads:
+        grads[name] *= scale
+    return grads
 
 
 def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
@@ -294,23 +301,28 @@ def batch_predict(
 ) -> Iterator[list[Span]]:
     """:func:`predict` of each sentence, in order, decoded chunk by chunk.
 
-    Runs :func:`~treecrf.scorer.forward` once per sentence and
+    Runs :func:`~treecrf.scorer.forward_batch` and
     :func:`~treecrf.inference.batch_cky_decode` once per chunk of
     consecutive sentences (see ``DECODE_CHUNK_CELLS``), so the entities
     equal those of :func:`predict`.  Lazy: a chunk is scored and decoded
     when the iterator reaches it.
     """
     schema = params.config.schema
-    chunk: list = []
+
+    def decode(chunk: list[np.ndarray]) -> Iterator[list[Span]]:
+        charts, _ = forward_batch(chunk, params)
+        return (extract_entities(t, schema) for t in batch_cky_decode(charts))
+
+    chunk: list[np.ndarray] = []
     longest = 0
     for tokens in sentences:
         longest = max(longest, len(tokens))
         padded = (len(chunk) + 1) * longest * (longest + 1) // 2
         if chunk and padded > DECODE_CHUNK_CELLS:
-            yield from (extract_entities(t, schema) for t in batch_cky_decode(chunk))
+            yield from decode(chunk)
             chunk, longest = [], len(tokens)
-        chunk.append(forward(params.vocab.encode(tokens), params)[0])
-    yield from (extract_entities(t, schema) for t in batch_cky_decode(chunk))
+        chunk.append(params.vocab.encode(tokens))
+    yield from decode(chunk)
 
 
 def _gold_spans(record: CorpusRecord, schema: LabelSchema) -> set[tuple[int, int, int]]:

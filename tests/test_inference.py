@@ -553,8 +553,11 @@ class TestNaNPoisoning:
             grad = rng.normal(size=clean.s.shape)
             grad_poisoned = grad.copy()
             grad_poisoned[np.tril_indices(n, k=-1)] = np.nan
-            back_c = _normalize_backward(*_normalize(clean.s), grad)
-            back_p = _normalize_backward(*_normalize(poisoned.s), grad_poisoned)
+            backs = []
+            for chart, g in ((clean, grad), (poisoned, grad_poisoned)):
+                s = chart.s.reshape(n * n, -1).copy()
+                backs.append(_normalize_backward(s, [n], _normalize(s, [n]), [g]))
+            back_c, back_p = backs
             # the raw gradient feeds sums over the whole chart, so it must
             # be zero (not NaN) below the diagonal
             np.testing.assert_array_equal(back_p, back_c)

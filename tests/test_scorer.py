@@ -36,9 +36,12 @@ from treecrf.oracle import random_partial_tree
 from treecrf.scorer import (
     MODEL_FORMAT_VERSION,
     MODEL_MAGIC,
+    PADDED_MAX_TOKENS,
     PARAM_ORDER,
+    _padded_groups,
     biaffine_scores,
     encode,
+    forward_batch,
     potential_normalize,
 )
 
@@ -249,7 +252,8 @@ class TestForward:
                 biaffine_scores(encode(tokens, params), params)
             )
             np.testing.assert_array_equal(chart.s, staged.s)
-            np.testing.assert_array_equal(tape.out, encode(tokens, params))
+            (group,) = tape.batch._groups
+            np.testing.assert_array_equal(group.layers.out[0], encode(tokens, params))
 
     @pytest.mark.parametrize(
         "name, value", [("bi_b", np.nan), ("emb", np.inf), ("bi_u1", 1e300)]
@@ -265,6 +269,114 @@ class TestForward:
         params = init_params(small_vocab, small_config, seed=0)
         with pytest.raises(EmptySentence):
             forward(params.vocab.encode([]), params)
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("dims", [(16, 32), (4, 8)], ids=["default", "small"])
+    def test_charts_and_gradients_equal_the_sentences_alone(
+        self, small_vocab, schema3, dims
+    ):
+        # bit-identical at the default dimensions; at others the BLAS may
+        # pick another kernel for a padded gemm, and the batch's gradients
+        # agree with the sentences' to rounding
+        params = noised_params(small_vocab, ScorerConfig(*dims, schema3), seed=3)
+        rng = np.random.default_rng(3)
+        ids = [rng.integers(0, len(small_vocab), size=n) for n in (5, 1, 9, 2, 80, 7)]
+        charts, tape = forward_batch(ids, params)
+        grads = [rng.normal(size=chart.s.shape) for chart in charts]
+        total = {name: np.zeros_like(a) for name, a in params.arrays().items()}
+        for x, chart, grad in zip(ids, charts, grads):
+            alone, alone_tape = forward(x, params)
+            np.testing.assert_array_equal(chart.s, alone.s)
+            for name, value in alone_tape.backward(grad).items():
+                total[name] += value
+        summed = tape.backward(grads)
+        assert tuple(summed) == PARAM_ORDER
+        for name in PARAM_ORDER:
+            if dims == (16, 32):
+                np.testing.assert_array_equal(summed[name], total[name])
+            else:
+                np.testing.assert_allclose(summed[name], total[name], rtol=1e-12, atol=1e-12)
+
+    def test_empty_batch(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        charts, tape = forward_batch([], params)
+        assert charts == []
+        for name, grad in tape.backward([]).items():
+            assert grad.shape == getattr(params, name).shape
+            assert not grad.any()
+
+    def test_empty_sentence_in_a_batch(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        ids = [np.array([1, 2]), np.array([], dtype=np.int64), np.array([3])]
+        with pytest.raises(EmptySentence, match="batch position 1"):
+            forward_batch(ids, params)
+
+    @pytest.mark.parametrize("poisoned, position", [([7], 2), ([7, 1], 0)])
+    def test_non_finite_scores_name_the_batch_position(
+        self, small_vocab, small_config, poisoned, position
+    ):
+        # row 7 is read only by the third sentence, in the padded group that
+        # runs before the two sentences that run alone; row 1 only by the
+        # first, which runs alone: the first failing sentence is named
+        params = noised_params(small_vocab, small_config, seed=2)
+        params.emb[poisoned] = np.inf
+        ids = [np.full(80, 1), np.array([2]), np.array([3, 7, 4]), np.array([5, 6])]
+        with pytest.raises(NonFiniteLoss, match="scorer forward: ") as info:
+            forward_batch(ids, params)
+        assert info.value.position == position
+
+    def test_backward_checks_count_and_shapes(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        charts, tape = forward_batch([np.array([1, 2]), np.array([3, 4, 5])], params)
+        grads = [np.zeros(chart.s.shape) for chart in charts]
+        for count in (1, 3):
+            with pytest.raises(
+                DimensionMismatch, match=f"{count} score gradients for a batch of 2"
+            ):
+                tape.backward((grads * 2)[:count])
+        with pytest.raises(DimensionMismatch, match=r"score gradient 1 has shape \(2, 2, 3\)"):
+            tape.backward([np.zeros(charts[0].s.shape), np.zeros((2, 2, 3))])
+
+
+class TestPaddingFacts:
+    """``forward_batch`` pads sentences of 2 to ``PADDED_MAX_TOKENS`` tokens
+    into one group and runs each of its gemms with as many rows as the
+    longest of them.  That a sentence's values stay bit-identical is a fact
+    about the BLAS build and the gemm shapes, not about the algebra: a gemm
+    of 76 or more rows changes kernel, and a single row takes numpy's gemv
+    path.  These tests check the fact at every length for the default
+    dimensions, so that another BLAS fails here, naming the length, rather
+    than as a changed training log.
+    """
+
+    @pytest.mark.parametrize("n_labels", [4, 8])
+    def test_every_length_equals_the_sentence_alone(self, n_labels):
+        schema = LabelSchema(tuple(f"L{k}" for k in range(n_labels - 1)), 1)
+        vocab = Vocab.build(f"t{i}" for i in range(60))
+        params = noised_params(vocab, ScorerConfig(16, 32, schema), seed=n_labels)
+        rng = np.random.default_rng(n_labels)
+        for group in np.array_split(rng.permutation(np.arange(1, 101)), 12):
+            ids = [rng.integers(0, len(vocab), size=n) for n in group]
+            charts, tape = forward_batch(ids, params)
+            grads = [rng.normal(size=chart.s.shape) for chart in charts]
+            for b, (x, chart) in enumerate(zip(ids, charts)):
+                where = f"length {len(x)} in a group whose longest has {max(group)} tokens"
+                alone, alone_tape = forward(x, params)
+                assert np.array_equal(chart.s, alone.s), f"{where}: chart differs"
+                # the batch's backward with every other gradient zero gives
+                # this sentence's own parameter gradients
+                only = [g if k == b else np.zeros_like(g) for k, g in enumerate(grads)]
+                shared = tape.backward(only)
+                for name, value in alone_tape.backward(grads[b]).items():
+                    assert np.array_equal(shared[name], value), (
+                        f"{where}: {name} gradient differs"
+                    )
+
+    def test_groups(self):
+        # 2 to PADDED_MAX_TOKENS tokens share a group, the rest run alone
+        lengths = [1, 2, PADDED_MAX_TOKENS, PADDED_MAX_TOKENS + 1, 30]
+        assert _padded_groups(lengths) == [[1, 2, 4], [0], [3]]
 
 
 class TestModuleBoundary:

@@ -10,6 +10,7 @@ from treecrf import (
     CorpusRecord,
     EmptyCorpus,
     Entity,
+    NonFiniteLoss,
     SynthConfig,
     TrainConfig,
     batch_predict,
@@ -25,9 +26,8 @@ from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
     PARAM_ORDER,
     ScorerConfig,
-    _biaffine_backward,
-    _encode_backward,
     biaffine_scores,
+    encode,
     forward,
     init_params,
 )
@@ -35,6 +35,7 @@ from treecrf.train import (
     ADAM_EPS,
     AdamState,
     EpochLog,
+    _batch_gradient,
     adam_step,
     write_training_log,
 )
@@ -45,6 +46,56 @@ def sentence_loss_and_grads(tokens, mask, params):
     chart, tape = forward(params.vocab.encode(tokens), params)
     loss, score_grad = loss_and_score_gradient(chart, mask)
     return loss, tape.backward(score_grad)
+
+
+def record_of_length(n, rng):
+    """``n`` tokens with a whole-sentence entity and, from two tokens on,
+    its two halves as nested entities."""
+    tokens = tuple(f"w{int(t)}" for t in rng.integers(0, 40, size=n))
+    entities = [Entity(0, n, "E0")]
+    if n >= 2:
+        entities += [Entity(0, n // 2, "E1"), Entity(n // 2, n, "E2")]
+    return CorpusRecord(tokens=tokens, entities=tuple(entities))
+
+
+def reference_training(records, config):
+    """``train`` run sentence by sentence, gradients summed in batch order:
+    its log, the parameters after each epoch, and the sentence lengths of
+    every minibatch."""
+    schema = corpus_schema(records)
+    vocab = corpus_vocab(records)
+    train_records, dev_records, _ = split_corpus(records, config.seed)
+    eval_records = dev_records or train_records
+    examples = preprocess(train_records, schema, vocab, config.epsilon_smoothing)
+    params = init_params(
+        vocab, ScorerConfig(config.embed_dim, config.hidden_dim, schema), config.seed
+    )
+    adam = AdamState.init(params.arrays())
+    rng = np.random.default_rng(config.seed)
+    log, snapshots, batches = [], [], []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(examples))
+        losses = []
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            batches.append([len(train_records[idx].tokens) for idx in batch])
+            acc = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+            for idx in batch:
+                loss, grads = sentence_loss_and_grads(
+                    train_records[idx].tokens, examples[idx].mask, params
+                )
+                losses.append(loss)
+                for name in acc:
+                    acc[name] += grads[name]
+            for name in acc:
+                acc[name] *= 1.0 / len(batch)
+            adam_step(params.arrays(), acc, adam, config.learning_rate)
+        report = evaluate(params, eval_records)
+        log.append(
+            EpochLog(epoch, float(np.mean(losses)), report.precision, report.recall, report.f1)
+        )
+        snapshots.append(params.copy())
+    return log, snapshots, batches
 
 
 def single_record():
@@ -86,12 +137,11 @@ class TestOverfit:
         loss = math.inf
         for _ in range(200):
             _, tape = forward(example.token_ids, params)
-            raw = biaffine_scores(tape.out, params)
+            raw = biaffine_scores(encode(record.tokens, params), params)
             loss, sg = loss_and_score_gradient(raw, example.mask)
-            bi_grads, de = _biaffine_backward(tape.out, params, sg)
-            grads = _encode_backward(tape, de)
-            grads.update(bi_grads)
-            adam_step(params.arrays(), {k: grads[k] for k in PARAM_ORDER}, adam, 0.05)
+            # the tape's backward from raw scores, past normalization
+            grads = tape.batch._backward_raw([sg[None]])
+            adam_step(params.arrays(), grads, adam, 0.05)
         assert loss < 0.01
 
     def test_normalized_pipeline_predicts_gold_exactly(self):
@@ -185,6 +235,44 @@ class TestTrain:
                 getattr(result.params, name), getattr(best, name)
             )
 
+    def test_matches_reference_loop_on_mixed_lengths(self):
+        # minibatches that mix sentences of 1 and 2 tokens with 60-100,
+        # 74 to 77 included: a 1-token sentence padded into a group, or a
+        # group padded past 75 tokens, changes the last bit of gradients
+        rng = np.random.default_rng(5)
+        lengths = [1, 1, 1, 2, 2, 2, *[74, 75, 76, 77] * 2, *rng.integers(60, 101, size=8)]
+        records = [record_of_length(int(n), rng) for n in rng.permutation(lengths)]
+        config = TrainConfig(epochs=2, seed=3, batch_size=6)
+        log, snapshots, batches = reference_training(records, config)
+        assert {1, 2, 74, 75, 76, 77} <= {n for batch in batches for n in batch}
+        assert any(
+            1 in batch and 2 in batch and max(batch) >= 76 for batch in batches
+        ), batches
+        result = train(records, config)
+        assert result.log == log
+        best = snapshots[result.best_epoch - 1]
+        for name in PARAM_ORDER:
+            np.testing.assert_array_equal(
+                getattr(result.params, name), getattr(best, name)
+            )
+
+    def test_diverged_forward_names_the_sentence(self):
+        # the third sentence of a mixed batch, padded together with the
+        # fourth behind two that run alone, is the only one that reads the
+        # poisoned embedding row
+        rng = np.random.default_rng(6)
+        records = [record_of_length(n, rng) for n in (90, 1, 12, 30, 5, 8)]
+        records[4] = CorpusRecord(("poison",) * 5, records[4].entities)
+        schema, vocab = corpus_schema(records), corpus_vocab(records)
+        examples = preprocess(records, schema, vocab, 0.01)
+        params = init_params(vocab, ScorerConfig(16, 32, schema), seed=0)
+        params.emb[vocab.index["poison"]] = np.nan
+        batch = np.array([0, 1, 4, 3])
+        with pytest.raises(
+            NonFiniteLoss, match=r"^sentence 4 \(length 5\), scorer forward: "
+        ):
+            _batch_gradient(batch, examples, params, [])
+
     def test_losses_nonnegative_without_smoothing(self, small_corpus):
         config = TrainConfig(epochs=1, seed=0, epsilon_smoothing=0.0)
         result = train(small_corpus[:40], config)
@@ -262,12 +350,15 @@ class TestPredictEvaluate:
         self, trained, small_corpus, monkeypatch, bound
     ):
         # chunks at the default bound, of one sentence each, and of a few
-        # sentences, with sentences of up to 60 tokens (1830 span cells)
+        # sentences, with sentences of up to 100 tokens (5050 span cells):
+        # 1 and 76 or more tokens are scored alone, 2 to 75 padded together
         train_module = importlib.import_module("treecrf.train")
         if bound is not None:
             monkeypatch.setattr(train_module, "DECODE_CHUNK_CELLS", bound)
         longer = gen_synthetic(SynthConfig(num_sentences=12, max_length=60, seed=3))
-        records = small_corpus[:150] + longer + small_corpus[150:]
+        rng = np.random.default_rng(4)
+        edges = [record_of_length(n, rng) for n in (1, 75, 76, 100)]
+        records = small_corpus[:150] + longer[:6] + edges + longer[6:] + small_corpus[150:]
         params = trained.params
         schema = params.config.schema
         singles = [predict(params, record.tokens) for record in records]
