@@ -16,16 +16,21 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
 * LATENT   - anything else; the span may appear in a tree, labeled with a
   latent label.
 
-The classification is turned into a dense ``n x n x |labels|`` 0/1 mask;
-structure smoothing later relaxes rejected cells from 0 to a small epsilon.
-The cells ``i > j`` below the diagonal stand for no span;
-:func:`below_diagonal` marks them.
+The classification is turned into a 0/1 mask over every span cell and
+label; structure smoothing later relaxes rejected cells from 0 to a small
+epsilon.  The cells ``i > j`` below the diagonal stand for no span;
+:func:`below_diagonal` marks them.  Masks, like score charts, hold their
+span cells packed: one ``(n(n+1)/2, |labels|)`` array of the cells of
+``~below_diagonal(n)`` in row-major order (:func:`pack_cells`), the layout
+the chart kernel reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +53,36 @@ def below_diagonal(n: int) -> np.ndarray:
     row-major order as ``np.triu_indices(n)``.
     """
     return np.tri(n, k=-1, dtype=bool)
+
+
+def pack_cells(square: np.ndarray) -> np.ndarray:
+    """The span cells of an ``(n, n, ...)`` square, packed as
+    ``(n(n+1)/2, ...)``: those of ``~below_diagonal(n)``, row after row."""
+    return square[~below_diagonal(len(square))]
+
+
+def unpack_cells(cells: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n, n, L)`` square of packed span cells, 0 below the diagonal."""
+    square = np.zeros((n, n, cells.shape[1]))
+    square[~below_diagonal(n)] = cells
+    return square
+
+
+def span_positions(lengths: Sequence[int], n: int) -> np.ndarray:
+    """Where the span cells of charts of ``lengths`` sit in a stack of
+    ``(n, n)`` squares: ``b * n * n + i * n + j`` for cell ``(i, j)`` of
+    chart ``b``, in packed order, chart after chart."""
+    ends = np.array(lengths) - 1
+    return np.flatnonzero(~below_diagonal(n) & (np.arange(n) <= ends[:, None, None]))
+
+
+def packed_length(cells: np.ndarray) -> int:
+    """The sentence length ``n`` of packed span cells ``(n(n+1)/2, L)``."""
+    if cells.ndim == 2:
+        n = (math.isqrt(8 * len(cells) + 1) - 1) // 2
+        if n * (n + 1) // 2 == len(cells):
+            return n
+    raise DimensionMismatch(f"{cells.shape} is not a shape of packed span cells")
 
 
 class NodeKind(IntEnum):
@@ -170,30 +205,45 @@ class SymbolTree:
         self.node_kind.flags.writeable = False
 
 
-@dataclass(frozen=True)
 class ChartMask:
-    """Dense ``n x n x |labels|`` mask with weights in [0, 1].
+    """Weights in [0, 1] of each span cell and label.
 
-    Unsmoothed masks are 0/1 valued; lower-triangular cells are all zero
-    and never read by the dynamic programs.  A weight outside [0, 1], NaN
-    included, raises :class:`BadConfig`.
+    ``cells`` holds the span cells packed (see :func:`pack_cells`).
+    ``ChartMask(n, m)`` packs a dense ``n x n x |labels|`` square, whose
+    cells below the diagonal are ignored; :meth:`from_cells` takes packed
+    cells.  ``m`` is the square again, 0 below the diagonal, built when
+    first read.  Unsmoothed masks are 0/1 valued.  A span-cell weight
+    outside [0, 1], NaN included, raises :class:`BadConfig`.
     """
 
-    n: int
-    m: np.ndarray
+    def __init__(self, n: int, m: np.ndarray) -> None:
+        if m.ndim != 3 or m.shape[:2] != (n, n):
+            raise DimensionMismatch(f"mask shape {m.shape} does not match n={n}")
+        self._set(pack_cells(m))
 
-    def __post_init__(self) -> None:
-        if self.m.shape[:2] != (self.n, self.n) or self.m.ndim != 3:
-            raise DimensionMismatch(
-                f"mask shape {self.m.shape} does not match n={self.n}"
-            )
-        if not ((self.m >= 0.0) & (self.m <= 1.0)).all():
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "ChartMask":
+        """The mask of packed span cells, kept as given (not copied)."""
+        mask = cls.__new__(cls)
+        mask._set(cells)
+        return mask
+
+    def _set(self, cells: np.ndarray) -> None:
+        self.n = packed_length(cells)
+        if not ((cells >= 0.0) & (cells <= 1.0)).all():
             raise BadConfig("mask weights must lie in [0, 1]")
-        self.m.flags.writeable = False
+        cells.flags.writeable = False
+        self.cells = cells
 
     @property
     def n_labels(self) -> int:
-        return self.m.shape[2]
+        return self.cells.shape[1]
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        m = unpack_cells(self.cells, self.n)
+        m.flags.writeable = False
+        return m
 
 
 def validate_annotation(
@@ -256,15 +306,17 @@ def _node_kinds(n: int, count: int, annotated: np.ndarray) -> np.ndarray:
     return kinds
 
 
-def _reject(m: np.ndarray, kinds: np.ndarray, epsilon: float) -> None:
-    """Set every label of the rejected span cells of masks ``m`` to epsilon."""
-    m[(kinds == int(NodeKind.REJECTED)) & ~below_diagonal(kinds.shape[-1])] = epsilon
+def _reject(cells: np.ndarray, kinds: np.ndarray, epsilon: float) -> None:
+    """Set every label of the rejected span cells of packed masks ``cells``
+    to epsilon; ``kinds`` are their node kinds, packed alike."""
+    cells[kinds == int(NodeKind.REJECTED)] = epsilon
 
 
 def _masks(
     kinds: np.ndarray, annotated: np.ndarray, schema: LabelSchema, epsilon: float
 ) -> np.ndarray:
-    """The ``(count, n, n, L)`` masks of trees with node kinds ``kinds``.
+    """The packed ``(count, n(n+1)/2, L)`` masks of trees with node kinds
+    ``kinds``.
 
     The one mask rule: a latent span cell admits every latent label, a
     rejected one every label at weight ``epsilon`` and an observed one
@@ -277,11 +329,13 @@ def _masks(
             f"annotated label index {annotated[latent, 3][0]} is not an observed label"
         )
     count, n, _ = kinds.shape
-    m = np.zeros((count, n, n, schema.n_labels))
-    m[(kinds == int(NodeKind.LATENT)) & ~below_diagonal(n), schema.n_observed :] = 1.0
+    kinds = kinds[:, ~below_diagonal(n)]
+    m = np.zeros((*kinds.shape, schema.n_labels))
+    m[kinds == int(NodeKind.LATENT), schema.n_observed :] = 1.0
     _reject(m, kinds, epsilon)
     owner, i, j, k = annotated.T
-    m[owner, i, j, k] = 1.0
+    # span cell (i, j) follows the n - r cells of each row r < i
+    m[owner, i * n - i * (i + 1) // 2 + j, k] = 1.0
     return m
 
 
@@ -312,7 +366,7 @@ def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
         dtype=np.intp,
     ).reshape(-1, 4)
     m = _masks(symbols.node_kind[None], annotated, schema, 0.0)
-    return ChartMask(n=symbols.n, m=m[0])
+    return ChartMask.from_cells(m[0])
 
 
 def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMask:
@@ -326,9 +380,9 @@ def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMa
         raise DimensionMismatch(
             f"mask is over {mask.n} tokens but symbols over {symbols.n}"
         )
-    m = mask.m.copy()
-    _reject(m, symbols.node_kind, epsilon)
-    return ChartMask(n=mask.n, m=m)
+    cells = mask.cells.copy()
+    _reject(cells, pack_cells(symbols.node_kind), epsilon)
+    return ChartMask.from_cells(cells)
 
 
 def smoothed_masks(
@@ -336,11 +390,12 @@ def smoothed_masks(
 ) -> list[ChartMask]:
     """``smooth_mask(build_mask(classify_nodes(t), schema), ...)`` of each tree.
 
-    The masks of all trees of one length are built together, in one
-    ``(count, n, n, L)`` array: one crossing test over every annotated span
-    of the group, one fill each for the latent and the rejected cells and
-    one scatter for the observed cells.  Each returned mask, in input
-    order, is a view of its group's array.
+    The masks of all trees of one length are built together, packed, in
+    one ``(count, n(n+1)/2, L)`` array: one crossing test over every
+    annotated span of the group, one gather of the group's node kinds at
+    the span cells, one fill each for the latent and the rejected cells
+    and one scatter for the observed cells.  Each returned mask, in input
+    order, holds a view of its group's array.
     """
     _check_epsilon(epsilon)
     groups: dict[int, list[int]] = {}
@@ -351,5 +406,5 @@ def smoothed_masks(
         annotated = _annotated([trees[idx] for idx in members])
         m = _masks(_node_kinds(n, len(members), annotated), annotated, schema, epsilon)
         for g, idx in enumerate(members):
-            masks[idx] = ChartMask(n=n, m=m[g])
+            masks[idx] = ChartMask.from_cells(m[g])
     return [masks[idx] for idx in range(len(trees))]

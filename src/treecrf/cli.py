@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from unittest import mock
 import numpy as np
 
 from . import inference, oracle
-from .chart import LabelSchema, build_mask, classify_nodes
+from .chart import LabelSchema, build_mask, classify_nodes, pack_cells
 from .data import (
     CorpusRecord,
     Entity,
@@ -77,6 +79,18 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-dim", type=int, default=d.hidden_dim)
 
 
+def _check_output_path(path: str) -> None:
+    """Raise, before any work is done, the error that writing ``path`` at
+    the end would: its directory must exist, and it must not be one."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(
+            errno.ENOENT, f"no directory {directory!r} for output file", path
+        )
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = SynthConfig(
         num_sentences=args.sentences,
@@ -95,6 +109,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args, latent_label_count=args.latent)
+    log_path = args.log or args.model + ".train.csv"
+    _check_output_path(args.model)
+    _check_output_path(log_path)
     records = read_corpus(args.data)
     result = train(records, config)
     for row in result.log:
@@ -105,7 +122,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     save_model(result.params, args.model)
-    log_path = args.log or args.model + ".train.csv"
     write_training_log(result.log, log_path)
     print(f"model written to {args.model} (best epoch {result.best_epoch})")
     print(f"training log written to {log_path}")
@@ -120,6 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_output_path(args.out)
     params = load_model(args.model)
     records = read_corpus(args.data)
     schema = params.config.schema
@@ -248,7 +265,8 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
 
         best = oracle.brute_force_best_tree(chart)
         decode.add(0.0, not _same_tree(chart, cky_decode(chart), best))
-        sentences.append((chart, mask, log_z - bf, oracle_mu - oracle_mu_masked, best))
+        want_grad = pack_cells(oracle_mu - oracle_mu_masked)
+        sentences.append((chart, mask, log_z - bf, want_grad, best))
 
         target = oracle.random_chart(n, schema, rng)
         probe = cky_decode(target)
@@ -260,7 +278,7 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     # lengths; a batch shares one label count.
     by_labels: dict[int, list] = {}
     for sentence in sentences:
-        by_labels.setdefault(sentence[0].s.shape[2], []).append(sentence)
+        by_labels.setdefault(sentence[0].schema.n_labels, []).append(sentence)
     for group in by_labels.values():
         order = list(rng.permutation(len(group)))
         while order:

@@ -15,18 +15,21 @@ first, substituting ``LOG_ZERO`` for ``log 0``; with an all-ones mask this
 is bit-identical to the plain recursion, and with a mask built from a full
 tree it degenerates to evaluating that tree.
 
-One kernel, :func:`_inside_pass`, runs this recursion for every
-algorithm here, with the reduction as a parameter: log-sum-exp for the
-inside pass and max with first argmax for CKY.  It takes a batch of
-charts of mixed lengths; a single sentence is a batch of one.  Everything
-done per cell runs on a packed layout: one ``(cells, L)`` array holds the
-span cells of every chart, chart after chart, each chart's cells in
-row-major order (those of ``~below_diagonal(n_b)``) and the unmasked
-charts first.  One :func:`_apply_mask` call adds the log-masks of all
-masked charts and one reduction takes the label part of every cell.  The
-split part runs width by width over one flat array that holds the charts
-as rows, longest first, in the layout of the longest one, so that at
-width ``w`` only the prefix of rows at least ``w`` long takes part.  The
+Charts and masks hold their span cells packed, ``(n(n+1)/2, L)``, in
+row-major order (those of ``~below_diagonal(n)``, see
+:func:`treecrf.chart.pack_cells`), and that is the layout the kernel
+reads and the gradients come back in.  One kernel, :func:`_inside_pass`,
+runs the recursion for every algorithm here, with the reduction as a
+parameter: log-sum-exp for the inside pass and max with first argmax for
+CKY.  It takes a batch of charts of mixed lengths; a single sentence is a
+batch of one.  Everything done per cell runs on one ``(cells, L)`` array,
+the concatenated span cells of every chart, the unmasked charts first,
+and their masks likewise.  One :func:`_apply_mask` call adds the
+log-masks of all masked charts and one reduction takes the label part of
+every cell.  The split part runs width by width over one flat array that
+holds the charts as rows, longest first, in the layout of the longest
+one, so that at width ``w`` only the prefix of rows at least ``w`` long
+takes part.  The
 split operands of a whole diagonal are strided views of that array, which
 keeps every cell also at its mirror below the diagonal.  Each chart's
 result sits at its own root, ``(0, n_b - 1)``.  The pass's result,
@@ -40,29 +43,41 @@ through the argmax the pass keeps.  Posteriors are the
 gradient of the roots: :func:`_posteriors` takes it by one reverse sweep
 over the same views (inside-outside as backpropagation) from every row's
 own root, and turns the packed potentials of the whole batch into
-posteriors in place.  Each chart's ``(n_b, n_b, L)`` result is unpacked
-only when the caller reaches it.  :func:`batch_loss_and_score_gradient`
-runs every sentence's unmasked and masked charts through that pair as one
-batch, so its values equal ``inside - masked_inside`` and the difference
-of the two :func:`marginals` bit for bit.
+posteriors in place.  :func:`batch_loss_and_score_gradient` runs every
+sentence's unmasked and masked charts through that pair as one batch and
+subtracts the two halves once, so its values equal ``inside -
+masked_inside`` and the difference of the two :func:`marginals` bit for
+bit; only :func:`marginals` unpacks its result into an ``(n, n, L)``
+square.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
 as the reference the kernel is checked against.
 
 Score cells below the diagonal (``i > j``, see
-:func:`treecrf.chart.below_diagonal`) are unspecified: they may hold any
-value, NaN included, and no result reads them; tests poison them with NaN
-to prove it.
+:func:`treecrf.chart.below_diagonal`) of a square given to
+:class:`ScoreChart` are unspecified: they may hold any value, NaN
+included, and packing drops them; tests poison them with NaN to prove it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import ChartMask, LabelSchema, NodeKind, Span, SymbolTree, below_diagonal
+from .chart import (
+    ChartMask,
+    LabelSchema,
+    NodeKind,
+    Span,
+    SymbolTree,
+    pack_cells,
+    packed_length,
+    span_positions,
+    unpack_cells,
+)
 from .errors import DegenerateChart, DimensionMismatch
 
 # Substitute for log 0 when masking in the logarithm scale.  Large enough
@@ -84,32 +99,46 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return out + np.squeeze(shift, axis=axis)
 
 
-@dataclass(frozen=True)
 class ScoreChart:
     """Log potentials ``s[i, j, k]`` for spans ``i <= j`` and labels ``k``.
 
-    Only the upper triangle is meaningful; entries there must be finite.
-    Cells below the diagonal are unspecified and may hold anything.
+    ``cells`` holds the span cells packed, ``(n(n+1)/2, L)``, in the order
+    of :func:`~treecrf.chart.pack_cells`; every one must be finite.
+    ``ScoreChart(s, schema)`` packs an ``(n, n, L)`` square, whose cells
+    below the diagonal are unspecified and may hold anything;
+    :meth:`from_cells` takes packed cells.  ``s`` is the square again, 0
+    below the diagonal, built when first read.
     """
 
-    s: np.ndarray
-    schema: LabelSchema
+    def __init__(self, s: np.ndarray, schema: LabelSchema) -> None:
+        if s.ndim != 3 or s.shape[0] != s.shape[1]:
+            raise DimensionMismatch(f"score array has shape {s.shape}")
+        self._set(pack_cells(s), schema)
 
-    def __post_init__(self) -> None:
-        if self.s.ndim != 3 or self.s.shape[0] != self.s.shape[1]:
-            raise DimensionMismatch(f"score array has shape {self.s.shape}")
-        if self.s.shape[2] != self.schema.n_labels:
+    @classmethod
+    def from_cells(cls, cells: np.ndarray, schema: LabelSchema) -> "ScoreChart":
+        """The chart of packed span cells, kept as given (not copied)."""
+        chart = cls.__new__(cls)
+        chart._set(cells, schema)
+        return chart
+
+    def _set(self, cells: np.ndarray, schema: LabelSchema) -> None:
+        self.n = packed_length(cells)
+        if cells.shape[1] != schema.n_labels:
             raise DimensionMismatch(
-                f"chart has {self.s.shape[2]} labels, schema {self.schema.n_labels}"
+                f"chart has {cells.shape[1]} labels, schema {schema.n_labels}"
             )
-        finite = np.isfinite(self.s)
-        if not finite.all() and not finite[~below_diagonal(self.n)].all():
-            raise ValueError("non-finite score in an upper-triangular cell")
-        self.s.flags.writeable = False
+        if not np.isfinite(cells).all():
+            raise ValueError("non-finite score in a span cell")
+        cells.flags.writeable = False
+        self.cells = cells
+        self.schema = schema
 
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
+    @cached_property
+    def s(self) -> np.ndarray:
+        s = unpack_cells(self.cells, self.n)
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)
@@ -159,11 +188,12 @@ def _check_batch(
     for chart, mask in zip(charts, masks):
         if chart.n == 0:
             raise DegenerateChart("chart over zero tokens")
-        if mask is not None and mask.m.shape != chart.s.shape:
+        if mask is not None and mask.cells.shape != chart.cells.shape:
             raise DimensionMismatch(
-                f"mask shape {mask.m.shape} does not match chart shape {chart.s.shape}"
+                f"mask cells {mask.cells.shape} do not match chart cells "
+                f"{chart.cells.shape}"
             )
-        if chart.s.shape[2] != charts[0].s.shape[2]:
+        if chart.cells.shape[1] != charts[0].cells.shape[1]:
             raise DimensionMismatch("charts in a batch must share a label count")
 
 
@@ -231,13 +261,6 @@ def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.nd
     return left, right
 
 
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """One chart's packed ``(cells, L)`` as ``(n, n, L)``, 0 below the diagonal."""
-    out = np.zeros((n, n, packed.shape[1]))
-    out[~below_diagonal(n)] = packed
-    return out
-
-
 class _Pass(NamedTuple):
     """What one :func:`_inside_pass` leaves behind.
 
@@ -270,45 +293,38 @@ def _inside_pass(
     """The chart recursion over a checked, non-empty batch of charts.
 
     The unmasked charts (mask ``None``) come first; charts may differ in
-    length.  Packs the potentials of every span cell of every chart into
-    one ``(cells, L)`` array, chart after chart, each chart's cells in
-    row-major order, so that one :func:`_apply_mask` call adds the masks
-    of the masked charts at the end.  ``reduce`` maps a fresh array, which
-    it may overwrite, to ``(value, argument)`` over its last axis:
-    :func:`_logsumexp` for inside, :func:`_max_argmax` for CKY.  One
-    ``reduce`` call takes the label part of every cell, on a copy, so the
-    potentials stay for :func:`_posteriors`, and one scatter seeds the
-    flat chart with it.  Then the split recursion runs one width at a time
-    over all start positions of every row long enough for that width (a
-    prefix, since rows are longest first), reading the split operands as
-    stripes.  Cells of a row past its own length hold finite values that
-    no cell of its chart reads, because a cell's splits stay inside its
-    span.
+    length.  Concatenates the packed span cells of every chart into one
+    ``(cells, L)`` array, and the masks of the masked charts likewise, so
+    that one :func:`_apply_mask` call adds them at the end.  ``reduce``
+    maps a fresh array, which it may overwrite, to ``(value, argument)``
+    over its last axis: :func:`_logsumexp` for inside, :func:`_max_argmax`
+    for CKY.  One ``reduce`` call takes the label part of every cell, on a
+    copy, so the potentials stay for :func:`_posteriors`, and one scatter
+    seeds the flat chart with it.  Then the split recursion runs one width
+    at a time over all start positions of every row long enough for that
+    width (a prefix, since rows are longest first), reading the split
+    operands as stripes.  Cells of a row past its own length hold finite
+    values that no cell of its chart reads, because a cell's splits stay
+    inside its span.
     """
     lengths = [chart.n for chart in charts]
     sizes = [m * (m + 1) // 2 for m in lengths]
     n = max(lengths)
-    spans = ~below_diagonal(n)
     # ``scratch`` holds the mask weights, then the copy that ``reduce``
     # overwrites.  One allocation for both: with glibc's malloc, two large
     # arrays freed together go back to the system and every call faults
     # them in again (a quarter of a 32 x 40 batched_masked_inside call).
-    n_labels = charts[0].s.shape[2]
-    potentials, scratch = np.empty((2, sum(sizes), n_labels))
+    potentials, scratch = np.empty((2, sum(sizes), charts[0].cells.shape[1]))
+    np.concatenate([chart.cells for chart in charts], out=potentials)
     starts = list(accumulate(sizes, initial=0))
     slots = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    for chart, mask, slot in zip(charts, masks, slots):
-        keep = spans[: chart.n, : chart.n].ravel()
-        s = chart.s.reshape(-1, n_labels)
-        np.compress(keep, s, axis=0, out=potentials[slot])
-        if mask is not None:
-            m = mask.m.reshape(-1, n_labels)
-            np.compress(keep, m, axis=0, out=scratch[slot])
     unmasked = sum(mask is None for mask in masks)
     assert all(mask is None for mask in masks[:unmasked]), "unmasked charts first"
     first_masked = starts[unmasked]
     if first_masked < len(potentials):
-        _apply_mask(potentials[first_masked:], scratch[first_masked:])
+        weights = scratch[first_masked:]
+        np.concatenate([mask.cells for mask in masks[unmasked:]], out=weights)
+        _apply_mask(potentials[first_masked:], weights)
     np.copyto(scratch, potentials)
     value, arg = reduce(scratch)
     # Rows longest first, in a stable order.  Chart b's cell (i, j) is
@@ -320,7 +336,7 @@ def _inside_pass(
     row[order] = range(count)
     stride = n * (n + 1) + 1
     ends = np.array(lengths) - 1
-    cells = np.flatnonzero(spans & (np.arange(n) <= ends[:, None, None]))
+    cells = span_positions(lengths, n)
     cells += np.repeat(row * stride - np.arange(count) * n * n, sizes)
     flat = np.zeros((count, stride))
     flat.ravel()[cells] = value
@@ -375,7 +391,6 @@ def _posteriors(inside_pass: _Pass) -> np.ndarray:
     Takes one log-sum-exp :func:`_inside_pass` and turns its packed
     potentials into the posteriors in place, for the whole batch at once;
     ``g`` is :func:`_outside` read at each cell's place in the flat chart.
-    Callers unpack each chart's cells (:func:`_unpack`) when they reach it.
     """
     mu = inside_pass.potentials
     mu -= inside_pass.value[:, None]
@@ -453,7 +468,7 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> np.ndarray:
     """
     _check_batch([chart], [mask])
     mu = _posteriors(_inside_pass([chart], [mask], _logsumexp))
-    return _unpack(mu, chart.n)
+    return unpack_cells(mu, chart.n)
 
 
 def loss_and_score_gradient(
@@ -461,9 +476,10 @@ def loss_and_score_gradient(
 ) -> tuple[float, np.ndarray]:
     """Negative log conditional probability and its exact score gradient.
 
-    The gradient at each cell is the unmasked posterior minus the masked
-    posterior; the two node-count identities make it sum to zero.  This is
-    the batch-of-one case of :func:`batch_loss_and_score_gradient`.
+    The gradient, packed like ``chart.cells``, is at each span cell the
+    unmasked posterior minus the masked posterior; the two node-count
+    identities make it sum to zero.  This is the batch-of-one case of
+    :func:`batch_loss_and_score_gradient`.
     """
     return next(batch_loss_and_score_gradient([chart], [mask]))
 
@@ -476,10 +492,10 @@ def batch_loss_and_score_gradient(
     Every sentence's unmasked chart and then every sentence's masked
     chart, whatever their lengths, run through the kernel as one batch, so
     every value is bit-identical to ``inside - masked_inside`` and to the
-    difference of the two :func:`marginals`.  Arguments are checked and
-    the inside pass and the posteriors for the whole batch run at the
-    call; each sentence's gradient is unpacked only when the iterator
-    reaches it.
+    difference of the two :func:`marginals` at the span cells.  The whole
+    batch's packed gradient is one subtraction of the two halves of the
+    posteriors, after which the pass's buffers are released; each
+    sentence's gradient is a view of it, shaped like its ``chart.cells``.
     """
     _check_batch(charts, masks)
     if not charts:
@@ -490,11 +506,10 @@ def batch_loss_and_score_gradient(
     )
     roots = inside_pass.roots()
     mu = _posteriors(inside_pass)
-    unmasked, masked = inside_pass.slots[:count], inside_pass.slots[count:]
-    return (
-        (float(roots[b] - roots[count + b]), _unpack(mu[u] - mu[m], chart.n))
-        for b, (chart, u, m) in enumerate(zip(charts, unmasked, masked))
-    )
+    slots = inside_pass.slots[:count]
+    grad = mu[: slots[-1].stop] - mu[slots[-1].stop :]
+    losses = (roots[:count] - roots[count:]).tolist()
+    return zip(losses, (grad[slot] for slot in slots))
 
 
 def cky_decode(chart: ScoreChart) -> FullTree:

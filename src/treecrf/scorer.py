@@ -16,7 +16,12 @@ Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run as one group padded to
 the longest of them: each encoder layer and each backward layer is one
 stacked ``@`` for the group, one gemm per sentence.  A sentence's biaffine
 products and its normalization statistics are its own.  Every other
-sentence is a group of one.  At the default dimensions every chart, and
+sentence is a group of one.  Scores leave the scorer as packed span cells
+(see :func:`~treecrf.chart.pack_cells`): one gather takes a group's span
+cells from its biaffine squares, normalization runs on them in place and
+each chart is a view of them.  The backward pass takes gradients packed
+the same way and scatters them once per group into the padded square the
+biaffine backward reads.  At the default dimensions every chart, and
 every sentence's share of the gradients, is bit-identical to the sentence
 alone (see ``PADDED_MAX_TOKENS``).  :func:`forward` is the batch of one,
 and its :class:`Tape` the batch's tape; the test suite certifies every
@@ -35,12 +40,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import LabelSchema
+from .chart import LabelSchema, below_diagonal, span_positions
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -264,12 +269,13 @@ def _squares(scores: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
 
 
 def _biaffine(e: np.ndarray, lengths: Sequence[int], params: ScorerParams) -> np.ndarray:
-    """Raw scores of every cell of each sentence's ``(m, m)`` square, square
-    after square, ``(cells, L)``, from embeddings ``e`` ``(B, n, h/2)``.
+    """Raw scores of the span cells of each sentence, packed sentence after
+    sentence, ``(cells, L)``, from embeddings ``e`` ``(B, n, h/2)``.
 
-    Each square is computed with the products of its sentence alone:
-    padded, the pairwise sums ``e_i + e_j`` of a group would take
-    ``(B, n, n, h/2)`` floats, most of them past the sentences' ends.
+    Each sentence's ``(m, m)`` square is computed with the products of its
+    sentence alone, square after square: padded, the pairwise sums
+    ``e_i + e_j`` of a group would take ``(B, n, n, h/2)`` floats, most of
+    them past the sentences' ends.  One gather then takes the span cells.
     """
     eu = _times_u1(e, params)
     scores = np.empty((sum(m * m for m in lengths), len(params.bi_b)))
@@ -277,50 +283,45 @@ def _biaffine(e: np.ndarray, lengths: Sequence[int], params: ScorerParams) -> np
         x = e[b, :m]
         square[...] = (x[:, None, :] + x[None, :, :]) @ params.bi_u2.T
         square += (eu[b, :m] @ x.T).transpose(0, 2, 1)
-    scores += params.bi_b
-    return scores
+    spans = ~below_diagonal(e.shape[1])
+    keep = np.concatenate([spans[:m, :m].ravel() for m in lengths])
+    cells = np.compress(keep, scores, axis=0)
+    cells += params.bi_b
+    return cells
 
 
 def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
-    """Span potentials for every cell ``i <= j`` and every label.
-
-    Cells below the diagonal are unspecified; nothing reads them.
-    """
+    """Span potentials for every cell ``i <= j`` and every label."""
     h2 = params.config.half_dim
     if embeddings.ndim != 2 or embeddings.shape[1] != h2:
         raise DimensionMismatch(
             f"embeddings have shape {embeddings.shape}, expected (n, {h2})"
         )
     n = len(embeddings)
-    scores = _biaffine(embeddings[None], [n], params)
-    return ScoreChart(s=scores.reshape(n, n, -1), schema=params.config.schema)
+    cells = _biaffine(embeddings[None], [n], params)
+    return ScoreChart.from_cells(cells, params.config.schema)
 
 
-def _upper(n: int) -> np.ndarray:
-    """``(n, n)`` mask of the span cells ``i <= j``: ``~below_diagonal(n)``."""
-    return np.arange(n) >= np.arange(n)[:, None]
+def _normalize(cells: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Standardize, in place, each sentence's span cells of ``cells``
+    ``(cells, L)``, ``sizes`` of them sentence after sentence; return the
+    standard deviations of the sentences' raw span cells.
 
-
-def _normalize(s: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """Standardize, in place, the cells ``(cells, L)`` of each sentence's
-    ``(m, m)`` square, stacked square after square; return the standard
-    deviations of the sentences' raw span cells.
-
-    A sentence's mean and standard deviation sum its span cells in
-    row-major order, as one contiguous array, exactly as alone.  A spread
-    below ``STD_FLOOR`` is degenerate: those scores are only mean-centered.
-    Non-finite standard deviations are returned, not raised.
+    A sentence's cells are one contiguous block, in row-major order, so its
+    mean and standard deviation sum them exactly as alone, and its affine
+    map runs on that block in place.  A spread below ``STD_FLOOR`` is
+    degenerate: those scores are only mean-centered.  Non-finite standard
+    deviations are returned, not raised.
     """
-    upper = _upper(max(lengths))
     std = []
-    for m, square in zip(lengths, _squares(s, lengths)):
-        vals = square[upper[:m, :m]]
+    for a, b in pairwise(accumulate(sizes, initial=0)):
+        vals = cells[a:b]
         # ndarray.mean's sum and division, without its Python overhead
         mean = np.add.reduce(vals, axis=None) / vals.size
         dev = vals - mean
         std.append(math.sqrt(np.add.reduce(dev * dev, axis=None) / vals.size))
-        square -= mean
-        square /= std[-1] if std[-1] >= STD_FLOOR else 1.0
+        vals -= mean
+        vals /= std[-1] if std[-1] >= STD_FLOOR else 1.0
     return np.array(std)
 
 
@@ -331,45 +332,36 @@ def _non_finite(std: float, position: int) -> NonFiniteLoss:
 
 
 def potential_normalize(chart: ScoreChart) -> ScoreChart:
-    """Standardize all valid potentials of one sentence in place.
+    """Standardize all span potentials of one sentence.
 
     Subtracts the mean and divides by the population standard deviation of
-    the upper-triangular entries; a chart with essentially constant scores
-    is only mean-centered.  Cells below the diagonal go through the same
-    affine map and stay unspecified.  Raises :class:`NonFiniteLoss`, as
-    :func:`forward` does, when the spread of the scores is not finite.
+    the span cells; a chart with essentially constant scores is only
+    mean-centered.  Raises :class:`NonFiniteLoss`, as :func:`forward`
+    does, when the spread of the scores is not finite.
     """
-    s = chart.s.reshape(chart.n * chart.n, -1).copy()
+    cells = chart.cells.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        (std,) = _normalize(s, [chart.n])
+        (std,) = _normalize(cells, [len(cells)])
     if not math.isfinite(std):
         raise _non_finite(float(std), 0)
-    return ScoreChart(s=s.reshape(chart.s.shape), schema=chart.schema)
+    return ScoreChart.from_cells(cells, chart.schema)
 
 
 def _normalize_backward(
-    normalized: np.ndarray,
-    lengths: Sequence[int],
-    std: np.ndarray,
-    grads: Sequence[np.ndarray],
+    normalized: np.ndarray, sizes: Sequence[int], std: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
-    """Chain the gradients w.r.t. each sentence's square of the
-    ``normalized`` scores back to raw scores, as ``(B, n, n, L)`` squares
-    padded to the longest.  Reads only the span cells; the rest is 0."""
-    n = max(lengths)
-    upper = _upper(n)
-    padded = np.zeros((len(lengths), n, n, normalized.shape[1]))
-    squares = _squares(normalized, lengths)
-    for raw, m, square, sd, grad in zip(padded, lengths, squares, std.tolist(), grads):
-        spans = upper[:m, :m]
-        y = square[spans]
-        g = grad[spans]
-        out = g - np.add.reduce(g, axis=None) / g.size
+    """Chain the gradient ``grad`` w.r.t. the ``normalized`` span cells
+    back to the raw span cells, all packed alike (see :func:`_normalize`);
+    each sentence's block is chained on its own."""
+    out = np.empty_like(grad)
+    segments = pairwise(accumulate(sizes, initial=0))
+    for (a, b), sd in zip(segments, std.tolist()):
+        g, y, raw = grad[a:b], normalized[a:b], out[a:b]
+        np.subtract(g, np.add.reduce(g, axis=None) / g.size, out=raw)
         if sd >= STD_FLOOR:
-            out -= y * (np.add.reduce(g * y, axis=None) / g.size)
-            out /= sd
-        raw[:m, :m][spans] = out
-    return padded
+            raw -= y * (np.add.reduce(g * y, axis=None) / g.size)
+            raw /= sd
+    return out
 
 
 def _biaffine_backward(
@@ -421,7 +413,7 @@ class _Group(NamedTuple):
     members: list[int]  # positions in the batch, ascending
     ids: list[np.ndarray]
     layers: _Layers
-    normalized: np.ndarray  # (cells, L): the charts, square after square
+    normalized: np.ndarray  # (cells, L): the charts' span cells, packed
     std: np.ndarray  # of each sentence's raw span scores
 
 
@@ -458,22 +450,26 @@ class BatchTape:
                 f"{len(self._charts)} charts"
             )
         for b, (grad, chart) in enumerate(zip(score_gradients, self._charts)):
-            if np.shape(grad) != chart.s.shape:
+            if np.shape(grad) != chart.cells.shape:
                 raise DimensionMismatch(
                     f"score gradient {b} has shape {np.shape(grad)}, "
-                    f"its chart {chart.s.shape}"
+                    f"its chart's span cells {chart.cells.shape}"
                 )
-        return self._backward_raw(
-            [
-                _normalize_backward(
-                    group.normalized,
-                    [len(ids) for ids in group.ids],
-                    group.std,
-                    [score_gradients[b] for b in group.members],
-                )
-                for group in self._groups
-            ]
-        )
+        raw_grads = []
+        for group in self._groups:
+            lengths = [len(ids) for ids in group.ids]
+            cells = _normalize_backward(
+                group.normalized,
+                [m * (m + 1) // 2 for m in lengths],
+                group.std,
+                np.concatenate([score_gradients[b] for b in group.members]),
+            )
+            count, n, _ = group.layers.out.shape
+            positions = span_positions(lengths, n)
+            raw = np.zeros((count, n, n, cells.shape[1]))
+            raw.reshape(-1, cells.shape[1])[positions] = cells
+            raw_grads.append(raw)
+        return self._backward_raw(raw_grads)
 
     def _backward_raw(self, raw_grads: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
         """:meth:`backward` from each group's padded raw-score gradient."""
@@ -545,16 +541,17 @@ def forward_batch(
     for members in _padded_groups([len(ids) for ids in ids_list]):
         ids = [ids_list[b] for b in members]
         lengths = [len(x) for x in ids]
+        sizes = [m * (m + 1) // 2 for m in lengths]
         with np.errstate(over="ignore", invalid="ignore"):
             layers = _encode(ids, params)
-            scores = _biaffine(layers.out, lengths, params)
-            std = _normalize(scores, lengths)
+            cells = _biaffine(layers.out, lengths, params)
+            std = _normalize(cells, sizes)
         failed += [(b, sd) for b, sd in zip(members, std.tolist()) if not math.isfinite(sd)]
         if failed:
             continue
-        for b, s in zip(members, _squares(scores, lengths)):
-            charts[b] = ScoreChart(s=s, schema=schema)
-        groups.append(_Group(members, ids, layers, scores, std))
+        for b, (start, end) in zip(members, pairwise(accumulate(sizes, initial=0))):
+            charts[b] = ScoreChart.from_cells(cells[start:end], schema)
+        groups.append(_Group(members, ids, layers, cells, std))
     if failed:
         b, std = min(failed)
         raise _non_finite(std, b)

@@ -14,7 +14,10 @@ the structured layer of the whole minibatch through the chart kernel at
 once, and one ``tape.backward``, which sums the sentences' parameter
 gradients in batch order.  The values equal those of running the
 sentences one by one (bit for bit at the default scorer dimensions; see
-:mod:`treecrf.scorer`).  A diverging run raises
+:mod:`treecrf.scorer`).  Scores, masks and score gradients pass between
+the three as packed span cells, ``(n(n+1)/2, L)`` per sentence (see
+:func:`~treecrf.chart.pack_cells`); the only squares on the way are the
+scorer's own padded biaffine stacks.  A diverging run raises
 :class:`~treecrf.errors.NonFiniteLoss` naming the sentence, its length
 and the phase (scorer forward or loss) where scores stopped being finite.
 The masks are built ahead of training by
@@ -221,7 +224,7 @@ def _batch_gradient(
     score_grads = []
     for idx, chart, (loss, score_grad) in zip(batch, charts, results):
         if not np.isfinite(loss):
-            detail = f"loss: loss={loss}, max |score|={np.abs(chart.s).max():.3e}"
+            detail = f"loss: loss={loss}, max |score|={np.abs(chart.cells).max():.3e}"
             raise _diverged(idx, chart.n, detail)
         losses.append(loss)
         score_grads.append(score_grad)

@@ -20,7 +20,7 @@ from treecrf import (
     smoothed_masks,
     validate_annotation,
 )
-from treecrf.chart import _spans_cross
+from treecrf.chart import _spans_cross, below_diagonal
 from treecrf.errors import BadConfig, DimensionMismatch
 from treecrf.oracle import random_partial_tree
 
@@ -324,6 +324,29 @@ class TestChartMask:
         m[0, 2] = (0.0, 1.0)
         m[1, 1] = (0.5, 5e-324)
         assert ChartMask(n=3, m=m).n_labels == 2
+
+    @pytest.mark.parametrize("weight", [np.nan, -1.0, 2.0, np.inf])
+    def test_packed_weight_outside_unit_interval_raises(self, weight):
+        cells = np.zeros((6, 2))
+        cells[2, 1] = weight  # span cell (0, 2)
+        with pytest.raises(BadConfig):
+            ChartMask.from_cells(cells)
+
+    def test_below_the_diagonal_is_ignored(self):
+        # the square's cells i > j stand for no span: packing drops them
+        m = np.zeros((3, 3, 2))
+        m[0, 2] = (0.0, 1.0)
+        m[2, 0] = (np.nan, 2.0)
+        mask = ChartMask(n=3, m=m)
+        np.testing.assert_array_equal(mask.cells, m[~below_diagonal(3)])
+        np.testing.assert_array_equal(mask.m[~below_diagonal(3)], mask.cells)
+        assert not mask.m[below_diagonal(3)].any()
+
+    def test_packed_cell_count_is_checked(self):
+        for cells in (np.zeros((4, 2)), np.zeros((6,))):
+            with pytest.raises(DimensionMismatch):
+                ChartMask.from_cells(cells)
+        assert ChartMask.from_cells(np.zeros((10, 2))).n == 4
 
 
 class TestPartialTree:

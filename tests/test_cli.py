@@ -148,6 +148,51 @@ class TestTrainCommand:
         assert "Traceback" not in err
 
 
+class TestOutputPathsFailFast:
+    """An output path that cannot be written fails before the corpus is
+    read: exit 1, an ``error:`` line, no training and no file written."""
+
+    @pytest.mark.parametrize("where", ["log", "model"])
+    def test_train_output_in_a_missing_directory(self, tmp_path, capsys, where):
+        data = str(tmp_path / "g.jsonl")
+        assert main(["gen", "--out", data, "--sentences", "40", "--seed", "0"]) == 0
+        capsys.readouterr()
+        model = str(tmp_path / "m.tcrf")
+        paths = {"model": model, "log": str(tmp_path / "log.csv")}
+        paths[where] = str(tmp_path / "missing" / "x")
+        argv = ["train", "--data", data, "--epochs", "2"]
+        rc = main(argv + ["--model", paths["model"], "--log", paths["log"]])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error: ") and "missing" in err
+        assert "epoch" not in err and out == ""
+        assert not os.path.exists(model) and not os.path.exists(paths["log"])
+
+    def test_train_checks_before_reading_the_corpus(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        rc = main(["train", "--data", missing, "--model", str(tmp_path / "no" / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "missing.jsonl" not in err
+
+    def test_model_path_that_is_a_directory(self, corpus_path, tmp_path, capsys):
+        rc = main(["train", "--data", corpus_path, "--model", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "epoch" not in err
+
+    def test_predict_out_in_a_missing_directory(
+        self, model_path, corpus_path, tmp_path, capsys
+    ):
+        out = str(tmp_path / "missing" / "p.jsonl")
+        argv = ["predict", "--model", model_path, "--data", corpus_path]
+        rc = main(argv + ["--out", out])
+        stdout, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error: ") and "missing" in err
+        assert stdout == "" and not os.path.exists(out)
+
+
 class TestDefaults:
     def test_bare_train_flags_are_the_config_defaults(self):
         args = build_parser().parse_args(["train", "--data", "X", "--model", "Y"])

@@ -321,6 +321,20 @@ class TestPreprocess:
             fresh = smooth_mask(build_mask(sym, schema), sym, epsilon)
             np.testing.assert_array_equal(example.mask.m, fresh.m)
 
+    def test_masks_are_stored_packed(self):
+        # every mask holds only its span cells: the masks of a corpus take
+        # sum n (n + 1) / 2 * L floats, in one packed array per length
+        records = gen_synthetic(SynthConfig(num_sentences=300, seed=0))
+        schema = corpus_schema(records)
+        examples = preprocess(records, schema, corpus_vocab(records), 0.01)
+        lengths = [len(record.tokens) for record in records]
+        stored = {id(ex.mask.cells.base): ex.mask.cells.base for ex in examples}
+        assert all(base is not None for base in stored.values())
+        assert len(stored) == len(set(lengths))
+        assert sum(base.size for base in stored.values()) == sum(
+            n * (n + 1) // 2 * schema.n_labels for n in lengths
+        )
+
     def test_token_ids_use_vocab(self, schema3):
         record = CorpusRecord(tokens=("b", "a"), entities=(Entity(0, 1, "PER"),))
         vocab = corpus_vocab([record])

@@ -36,6 +36,7 @@ from treecrf import (
     vanilla_partial_marginalization,
 )
 from treecrf import inference as inference_module
+from treecrf.chart import NodeKind, below_diagonal, pack_cells
 from treecrf import scorer as scorer_module
 from treecrf.oracle import _structures, catalan, random_chart, random_partial_tree
 from treecrf.scorer import (
@@ -87,6 +88,48 @@ class TestInside:
         for n in range(1, 7):
             expected = math.log(catalan(n - 1)) + (2 * n - 1) * math.log(2)
             assert inside(zero_chart(n, schema2)) == pytest.approx(expected, abs=1e-9)
+
+
+class TestScoreChart:
+    """A chart holds its span cells packed; its square is built on demand."""
+
+    def test_square_and_packed_constructors_agree(self, schema3):
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 6):
+            s = rng.normal(size=(n, n, 3))
+            chart = ScoreChart(s=s, schema=schema3)
+            packed = ScoreChart.from_cells(s[~below_diagonal(n)], schema3)
+            assert chart.n == packed.n == n
+            assert chart.cells.shape == (n * (n + 1) // 2, 3)
+            np.testing.assert_array_equal(chart.cells, packed.cells)
+            np.testing.assert_array_equal(packed.s[~below_diagonal(n)], chart.cells)
+            assert not packed.s[below_diagonal(n)].any()
+            assert not chart.cells.flags.writeable and not packed.s.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_span_cell_raises(self, schema3, value):
+        s = np.zeros((3, 3, 3))
+        s[1, 2, 0] = value
+        with pytest.raises(ValueError, match="non-finite score"):
+            ScoreChart(s=s, schema=schema3)
+        with pytest.raises(ValueError, match="non-finite score"):
+            ScoreChart.from_cells(s[~below_diagonal(3)], schema3)
+
+    def test_non_finite_below_the_diagonal_is_accepted(self, schema3):
+        s = np.zeros((3, 3, 3))
+        s[2, 0] = np.nan
+        s[1, 0, 2] = np.inf
+        chart = ScoreChart(s=s, schema=schema3)
+        assert np.isfinite(chart.cells).all() and np.isfinite(chart.s).all()
+
+    def test_cell_count_and_labels_are_checked(self, schema3):
+        for cells in (np.zeros((4, 3)), np.zeros((6,)), np.zeros((6, 3, 1))):
+            with pytest.raises(DimensionMismatch):
+                ScoreChart.from_cells(cells, schema3)
+        with pytest.raises(DimensionMismatch):
+            ScoreChart.from_cells(np.zeros((6, 2)), schema3)
+        with pytest.raises(DimensionMismatch):
+            ScoreChart(s=np.zeros((3, 2, 3)), schema=schema3)
 
 
 class TestMaskedInside:
@@ -251,8 +294,10 @@ class TestLossAndScoreGradient:
         sym, mask = annotation_mask(3, (Span(0, 1, 0),), schema2)
         chart = zero_chart(3, schema2)
         _, grad = loss_and_score_gradient(chart, mask)
-        mu_unmasked = marginals(chart)
-        np.testing.assert_allclose(grad[1, 2], mu_unmasked[1, 2], atol=1e-9)
+        mu_unmasked = marginals(chart)[~below_diagonal(3)]
+        rejected = pack_cells(sym.node_kind) == NodeKind.REJECTED
+        assert rejected.sum() == 1  # cell (1, 2)
+        np.testing.assert_allclose(grad[rejected], mu_unmasked[rejected], atol=1e-9)
 
     def test_all_ones_mask_gives_zero_loss_and_gradient(self, schema3):
         rng = np.random.default_rng(9)
@@ -271,22 +316,22 @@ class TestLossAndScoreGradient:
             _, mask = annotation_mask(n, tree.entities, schema3, epsilon=0.01)
             _, grad = loss_and_score_gradient(chart, mask)
             h = 1e-5
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(3):
-                        sp = chart.s.copy()
-                        sp[i, j, k] += h
-                        up = loss_and_score_gradient(
-                            ScoreChart(s=sp, schema=schema3), mask
-                        )[0]
-                        sp = chart.s.copy()
-                        sp[i, j, k] -= h
-                        dn = loss_and_score_gradient(
-                            ScoreChart(s=sp, schema=schema3), mask
-                        )[0]
-                        fd = (up - dn) / (2 * h)
-                        a = grad[i, j, k]
-                        assert abs(fd - a) <= 1e-4 * max(abs(fd), abs(a), 1e-3)
+            # the gradient is packed: span cells in np.triu_indices order
+            for cell, (i, j) in enumerate(zip(*np.triu_indices(n))):
+                for k in range(3):
+                    sp = chart.s.copy()
+                    sp[i, j, k] += h
+                    up = loss_and_score_gradient(
+                        ScoreChart(s=sp, schema=schema3), mask
+                    )[0]
+                    sp = chart.s.copy()
+                    sp[i, j, k] -= h
+                    dn = loss_and_score_gradient(
+                        ScoreChart(s=sp, schema=schema3), mask
+                    )[0]
+                    fd = (up - dn) / (2 * h)
+                    a = grad[cell, k]
+                    assert abs(fd - a) <= 1e-4 * max(abs(fd), abs(a), 1e-3)
 
 
 class TestSmoothingMonotonicity:
@@ -538,28 +583,22 @@ class TestNaNPoisoning:
             loss_p, grad_p = loss_and_score_gradient(poisoned, mask)
             loss_c, grad_c = loss_and_score_gradient(clean, mask)
             assert loss_p == loss_c
-            np.testing.assert_array_equal(grad_p[iu, ju], grad_c[iu, ju])
-            assert np.isfinite(grad_p[iu, ju]).all()
+            np.testing.assert_array_equal(grad_p, grad_c)
+            assert np.isfinite(grad_p).all()
 
     def test_normalization_and_its_backward(self, schema3):
         rng = np.random.default_rng(16)
         for n in (1, 2, 5, 9):
             clean, poisoned = self._poisoned_pair(n, schema3, rng)
-            iu, ju = np.triu_indices(n)
-            np.testing.assert_array_equal(
-                potential_normalize(poisoned).s[iu, ju],
-                potential_normalize(clean).s[iu, ju],
-            )
-            grad = rng.normal(size=clean.s.shape)
-            grad_poisoned = grad.copy()
-            grad_poisoned[np.tril_indices(n, k=-1)] = np.nan
+            normalized = potential_normalize(poisoned).cells
+            np.testing.assert_array_equal(normalized, potential_normalize(clean).cells)
+            grad = rng.normal(size=normalized.shape)
             backs = []
-            for chart, g in ((clean, grad), (poisoned, grad_poisoned)):
-                s = chart.s.reshape(n * n, -1).copy()
-                backs.append(_normalize_backward(s, [n], _normalize(s, [n]), [g]))
+            for chart in (clean, poisoned):
+                s = chart.cells.copy()
+                std = _normalize(s, [len(s)])
+                backs.append(_normalize_backward(s, [len(s)], std, grad))
             back_c, back_p = backs
-            # the raw gradient feeds sums over the whole chart, so it must
-            # be zero (not NaN) below the diagonal
             np.testing.assert_array_equal(back_p, back_c)
             assert np.isfinite(back_p).all()
 
@@ -591,7 +630,7 @@ class TestNoModuleState:
             masks.append(mask)
             tokens = [f"t{int(k)}" for k in rng.integers(0, 10, size=n)]
             _, tape = forward(params.vocab.encode(tokens), params)
-            tape.backward(rng.normal(size=chart.s.shape))
+            tape.backward(rng.normal(size=chart.cells.shape))
         batched_masked_inside(charts, masks)
         assert self._container_sizes() == before
 
@@ -666,7 +705,7 @@ class TestBatchLossAndScoreGradient:
             loss, grad = loss_and_score_gradient(chart, mask)
             assert loss == inside(chart) - masked_inside(chart, mask)
             expected = marginals(chart) - marginals(chart, mask)
-            assert np.array_equal(grad, expected)
+            assert np.array_equal(grad, expected[~below_diagonal(chart.n)])
 
     @pytest.mark.parametrize("count", [1, 4, 16])
     def test_one_mask_and_label_reduction_per_batch(self, schema3, count):

@@ -283,7 +283,7 @@ class TestForwardBatch:
         rng = np.random.default_rng(3)
         ids = [rng.integers(0, len(small_vocab), size=n) for n in (5, 1, 9, 2, 80, 7)]
         charts, tape = forward_batch(ids, params)
-        grads = [rng.normal(size=chart.s.shape) for chart in charts]
+        grads = [rng.normal(size=chart.cells.shape) for chart in charts]
         total = {name: np.zeros_like(a) for name, a in params.arrays().items()}
         for x, chart, grad in zip(ids, charts, grads):
             alone, alone_tape = forward(x, params)
@@ -326,17 +326,56 @@ class TestForwardBatch:
             forward_batch(ids, params)
         assert info.value.position == position
 
+    def test_cells_are_the_stages_composed_at_every_length(self, schema3):
+        # lengths 1-100 in one batch, at the default dimensions: each
+        # chart's packed cells are those of the stage-by-stage pipeline,
+        # bit for bit; the benchmark's checks rely on this identity
+        vocab = Vocab.build(f"t{i}" for i in range(60))
+        params = noised_params(vocab, ScorerConfig(16, 32, schema3), seed=5)
+        rng = np.random.default_rng(5)
+        sentences = [
+            [f"t{int(k)}" for k in rng.integers(0, 60, size=n)]
+            for n in rng.permutation(np.arange(1, 101))
+        ]
+        charts, _ = forward_batch([params.vocab.encode(t) for t in sentences], params)
+        for tokens, chart in zip(sentences, charts):
+            raw = biaffine_scores(encode(tokens, params), params)
+            staged = potential_normalize(raw)
+            assert chart.cells.shape == (len(tokens) * (len(tokens) + 1) // 2, 3)
+            assert np.array_equal(chart.cells, staged.cells), f"length {len(tokens)}"
+
+    def test_nan_embedding_names_the_batch_position(self, small_vocab, small_config):
+        params = noised_params(small_vocab, small_config, seed=2)
+        params.emb[7] = np.nan
+        ids = [np.array([1, 2]), np.array([5, 6, 1]), np.array([3, 7, 4])]
+        with pytest.raises(NonFiniteLoss, match="scorer forward: ") as info:
+            forward_batch(ids, params)
+        assert info.value.position == 2
+
     def test_backward_checks_count_and_shapes(self, small_vocab, small_config):
         params = init_params(small_vocab, small_config, seed=0)
         charts, tape = forward_batch([np.array([1, 2]), np.array([3, 4, 5])], params)
-        grads = [np.zeros(chart.s.shape) for chart in charts]
+        grads = [np.zeros(chart.cells.shape) for chart in charts]
         for count in (1, 3):
             with pytest.raises(
                 DimensionMismatch, match=f"{count} score gradients for a batch of 2"
             ):
                 tape.backward((grads * 2)[:count])
         with pytest.raises(DimensionMismatch, match=r"score gradient 1 has shape \(2, 2, 3\)"):
-            tape.backward([np.zeros(charts[0].s.shape), np.zeros((2, 2, 3))])
+            tape.backward([grads[0], np.zeros((2, 2, 3))])
+
+    def test_backward_rejects_square_gradients(self, small_vocab, small_config):
+        # gradients are packed like chart.cells; a square, the shape of
+        # chart.s, is refused, naming its position in the batch
+        params = init_params(small_vocab, small_config, seed=0)
+        charts, tape = forward_batch([np.array([1, 2]), np.array([3, 4, 5])], params)
+        grads = [np.zeros(chart.cells.shape) for chart in charts]
+        grads[1] = np.zeros(charts[1].s.shape)
+        with pytest.raises(
+            DimensionMismatch,
+            match=r"gradient 1 has shape \(3, 3, 3\), its chart's span cells \(6, 3\)",
+        ):
+            tape.backward(grads)
 
 
 class TestPaddingFacts:
@@ -359,7 +398,7 @@ class TestPaddingFacts:
         for group in np.array_split(rng.permutation(np.arange(1, 101)), 12):
             ids = [rng.integers(0, len(vocab), size=n) for n in group]
             charts, tape = forward_batch(ids, params)
-            grads = [rng.normal(size=chart.s.shape) for chart in charts]
+            grads = [rng.normal(size=chart.cells.shape) for chart in charts]
             for b, (x, chart) in enumerate(zip(ids, charts)):
                 where = f"length {len(x)} in a group whose longest has {max(group)} tokens"
                 alone, alone_tape = forward(x, params)
@@ -449,14 +488,14 @@ class TestBackward:
     def test_zero_score_gradient(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
         _, tape = forward(params.vocab.encode(["tok1", "tok2"]), params)
-        grads = tape.backward(np.zeros((2, 2, 3)))
+        grads = tape.backward(np.zeros((3, 3)))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_gradient_keys_cover_all_parameters(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
         _, tape = forward(params.vocab.encode(["tok1"]), params)
-        grads = tape.backward(np.zeros((1, 1, 3)))
+        grads = tape.backward(np.zeros((1, 3)))
         assert tuple(grads.keys()) == PARAM_ORDER
         for name in PARAM_ORDER:
             assert grads[name].shape == getattr(params, name).shape

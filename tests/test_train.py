@@ -21,6 +21,7 @@ from treecrf import (
     train,
     validate_annotation,
 )
+from treecrf.chart import unpack_cells
 from treecrf.data import corpus_schema, corpus_vocab, preprocess, split_corpus
 from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
@@ -139,8 +140,9 @@ class TestOverfit:
             _, tape = forward(example.token_ids, params)
             raw = biaffine_scores(encode(record.tokens, params), params)
             loss, sg = loss_and_score_gradient(raw, example.mask)
-            # the tape's backward from raw scores, past normalization
-            grads = tape.batch._backward_raw([sg[None]])
+            # the tape's backward from raw scores, past normalization, takes
+            # the padded square of the raw-score gradient
+            grads = tape.batch._backward_raw([unpack_cells(sg, raw.n)[None]])
             adam_step(params.arrays(), grads, adam, 0.05)
         assert loss < 0.01
 
