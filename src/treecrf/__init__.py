@@ -63,7 +63,6 @@ from .scorer import (
     ScorerConfig,
     ScorerParams,
     Vocab,
-    forward,
     forward_batch,
     init_params,
     load_model,

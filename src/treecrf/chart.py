@@ -68,6 +68,13 @@ def unpack_cells(cells: np.ndarray, n: int) -> np.ndarray:
     return square
 
 
+def packed_index(i, j, n: int):
+    """Where span cell ``(i, j)`` of a length-``n`` chart sits among its
+    packed cells: after the ``n - r`` cells of each row ``r < i``.  Takes
+    integers or integer arrays."""
+    return i * n - i * (i + 1) // 2 + j
+
+
 def span_positions(lengths: Sequence[int], n: int) -> np.ndarray:
     """Where the span cells of charts of ``lengths`` sit in a stack of
     ``(n, n)`` squares: ``b * n * n + i * n + j`` for cell ``(i, j)`` of
@@ -235,10 +242,6 @@ class ChartMask:
         cells.flags.writeable = False
         self.cells = cells
 
-    @property
-    def n_labels(self) -> int:
-        return self.cells.shape[1]
-
     @cached_property
     def m(self) -> np.ndarray:
         m = unpack_cells(self.cells, self.n)
@@ -334,8 +337,7 @@ def _masks(
     m[kinds == int(NodeKind.LATENT), schema.n_observed :] = 1.0
     _reject(m, kinds, epsilon)
     owner, i, j, k = annotated.T
-    # span cell (i, j) follows the n - r cells of each row r < i
-    m[owner, i * n - i * (i + 1) // 2 + j, k] = 1.0
+    m[owner, packed_index(i, j, n), k] = 1.0
     return m
 
 

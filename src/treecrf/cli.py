@@ -100,6 +100,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         seed=args.seed,
     )
+    _check_output_path(args.out)
     records = gen_synthetic(cfg)
     write_corpus(records, args.out)
     n_entities = sum(len(r.entities) for r in records)

@@ -74,6 +74,7 @@ from .chart import (
     Span,
     SymbolTree,
     pack_cells,
+    packed_index,
     packed_length,
     span_positions,
     unpack_cells,
@@ -547,8 +548,7 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
         stack = [(0, n - 1)]
         while stack:
             i0, j0 = stack.pop()
-            # packed after rows r < i0 of n - r cells each: i0 * n - i0 * (i0 - 1) / 2
-            nodes.append((i0, j0, labels[slot.start + i0 * n - i0 * (i0 + 1) // 2 + j0]))
+            nodes.append((i0, j0, labels[slot.start + packed_index(i0, j0, n)]))
             if i0 < j0:
                 m = i0 + splits[j0 - i0 + 1][row][i0]
                 stack.append((m + 1, j0))
@@ -589,10 +589,10 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
     Feeding this to :func:`masked_inside` recovers plain bottom-up
     evaluation of that tree.
     """
-    m = np.zeros((tree.n, tree.n, schema.n_labels))
-    for i, j, k in tree.nodes:
-        m[i, j, k] = 1.0
-    return ChartMask(n=tree.n, m=m)
+    cells = np.zeros((tree.n * (tree.n + 1) // 2, schema.n_labels))
+    i, j, k = np.array(tree.nodes).T
+    cells[packed_index(i, j, tree.n), k] = 1.0
+    return ChartMask.from_cells(cells)
 
 
 def batched_masked_inside(

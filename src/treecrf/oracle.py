@@ -274,8 +274,6 @@ def random_chart(
 ) -> ScoreChart:
     """Random score chart with uniform potentials on the upper triangle."""
     s = rng.uniform(-2.0, 2.0, size=(n, n, schema.n_labels))
-    if n > 1:
-        s[np.tril_indices(n, k=-1)] = 0.0
     return ScoreChart(s=s, schema=schema)
 
 

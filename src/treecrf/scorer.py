@@ -23,9 +23,9 @@ each chart is a view of them.  The backward pass takes gradients packed
 the same way and scatters them once per group into the padded square the
 biaffine backward reads.  At the default dimensions every chart, and
 every sentence's share of the gradients, is bit-identical to the sentence
-alone (see ``PADDED_MAX_TOKENS``).  :func:`forward` is the batch of one,
-and its :class:`Tape` the batch's tape; the test suite certifies every
-parameter gradient against central finite differences.
+alone (see ``PADDED_MAX_TOKENS``).  A single sentence is a batch of
+one; the test suite certifies every parameter gradient against central
+finite differences.
 
 Model files are self-describing: magic, a little-endian uint32 format
 version, a JSON config block (dimensions, label schema, vocabulary, array
@@ -336,8 +336,9 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
 
     Subtracts the mean and divides by the population standard deviation of
     the span cells; a chart with essentially constant scores is only
-    mean-centered.  Raises :class:`NonFiniteLoss`, as :func:`forward`
-    does, when the spread of the scores is not finite.
+    mean-centered.  Raises :class:`NonFiniteLoss`, as
+    :func:`forward_batch` does, when the spread of the scores is not
+    finite.
     """
     cells = chart.cells.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -441,8 +442,9 @@ class BatchTape:
         ``score_gradients``, one per chart in input order.
 
         Each is the sum over the batch, in batch order, of the sentences'
-        gradients, as adding each sentence's :meth:`Tape.backward` to zeros
-        in turn gives it (bit for bit at the default dimensions).
+        gradients, as adding each sentence's gradients from its batch of
+        one to zeros in turn gives it (bit for bit at the default
+        dimensions).
         """
         if len(score_gradients) != len(self._charts):
             raise DimensionMismatch(
@@ -475,8 +477,11 @@ class BatchTape:
         """:meth:`backward` from each group's padded raw-score gradient."""
         params = self.params
         d = params.config.embed_dim
-        stacks: dict[str, np.ndarray] = {}
-        slots, rows = [], []
+        stacks = {
+            name: np.zeros((len(self._charts), *getattr(params, name).shape))
+            for name in PARAM_ORDER[1:]
+        }
+        slots, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, d))]
         for group, grad in zip(self._groups, raw_grads):
             lengths = [len(ids) for ids in group.ids]
             n = grad.shape[1]
@@ -484,12 +489,8 @@ class BatchTape:
             grads, de = _biaffine_backward(group.layers.out, params, grad)
             more, dctx = _encode_backward(group.layers, ctx, params, de)
             grads.update(more)
-            if len(self._groups) == 1:
-                stacks = grads
-            else:
-                for name, value in grads.items():
-                    stacks.setdefault(name, np.zeros((len(self._charts), *value.shape[1:])))
-                    stacks[name][group.members] = value
+            for name, value in grads.items():
+                stacks[name][group.members] = value
             # a token's embedding slot in its sentence, b * V + id, takes its
             # centre contributions, then its part of its right neighbor's
             # context, then of its left neighbor's (zeros past the edges)
@@ -500,36 +501,32 @@ class BatchTape:
             slot = np.repeat(group.members, lengths) * len(params.emb)
             slots.append(np.tile(slot + np.concatenate(group.ids), 3))
             rows += [padded[at, d : 2 * d], padded[at + 1, :d], padded[at - 1, 2 * d :]]
+        # each sentence's sum per token id, then those sums in batch order
+        used, slot = np.unique(np.concatenate(slots), return_inverse=True)
+        sums = np.zeros((len(used), d))
+        np.add.at(sums, slot, np.concatenate(rows))
         out = {"emb": np.zeros_like(params.emb)}
-        if slots:
-            # each sentence's sum per token id, then those sums in batch order
-            used, slot = np.unique(np.concatenate(slots), return_inverse=True)
-            sums = np.zeros((len(used), d))
-            np.add.at(sums, slot, np.concatenate(rows))
-            np.add.at(out["emb"], used % len(params.emb), sums)
-        for name in PARAM_ORDER[1:]:
-            stack = stacks.get(name)
-            out[name] = (
-                np.zeros_like(getattr(params, name))
-                if stack is None
-                else np.add.reduce(stack, axis=0, initial=0.0)
-            )
+        np.add.at(out["emb"], used % len(params.emb), sums)
+        for name, stack in stacks.items():
+            out[name] = np.add.reduce(stack, axis=0, initial=0.0)
         return out
 
 
 def forward_batch(
     ids_list: Sequence[np.ndarray], params: ScorerParams
 ) -> tuple[list[ScoreChart], BatchTape]:
-    """:func:`forward` of each sentence, in input order, and one tape.
+    """The normalized chart of each sentence, in input order, and one tape.
 
-    Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run together, each layer
-    once for all of them, padded to the longest; every other sentence runs
-    alone.  Each chart is :func:`forward` of its sentence alone, and each
-    sentence's share of the gradients too, bit for bit at the default
-    dimensions and to rounding at others.  An empty sentence raises
-    :class:`EmptySentence`; scores that are not finite, or whose spread
-    overflows, raise :class:`NonFiniteLoss` for the first such sentence,
-    its batch position in ``position``.
+    A chart is what training consumes and ``predict`` decodes:
+    :func:`potential_normalize` of :func:`biaffine_scores` of the token
+    ids' embeddings.  Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run
+    together, each layer once for all of them, padded to the longest;
+    every other sentence runs alone.  Each chart is that of its sentence's
+    batch of one, and each sentence's share of the gradients too, bit for
+    bit at the default dimensions and to rounding at others.  An empty
+    sentence raises :class:`EmptySentence`; scores that are not finite, or
+    whose spread overflows, raise :class:`NonFiniteLoss` for the first such
+    sentence, its batch position in ``position``.
     """
     for b, ids in enumerate(ids_list):
         if len(ids) == 0:
@@ -556,28 +553,6 @@ def forward_batch(
         b, std = min(failed)
         raise _non_finite(std, b)
     return charts, BatchTape(params, charts, groups)
-
-
-class Tape(NamedTuple):
-    """What :func:`forward` keeps of one sentence: its batch of one."""
-
-    batch: BatchTape
-
-    def backward(self, score_gradient: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact parameter gradients, in ``PARAM_ORDER``, of a loss whose
-        gradient with respect to the chart :func:`forward` returned is
-        ``score_gradient``."""
-        return self.batch.backward([score_gradient])
-
-
-def forward(ids: np.ndarray, params: ScorerParams) -> tuple[ScoreChart, Tape]:
-    """The chart training consumes and ``predict`` decodes, and its tape.
-
-    The chart is :func:`potential_normalize` of :func:`biaffine_scores` of
-    the token ids' embeddings: :func:`forward_batch` of a batch of one.
-    """
-    charts, tape = forward_batch([ids], params)
-    return charts[0], Tape(tape)
 
 
 def save_model(params: ScorerParams, path: str) -> None:

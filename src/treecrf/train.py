@@ -24,7 +24,7 @@ The masks are built ahead of training by
 :func:`~treecrf.data.preprocess`, one length group at a time.
 
 Prediction decodes the chart of the same scorer forward.  :func:`predict`
-decodes one sentence.  :func:`batch_predict`, and so :func:`evaluate` and
+scores one sentence as a batch of one and decodes it.  :func:`batch_predict`, and so :func:`evaluate` and
 the dev evaluation after each epoch, scores and decodes consecutive
 sentences together, one ``forward_batch`` and one
 :func:`~treecrf.inference.batch_cky_decode` call per chunk whose padded
@@ -71,7 +71,6 @@ from .scorer import (
     ScorerConfig,
     ScorerParams,
     check_dimensions,
-    forward,
     forward_batch,
     init_params,
 )
@@ -295,7 +294,7 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
 
 def predict(params: ScorerParams, tokens: Sequence[str]) -> list[Span]:
     """Entities of the highest-probability tree (latent nodes dismissed)."""
-    chart, _ = forward(params.vocab.encode(tokens), params)
+    (chart,), _ = forward_batch([params.vocab.encode(tokens)], params)
     return extract_entities(cky_decode(chart), params.config.schema)
 
 

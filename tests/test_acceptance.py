@@ -38,7 +38,7 @@ from treecrf.oracle import (
     random_chart,
     random_partial_tree,
 )
-from treecrf.scorer import ScorerConfig, Vocab, forward, init_params
+from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -123,7 +123,7 @@ def test_criterion_03_gradient_exactness():
         symbols = classify_nodes(ptree)
         mask = smooth_mask(build_mask(symbols, schema), symbols, 0.01)
 
-        normed, tape = forward(params.vocab.encode(tokens), params)
+        (normed,), tape = forward_batch([params.vocab.encode(tokens)], params)
         _, score_grad = loss_and_score_gradient(normed, mask)
 
         # gradients w.r.t. every potential s_ijk; the gradient is packed,
@@ -144,10 +144,10 @@ def test_criterion_03_gradient_exactness():
 
         # gradients w.r.t. every scorer parameter
         def pipeline_loss() -> float:
-            nm, _ = forward(params.vocab.encode(tokens), params)
+            (nm,), _ = forward_batch([params.vocab.encode(tokens)], params)
             return loss_and_score_gradient(nm, mask)[0]
 
-        grads = tape.backward(score_grad)
+        grads = tape.backward([score_grad])
         for name, arr in params.arrays().items():
             flat = arr.reshape(-1)
             gflat = grads[name].reshape(-1)

@@ -323,7 +323,7 @@ class TestChartMask:
         m = np.zeros((3, 3, 2))
         m[0, 2] = (0.0, 1.0)
         m[1, 1] = (0.5, 5e-324)
-        assert ChartMask(n=3, m=m).n_labels == 2
+        assert ChartMask(n=3, m=m).cells.shape == (6, 2)
 
     @pytest.mark.parametrize("weight", [np.nan, -1.0, 2.0, np.inf])
     def test_packed_weight_outside_unit_interval_raises(self, weight):

@@ -175,6 +175,18 @@ class TestOutputPathsFailFast:
         assert rc == 1
         assert err.startswith("error: ") and "missing.jsonl" not in err
 
+    def test_gen_checks_before_generating(self, tmp_path, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("gen_synthetic called")
+
+        monkeypatch.setattr("treecrf.cli.gen_synthetic", never)
+        out = str(tmp_path / "missing" / "x.jsonl")
+        rc = main(["gen", "--out", out, "--sentences", "200000"])
+        stdout, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error: ") and "missing" in err
+        assert stdout == "" and not os.path.exists(out)
+
     def test_model_path_that_is_a_directory(self, corpus_path, tmp_path, capsys):
         rc = main(["train", "--data", corpus_path, "--model", str(tmp_path)])
         err = capsys.readouterr().err

@@ -44,7 +44,7 @@ from treecrf.scorer import (
     Vocab,
     _normalize,
     _normalize_backward,
-    forward,
+    forward_batch,
     init_params,
     potential_normalize,
 )
@@ -629,8 +629,8 @@ class TestNoModuleState:
             charts.append(chart)
             masks.append(mask)
             tokens = [f"t{int(k)}" for k in rng.integers(0, 10, size=n)]
-            _, tape = forward(params.vocab.encode(tokens), params)
-            tape.backward(rng.normal(size=chart.cells.shape))
+            _, tape = forward_batch([params.vocab.encode(tokens)], params)
+            tape.backward([rng.normal(size=chart.cells.shape)])
         batched_masked_inside(charts, masks)
         assert self._container_sizes() == before
 

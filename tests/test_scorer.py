@@ -24,7 +24,6 @@ from treecrf import (
     Vocab,
     build_mask,
     classify_nodes,
-    forward,
     init_params,
     load_model,
     loss_and_score_gradient,
@@ -242,35 +241,6 @@ class TestPotentialNormalize:
                 potential_normalize(chart)
 
 
-class TestForward:
-    def test_chart_is_the_stages_composed(self, small_vocab, small_config):
-        params = noised_params(small_vocab, small_config, seed=2)
-        for n in (1, 2, 7):
-            tokens = [f"tok{k}" for k in range(n)]
-            chart, tape = forward(params.vocab.encode(tokens), params)
-            staged = potential_normalize(
-                biaffine_scores(encode(tokens, params), params)
-            )
-            np.testing.assert_array_equal(chart.s, staged.s)
-            (group,) = tape.batch._groups
-            np.testing.assert_array_equal(group.layers.out[0], encode(tokens, params))
-
-    @pytest.mark.parametrize(
-        "name, value", [("bi_b", np.nan), ("emb", np.inf), ("bi_u1", 1e300)]
-    )
-    def test_non_finite_scores_raise(self, small_vocab, small_config, name, value):
-        # bi_u1 = 1e300 keeps the scores finite, but their spread overflows
-        params = noised_params(small_vocab, small_config, seed=2)
-        getattr(params, name)[...] = value
-        with pytest.raises(NonFiniteLoss, match="scorer forward: "):
-            forward(params.vocab.encode(["tok1", "tok2", "tok3"]), params)
-
-    def test_empty_sentence(self, small_vocab, small_config):
-        params = init_params(small_vocab, small_config, seed=0)
-        with pytest.raises(EmptySentence):
-            forward(params.vocab.encode([]), params)
-
-
 class TestForwardBatch:
     @pytest.mark.parametrize("dims", [(16, 32), (4, 8)], ids=["default", "small"])
     def test_charts_and_gradients_equal_the_sentences_alone(
@@ -286,9 +256,9 @@ class TestForwardBatch:
         grads = [rng.normal(size=chart.cells.shape) for chart in charts]
         total = {name: np.zeros_like(a) for name, a in params.arrays().items()}
         for x, chart, grad in zip(ids, charts, grads):
-            alone, alone_tape = forward(x, params)
+            (alone,), alone_tape = forward_batch([x], params)
             np.testing.assert_array_equal(chart.s, alone.s)
-            for name, value in alone_tape.backward(grad).items():
+            for name, value in alone_tape.backward([grad]).items():
                 total[name] += value
         summed = tape.backward(grads)
         assert tuple(summed) == PARAM_ORDER
@@ -305,6 +275,17 @@ class TestForwardBatch:
         for name, grad in tape.backward([]).items():
             assert grad.shape == getattr(params, name).shape
             assert not grad.any()
+
+    @pytest.mark.parametrize(
+        "name, value", [("bi_b", np.nan), ("emb", np.inf), ("bi_u1", 1e300)]
+    )
+    def test_non_finite_scores_raise(self, small_vocab, small_config, name, value):
+        # bi_u1 = 1e300 keeps the scores finite, but their spread overflows
+        params = noised_params(small_vocab, small_config, seed=2)
+        getattr(params, name)[...] = value
+        with pytest.raises(NonFiniteLoss, match="scorer forward: ") as info:
+            forward_batch([params.vocab.encode(["tok1", "tok2", "tok3"])], params)
+        assert info.value.position == 0
 
     def test_empty_sentence_in_a_batch(self, small_vocab, small_config):
         params = init_params(small_vocab, small_config, seed=0)
@@ -328,8 +309,9 @@ class TestForwardBatch:
 
     def test_cells_are_the_stages_composed_at_every_length(self, schema3):
         # lengths 1-100 in one batch, at the default dimensions: each
-        # chart's packed cells are those of the stage-by-stage pipeline,
-        # bit for bit; the benchmark's checks rely on this identity
+        # chart's packed cells, and each sentence's rows of its group's
+        # embeddings, are those of the stage-by-stage pipeline, bit for
+        # bit; the benchmark's checks rely on this identity
         vocab = Vocab.build(f"t{i}" for i in range(60))
         params = noised_params(vocab, ScorerConfig(16, 32, schema3), seed=5)
         rng = np.random.default_rng(5)
@@ -337,10 +319,16 @@ class TestForwardBatch:
             [f"t{int(k)}" for k in rng.integers(0, 60, size=n)]
             for n in rng.permutation(np.arange(1, 101))
         ]
-        charts, _ = forward_batch([params.vocab.encode(t) for t in sentences], params)
-        for tokens, chart in zip(sentences, charts):
-            raw = biaffine_scores(encode(tokens, params), params)
-            staged = potential_normalize(raw)
+        charts, tape = forward_batch([params.vocab.encode(t) for t in sentences], params)
+        embedded = {
+            b: group.layers.out[k, : len(sentences[b])]
+            for group in tape._groups
+            for k, b in enumerate(group.members)
+        }
+        for b, (tokens, chart) in enumerate(zip(sentences, charts)):
+            e = encode(tokens, params)
+            assert np.array_equal(embedded[b], e), f"length {len(tokens)}"
+            staged = potential_normalize(biaffine_scores(e, params))
             assert chart.cells.shape == (len(tokens) * (len(tokens) + 1) // 2, 3)
             assert np.array_equal(chart.cells, staged.cells), f"length {len(tokens)}"
 
@@ -401,13 +389,13 @@ class TestPaddingFacts:
             grads = [rng.normal(size=chart.cells.shape) for chart in charts]
             for b, (x, chart) in enumerate(zip(ids, charts)):
                 where = f"length {len(x)} in a group whose longest has {max(group)} tokens"
-                alone, alone_tape = forward(x, params)
+                (alone,), alone_tape = forward_batch([x], params)
                 assert np.array_equal(chart.s, alone.s), f"{where}: chart differs"
                 # the batch's backward with every other gradient zero gives
                 # this sentence's own parameter gradients
                 only = [g if k == b else np.zeros_like(g) for k, g in enumerate(grads)]
                 shared = tape.backward(only)
-                for name, value in alone_tape.backward(grads[b]).items():
+                for name, value in alone_tape.backward([grads[b]]).items():
                     assert np.array_equal(shared[name], value), (
                         f"{where}: {name} gradient differs"
                     )
@@ -420,10 +408,10 @@ class TestPaddingFacts:
 
 class TestModuleBoundary:
     def test_no_module_imports_private_scorer_names(self):
-        # the scorer's public surface is forward/Tape.backward and the
-        # stage functions; its underscore helpers stay inside the module.
-        # The same holds for the inference pass and kernel, except the
-        # log-sum-exp that the oracle shares.
+        # the scorer's public surface is forward_batch/BatchTape.backward
+        # and the stage functions; its underscore helpers stay inside the
+        # module.  The same holds for the inference pass and kernel, except
+        # the log-sum-exp that the oracle shares.
         allowed = {"scorer": set(), "inference": {"_lse"}}
         package = os.path.dirname(treecrf.__file__)
         offenders = []
@@ -460,12 +448,12 @@ class TestBackward:
             mask = smooth_mask(build_mask(sym, schema3), sym, 0.01)
 
             def loss_of(p):
-                normed, _ = forward(p.vocab.encode(tokens), p)
+                (normed,), _ = forward_batch([p.vocab.encode(tokens)], p)
                 return loss_and_score_gradient(normed, mask)[0]
 
-            normed, tape = forward(params.vocab.encode(tokens), params)
+            (normed,), tape = forward_batch([params.vocab.encode(tokens)], params)
             _, sg = loss_and_score_gradient(normed, mask)
-            grads = tape.backward(sg)
+            grads = tape.backward([sg])
             h = 1e-5
             for name, arr in params.arrays().items():
                 flat = arr.reshape(-1)
@@ -487,24 +475,24 @@ class TestBackward:
 
     def test_zero_score_gradient(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
-        _, tape = forward(params.vocab.encode(["tok1", "tok2"]), params)
-        grads = tape.backward(np.zeros((3, 3)))
+        _, tape = forward_batch([params.vocab.encode(["tok1", "tok2"])], params)
+        grads = tape.backward([np.zeros((3, 3))])
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_gradient_keys_cover_all_parameters(self, small_vocab, small_config):
         params = noised_params(small_vocab, small_config, seed=9)
-        _, tape = forward(params.vocab.encode(["tok1"]), params)
-        grads = tape.backward(np.zeros((1, 3)))
+        _, tape = forward_batch([params.vocab.encode(["tok1"])], params)
+        grads = tape.backward([np.zeros((1, 3))])
         assert tuple(grads.keys()) == PARAM_ORDER
         for name in PARAM_ORDER:
             assert grads[name].shape == getattr(params, name).shape
 
     def test_shape_mismatch(self, small_vocab, small_config):
         params = init_params(small_vocab, small_config, seed=0)
-        _, tape = forward(params.vocab.encode(["tok1", "tok2"]), params)
+        _, tape = forward_batch([params.vocab.encode(["tok1", "tok2"])], params)
         with pytest.raises(DimensionMismatch):
-            tape.backward(np.zeros((3, 3, 3)))
+            tape.backward([np.zeros((3, 3, 3))])
 
 
 class TestSerialization:

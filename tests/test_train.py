@@ -29,7 +29,7 @@ from treecrf.scorer import (
     ScorerConfig,
     biaffine_scores,
     encode,
-    forward,
+    forward_batch,
     init_params,
 )
 from treecrf.train import (
@@ -44,9 +44,9 @@ from treecrf.train import (
 
 def sentence_loss_and_grads(tokens, mask, params):
     """The training objective of one sentence, through public functions."""
-    chart, tape = forward(params.vocab.encode(tokens), params)
+    (chart,), tape = forward_batch([params.vocab.encode(tokens)], params)
     loss, score_grad = loss_and_score_gradient(chart, mask)
-    return loss, tape.backward(score_grad)
+    return loss, tape.backward([score_grad])
 
 
 def record_of_length(n, rng):
@@ -137,12 +137,12 @@ class TestOverfit:
         adam = AdamState.init(params.arrays())
         loss = math.inf
         for _ in range(200):
-            _, tape = forward(example.token_ids, params)
+            _, tape = forward_batch([example.token_ids], params)
             raw = biaffine_scores(encode(record.tokens, params), params)
             loss, sg = loss_and_score_gradient(raw, example.mask)
             # the tape's backward from raw scores, past normalization, takes
             # the padded square of the raw-score gradient
-            grads = tape.batch._backward_raw([unpack_cells(sg, raw.n)[None]])
+            grads = tape._backward_raw([unpack_cells(sg, raw.n)[None]])
             adam_step(params.arrays(), grads, adam, 0.05)
         assert loss < 0.01
 
