@@ -241,6 +241,27 @@ class TestPotentialNormalize:
                 potential_normalize(chart)
 
 
+class TestForward:
+    def test_chart_is_the_stages_composed(self, small_vocab, small_config):
+        # a batch of one sentence: its chart, and its embeddings on the tape,
+        # are those of the stage-by-stage pipeline
+        params = noised_params(small_vocab, small_config, seed=2)
+        for n in (1, 2, 7):
+            tokens = [f"tok{k}" for k in range(n)]
+            (chart,), tape = forward_batch([params.vocab.encode(tokens)], params)
+            staged = potential_normalize(
+                biaffine_scores(encode(tokens, params), params)
+            )
+            np.testing.assert_array_equal(chart.s, staged.s)
+            (group,) = tape._groups
+            np.testing.assert_array_equal(group.layers.out[0], encode(tokens, params))
+
+    def test_empty_sentence(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        with pytest.raises(EmptySentence):
+            forward_batch([params.vocab.encode([])], params)
+
+
 class TestForwardBatch:
     @pytest.mark.parametrize("dims", [(16, 32), (4, 8)], ids=["default", "small"])
     def test_charts_and_gradients_equal_the_sentences_alone(
