@@ -5,10 +5,12 @@ from .chart import (
     LabelSchema,
     NodeKind,
     PartialTree,
+    ScoreChart,
     Span,
     SymbolTree,
     build_mask,
     classify_nodes,
+    pack_cells,
     smooth_mask,
     smoothed_masks,
     validate_annotation,
@@ -44,7 +46,6 @@ from .errors import (
 from .inference import (
     LOG_ZERO,
     FullTree,
-    ScoreChart,
     batch_cky_decode,
     batch_loss_and_score_gradient,
     batched_masked_inside,

@@ -19,7 +19,7 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
 The classification is turned into a 0/1 mask over every span cell and
 label; structure smoothing later relaxes rejected cells from 0 to a small
 epsilon.  The cells ``i > j`` below the diagonal stand for no span;
-:func:`below_diagonal` marks them.  Masks, like score charts, hold their
+:func:`below_diagonal` marks them.  Score charts and masks hold their
 span cells packed: one ``(n(n+1)/2, |labels|)`` array of the cells of
 ``~below_diagonal(n)`` in row-major order (:func:`pack_cells`), the layout
 the chart kernel reads.
@@ -212,41 +212,49 @@ class SymbolTree:
         self.node_kind.flags.writeable = False
 
 
+class ScoreChart:
+    """Log potentials ``s[i, j, k]`` for spans ``i <= j`` and labels ``k``.
+
+    ``cells`` holds the span cells packed, ``(n(n+1)/2, L)`` (see
+    :func:`pack_cells`), kept as given (not copied) and made read-only;
+    every one must be finite.  ``s`` is the ``(n, n, L)`` square, 0 below
+    the diagonal, built when first read.
+    """
+
+    def __init__(self, cells: np.ndarray, schema: LabelSchema) -> None:
+        self.n = packed_length(cells)
+        if cells.shape[1] != schema.n_labels:
+            raise DimensionMismatch(
+                f"chart has {cells.shape[1]} labels, schema {schema.n_labels}"
+            )
+        if not np.isfinite(cells).all():
+            raise ValueError("non-finite score in a span cell")
+        cells.flags.writeable = False
+        self.cells = cells
+        self.schema = schema
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        s = unpack_cells(self.cells, self.n)
+        s.flags.writeable = False
+        return s
+
+
 class ChartMask:
     """Weights in [0, 1] of each span cell and label.
 
-    ``cells`` holds the span cells packed (see :func:`pack_cells`).
-    ``ChartMask(n, m)`` packs a dense ``n x n x |labels|`` square, whose
-    cells below the diagonal are ignored; :meth:`from_cells` takes packed
-    cells.  ``m`` is the square again, 0 below the diagonal, built when
-    first read.  Unsmoothed masks are 0/1 valued.  A span-cell weight
-    outside [0, 1], NaN included, raises :class:`BadConfig`.
+    ``cells`` holds the span cells packed (see :func:`pack_cells`), kept as
+    given (not copied) and made read-only.  Unsmoothed masks are 0/1
+    valued.  A weight outside [0, 1], NaN included, raises
+    :class:`BadConfig`.
     """
 
-    def __init__(self, n: int, m: np.ndarray) -> None:
-        if m.ndim != 3 or m.shape[:2] != (n, n):
-            raise DimensionMismatch(f"mask shape {m.shape} does not match n={n}")
-        self._set(pack_cells(m))
-
-    @classmethod
-    def from_cells(cls, cells: np.ndarray) -> "ChartMask":
-        """The mask of packed span cells, kept as given (not copied)."""
-        mask = cls.__new__(cls)
-        mask._set(cells)
-        return mask
-
-    def _set(self, cells: np.ndarray) -> None:
+    def __init__(self, cells: np.ndarray) -> None:
         self.n = packed_length(cells)
         if not ((cells >= 0.0) & (cells <= 1.0)).all():
             raise BadConfig("mask weights must lie in [0, 1]")
         cells.flags.writeable = False
         self.cells = cells
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        m = unpack_cells(self.cells, self.n)
-        m.flags.writeable = False
-        return m
 
 
 def validate_annotation(
@@ -368,7 +376,7 @@ def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
         dtype=np.intp,
     ).reshape(-1, 4)
     m = _masks(symbols.node_kind[None], annotated, schema, 0.0)
-    return ChartMask.from_cells(m[0])
+    return ChartMask(m[0])
 
 
 def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMask:
@@ -384,7 +392,7 @@ def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMa
         )
     cells = mask.cells.copy()
     _reject(cells, pack_cells(symbols.node_kind), epsilon)
-    return ChartMask.from_cells(cells)
+    return ChartMask(cells)
 
 
 def smoothed_masks(
@@ -408,5 +416,5 @@ def smoothed_masks(
         annotated = _annotated([trees[idx] for idx in members])
         m = _masks(_node_kinds(n, len(members), annotated), annotated, schema, epsilon)
         for g, idx in enumerate(members):
-            masks[idx] = ChartMask.from_cells(m[g])
+            masks[idx] = ChartMask(m[g])
     return [masks[idx] for idx in range(len(trees))]

@@ -1,10 +1,10 @@
 """Chart dynamic programming over labeled binary trees.
 
-All algorithms work in the log semiring on ``n x n x |labels|`` charts of
-log potentials.  A full tree over ``n`` tokens is a binary bracketing with
-exactly ``2n - 1`` labeled spans; its score is the sum of its node
-potentials.  The core recursion factorizes each cell into a label part and
-a split part::
+All algorithms work in the log semiring on charts of log potentials
+``s[i, j, k]`` of spans ``i <= j`` and labels ``k``.  A full tree over
+``n`` tokens is a binary bracketing with exactly ``2n - 1`` labeled spans;
+its score is the sum of its node potentials.  The core recursion
+factorizes each cell into a label part and a split part::
 
     beta[i, i] = LSE_k s[i, i, k]
     beta[i, j] = LSE_k s[i, j, k] + LSE_m (beta[i, m] + beta[m+1, j])
@@ -36,8 +36,9 @@ result sits at its own root, ``(0, n_b - 1)``.  The pass's result,
 :class:`_Pass`, owns that layout: the packed arrays, the flat chart, each
 cell's and each root's place in it and the per-width split reductions.
 
-Every structured entry point is one :func:`_check_batch` (masks may be
-``None``, unmasked) and one :func:`_inside_pass`.  CKY,
+Every structured entry point is one check, :func:`_check_batch` (a
+``None`` mask: unmasked) or, where every chart needs its mask,
+:func:`_check_masked`, and one :func:`_inside_pass`.  CKY,
 :func:`batch_cky_decode`, walks each chart's tree back from its own root
 through the argmax the pass keeps.  Posteriors are the
 gradient of the roots: :func:`_posteriors` takes it by one reverse sweep
@@ -51,17 +52,11 @@ bit; only :func:`marginals` unpacks its result into an ``(n, n, L)``
 square.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
 as the reference the kernel is checked against.
-
-Score cells below the diagonal (``i > j``, see
-:func:`treecrf.chart.below_diagonal`) of a square given to
-:class:`ScoreChart` are unspecified: they may hold any value, NaN
-included, and packing drops them; tests poison them with NaN to prove it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -71,11 +66,10 @@ from .chart import (
     ChartMask,
     LabelSchema,
     NodeKind,
+    ScoreChart,
     Span,
     SymbolTree,
-    pack_cells,
     packed_index,
-    packed_length,
     span_positions,
     unpack_cells,
 )
@@ -98,48 +92,6 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     total = np.exp(x - shift).sum(axis=axis)
     out = np.where(total > 0.0, np.log(np.maximum(total, _TINY)), -np.inf)
     return out + np.squeeze(shift, axis=axis)
-
-
-class ScoreChart:
-    """Log potentials ``s[i, j, k]`` for spans ``i <= j`` and labels ``k``.
-
-    ``cells`` holds the span cells packed, ``(n(n+1)/2, L)``, in the order
-    of :func:`~treecrf.chart.pack_cells`; every one must be finite.
-    ``ScoreChart(s, schema)`` packs an ``(n, n, L)`` square, whose cells
-    below the diagonal are unspecified and may hold anything;
-    :meth:`from_cells` takes packed cells.  ``s`` is the square again, 0
-    below the diagonal, built when first read.
-    """
-
-    def __init__(self, s: np.ndarray, schema: LabelSchema) -> None:
-        if s.ndim != 3 or s.shape[0] != s.shape[1]:
-            raise DimensionMismatch(f"score array has shape {s.shape}")
-        self._set(pack_cells(s), schema)
-
-    @classmethod
-    def from_cells(cls, cells: np.ndarray, schema: LabelSchema) -> "ScoreChart":
-        """The chart of packed span cells, kept as given (not copied)."""
-        chart = cls.__new__(cls)
-        chart._set(cells, schema)
-        return chart
-
-    def _set(self, cells: np.ndarray, schema: LabelSchema) -> None:
-        self.n = packed_length(cells)
-        if cells.shape[1] != schema.n_labels:
-            raise DimensionMismatch(
-                f"chart has {cells.shape[1]} labels, schema {schema.n_labels}"
-            )
-        if not np.isfinite(cells).all():
-            raise ValueError("non-finite score in a span cell")
-        cells.flags.writeable = False
-        self.cells = cells
-        self.schema = schema
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        s = unpack_cells(self.cells, self.n)
-        s.flags.writeable = False
-        return s
 
 
 @dataclass(frozen=True)
@@ -196,6 +148,14 @@ def _check_batch(
             )
         if chart.cells.shape[1] != charts[0].cells.shape[1]:
             raise DimensionMismatch("charts in a batch must share a label count")
+
+
+def _check_masked(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> None:
+    """:func:`_check_batch` of a batch in which every chart needs its mask."""
+    _check_batch(charts, masks)
+    for b, mask in enumerate(masks):
+        if mask is None:
+            raise DimensionMismatch(f"missing mask at batch position {b}")
 
 
 def _apply_mask(s: np.ndarray, m: np.ndarray) -> None:
@@ -413,7 +373,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     Computed exactly as ``inside(s + log M)`` with LOG_ZERO substituted
     for ``log 0``; an all-ones mask reproduces :func:`inside` bit for bit.
     """
-    _check_batch([chart], [mask])
+    _check_masked([chart], [mask])
     return float(_inside_pass([chart], [mask], _logsumexp).roots()[0])
 
 
@@ -498,7 +458,7 @@ def batch_loss_and_score_gradient(
     posteriors, after which the pass's buffers are released; each
     sentence's gradient is a view of it, shaped like its ``chart.cells``.
     """
-    _check_batch(charts, masks)
+    _check_masked(charts, masks)
     if not charts:
         return iter(())
     count = len(charts)
@@ -575,10 +535,9 @@ def tree_score(chart: ScoreChart, tree: FullTree) -> float:
     """
     if tree.n != chart.n:
         raise DimensionMismatch(f"tree over {tree.n} tokens, chart over {chart.n}")
-    s = chart.s
     stack: list[float] = []
     for i, j, k in reversed(tree.nodes):
-        v = s[i, j, k]
+        v = chart.cells[packed_index(i, j, chart.n), k]
         stack.append(float(v) if i == j else float(v + (stack.pop() + stack.pop())))
     return stack[0]
 
@@ -592,7 +551,7 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
     cells = np.zeros((tree.n * (tree.n + 1) // 2, schema.n_labels))
     i, j, k = np.array(tree.nodes).T
     cells[packed_index(i, j, tree.n), k] = 1.0
-    return ChartMask.from_cells(cells)
+    return ChartMask(cells)
 
 
 def batched_masked_inside(
@@ -605,7 +564,7 @@ def batched_masked_inside(
     operations as in :func:`masked_inside`, so values are bitwise identical
     to the per-sentence computation regardless of batch composition.
     """
-    _check_batch(charts, masks)
+    _check_masked(charts, masks)
     if not charts:
         return np.zeros(0)
     return _inside_pass(charts, masks, _logsumexp).roots()

@@ -21,9 +21,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .chart import LabelSchema, NodeKind, PartialTree, Span, SymbolTree, _spans_cross
+from .chart import (
+    LabelSchema,
+    NodeKind,
+    PartialTree,
+    ScoreChart,
+    Span,
+    SymbolTree,
+    _spans_cross,
+    pack_cells,
+)
 from .errors import TooLarge
-from .inference import FullTree, ScoreChart, _lse
+from .inference import FullTree, _lse
 
 ENUMERATION_LIMIT = 10_000_000
 MAX_ORACLE_N = 8
@@ -274,7 +283,7 @@ def random_chart(
 ) -> ScoreChart:
     """Random score chart with uniform potentials on the upper triangle."""
     s = rng.uniform(-2.0, 2.0, size=(n, n, schema.n_labels))
-    return ScoreChart(s=s, schema=schema)
+    return ScoreChart(pack_cells(s), schema)
 
 
 def random_partial_tree(

@@ -45,7 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chart import LabelSchema, below_diagonal, span_positions
+from .chart import LabelSchema, ScoreChart, below_diagonal, span_positions
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -53,7 +53,6 @@ from .errors import (
     ModelFormatError,
     NonFiniteLoss,
 )
-from .inference import ScoreChart
 
 UNK_TOKEN = "<unk>"
 
@@ -299,7 +298,7 @@ def biaffine_scores(embeddings: np.ndarray, params: ScorerParams) -> ScoreChart:
         )
     n = len(embeddings)
     cells = _biaffine(embeddings[None], [n], params)
-    return ScoreChart.from_cells(cells, params.config.schema)
+    return ScoreChart(cells, params.config.schema)
 
 
 def _normalize(cells: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -345,7 +344,7 @@ def potential_normalize(chart: ScoreChart) -> ScoreChart:
         (std,) = _normalize(cells, [len(cells)])
     if not math.isfinite(std):
         raise _non_finite(float(std), 0)
-    return ScoreChart.from_cells(cells, chart.schema)
+    return ScoreChart(cells, chart.schema)
 
 
 def _normalize_backward(
@@ -547,7 +546,7 @@ def forward_batch(
         if failed:
             continue
         for b, (start, end) in zip(members, pairwise(accumulate(sizes, initial=0))):
-            charts[b] = ScoreChart.from_cells(cells[start:end], schema)
+            charts[b] = ScoreChart(cells[start:end], schema)
         groups.append(_Group(members, ids, layers, cells, std))
     if failed:
         b, std = min(failed)

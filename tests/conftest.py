@@ -17,4 +17,4 @@ def schema3():
 
 
 def zero_chart(n: int, schema: LabelSchema) -> ScoreChart:
-    return ScoreChart(s=np.zeros((n, n, schema.n_labels)), schema=schema)
+    return ScoreChart(np.zeros((n * (n + 1) // 2, schema.n_labels)), schema)

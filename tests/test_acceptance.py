@@ -130,12 +130,12 @@ def test_criterion_03_gradient_exactness():
         # its span cells in the row-major order of np.triu_indices(n)
         for cell, (i, j) in enumerate(zip(*np.triu_indices(n))):
             for k in range(schema.n_labels):
-                sp = normed.s.copy()
-                sp[i, j, k] += h
-                up = loss_and_score_gradient(ScoreChart(s=sp, schema=schema), mask)[0]
-                sp = normed.s.copy()
-                sp[i, j, k] -= h
-                dn = loss_and_score_gradient(ScoreChart(s=sp, schema=schema), mask)[0]
+                sp = normed.cells.copy()
+                sp[cell, k] += h
+                up = loss_and_score_gradient(ScoreChart(sp, schema), mask)[0]
+                sp = normed.cells.copy()
+                sp[cell, k] -= h
+                dn = loss_and_score_gradient(ScoreChart(sp, schema), mask)[0]
                 fd = (up - dn) / (2 * h)
                 a = score_grad[cell, k]
                 worst_rel = max(worst_rel, abs(a - fd) / max(abs(a), abs(fd), 1e-3))

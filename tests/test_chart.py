@@ -20,9 +20,14 @@ from treecrf import (
     smoothed_masks,
     validate_annotation,
 )
-from treecrf.chart import _spans_cross, below_diagonal
+from treecrf.chart import _spans_cross, below_diagonal, pack_cells, unpack_cells
 from treecrf.errors import BadConfig, DimensionMismatch
 from treecrf.oracle import random_partial_tree
+
+
+def square(mask):
+    """A mask's ``(n, n, L)`` square, 0 below the diagonal."""
+    return unpack_cells(mask.cells, mask.n)
 
 
 class TestLabelSchema:
@@ -162,26 +167,26 @@ class TestBuildMask:
     def test_three_rules(self, schema2):
         tree = PartialTree(n=2, entities=(Span(0, 1, 0),))
         mask = build_mask(classify_nodes(tree), schema2)
-        assert mask.m[0, 1].tolist() == [1.0, 0.0]
-        assert mask.m[0, 0].tolist() == [0.0, 1.0]
-        assert mask.m[1, 1].tolist() == [0.0, 1.0]
+        assert square(mask)[0, 1].tolist() == [1.0, 0.0]
+        assert square(mask)[0, 0].tolist() == [0.0, 1.0]
+        assert square(mask)[1, 1].tolist() == [0.0, 1.0]
 
     def test_all_latent(self, schema2):
         tree = PartialTree(n=2, entities=())
         mask = build_mask(classify_nodes(tree), schema2)
         for i in range(2):
             for j in range(i, 2):
-                assert mask.m[i, j].tolist() == [0.0, 1.0]
+                assert square(mask)[i, j].tolist() == [0.0, 1.0]
 
     def test_rejected_cell_zero(self, schema3):
         tree = PartialTree(n=3, entities=(Span(0, 1, 0),))
         mask = build_mask(classify_nodes(tree), schema3)
-        assert mask.m[1, 2].tolist() == [0.0, 0.0, 0.0]
+        assert square(mask)[1, 2].tolist() == [0.0, 0.0, 0.0]
 
     def test_multi_label_cell(self, schema3):
         tree = PartialTree(n=2, entities=(Span(0, 1, 0), Span(0, 1, 1)))
         mask = build_mask(classify_nodes(tree), schema3)
-        assert mask.m[0, 1].tolist() == [1.0, 1.0, 0.0]
+        assert square(mask)[0, 1].tolist() == [1.0, 1.0, 0.0]
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(1, 7), seed=st.integers(0, 10_000))
@@ -191,17 +196,14 @@ class TestBuildMask:
         tree = random_partial_tree(n, schema, rng, multilabel_prob=0.15)
         sym = classify_nodes(tree)
         mask = build_mask(sym, schema)
-        # 0/1-valued, deterministic, lower triangle all zero
-        assert set(np.unique(mask.m)) <= {0.0, 1.0}
+        # 0/1-valued and deterministic
+        assert set(np.unique(mask.cells)) <= {0.0, 1.0}
         again = build_mask(classify_nodes(tree), schema)
-        assert np.array_equal(mask.m, again.m)
-        for i in range(n):
-            for j in range(i):
-                assert not mask.m[i, j].any()
+        assert np.array_equal(mask.cells, again.cells)
         # leaves and root always admit at least one label
         for i in range(n):
-            assert mask.m[i, i].sum() >= 1
-        assert mask.m[0, n - 1].sum() >= 1
+            assert square(mask)[i, i].sum() >= 1
+        assert square(mask)[0, n - 1].sum() >= 1
 
 
 class TestSmoothMask:
@@ -209,22 +211,22 @@ class TestSmoothMask:
         tree = PartialTree(n=3, entities=(Span(0, 1, 0),))
         sym = classify_nodes(tree)
         mask = smooth_mask(build_mask(sym, schema2), sym, 0.01)
-        assert mask.m[1, 2].tolist() == [0.01, 0.01]
+        assert square(mask)[1, 2].tolist() == [0.01, 0.01]
 
     def test_zero_epsilon_identity(self, schema2):
         tree = PartialTree(n=3, entities=(Span(0, 1, 0),))
         sym = classify_nodes(tree)
         base = build_mask(sym, schema2)
-        assert np.array_equal(smooth_mask(base, sym, 0.0).m, base.m)
+        assert np.array_equal(smooth_mask(base, sym, 0.0).cells, base.cells)
 
     def test_observed_and_latent_cells_unchanged(self, schema2):
         tree = PartialTree(n=3, entities=(Span(0, 1, 0),))
         sym = classify_nodes(tree)
         base = build_mask(sym, schema2)
         smoothed = smooth_mask(base, sym, 0.02)
-        assert smoothed.m[0, 1].tolist() == [1.0, 0.0]
-        assert smoothed.m[0, 0].tolist() == [0.0, 1.0]
-        assert smoothed.m[0, 2].tolist() == [0.0, 1.0]
+        assert square(smoothed)[0, 1].tolist() == [1.0, 0.0]
+        assert square(smoothed)[0, 0].tolist() == [0.0, 1.0]
+        assert square(smoothed)[0, 2].tolist() == [0.0, 1.0]
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(1, 7), seed=st.integers(0, 10_000), eps=st.floats(0.001, 0.5))
@@ -238,9 +240,9 @@ class TestSmoothMask:
         for i in range(n):
             for j in range(i, n):
                 if sym.node_kind[i, j] == NodeKind.REJECTED:
-                    assert np.all(smoothed.m[i, j] == eps)
+                    assert np.all(square(smoothed)[i, j] == eps)
                 else:
-                    assert np.array_equal(smoothed.m[i, j], base.m[i, j])
+                    assert np.array_equal(square(smoothed)[i, j], square(base)[i, j])
 
     def test_bad_epsilon(self, schema2):
         tree = PartialTree(n=2, entities=())
@@ -292,9 +294,10 @@ class TestSmoothedMasks:
         for tree, mask in zip(trees, masks):
             sym = classify_nodes(tree)
             single = smooth_mask(build_mask(sym, schema), sym, epsilon)
-            np.testing.assert_array_equal(mask.m, single.m)
-            np.testing.assert_array_equal(mask.m, reference_mask(tree, schema, epsilon))
-            assert not mask.m.flags.writeable
+            np.testing.assert_array_equal(mask.cells, single.cells)
+            reference = reference_mask(tree, schema, epsilon)
+            np.testing.assert_array_equal(square(mask), reference)
+            assert not mask.cells.flags.writeable
 
     def test_empty_list(self, schema3):
         assert smoothed_masks([], schema3, 0.01) == []
@@ -317,36 +320,36 @@ class TestChartMask:
         m = np.zeros((3, 3, 2))
         m[0, 2, 1] = weight
         with pytest.raises(BadConfig):
-            ChartMask(n=3, m=m)
+            ChartMask(pack_cells(m))
 
     def test_weights_in_unit_interval_accepted(self):
         m = np.zeros((3, 3, 2))
         m[0, 2] = (0.0, 1.0)
         m[1, 1] = (0.5, 5e-324)
-        assert ChartMask(n=3, m=m).cells.shape == (6, 2)
+        assert ChartMask(pack_cells(m)).cells.shape == (6, 2)
 
     @pytest.mark.parametrize("weight", [np.nan, -1.0, 2.0, np.inf])
     def test_packed_weight_outside_unit_interval_raises(self, weight):
         cells = np.zeros((6, 2))
         cells[2, 1] = weight  # span cell (0, 2)
         with pytest.raises(BadConfig):
-            ChartMask.from_cells(cells)
+            ChartMask(cells)
 
     def test_below_the_diagonal_is_ignored(self):
         # the square's cells i > j stand for no span: packing drops them
         m = np.zeros((3, 3, 2))
         m[0, 2] = (0.0, 1.0)
         m[2, 0] = (np.nan, 2.0)
-        mask = ChartMask(n=3, m=m)
+        mask = ChartMask(pack_cells(m))
         np.testing.assert_array_equal(mask.cells, m[~below_diagonal(3)])
-        np.testing.assert_array_equal(mask.m[~below_diagonal(3)], mask.cells)
-        assert not mask.m[below_diagonal(3)].any()
+        np.testing.assert_array_equal(pack_cells(square(mask)), mask.cells)
+        assert not square(mask)[below_diagonal(3)].any()
 
     def test_packed_cell_count_is_checked(self):
-        for cells in (np.zeros((4, 2)), np.zeros((6,))):
+        for cells in (np.zeros((4, 2)), np.zeros((6,)), np.zeros((3, 3, 2))):
             with pytest.raises(DimensionMismatch):
-                ChartMask.from_cells(cells)
-        assert ChartMask.from_cells(np.zeros((10, 2))).n == 4
+                ChartMask(cells)
+        assert ChartMask(np.zeros((10, 2))).n == 4
 
 
 class TestPartialTree:

@@ -288,10 +288,8 @@ class TestPreprocess:
         record = CorpusRecord(tokens=("a", "b"), entities=())
         vocab = corpus_vocab([record])
         (example,) = preprocess([record], schema3, vocab, 0.0)
-        m = example.mask.m
-        assert m[0, 0].tolist() == [0.0, 0.0, 1.0]
-        assert m[0, 1].tolist() == [0.0, 0.0, 1.0]
-        assert m[1, 1].tolist() == [0.0, 0.0, 1.0]
+        # packed cells (0, 0), (0, 1), (1, 1)
+        assert example.mask.cells.tolist() == [[0.0, 0.0, 1.0]] * 3
 
     def test_cached_mask_matches_fresh_build(self, schema3):
         record = CorpusRecord(
@@ -305,7 +303,7 @@ class TestPreprocess:
         )
         sym = classify_nodes(tree)
         fresh = smooth_mask(build_mask(sym, schema3), sym, 0.02)
-        np.testing.assert_array_equal(example.mask.m, fresh.m)
+        np.testing.assert_array_equal(example.mask.cells, fresh.cells)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_masks_equal_per_sentence_build_on_standard_corpus(self, epsilon):
@@ -319,7 +317,7 @@ class TestPreprocess:
             )
             sym = classify_nodes(tree)
             fresh = smooth_mask(build_mask(sym, schema), sym, epsilon)
-            np.testing.assert_array_equal(example.mask.m, fresh.m)
+            np.testing.assert_array_equal(example.mask.cells, fresh.cells)
 
     def test_masks_are_stored_packed(self):
         # every mask holds only its span cells: the masks of a corpus take

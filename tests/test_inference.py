@@ -68,7 +68,7 @@ class TestInside:
     def test_single_leaf(self, schema3):
         s = np.zeros((1, 1, 3))
         s[0, 0] = [0.3, -1.2, 0.5]
-        chart = ScoreChart(s=s, schema=schema3)
+        chart = ScoreChart(pack_cells(s), schema3)
         expected = math.log(sum(math.exp(v) for v in (0.3, -1.2, 0.5)))
         assert inside(chart) == pytest.approx(expected, abs=1e-12)
 
@@ -79,7 +79,7 @@ class TestInside:
         assert inside(zero_chart(3, schema2)) == pytest.approx(LOG64, abs=1e-12)
 
     def test_degenerate(self, schema2):
-        chart = ScoreChart(s=np.zeros((0, 0, 2)), schema=schema2)
+        chart = ScoreChart(np.zeros((0, 2)), schema2)
         with pytest.raises(DegenerateChart):
             inside(chart)
 
@@ -93,43 +93,40 @@ class TestInside:
 class TestScoreChart:
     """A chart holds its span cells packed; its square is built on demand."""
 
-    def test_square_and_packed_constructors_agree(self, schema3):
+    def test_packed_cells_are_kept_and_unpacked(self, schema3):
         rng = np.random.default_rng(27)
         for n in (1, 2, 6):
             s = rng.normal(size=(n, n, 3))
-            chart = ScoreChart(s=s, schema=schema3)
-            packed = ScoreChart.from_cells(s[~below_diagonal(n)], schema3)
-            assert chart.n == packed.n == n
+            cells = pack_cells(s)
+            chart = ScoreChart(cells, schema3)
+            assert chart.n == n and chart.cells is cells
             assert chart.cells.shape == (n * (n + 1) // 2, 3)
-            np.testing.assert_array_equal(chart.cells, packed.cells)
-            np.testing.assert_array_equal(packed.s[~below_diagonal(n)], chart.cells)
-            assert not packed.s[below_diagonal(n)].any()
-            assert not chart.cells.flags.writeable and not packed.s.flags.writeable
+            np.testing.assert_array_equal(chart.cells, s[np.triu_indices(n)])
+            np.testing.assert_array_equal(chart.s[~below_diagonal(n)], chart.cells)
+            assert not chart.s[below_diagonal(n)].any()
+            assert not chart.cells.flags.writeable and not chart.s.flags.writeable
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_span_cell_raises(self, schema3, value):
         s = np.zeros((3, 3, 3))
         s[1, 2, 0] = value
         with pytest.raises(ValueError, match="non-finite score"):
-            ScoreChart(s=s, schema=schema3)
-        with pytest.raises(ValueError, match="non-finite score"):
-            ScoreChart.from_cells(s[~below_diagonal(3)], schema3)
+            ScoreChart(pack_cells(s), schema3)
 
     def test_non_finite_below_the_diagonal_is_accepted(self, schema3):
         s = np.zeros((3, 3, 3))
         s[2, 0] = np.nan
         s[1, 0, 2] = np.inf
-        chart = ScoreChart(s=s, schema=schema3)
+        chart = ScoreChart(pack_cells(s), schema3)
         assert np.isfinite(chart.cells).all() and np.isfinite(chart.s).all()
 
     def test_cell_count_and_labels_are_checked(self, schema3):
-        for cells in (np.zeros((4, 3)), np.zeros((6,)), np.zeros((6, 3, 1))):
+        squares = (np.zeros((3, 3, 3)), np.zeros((3, 2, 3)))
+        for cells in (np.zeros((4, 3)), np.zeros((6,)), np.zeros((6, 3, 1)), *squares):
             with pytest.raises(DimensionMismatch):
-                ScoreChart.from_cells(cells, schema3)
+                ScoreChart(cells, schema3)
         with pytest.raises(DimensionMismatch):
-            ScoreChart.from_cells(np.zeros((6, 2)), schema3)
-        with pytest.raises(DimensionMismatch):
-            ScoreChart(s=np.zeros((3, 2, 3)), schema=schema3)
+            ScoreChart(np.zeros((6, 2)), schema3)
 
 
 class TestMaskedInside:
@@ -142,7 +139,7 @@ class TestMaskedInside:
     def test_all_ones_equals_inside_bitwise(self, schema3):
         rng = np.random.default_rng(0)
         chart = random_chart(5, schema3, rng)
-        ones = ChartMask(n=5, m=np.ones((5, 5, 3)))
+        ones = ChartMask(np.ones((15, 3)))
         assert masked_inside(chart, ones) == inside(chart)
 
     def test_full_tree_mask_recovers_evaluation(self, schema3):
@@ -157,14 +154,14 @@ class TestMaskedInside:
 
     def test_dimension_mismatch(self, schema2):
         with pytest.raises(DimensionMismatch):
-            masked_inside(zero_chart(2, schema2), ChartMask(n=3, m=np.zeros((3, 3, 2))))
+            masked_inside(zero_chart(2, schema2), ChartMask(np.zeros((6, 2))))
 
     def test_upper_bound_for_arbitrary_masks(self, schema3):
         rng = np.random.default_rng(2)
         for _ in range(25):
             n = int(rng.integers(1, 7))
             chart = random_chart(n, schema3, rng)
-            mask = ChartMask(n=n, m=rng.uniform(0, 1, size=(n, n, 3)))
+            mask = ChartMask(pack_cells(rng.uniform(0, 1, size=(n, n, 3))))
             assert masked_inside(chart, mask) <= inside(chart) + 1e-6
 
     def test_monotone_under_mask_tightening(self, schema3):
@@ -174,8 +171,8 @@ class TestMaskedInside:
             chart = random_chart(n, schema3, rng)
             loose = rng.uniform(0, 1, size=(n, n, 3))
             tight = loose * rng.uniform(0, 1, size=loose.shape)
-            assert masked_inside(chart, ChartMask(n=n, m=tight)) <= masked_inside(
-                chart, ChartMask(n=n, m=loose)
+            assert masked_inside(chart, ChartMask(pack_cells(tight))) <= masked_inside(
+                chart, ChartMask(pack_cells(loose))
             ) + 1e-6
 
 
@@ -231,7 +228,7 @@ class TestLogProb:
     def test_all_ones_mask_is_zero(self, schema3):
         rng = np.random.default_rng(5)
         chart = random_chart(4, schema3, rng)
-        ones = ChartMask(n=4, m=np.ones((4, 4, 3)))
+        ones = ChartMask(np.ones((10, 3)))
         assert log_prob(chart, ones) == 0.0
 
     def test_nonpositive_for_unsmoothed_masks(self, schema3):
@@ -253,7 +250,7 @@ class TestMarginals:
     def test_single_token_softmax(self, schema3):
         s = np.zeros((1, 1, 3))
         s[0, 0] = [1.0, 2.0, -0.5]
-        chart = ScoreChart(s=s, schema=schema3)
+        chart = ScoreChart(pack_cells(s), schema3)
         mu = marginals(chart)
         e = np.exp(s[0, 0])
         np.testing.assert_allclose(mu[0, 0], e / e.sum(), atol=1e-12)
@@ -302,7 +299,7 @@ class TestLossAndScoreGradient:
     def test_all_ones_mask_gives_zero_loss_and_gradient(self, schema3):
         rng = np.random.default_rng(9)
         chart = random_chart(4, schema3, rng)
-        ones = ChartMask(n=4, m=np.ones((4, 4, 3)))
+        ones = ChartMask(np.ones((10, 3)))
         loss, grad = loss_and_score_gradient(chart, ones)
         assert loss == 0.0
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -316,19 +313,15 @@ class TestLossAndScoreGradient:
             _, mask = annotation_mask(n, tree.entities, schema3, epsilon=0.01)
             _, grad = loss_and_score_gradient(chart, mask)
             h = 1e-5
-            # the gradient is packed: span cells in np.triu_indices order
-            for cell, (i, j) in enumerate(zip(*np.triu_indices(n))):
+            # the gradient is packed like chart.cells
+            for cell in range(len(chart.cells)):
                 for k in range(3):
-                    sp = chart.s.copy()
-                    sp[i, j, k] += h
-                    up = loss_and_score_gradient(
-                        ScoreChart(s=sp, schema=schema3), mask
-                    )[0]
-                    sp = chart.s.copy()
-                    sp[i, j, k] -= h
-                    dn = loss_and_score_gradient(
-                        ScoreChart(s=sp, schema=schema3), mask
-                    )[0]
+                    sp = chart.cells.copy()
+                    sp[cell, k] += h
+                    up = loss_and_score_gradient(ScoreChart(sp, schema3), mask)[0]
+                    sp = chart.cells.copy()
+                    sp[cell, k] -= h
+                    dn = loss_and_score_gradient(ScoreChart(sp, schema3), mask)[0]
                     fd = (up - dn) / (2 * h)
                     a = grad[cell, k]
                     assert abs(fd - a) <= 1e-4 * max(abs(fd), abs(a), 1e-3)
@@ -372,7 +365,7 @@ class TestCkyDecode:
         s[0, 1] = [2.0, 0.0]
         s[0, 0] = [1.0, 0.0]
         s[1, 1] = [0.5, 0.0]
-        chart = ScoreChart(s=s, schema=schema2)
+        chart = ScoreChart(pack_cells(s), schema2)
         tree = cky_decode(chart)
         assert tree.nodes == ((0, 1, 0), (0, 0, 0), (1, 1, 0))
         assert tree_score(chart, tree) == pytest.approx(3.5, abs=1e-12)
@@ -380,7 +373,7 @@ class TestCkyDecode:
     def test_single_token(self, schema3):
         s = np.zeros((1, 1, 3))
         s[0, 0] = [0.1, 0.9, 0.3]
-        tree = cky_decode(ScoreChart(s=s, schema=schema3))
+        tree = cky_decode(ScoreChart(pack_cells(s), schema3))
         assert tree.nodes == ((0, 0, 1),)
 
     def test_tie_break_left_splits_label_zero(self, schema3):
@@ -392,7 +385,7 @@ class TestCkyDecode:
 
     def test_degenerate(self, schema2):
         with pytest.raises(DegenerateChart):
-            cky_decode(ScoreChart(s=np.zeros((0, 0, 2)), schema=schema2))
+            cky_decode(ScoreChart(np.zeros((0, 2)), schema2))
 
     def test_tree_score_of_a_deep_tree(self):
         # A left-branching tree over 1500 tokens is 1500 levels deep.
@@ -400,7 +393,7 @@ class TestCkyDecode:
         schema = LabelSchema(("A",), latent_label_count=1)
         nodes = [(0, j, 0) for j in range(n)] + [(j, j, 0) for j in range(1, n)]
         tree = FullTree(n=n, nodes=tuple(nodes))
-        chart = ScoreChart(s=np.ones((n, n, 2)), schema=schema)
+        chart = ScoreChart(np.ones((n * (n + 1) // 2, 2)), schema)
         assert tree_score(chart, tree) == 2 * n - 1
 
     def test_root_value_is_tree_score_bitwise(self, schema3):
@@ -422,7 +415,7 @@ class TestExtractEntities:
         s[0, 1] = [2.0, 0.0]
         s[0, 0] = [1.0, 0.0]
         s[1, 1] = [0.5, 0.0]
-        tree = cky_decode(ScoreChart(s=s, schema=schema2))
+        tree = cky_decode(ScoreChart(pack_cells(s), schema2))
         assert extract_entities(tree, schema2) == [
             Span(0, 1, 0),
             Span(0, 0, 0),
@@ -555,13 +548,14 @@ class TestFullTreeAcceptance:
 
 
 class TestNaNPoisoning:
-    """Lower-triangular cells are never read by any chart algorithm."""
+    """A square's cells below the diagonal never reach a chart algorithm:
+    :func:`pack_cells` drops them, NaN included."""
 
     def _poisoned_pair(self, n, schema, rng):
         clean = random_chart(n, schema, rng)
         s = clean.s.copy()
         s[np.tril_indices(n, k=-1)] = np.nan
-        return clean, ScoreChart(s=s, schema=schema)
+        return clean, ScoreChart(pack_cells(s), schema)
 
     def test_all_operations(self, schema3):
         rng = np.random.default_rng(14)
@@ -673,7 +667,7 @@ class TestBatchLossAndScoreGradient:
             s = random_chart(n, schema, rng).s.copy()
             if poison:
                 s[np.tril_indices(n, k=-1)] = np.nan
-            charts.append(ScoreChart(s=s, schema=schema))
+            charts.append(ScoreChart(pack_cells(s), schema))
             sym = classify_nodes(random_partial_tree(n, schema, rng))
             masks.append(smooth_mask(build_mask(sym, schema), sym, 0.01))
         return charts, masks
@@ -759,7 +753,7 @@ class TestBatchCkyDecode:
         for b, n in enumerate(lengths):
             s = random_chart(n, schema3, rng).s.copy() if b % 3 else np.zeros((n, n, 3))
             s[np.tril_indices(n, k=-1)] = np.nan
-            charts.append(ScoreChart(s=s, schema=schema3))
+            charts.append(ScoreChart(pack_cells(s), schema3))
         trees = batch_cky_decode(charts)
         assert [tree.nodes for tree in trees] == [cky_decode(c).nodes for c in charts]
         for n, tree in zip(lengths[::3], trees[::3]):
@@ -852,12 +846,31 @@ class TestLongestFirstRows:
 class TestArgumentChecks:
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     def test_empty_chart_is_degenerate(self, name, schema2):
-        mask = ChartMask(n=0, m=np.zeros((0, 0, 2)))
+        mask = ChartMask(np.zeros((0, 2)))
         with pytest.raises(DegenerateChart):
             ENTRY_POINTS[name](zero_chart(0, schema2), mask)
 
     @pytest.mark.parametrize("name", TAKES_MASK)
     def test_mask_of_the_wrong_shape(self, name, schema2):
-        mask = ChartMask(n=3, m=np.ones((3, 3, 2)))
+        mask = ChartMask(np.ones((6, 2)))
         with pytest.raises(DimensionMismatch):
             ENTRY_POINTS[name](zero_chart(2, schema2), mask)
+
+    @pytest.mark.parametrize("name", sorted(set(TAKES_MASK) - {"marginals_masked"}))
+    def test_missing_mask_raises(self, name, schema2):
+        with pytest.raises(DimensionMismatch, match="mask at batch position 0"):
+            ENTRY_POINTS[name](zero_chart(2, schema2), None)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [batch_loss_and_score_gradient, batched_masked_inside],
+        ids=lambda f: f.__name__,
+    )
+    def test_missing_mask_names_its_batch_position(self, batch, schema2):
+        chart, mask = zero_chart(2, schema2), ChartMask(np.ones((3, 2)))
+        with pytest.raises(DimensionMismatch, match="mask at batch position 1"):
+            batch([chart] * 3, [mask, None, mask])
+
+    def test_marginals_without_a_mask_are_unmasked(self, schema2):
+        chart = zero_chart(3, schema2)
+        np.testing.assert_array_equal(marginals(chart, None), marginals(chart))

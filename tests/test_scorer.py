@@ -30,6 +30,7 @@ from treecrf import (
     save_model,
     smooth_mask,
 )
+from treecrf.chart import pack_cells
 from treecrf.inference import ScoreChart, cky_decode
 from treecrf.oracle import random_partial_tree
 from treecrf.scorer import (
@@ -173,17 +174,29 @@ class TestBiaffineScores:
         assert chart.s[0, 1, 0] == 2.0
         assert chart.s[1, 1, 0] == 4.0
 
-    def test_bilinear_symmetry_identity(self, schema3, small_vocab):
-        # with symmetric U1 and zero U2 the biaffine form itself is symmetric
-        config = ScorerConfig(embed_dim=2, hidden_dim=4, schema=schema3)
-        params = noised_params(small_vocab, config, seed=5)
-        sym = params.bi_u1 + params.bi_u1.transpose(0, 2, 1)
-        params.bi_u1[:] = sym
-        params.bi_u2[:] = 0.0
-        e = np.random.default_rng(0).normal(size=(3, 2))
-        val_ij = np.einsum("a,kab,b->k", e[0], params.bi_u1, e[2])
-        val_ji = np.einsum("a,kab,b->k", e[2], params.bi_u1, e[0])
-        np.testing.assert_allclose(val_ij, val_ji, atol=1e-12)
+    def test_cells_equal_the_biaffine_form(self, schema3, small_vocab):
+        # s[i, j, k] = e_i' U1_k e_j + (e_i + e_j)' U2_k + b_k, with U1, U2
+        # and b all random and nonzero
+        rng = np.random.default_rng(5)
+        for embed_dim, hidden_dim in ((2, 4), (16, 32)):
+            config = ScorerConfig(embed_dim, hidden_dim, schema3)
+            params = init_params(small_vocab, config, seed=5)
+            for arr in (params.bi_u1, params.bi_u2, params.bi_b):
+                arr[...] = rng.normal(size=arr.shape)
+            for n in (1, 2, 7):
+                e = rng.normal(size=(n, config.half_dim))
+                bilinear = np.einsum("ia,kab,jb->ijk", e, params.bi_u1, e)
+                linear = np.einsum("ia,ka->ik", e, params.bi_u2)
+                want = bilinear + linear[:, None] + linear[None] + params.bi_b
+                # a sum's rounding is relative to its terms, so a cell that
+                # cancels to near 0 is held to the chart's scale
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(
+                    biaffine_scores(e, params).cells,
+                    pack_cells(want),
+                    rtol=1e-12,
+                    atol=1e-12 * scale,
+                )
 
     def test_dimension_mismatch(self, small_vocab, small_config):
         params = init_params(small_vocab, small_config, seed=0)
@@ -195,13 +208,13 @@ class TestPotentialNormalize:
     def test_two_point(self, schema2):
         s = np.zeros((1, 1, 2))
         s[0, 0] = [0.0, 2.0]
-        out = potential_normalize(ScoreChart(s=s, schema=schema2))
+        out = potential_normalize(ScoreChart(pack_cells(s), schema2))
         np.testing.assert_allclose(out.s[0, 0], [-1.0, 1.0], atol=1e-12)
 
     def test_zero_mean_unit_variance(self, schema3):
         rng = np.random.default_rng(0)
         s = rng.normal(2.0, 3.0, size=(5, 5, 3))
-        out = potential_normalize(ScoreChart(s=s, schema=schema3))
+        out = potential_normalize(ScoreChart(pack_cells(s), schema3))
         iu, ju = np.triu_indices(5)
         vals = out.s[iu, ju, :]
         assert abs(vals.mean()) < 1e-9
@@ -209,14 +222,14 @@ class TestPotentialNormalize:
 
     def test_constant_chart_mean_centered(self, schema3):
         s = np.full((3, 3, 3), 7.0)
-        out = potential_normalize(ScoreChart(s=s, schema=schema3))
+        out = potential_normalize(ScoreChart(pack_cells(s), schema3))
         iu, ju = np.triu_indices(3)
         np.testing.assert_array_equal(out.s[iu, ju, :], 0.0)
 
     def test_idempotent(self, schema3):
         rng = np.random.default_rng(1)
         s = rng.normal(0.0, 5.0, size=(4, 4, 3))
-        once = potential_normalize(ScoreChart(s=s, schema=schema3))
+        once = potential_normalize(ScoreChart(pack_cells(s), schema3))
         twice = potential_normalize(once)
         np.testing.assert_allclose(twice.s, once.s, atol=1e-9)
 
@@ -224,8 +237,7 @@ class TestPotentialNormalize:
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = rng.normal(1.0, 2.0, size=(5, 5, 3))
-            s[np.tril_indices(5, k=-1)] = 0.0
-            chart = ScoreChart(s=s, schema=schema3)
+            chart = ScoreChart(pack_cells(s), schema3)
             assert cky_decode(chart).nodes == cky_decode(
                 potential_normalize(chart)
             ).nodes
@@ -234,7 +246,7 @@ class TestPotentialNormalize:
     def test_overflowing_spread_raises(self, schema2):
         # finite scores whose squared deviations overflow: std is inf
         rng = np.random.default_rng(0)
-        chart = ScoreChart(s=rng.normal(size=(4, 4, 2)) * 1e300, schema=schema2)
+        chart = ScoreChart(pack_cells(rng.normal(size=(4, 4, 2)) * 1e300), schema2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteLoss, match="non-finite span scores"):
@@ -398,7 +410,7 @@ class TestPaddingFacts:
     than as a changed training log.
     """
 
-    @pytest.mark.parametrize("n_labels", [4, 8])
+    @pytest.mark.parametrize("n_labels", range(2, 9))
     def test_every_length_equals_the_sentence_alone(self, n_labels):
         schema = LabelSchema(tuple(f"L{k}" for k in range(n_labels - 1)), 1)
         vocab = Vocab.build(f"t{i}" for i in range(60))
