@@ -39,15 +39,7 @@ from treecrf import inference as inference_module
 from treecrf.chart import NodeKind, below_diagonal, pack_cells
 from treecrf import scorer as scorer_module
 from treecrf.oracle import _structures, catalan, random_chart, random_partial_tree
-from treecrf.scorer import (
-    ScorerConfig,
-    Vocab,
-    _normalize,
-    _normalize_backward,
-    forward_batch,
-    init_params,
-    potential_normalize,
-)
+from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
 
 from conftest import zero_chart
 
@@ -548,53 +540,17 @@ class TestFullTreeAcceptance:
 
 
 class TestNaNPoisoning:
-    """A square's cells below the diagonal never reach a chart algorithm:
-    :func:`pack_cells` drops them, NaN included."""
-
-    def _poisoned_pair(self, n, schema, rng):
-        clean = random_chart(n, schema, rng)
-        s = clean.s.copy()
-        s[np.tril_indices(n, k=-1)] = np.nan
-        return clean, ScoreChart(pack_cells(s), schema)
-
-    def test_all_operations(self, schema3):
+    def test_pack_cells_drops_nan_below_the_diagonal(self, schema3):
+        # a square's cells below the diagonal never reach a chart: NaN
+        # there leaves exactly the span cells of the clean square
         rng = np.random.default_rng(14)
-        for n in (2, 4, 6):
-            clean, poisoned = self._poisoned_pair(n, schema3, rng)
-            tree = random_partial_tree(n, schema3, rng)
-            sym = classify_nodes(tree)
-            mask = build_mask(sym, schema3)
-            assert inside(poisoned) == inside(clean)
-            assert masked_inside(poisoned, mask) == masked_inside(clean, mask)
-            assert vanilla_partial_marginalization(
-                poisoned, sym
-            ) == vanilla_partial_marginalization(clean, sym)
-            assert cky_decode(poisoned).nodes == cky_decode(clean).nodes
-            iu, ju = np.triu_indices(n)
-            np.testing.assert_array_equal(
-                marginals(poisoned, mask)[iu, ju], marginals(clean, mask)[iu, ju]
-            )
-            loss_p, grad_p = loss_and_score_gradient(poisoned, mask)
-            loss_c, grad_c = loss_and_score_gradient(clean, mask)
-            assert loss_p == loss_c
-            np.testing.assert_array_equal(grad_p, grad_c)
-            assert np.isfinite(grad_p).all()
-
-    def test_normalization_and_its_backward(self, schema3):
-        rng = np.random.default_rng(16)
         for n in (1, 2, 5, 9):
-            clean, poisoned = self._poisoned_pair(n, schema3, rng)
-            normalized = potential_normalize(poisoned).cells
-            np.testing.assert_array_equal(normalized, potential_normalize(clean).cells)
-            grad = rng.normal(size=normalized.shape)
-            backs = []
-            for chart in (clean, poisoned):
-                s = chart.cells.copy()
-                std = _normalize(s, [len(s)])
-                backs.append(_normalize_backward(s, [len(s)], std, grad))
-            back_c, back_p = backs
-            np.testing.assert_array_equal(back_p, back_c)
-            assert np.isfinite(back_p).all()
+            clean = random_chart(n, schema3, rng).s
+            poisoned = clean.copy()
+            poisoned[np.tril_indices(n, k=-1)] = np.nan
+            cells = ScoreChart(pack_cells(poisoned), schema3).cells
+            assert np.isfinite(cells).all()
+            np.testing.assert_array_equal(cells, pack_cells(clean))
 
 
 class TestNoModuleState:
@@ -657,6 +613,77 @@ class TestBatchedMaskedInside:
 
     def test_log_zero_constant(self):
         assert LOG_ZERO == -1.0e6
+
+
+class TestRowMax:
+    """``_row_max`` is ``ndarray.max(axis=-1)`` on either branch."""
+
+    @staticmethod
+    def _draw(rng, shape):
+        # few distinct values, so rows tie, and zeros of both signs
+        values = np.array([LOG_ZERO, -2.5, -0.0, 0.0, 1.5])
+        return rng.choice(values, size=shape)
+
+    @staticmethod
+    def _check(x):
+        expected = x.max(axis=-1)
+        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+            got = inference_module._row_max(x)
+        by_column = 16 * x.shape[-1] ** 2 <= x.size
+        assert maximum.call_count == (x.shape[-1] - 1 if by_column else 0)
+        np.testing.assert_array_equal(got, expected)
+        # bit for bit, but for the sign of a zero max where +0.0 and -0.0
+        # tie, which numpy's reduction picks by its own order
+        zero = x == 0.0
+        tie = (expected == 0.0) & (zero & np.signbit(x)).any(-1) & (
+            zero & ~np.signbit(x)
+        ).any(-1)
+        assert np.array_equal(got.view(np.int64)[~tie], expected.view(np.int64)[~tie])
+        # a zero shift of either sign gives _logsumexp the same bits
+        shifted = x - expected[..., None]
+        total = np.exp(shifted).sum(axis=-1)
+        reference = np.log(total) + expected
+        value, _ = inference_module._logsumexp(x.copy())
+        assert np.array_equal(value.view(np.int64), reference.view(np.int64))
+        return by_column, tie.any()
+
+    def test_label_parts_on_both_branches(self):
+        rng = np.random.default_rng(23)
+        for labels in range(1, 10):
+            branches = set()
+            for cells in (1, 16 * labels - 1, 16 * labels, 2000):
+                by_column, _ = self._check(self._draw(rng, (cells, labels)))
+                branches.add(by_column)
+            assert branches == {False, True}
+
+    def test_width_arrays_on_both_branches(self):
+        rng = np.random.default_rng(24)
+        ties = False
+        for width in (1, 2, 11, 17, 40):
+            branches = set()
+            for rows, cols in ((1, 3), (4, 9), (32, 20), (38, 60)):
+                by_column, tie = self._check(self._draw(rng, (rows, cols, width)))
+                branches.add(by_column)
+                ties |= tie
+            assert branches == {False, True}
+        assert ties
+
+    def test_bench_label_part_takes_the_column_branch(self):
+        # 32 charts of n = 40 with 8 labels: their (26240, 8) label part
+        # runs column by column, one np.maximum per column after the first
+        schema = LabelSchema(tuple(f"L{k}" for k in range(7)), latent_label_count=1)
+        rng = np.random.default_rng(25)
+        charts, masks = [], []
+        for _ in range(32):
+            charts.append(random_chart(40, schema, rng))
+            sym = classify_nodes(random_partial_tree(40, schema, rng))
+            masks.append(build_mask(sym, schema))
+        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+            batched_masked_inside(charts, masks)
+        label_part = [
+            call for call in maximum.call_args_list if call.args[0].shape == (26240,)
+        ]
+        assert len(label_part) == 7
 
 
 class TestBatchLossAndScoreGradient:
