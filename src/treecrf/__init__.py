@@ -44,7 +44,6 @@ from .errors import (
     UnknownLabel,
 )
 from .inference import (
-    LOG_ZERO,
     FullTree,
     batch_cky_decode,
     batch_loss_and_score_gradient,

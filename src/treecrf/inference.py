@@ -1,69 +1,87 @@
 """Chart dynamic programming over labeled binary trees.
 
-All algorithms work in the log semiring on charts of log potentials
-``s[i, j, k]`` of spans ``i <= j`` and labels ``k``.  A full tree over
-``n`` tokens is a binary bracketing with exactly ``2n - 1`` labeled spans;
-its score is the sum of its node potentials.  The core recursion
-factorizes each cell into a label part and a split part::
+Charts hold log potentials ``s[i, j, k]`` of spans ``i <= j`` and labels
+``k``.  A full tree over ``n`` tokens is a binary bracketing with exactly
+``2n - 1`` labeled spans; its score is the sum of its node potentials.
+The core recursion factorizes each cell into a label part and a split
+part, shown here in the log semiring::
 
-    beta[i, i] = LSE_k s[i, i, k]
-    beta[i, j] = LSE_k s[i, j, k] + LSE_m (beta[i, m] + beta[m+1, j])
+    beta[i, i] = LSE_k (s[i, i, k] + log M[i, i, k])
+    beta[i, j] = LSE_k (s[i, j, k] + log M[i, j, k]) + LSE_m (beta[i, m] + beta[m+1, j])
 
 which is valid because the label choice at a node is independent of where
-the node splits.  Masked marginalization adds ``log M`` to the potentials
-first, substituting ``LOG_ZERO`` for ``log 0``; with an all-ones mask this
-is bit-identical to the plain recursion, and with a mask built from a full
+the node splits.  Mask weights ``M`` multiply the label exponentials, so a
+rejected label or cell is an exact zero; with an all-ones mask this is
+bit-identical to the plain recursion, and with a mask built from a full
 tree it degenerates to evaluating that tree.
 
 Charts and masks hold their span cells packed, ``(n(n+1)/2, L)``, in
 row-major order (those of ``~below_diagonal(n)``, see
 :func:`treecrf.chart.pack_cells`), and that is the layout the kernel
 reads and the gradients come back in.  One kernel, :func:`_inside_pass`,
-runs the recursion for every algorithm here, with the reduction as a
-parameter: log-sum-exp for the inside pass and max with first argmax for
-CKY.  It takes a batch of charts of mixed lengths; a single sentence is a
-batch of one.  Everything done per cell runs on one ``(cells, L)`` array,
-the concatenated span cells of every chart, the unmasked charts first,
-and their masks likewise.  One :func:`_apply_mask` call adds the
-log-masks of all masked charts and one reduction takes the label part of
-every cell.  The log-sum-exp shifts each row by its max, and on the short
-label axis and the narrow widths of a batch ``ndarray.max`` pays more per
-row than the exp and the sum together, so there the max runs one column
-at a time over all rows (see :func:`_row_max`); a max is exact in any
-order, so the values stay those of ``ndarray.max``.  CKY's max and first
-argmax stay row-wise.  The split part runs width by width over one flat
-array that holds the charts as rows, longest first, in the layout of the
-longest one, so that at width ``w`` only the prefix of rows at least ``w``
-long takes part.  The split operands of a whole diagonal are strided views
-of that array, which keeps every cell also at its mirror below the
-diagonal.  Each chart's result sits at its own root, ``(0, n_b - 1)``.
-The pass's result, :class:`_Pass`, owns that layout: the packed arrays,
-the flat chart, each cell's and each root's place in it and the per-width
-split reductions.
+runs the recursion for every algorithm here, in a semiring given as its
+seed (the label part of every cell), split (combine the children of every
+split of one width and reduce over the splits) and read-out (each chart's
+root).  It takes a batch of charts of mixed lengths; a single sentence is
+a batch of one.  Everything done per cell runs on one ``(cells, L)``
+array, the concatenated span cells of every chart, the unmasked charts
+first, and their mask weights likewise.  The split part runs width by
+width over one flat array that holds the charts as rows, longest first,
+in the layout of the longest one, so that at width ``w`` only the prefix
+of rows at least ``w`` long takes part.  The split operands of a whole
+diagonal are strided views of that array, which keeps every cell also at
+its mirror below the diagonal.  Each chart's result sits at its own root,
+``(0, n_b - 1)``.  The pass's result, :class:`_Pass`, owns that layout.
+
+The inside pass runs in the scaled real semiring: the flat chart holds
+``beta~ = exp(beta - c[w])``, with one log offset per row and width.  The
+label part is one exp of every potential and one fused product with the
+mask weights and sum over the labels; the split part of width ``w`` is one
+fused product-sum, ``sum_t left_t * right_t * F_t``, with ``F_t =
+exp(c[t+1] + c[w-1-t] - max_t ...)`` one vector per row, after which each
+row's width is scaled to a max of 1.  CKY stays in the max-plus semiring,
+max and first argmax over labels and splits, so its trees and
+:func:`tree_score` are those of a plain max-plus recursion.
+
+The range.  Every log value the inside pass forms is at most ``(2n - 1) S
++ (2n - 1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s +
+log M|`` over the admitted labels (there are fewer than ``4^(n-1)``
+bracketings).  The kernel accepts a chart when that stays below the
+largest double, about 1.8e308; beyond it, a chart
+whose log values overflow raises :class:`~treecrf.errors.NonFiniteLoss`
+naming its batch position, never returning inf, NaN or a false -inf.
+Within it, the scaled pass holds a chart exactly when its values keep to a
+window of a double's exponent range (:func:`_certified`): label
+exponentials and label parts of at least 2^-60, cells of at least 2^-400
+of their width's largest, offset factors of at least 2^-150.  Scorer
+charts, normalized to unit variance, keep well inside it.  The charts it
+does not hold, raw scores spread over hundreds of nats, are redone as one
+batch in the log semiring, exactly; so every chart's values are the ones
+it gets alone, whatever the batch.  A root is -inf only where the mask
+admits no full tree.
 
 Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
-:func:`_check_masked`, and one :func:`_inside_pass`.  CKY,
-:func:`batch_cky_decode`, walks each chart's tree back from its own root
-through the argmax the pass keeps.  Posteriors are the
-gradient of the roots: :func:`_posteriors` takes it by one reverse sweep
-over the same views (inside-outside as backpropagation) from every row's
-own root, and turns the packed potentials of the whole batch into
-posteriors in place.  :func:`batch_loss_and_score_gradient` runs every
-sentence's unmasked and masked charts through that pair as one batch and
-subtracts the two halves once, so its values equal ``inside -
-masked_inside`` and the difference of the two :func:`marginals` bit for
-bit; only :func:`marginals` unpacks its result into an ``(n, n, L)``
-square.
+:func:`_check_masked`, and one kernel call.  CKY, :func:`batch_cky_decode`,
+walks each chart's tree back from its own root through the argmax the
+pass keeps.  Posteriors are the gradient of the roots:
+:func:`_posteriors` takes it by one reverse sweep over the same views
+(inside-outside as backpropagation) from every row's own root, and turns
+the packed label exponentials of the whole batch into posteriors in
+place.  :func:`batch_loss_and_score_gradient` runs every sentence's
+unmasked and masked charts through that pair as one batch and subtracts
+the two halves once, so its values equal ``inside - masked_inside`` and
+the difference of the two :func:`marginals` bit for bit; only
+:func:`marginals` unpacks its result into an ``(n, n, L)`` square.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
-as the reference the kernel is checked against.
+in the log domain as the reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,15 +96,11 @@ from .chart import (
     span_positions,
     unpack_cells,
 )
-from .errors import DegenerateChart, DimensionMismatch
-
-# Substitute for log 0 when masking in the logarithm scale.  Large enough
-# that exp(LOG_ZERO) underflows to exactly 0.0 in double precision, so
-# masked-out structures contribute nothing detectable to any sum.
-LOG_ZERO = -1.0e6
+from .errors import DegenerateChart, DimensionMismatch, NonFiniteLoss
 
 # Smallest positive double; lets log() skip the undefined log(0) lanes
-# without an errstate context (the -inf branch is selected separately).
+# without an errstate context (the -inf branch is selected separately), and
+# as a divisor's floor keeps 0 / 0 at 0.
 _TINY = 5e-324
 
 
@@ -163,67 +177,6 @@ def _check_masked(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> N
             raise DimensionMismatch(f"missing mask at batch position {b}")
 
 
-def _apply_mask(s: np.ndarray, m: np.ndarray) -> None:
-    """Add the log-mask to potentials ``s`` in place, LOG_ZERO for log 0.
-
-    Overwrites the mask weights ``m``, which :class:`ChartMask` keeps in
-    [0, 1].
-    """
-    zero = m == 0.0
-    np.log(m, out=m, where=~zero)
-    m[zero] = LOG_ZERO
-    s += m
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1)`` by ``ndarray.max`` or by one :func:`np.maximum`
-    per column, whichever is faster for ``x``'s shape.
-
-    Both give every row's value; only where ``+0.0`` and ``-0.0`` tie for a
-    row's max may the sign of that zero differ, as numpy's reduction picks
-    one by its own order.
-    """
-    k = x.shape[-1]
-    # On numpy 2.4.6 (x86-64), ndarray.max(axis=-1) costs 30-95 ns per row
-    # on a short last axis, and np.maximum about 1 us per call plus 1-2 ns
-    # per row.  Column by column is the faster way when the axis is at most
-    # a sixteenth of the rows: 1.3x on (64, 4), 7x on the (26240, 8) label
-    # part of 32 charts of n = 40 and up to 13x on their narrow widths.
-    # Near that bound, on axes longer than 16, ndarray.max can be as fast or
-    # up to 2x faster, a few tens of microseconds a call.  A fact, not a
-    # knob.
-    if 16 * k * k > x.size:
-        return x.max(axis=-1)
-    m = x[..., 0].copy()
-    for column in range(1, k):
-        np.maximum(m, x[..., column], out=m)
-    return m
-
-
-def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, None]:
-    """Log-semiring reduction of the last axis (the inside pass).
-
-    The kernel only sees finite values (``LOG_ZERO`` stands in for log 0),
-    so this is :func:`_lse` without its -inf lanes, with the same result.
-    The shift is each row's max, taken by :func:`_row_max`: ``ndarray.max``
-    pays a fixed cost per row, which on the short label axis and the
-    narrow widths of a batch outweighs the reduction itself, so there the
-    max runs one column at a time over all rows.  A max is exact in any
-    order, and the sign of a zero shift changes neither ``exp(x - m)`` nor
-    ``log(total) + m`` (``total >= 1``), so the result is bit for bit that
-    of ``ndarray.max``.
-    """
-    m = _row_max(x)
-    x -= m[..., None]
-    total = np.exp(x, out=x).sum(axis=-1)
-    return np.log(total, out=total) + m, None
-
-
-def _max_argmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max-semiring reduction of the last axis with its first argmax (CKY)."""
-    return x.max(axis=-1), x.argmax(axis=-1)
-
-
 def _stripe(flat: np.ndarray, n: int, offset: int, rows: int, cols: int) -> np.ndarray:
     """Writable view ``[b, i, t] = flat[b, offset + i * (n + 1) + t]``.
 
@@ -259,47 +212,307 @@ def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.nd
     return left, right
 
 
-class _Pass(NamedTuple):
-    """What one :func:`_inside_pass` leaves behind.
+@dataclass(eq=False)
+class _Pass:
+    """What one :func:`_inside_pass` builds and leaves behind.
 
     ``flat`` holds one chart per row, longest first, all in the layout of
     the longest length ``n`` (see :func:`_stripe`; cell ``(i, j)`` is also
     stored at its mirror ``(j, i)``).  Positions index ``flat.ravel()``;
-    per-chart fields are in the order the charts were given.
+    per-chart fields are in the order the charts were given.  The semiring
+    fills the rest.
     """
 
-    potentials: np.ndarray  # (cells, L): every chart's span cells, packed
     slots: list[slice]  # each chart's cells in the packed arrays
-    value: np.ndarray  # label reduction of each packed cell
-    arg: np.ndarray | None  # and its argument (CKY)
+    starts: list[int]  # and where they start
     flat: np.ndarray
     n: int
     cells: np.ndarray  # each packed cell's position
+    row: np.ndarray  # each chart's row of the flat chart
+    lengths: np.ndarray
     root_cells: np.ndarray  # each chart's root position, cell (0, n_b - 1)
-    # per width w >= 2: split reduction (value, argument) of the rows whose
-    # charts are at least w long, (rows, n - w + 1)
-    split: list
+    potentials: np.ndarray | None = None  # every chart's span cells, packed
+    value: np.ndarray | None = None  # label part of each packed cell
+    arg: np.ndarray | None = None  # and its argmax (CKY)
+    # per width w >= 2, of the rows whose charts are at least w long: the
+    # split argmax (CKY), the split sums and offset factors (scaled real) or
+    # the split log-sum-exps (log)
+    split: list = field(default_factory=lambda: [None, None])
+    # sum-product: each chart's mask weights, packed like the potentials;
+    # scaled real: (rows, n + 1) log offsets of each width w at w, and each
+    # chart's smallest label exponential or nonzero label part
+    weights: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+    label_low: np.ndarray | None = None
 
-    def roots(self) -> np.ndarray:
-        """Each chart's value at its own root."""
-        return self.flat.ravel()[self.root_cells]
+
+class _Semiring(NamedTuple):
+    """How :func:`_inside_pass` seeds, combines and reads out a chart.
+
+    ``seed(p, charts, masks)`` takes the label part of every span cell of
+    the batch and writes it to the flat chart; ``split(p, rows, w)``
+    combines the children of every split of the width-``w`` cells of the
+    first ``rows`` rows, reduces over the splits and settles the cells,
+    mirrors included; ``read_out(p)`` gives each chart's value at its own
+    root.
+    """
+
+    seed: Callable[[_Pass, Sequence[ScoreChart], Sequence[ChartMask | None]], None]
+    split: Callable[[_Pass, int, int], None]
+    read_out: Callable[[_Pass], np.ndarray]
+
+
+def _max_plus_seed(p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[None]) -> None:
+    p.potentials = np.concatenate([chart.cells for chart in charts])
+    p.value, p.arg = p.potentials.max(axis=-1), p.potentials.argmax(axis=-1)
+    p.flat.ravel()[p.cells] = p.value
+
+
+def _max_plus_split(p: _Pass, rows: int, w: int) -> None:
+    flat = p.flat[:rows]
+    left, right = _split_operands(flat, p.n, w)
+    x = left + right
+    p.split.append(x.argmax(axis=-1))
+    upper, mirror = _cells(flat, p.n, w)
+    upper += x.max(axis=-1)
+    mirror[...] = upper
+
+
+def _root_values(p: _Pass) -> np.ndarray:
+    return p.flat.ravel()[p.root_cells]
+
+
+# CKY, unmasked: max and first argmax over labels and splits, node + (left + right).
+_MAX_PLUS = _Semiring(_max_plus_seed, _max_plus_split, _root_values)
+
+
+def _packed(
+    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+) -> None:
+    """Every chart's span cells packed into ``p.potentials``, ``(cells, L)``,
+    and their mask weights into ``p.weights``, 1 for an unmasked chart."""
+    # One allocation for both: with glibc's malloc, two large arrays freed
+    # together go back to the system and every call faults them in again
+    # (a quarter of a 32 x 40 batched_masked_inside call).
+    p.potentials, p.weights = np.empty((2, len(p.cells), charts[0].cells.shape[1]))
+    np.concatenate([chart.cells for chart in charts], out=p.potentials)
+    unmasked = sum(mask is None for mask in masks)
+    first = (p.starts + [len(p.cells)])[unmasked]
+    p.weights[:first] = 1.0
+    if first < len(p.cells):
+        np.concatenate([mask.cells for mask in masks[unmasked:]], out=p.weights[first:])
+
+
+def _scaled_seed(
+    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+) -> None:
+    """Label parts ``u = sum_k m_k exp(s_k)`` in the scaled real semiring,
+    width 1 settled: one exp over every label of the batch and one fused
+    product with the mask weights and sum over the labels.
+
+    ``p.label_low`` keeps each chart's smallest label exponential and
+    nonzero label part, for :func:`_certified`.
+    """
+    _packed(p, charts, masks)
+    q = np.exp(p.potentials, out=p.potentials)
+    p.value = np.einsum("ij,ij->i", q, p.weights)
+    p.label_low = np.minimum.reduceat(np.where(p.value > 0.0, p.value, 1.0), p.starts)
+    if q.min() < _LABEL_LOW:  # else no chart has so small a one
+        np.minimum(p.label_low, [q[slot].min() for slot in p.slots], out=p.label_low)
+    p.flat.ravel()[p.cells] = p.value
+    p.offsets = np.full((len(p.row), p.n + 1), np.nan)
+    upper, _ = _cells(p.flat, p.n, 1)
+    _settle(upper, 0.0, p.offsets[:, 1])
+
+
+def _settle(upper: np.ndarray, base: np.ndarray | float, offset: np.ndarray) -> None:
+    """Scale each row of one width's cells to a max of 1; ``offset`` gets
+    ``base`` plus the log of the scale.
+
+    A row whose cells at that width are all 0 keeps them, and the offset
+    -inf.  The cells are never negative; scaling by magnitude keeps a broken
+    kernel's values finite as well (see :func:`_scaled_read_out`).
+    """
+    scale = np.abs(upper).max(axis=1)
+    upper /= np.maximum(scale, _TINY)[:, None]
+    np.add(base, np.log(scale), out=offset)
+
+
+def _scaled_split(p: _Pass, rows: int, w: int) -> None:
+    """The width-``w`` cells: ``u * sum_t left_t * right_t * F_t``, settled.
+
+    The children of split ``t`` are ``t + 1`` and ``w - 1 - t`` wide, so
+    their offsets add to ``c_t``; ``F_t = exp(c_t - max_t c_t)`` is one
+    vector per row, and one fused product-sum takes every split.
+    """
+    flat, offsets = p.flat[:rows], p.offsets[:rows]
+    factor = offsets[:, 1:w] + offsets[:, w - 1 : 0 : -1]
+    # -inf where every split is 0: the factors are then NaN, and the chart
+    # goes to the log semiring (see _inside)
+    top = factor.max(axis=1)
+    factor -= top[:, None]
+    np.exp(factor, out=factor)
+    left, right = _split_operands(flat, p.n, w)
+    total = np.einsum("bit,bit,bt->bi", left, right, factor)
+    p.split.append((total, factor))
+    upper, mirror = _cells(flat, p.n, w)
+    upper *= total
+    _settle(upper, top, offsets[:, w])
+    mirror[...] = upper
+
+
+def _scaled_read_out(p: _Pass) -> np.ndarray:
+    """``log beta~ + offset`` at each root; -inf where ``beta~`` is 0.
+
+    ``beta~`` is never negative; a broken kernel's negative root reads as
+    the smallest double, so that ``selfcheck --inject-fault`` sees a wrong
+    finite value.
+    """
+    beta = _root_values(p)
+    roots = np.full(len(beta), -np.inf)
+    np.log(np.maximum(beta, _TINY), out=roots, where=beta != 0.0)
+    return roots + p.offsets[p.row, p.lengths]
+
+
+def _scaled_posteriors(p: _Pass) -> np.ndarray:
+    """Span-label posteriors ``mu = g * m exp(s - r) / u``, ``g = d root /
+    d beta`` of every cell.
+
+    ``g`` comes from one reverse sweep over the inside pass's stripes: it
+    starts at 1 on each row's own root, if the mask admits a tree, and
+    flows from each cell to both children of each split, weighted by the
+    split's share of the cell's split sum, ``left * right * F / total``,
+    over the same rows as the inside pass at each width.  A cell whose
+    split sum is 0 is itself 0, so it got no share and passes none on.
+    Left children collect their share in the upper triangle and right
+    children at their mirror, so each update writes distinct cells; a cell
+    adds its two parts when its own width comes up.  The label exponentials
+    become the posteriors in place, for the whole batch at once.
+    """
+    n, flat = p.n, p.flat
+    g = np.zeros_like(flat)
+    g.ravel()[p.root_cells] = _root_values(p) > 0.0
+    for w in range(n, 1, -1):
+        total, factor = p.split[w]
+        rows = slice(0, len(total))
+        upper, mirror = _cells(g[rows], n, w)
+        upper += mirror
+        # exact for every nonzero total the pass holds (at least 2^-1010)
+        per_split = upper / (total + _TINY)
+        left, right = _split_operands(flat[rows], n, w)
+        share = left * right
+        share *= factor[:, None, :]
+        share *= per_split[..., None]
+        to_left, to_right = _split_operands(g[rows], n, w)
+        to_left += share
+        to_right += share
+    mu = p.potentials
+    mu *= p.weights
+    # a cell whose labels are all rejected got no share: 0 / TINY
+    mu *= (g.ravel()[p.cells] / (p.value + _TINY))[:, None]
+    # Rounding can overshoot 1 by an ulp; the posterior is a probability.
+    return np.clip(mu, 0.0, 1.0, out=mu)
+
+
+# Inside: sum-product on beta~ = exp(beta - c), c a log offset per row and width.
+_SCALED_REAL = _Semiring(_scaled_seed, _scaled_split, _scaled_read_out)
+
+# What the scaled real pass holds exactly: label exponentials and nonzero
+# label parts of at least 2^-60, nonzero beta~ of at least 2^-400 and offset
+# factors F_t of at least 2^-150.  Every product the pass forms then stays
+# above 2^-(60 + 2*400 + 150) = 2^-1010, so no value underflows and every 0
+# is a rejection.
+_LABEL_LOW, _CELL_LOW = 2.0**-60, 2.0**-400
+_SPREAD = 150 * np.log(2) / 2  # of d below, for F_t >= 2^-150
+
+
+def _certified(p: _Pass) -> np.ndarray:
+    """Per chart: whether its scaled real pass stayed inside those bounds.
+
+    ``F_t >= exp(2 min d - 2 max d)`` for the offsets ``c_w = k (2w - 1) +
+    d_w`` of any slope ``k``, over the widths that hold a nonzero cell;
+    the slope through the root's offset keeps ``d`` small on charts whose
+    offsets grow about linearly.  A NaN anywhere fails the chart.
+    """
+    beta = p.flat.ravel()[p.cells]
+    low = np.minimum.reduceat(np.where(beta <= 0.0, 1.0, beta), p.starts)
+    # NaN at width 0 and past the chart's length; -inf at a width of 0s
+    offsets = p.offsets[p.row]
+    nodes = 2 * np.arange(p.n + 1) - 1
+    slope = offsets[np.arange(len(p.row)), p.lengths] / nodes[p.lengths]
+    d = offsets - np.outer(slope, nodes)
+    d[d == -np.inf] = np.nan
+    spread = np.fmax.reduce(d, axis=1) - np.fmin.reduce(d, axis=1)
+    return (p.label_low >= _LABEL_LOW) & (low >= _CELL_LOW) & (spread <= _SPREAD)
+
+
+def _log_seed(
+    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+) -> None:
+    _packed(p, charts, masks)
+    p.potentials += np.log(p.weights, out=p.weights)
+    p.value = _lse(p.potentials, axis=1)
+    p.flat.ravel()[p.cells] = p.value
+
+
+def _log_split(p: _Pass, rows: int, w: int) -> None:
+    flat = p.flat[:rows]
+    left, right = _split_operands(flat, p.n, w)
+    value = _lse(left + right, axis=-1)
+    p.split.append(value)
+    upper, mirror = _cells(flat, p.n, w)
+    upper += value
+    mirror[...] = upper
+
+
+def _log_posteriors(p: _Pass) -> np.ndarray:
+    """:func:`_scaled_posteriors` in the log semiring: the reverse sweep
+    weights each split by ``exp(left + right - value)``."""
+    n, flat = p.n, p.flat
+    g = np.zeros_like(flat)
+    g.ravel()[p.root_cells] = _root_values(p) > -np.inf
+    for w in range(n, 1, -1):
+        value = p.split[w]
+        rows = slice(0, len(value))
+        upper, mirror = _cells(g[rows], n, w)
+        upper += mirror
+        left, right = _split_operands(flat[rows], n, w)
+        share = left + right
+        share -= np.where(value > -np.inf, value, 0.0)[..., None]
+        np.exp(share, out=share)
+        share *= upper[..., None]
+        to_left, to_right = _split_operands(g[rows], n, w)
+        to_left += share
+        to_right += share
+    mu = p.potentials
+    mu -= np.where(p.value > -np.inf, p.value, 0.0)[:, None]
+    np.exp(mu, out=mu)
+    mu *= g.ravel()[p.cells][:, None]
+    return np.clip(mu, 0.0, 1.0, out=mu)
+
+
+# Inside in the log semiring, for the charts the scaled pass cannot hold.
+_LOG = _Semiring(_log_seed, _log_split, _root_values)
+
+
+def _admits(chart: ScoreChart, mask: ChartMask | None) -> bool:
+    """Whether some full tree has every node's cell admitted by the mask:
+    the log semiring on zero scores, whose root cannot overflow."""
+    if mask is None:
+        return True
+    zero = ScoreChart(np.zeros_like(chart.cells), chart.schema)
+    return bool(_root_values(_inside_pass([zero], [mask], _LOG))[0] > -np.inf)
 
 
 def _inside_pass(
-    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], reduce
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], semiring: _Semiring
 ) -> _Pass:
     """The chart recursion over a checked, non-empty batch of charts.
 
     The unmasked charts (mask ``None``) come first; charts may differ in
-    length.  Concatenates the packed span cells of every chart into one
-    ``(cells, L)`` array, and the masks of the masked charts likewise, so
-    that one :func:`_apply_mask` call adds them at the end.  ``reduce``
-    maps a fresh array, which it may overwrite, to ``(value, argument)``
-    over its last axis: :func:`_logsumexp` for inside, :func:`_max_argmax`
-    for CKY.  One ``reduce`` call takes the label part of every cell, on a
-    copy, so the potentials stay for :func:`_posteriors`, and one scatter
-    seeds the flat chart with it.  Then the split recursion runs one width
-    at a time over all start positions of every row long enough for that
+    length.  The semiring seeds the flat chart with the label part of every
+    cell of the batch at once.  Then the split recursion runs one width at
+    a time over all start positions of every row long enough for that
     width (a prefix, since rows are longest first), reading the split
     operands as stripes.  Cells of a row past its own length hold finite
     values that no cell of its chart reads, because a cell's splits stay
@@ -308,23 +521,9 @@ def _inside_pass(
     lengths = [chart.n for chart in charts]
     sizes = [m * (m + 1) // 2 for m in lengths]
     n = max(lengths)
-    # ``scratch`` holds the mask weights, then the copy that ``reduce``
-    # overwrites.  One allocation for both: with glibc's malloc, two large
-    # arrays freed together go back to the system and every call faults
-    # them in again (a quarter of a 32 x 40 batched_masked_inside call).
-    potentials, scratch = np.empty((2, sum(sizes), charts[0].cells.shape[1]))
-    np.concatenate([chart.cells for chart in charts], out=potentials)
     starts = list(accumulate(sizes, initial=0))
-    slots = [slice(a, b) for a, b in zip(starts, starts[1:])]
     unmasked = sum(mask is None for mask in masks)
     assert all(mask is None for mask in masks[:unmasked]), "unmasked charts first"
-    first_masked = starts[unmasked]
-    if first_masked < len(potentials):
-        weights = scratch[first_masked:]
-        np.concatenate([mask.cells for mask in masks[unmasked:]], out=weights)
-        _apply_mask(potentials[first_masked:], weights)
-    np.copyto(scratch, potentials)
-    value, arg = reduce(scratch)
     # Rows longest first, in a stable order.  Chart b's cell (i, j) is
     # b * n * n + i * n + j in a stack of (n, n) squares; shift it to the
     # chart's row.
@@ -333,85 +532,103 @@ def _inside_pass(
     row = np.empty(count, dtype=int)
     row[order] = range(count)
     stride = n * (n + 1) + 1
-    ends = np.array(lengths) - 1
     cells = span_positions(lengths, n)
     cells += np.repeat(row * stride - np.arange(count) * n * n, sizes)
-    flat = np.zeros((count, stride))
-    flat.ravel()[cells] = value
-    split = [None, None]
+    p = _Pass(
+        [slice(a, b) for a, b in zip(starts, starts[1:])],
+        starts[:-1],
+        np.zeros((count, stride)),
+        n,
+        cells,
+        row,
+        np.array(lengths),
+        row * stride + np.array(lengths) - 1,
+    )
+    semiring.seed(p, charts, masks)
     for w in range(2, n + 1):
         while lengths[order[count - 1]] < w:
             count -= 1  # rows at least w long
-        rows = flat[:count]
-        left, right = _split_operands(rows, n, w)
-        split.append(reduce(left + right))
-        upper, mirror = _cells(rows, n, w)
-        upper += split[w][0]
-        mirror[...] = upper
-    return _Pass(
-        potentials, slots, value, arg, flat, n, cells, row * stride + ends, split
-    )
+        semiring.split(p, count, w)
+    return p
 
 
-def _outside(inside_pass: _Pass) -> np.ndarray:
-    """``g = d logZ / d beta`` of every chart, laid out as the flat chart.
+class _Inside(NamedTuple):
+    """One batch's inside pass: the scaled real pass, each chart's log
+    root, and the charts it could not hold, redone in the log semiring."""
 
-    One reverse sweep over the inside pass's stripes: ``g`` starts at 1 on
-    each row's own root and flows from each cell to both children of each
-    split, weighted by the softmax of the split scores, over the same rows
-    as the inside pass at each width.  Left children collect their share
-    in the upper triangle and right children at their mirror, so each
-    update writes distinct cells; a cell adds its two parts when its own
-    width comes up.  Only the upper triangle of the result is meaningful.
+    scaled: _Pass
+    roots: np.ndarray
+    redone: list[int]
+    log: _Pass | None
+
+
+def _inside(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], sentences: int
+) -> _Inside:
+    """The inside pass of a checked, non-empty batch and each chart's log root.
+
+    The batch runs in the scaled real semiring; the charts that pass could
+    not hold exactly (see :func:`_certified`) run again, as one batch, in
+    the log semiring.  Each chart's values are therefore those it gets
+    alone.  A root is -inf only where the mask admits no full tree.  Chart
+    ``b`` is sentence ``b % sentences``; a chart whose log values overflow
+    raises :class:`NonFiniteLoss` naming that position.
     """
-    n, flat = inside_pass.n, inside_pass.flat
-    g = np.zeros_like(flat)
-    g.ravel()[inside_pass.root_cells] = 1.0
-    for w in range(n, 1, -1):
-        value = inside_pass.split[w][0]
-        rows = slice(0, len(value))
-        upper, mirror = _cells(g[rows], n, w)
-        upper += mirror
-        left, right = _split_operands(flat[rows], n, w)
-        share = left + right
-        share -= value[..., None]
-        np.exp(share, out=share)
-        share *= upper[..., None]
-        to_left, to_right = _split_operands(g[rows], n, w)
-        to_left += share
-        to_right += share
-    return g
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = _inside_pass(charts, masks, _SCALED_REAL)
+        roots = _scaled_read_out(p)
+        redone = np.flatnonzero(~_certified(p)).tolist()
+        log = None
+        if redone:
+            log = _inside_pass(
+                [charts[b] for b in redone], [masks[b] for b in redone], _LOG
+            )
+            roots[redone] = _root_values(log)
+        overflowed = [
+            b
+            for b in redone
+            if not np.isfinite(roots[b])
+            and (roots[b] != -np.inf or _admits(charts[b], masks[b]))
+        ]
+    if overflowed:
+        b = overflowed[0]
+        position = b % sentences
+        raise NonFiniteLoss(
+            f"batch position {position}: the inside pass over {charts[b].n} tokens "
+            f"overflows (max |score| {np.abs(charts[b].cells).max():.3e})",
+            position=position,
+        )
+    return _Inside(p, roots, redone, log)
 
 
-def _posteriors(inside_pass: _Pass) -> np.ndarray:
-    """Span-label posteriors ``mu = g * softmax_k(s)`` of every packed cell.
-
-    Takes one log-sum-exp :func:`_inside_pass` and turns its packed
-    potentials into the posteriors in place, for the whole batch at once;
-    ``g`` is :func:`_outside` read at each cell's place in the flat chart.
-    """
-    mu = inside_pass.potentials
-    mu -= inside_pass.value[:, None]
-    np.exp(mu, out=mu)
-    mu *= _outside(inside_pass).ravel()[inside_pass.cells][:, None]
-    # Rounding can overshoot 1 by an ulp; the posterior is a probability.
-    return np.clip(mu, 0.0, 1.0, out=mu)
+def _posteriors(inside: _Inside) -> np.ndarray:
+    """Span-label posteriors of every packed cell of the batch, ``(cells, L)``."""
+    if not inside.redone:
+        return _scaled_posteriors(inside.scaled)
+    # the rows the log semiring redoes may hold any value
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu = _scaled_posteriors(inside.scaled)
+    redone = _log_posteriors(inside.log)
+    for b, slot in zip(inside.redone, inside.log.slots):
+        mu[inside.scaled.slots[b]] = redone[slot]
+    return mu
 
 
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _check_batch([chart], [None])
-    return float(_inside_pass([chart], [None], _logsumexp).roots()[0])
+    return float(_inside([chart], [None], 1).roots[0])
 
 
 def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     """Log-sum of scores of all full trees compatible with the mask.
 
-    Computed exactly as ``inside(s + log M)`` with LOG_ZERO substituted
-    for ``log 0``; an all-ones mask reproduces :func:`inside` bit for bit.
+    The mask weights multiply the label exponentials, so a rejected cell
+    is an exact 0; an all-ones mask reproduces :func:`inside` bit for bit,
+    and a mask that admits no full tree gives -inf.
     """
     _check_masked([chart], [mask])
-    return float(_inside_pass([chart], [mask], _logsumexp).roots()[0])
+    return float(_inside([chart], [mask], 1).roots[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -419,7 +636,7 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
 
     Walks the chart cell by cell: observed cells contribute only their
     annotated label(s), latent cells sum over latent labels, rejected
-    cells are truly excluded (log-score -inf, no LOG_ZERO approximation).
+    cells are excluded (log-score -inf), all in the log domain.
     Slow on purpose; it is the per-sentence baseline the batched masked
     path is checked and benchmarked against.
     """
@@ -465,7 +682,7 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> np.ndarray:
     Cells below the diagonal are zero.
     """
     _check_batch([chart], [mask])
-    mu = _posteriors(_inside_pass([chart], [mask], _logsumexp))
+    mu = _posteriors(_inside([chart], [mask], 1))
     return unpack_cells(mu, chart.n)
 
 
@@ -499,12 +716,10 @@ def batch_loss_and_score_gradient(
     if not charts:
         return iter(())
     count = len(charts)
-    inside_pass = _inside_pass(
-        [*charts, *charts], [None] * count + list(masks), _logsumexp
-    )
-    roots = inside_pass.roots()
-    mu = _posteriors(inside_pass)
-    slots = inside_pass.slots[:count]
+    inside = _inside([*charts, *charts], [None] * count + list(masks), count)
+    mu = _posteriors(inside)
+    roots = inside.roots
+    slots = inside.scaled.slots[:count]
     grad = mu[: slots[-1].stop] - mu[slots[-1].stop :]
     losses = (roots[:count] - roots[count:]).tolist()
     return zip(losses, (grad[slot] for slot in slots))
@@ -532,14 +747,13 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
     _check_batch(charts, [None] * len(charts))
     if not charts:
         return []
-    best = _inside_pass(charts, [None] * len(charts), _max_argmax)
+    best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
     # each chart's row of the flat chart, and the argmax as Python lists:
     # the walk reads one element per node
-    rows = [cell // best.flat.shape[1] for cell in best.root_cells.tolist()]
     labels = best.arg.tolist()
-    splits = [None, None] + [arg.tolist() for _, arg in best.split[2:]]
+    splits = [None, None] + [arg.tolist() for arg in best.split[2:]]
     trees = []
-    for chart, slot, row in zip(charts, best.slots, rows):
+    for chart, slot, row in zip(charts, best.slots, best.row.tolist()):
         n = chart.n
         nodes: list[tuple[int, int, int]] = []
         stack = [(0, n - 1)]
@@ -604,4 +818,4 @@ def batched_masked_inside(
     _check_masked(charts, masks)
     if not charts:
         return np.zeros(0)
-    return _inside_pass(charts, masks, _logsumexp).roots()
+    return _inside(charts, masks, len(charts)).roots

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecrf import (
-    LOG_ZERO,
     ChartMask,
     DegenerateChart,
     DimensionMismatch,
     FullTree,
     LabelSchema,
+    NonFiniteLoss,
     PartialTree,
     ScoreChart,
     Span,
@@ -36,8 +36,16 @@ from treecrf import (
     vanilla_partial_marginalization,
 )
 from treecrf import inference as inference_module
-from treecrf.chart import NodeKind, below_diagonal, pack_cells
+from treecrf.chart import (
+    NodeKind,
+    SymbolTree,
+    below_diagonal,
+    pack_cells,
+    packed_index,
+    unpack_cells,
+)
 from treecrf import scorer as scorer_module
+from treecrf.inference import _lse
 from treecrf.oracle import _structures, catalan, random_chart, random_partial_tree
 from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
 
@@ -585,6 +593,212 @@ class TestNoModuleState:
         assert self._container_sizes() == before
 
 
+def log_domain_reference(chart, mask=None, shift=None):
+    """Log root and ``(n, n, L)`` marginals by a per-width log-sum-exp
+    inside and outside, rejected labels at -inf.
+
+    Every full tree has 2n - 1 nodes, so the marginals do not change when
+    every score drops by the same ``shift``; the one that makes the root 0
+    keeps the log values small, and their rounding with them.
+    """
+    n = chart.n
+    if shift is None:
+        root, _ = log_domain_reference(chart, mask, 0.0)
+        shift = root / (2 * n - 1) if np.isfinite(root) else 0.0
+    with np.errstate(divide="ignore"):
+        logm = 0.0 if mask is None else np.log(unpack_cells(mask.cells, n))
+    x = chart.s - shift + logm
+    a = _lse(x, axis=2)
+    beta = np.full((n, n), -np.inf)
+    beta[np.arange(n), np.arange(n)] = a[np.arange(n), np.arange(n)]
+    for w in range(2, n + 1):
+        i = np.arange(n - w + 1)[:, None]
+        t = np.arange(w - 1)[None, :]
+        split = _lse(beta[i, i + t] + beta[i + t + 1, i + w - 1], axis=1)
+        beta[i[:, 0], i[:, 0] + w - 1] = a[i[:, 0], i[:, 0] + w - 1] + split
+    root = beta[0, n - 1]
+    alpha = np.full((n, n), -np.inf)
+    alpha[0, n - 1] = 0.0
+    for w in range(n, 1, -1):
+        i = np.arange(n - w + 1)[:, None]
+        t = np.arange(w - 1)[None, :]
+        j = i + w - 1
+        parent = alpha[i, j] + a[i, j]
+        alpha[i, i + t] = np.logaddexp(alpha[i, i + t], parent + beta[i + t + 1, j])
+        alpha[i + t + 1, j] = np.logaddexp(alpha[i + t + 1, j], parent + beta[i, i + t])
+    cell = np.exp(alpha + beta - root)
+    label = np.exp(x - np.where(a > -np.inf, a, 0.0)[..., None])
+    mu = cell[..., None] * label
+    mu[below_diagonal(n)] = 0.0
+    return root + shift * (2 * n - 1), mu
+
+
+def wide_spread_probe(schema2):
+    """n = 3: leaves at 0, both width-2 cells at -800, the root at +900."""
+    s = np.zeros((3, 3, 2))
+    s[0, 1] = s[1, 2] = -800.0
+    s[0, 2] = 900.0
+    return ScoreChart(pack_cells(s), schema2)
+
+
+def log_passes(run):
+    """How many times ``run`` redoes charts in the log semiring."""
+    with mock.patch.object(
+        inference_module, "_inside_pass", wraps=inference_module._inside_pass
+    ) as inside_pass:
+        run()
+    log = inference_module._LOG
+    return sum(call.args[2] is log for call in inside_pass.call_args_list)
+
+
+class TestMasksThatAdmitNoTree:
+    """A mask that admits no full tree: -inf, as the reference gives, and an
+    infinite loss, all without a RuntimeWarning."""
+
+    @staticmethod
+    def _masks(chart, schema, rng):
+        admitting = build_mask(
+            classify_nodes(random_partial_tree(chart.n, schema, rng)), schema
+        )
+        no_root = admitting.cells.copy()
+        no_root[packed_index(0, chart.n - 1, chart.n)] = 0.0
+        return admitting, [ChartMask(np.zeros_like(no_root)), ChartMask(no_root)]
+
+    def test_masked_inside_and_the_batch(self, schema3):
+        rng = np.random.default_rng(30)
+        charts = [random_chart(n, schema3, rng) for n in (4, 6, 5)]
+        admitting, rejecting = self._masks(charts[1], schema3, rng)
+        rejected = SymbolTree(
+            n=6, node_kind=np.full((6, 6), NodeKind.REJECTED), observed_label={}
+        )
+        assert vanilla_partial_marginalization(charts[1], rejected) == -np.inf
+        assert np.isfinite(masked_inside(charts[1], admitting))
+        ones = [ChartMask(np.ones_like(chart.cells)) for chart in charts]
+        for mask in rejecting:
+            assert masked_inside(charts[1], mask) == -np.inf
+            got = batched_masked_inside(charts, [ones[0], mask, ones[2]])
+            assert got[1] == -np.inf
+            assert got[0] == inside(charts[0]) and got[2] == inside(charts[2])
+
+    def test_infinite_loss_leaves_the_other_gradients(self, schema3):
+        rng = np.random.default_rng(31)
+        charts = [random_chart(n, schema3, rng) for n in (4, 6, 5)]
+        admitting, rejecting = self._masks(charts[1], schema3, rng)
+        others = [
+            build_mask(classify_nodes(random_partial_tree(c.n, schema3, rng)), schema3)
+            for c in (charts[0], charts[2])
+        ]
+        for mask in rejecting:
+            masks = [others[0], mask, others[1]]
+            results = list(batch_loss_and_score_gradient(charts, masks))
+            assert results[1][0] == np.inf
+            assert np.isfinite(results[1][1]).all()
+            for k in (0, 2):
+                loss, grad = loss_and_score_gradient(charts[k], masks[k])
+                assert results[k][0] == loss
+                np.testing.assert_array_equal(results[k][1], grad)
+
+
+class TestRange:
+    """The kernel's range: log values up to the largest double.  A chart
+    beyond it raises, naming its batch position; within it, charts whose
+    scores spread too far for the scaled pass are redone exactly."""
+
+    def test_both_sides_of_the_overflow_bound(self, schema2):
+        # a constant chart of n = 3: log Z = 5 x + log(2 * 2^5)
+        bound = np.finfo(float).max / 5
+        inner = ScoreChart(np.full((6, 2), 0.99 * bound), schema2)
+        assert inside(inner) == pytest.approx(5 * 0.99 * bound, rel=1e-12)
+        for x in (1.01 * bound, -1.01 * bound, 1.7e308):
+            outer = ScoreChart(np.full((6, 2), x), schema2)
+            with pytest.raises(NonFiniteLoss, match="batch position 0: "):
+                inside(outer)
+            ones = ChartMask(np.ones((6, 2)))
+            with pytest.raises(NonFiniteLoss, match="batch position 2: ") as error:
+                batched_masked_inside([inner, inner, outer], [ones] * 3)
+            assert error.value.position == 2
+            with pytest.raises(NonFiniteLoss, match="batch position 1: "):
+                batch_loss_and_score_gradient([inner, outer], [ones] * 2)
+
+    def test_wide_spread_probe(self, schema2):
+        chart = wide_spread_probe(schema2)
+        ones = ChartMask(np.ones((6, 2)))
+        assert inside(chart) == pytest.approx(104.15888308335946, rel=1e-12)
+        assert masked_inside(chart, ones) == inside(chart)
+        assert log_passes(lambda: inside(chart)) == 1
+
+    def test_a_root_the_scaled_pass_loses_is_redone(self, schema2):
+        # leaf (0, 0) and cell (0, 1) 800 below the rest: every product of
+        # the scaled pass's root underflows, the log semiring's does not
+        s = np.zeros((3, 3, 2))
+        s[0, 0] = s[0, 1] = -800.0
+        chart = ScoreChart(pack_cells(s), schema2)
+        root, mu = log_domain_reference(chart)
+        assert inside(chart) == pytest.approx(root, rel=1e-12)
+        np.testing.assert_allclose(marginals(chart), mu, rtol=1e-12, atol=1e-300)
+
+    def test_redone_charts_equal_their_batch_of_one(self, schema2):
+        rng = np.random.default_rng(32)
+        charts = [random_chart(n, schema2, rng) for n in (5, 3, 7)]
+        charts.insert(1, wide_spread_probe(schema2))
+        masks = [
+            build_mask(classify_nodes(random_partial_tree(c.n, schema2, rng)), schema2)
+            for c in charts
+        ]
+        assert log_passes(lambda: batch_loss_and_score_gradient(charts, masks)) == 1
+        results = list(batch_loss_and_score_gradient(charts, masks))
+        for chart, mask, (loss, grad) in zip(charts, masks, results):
+            expected_loss, expected_grad = loss_and_score_gradient(chart, mask)
+            assert loss == expected_loss
+            np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_scorer_charts_stay_in_the_scaled_pass(self, schema3):
+        rng = np.random.default_rng(33)
+        vocab = Vocab.build(f"t{i}" for i in range(20))
+        params = init_params(vocab, ScorerConfig(16, 32, schema3), seed=0)
+        lengths = [1, 2, 7, 20, 60, 100]
+        charts, _ = forward_batch(
+            [vocab.encode([f"t{k}" for k in rng.integers(0, 20, n)]) for n in lengths],
+            params,
+        )
+        trees = [random_partial_tree(n, schema3, rng) for n in lengths]
+        symbols = [classify_nodes(tree) for tree in trees]
+        masks = [smooth_mask(build_mask(sym, schema3), sym, 0.01) for sym in symbols]
+        assert (
+            log_passes(lambda: list(batch_loss_and_score_gradient(charts, masks))) == 0
+        )
+
+
+class TestAgainstLogDomainReference:
+    """Roots and marginals within 1e-12 relative of a log-sum-exp reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 150, 300])
+    def test_normalized_charts(self, schema3, n):
+        rng = np.random.default_rng(34 + n)
+        s = rng.normal(size=(n, n, 3))
+        cells = pack_cells(s)
+        chart = ScoreChart((cells - cells.mean()) / max(cells.std(), 1e-3), schema3)
+        sym = classify_nodes(random_partial_tree(n, schema3, rng))
+        for mask in (None, smooth_mask(build_mask(sym, schema3), sym, 0.01)):
+            root, mu = log_domain_reference(chart, mask)
+            value = inside(chart) if mask is None else masked_inside(chart, mask)
+            assert value == pytest.approx(root, rel=1e-12)
+            np.testing.assert_allclose(
+                marginals(chart, mask), mu, rtol=1e-12, atol=1e-300
+            )
+
+    def test_wide_spread_probes(self, schema2):
+        charts = [wide_spread_probe(schema2)]
+        s = np.zeros((4, 4, 2))
+        s[0, 1] = s[2, 3] = 800.0
+        s[1, 2] = s[0, 2] = -700.0
+        charts.append(ScoreChart(pack_cells(s), schema2))
+        for chart in charts:
+            root, mu = log_domain_reference(chart)
+            assert inside(chart) == pytest.approx(root, rel=1e-12)
+            np.testing.assert_allclose(marginals(chart), mu, rtol=1e-12, atol=1e-300)
+
+
 class TestBatchedMaskedInside:
     def test_matches_per_sentence_bitwise(self):
         # (sentences, length range, labels): mixed short lengths, the bench
@@ -610,80 +824,6 @@ class TestBatchedMaskedInside:
 
     def test_empty_batch(self):
         assert batched_masked_inside([], []).shape == (0,)
-
-    def test_log_zero_constant(self):
-        assert LOG_ZERO == -1.0e6
-
-
-class TestRowMax:
-    """``_row_max`` is ``ndarray.max(axis=-1)`` on either branch."""
-
-    @staticmethod
-    def _draw(rng, shape):
-        # few distinct values, so rows tie, and zeros of both signs
-        values = np.array([LOG_ZERO, -2.5, -0.0, 0.0, 1.5])
-        return rng.choice(values, size=shape)
-
-    @staticmethod
-    def _check(x):
-        expected = x.max(axis=-1)
-        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
-            got = inference_module._row_max(x)
-        by_column = 16 * x.shape[-1] ** 2 <= x.size
-        assert maximum.call_count == (x.shape[-1] - 1 if by_column else 0)
-        np.testing.assert_array_equal(got, expected)
-        # bit for bit, but for the sign of a zero max where +0.0 and -0.0
-        # tie, which numpy's reduction picks by its own order
-        zero = x == 0.0
-        tie = (expected == 0.0) & (zero & np.signbit(x)).any(-1) & (
-            zero & ~np.signbit(x)
-        ).any(-1)
-        assert np.array_equal(got.view(np.int64)[~tie], expected.view(np.int64)[~tie])
-        # a zero shift of either sign gives _logsumexp the same bits
-        shifted = x - expected[..., None]
-        total = np.exp(shifted).sum(axis=-1)
-        reference = np.log(total) + expected
-        value, _ = inference_module._logsumexp(x.copy())
-        assert np.array_equal(value.view(np.int64), reference.view(np.int64))
-        return by_column, tie.any()
-
-    def test_label_parts_on_both_branches(self):
-        rng = np.random.default_rng(23)
-        for labels in range(1, 10):
-            branches = set()
-            for cells in (1, 16 * labels - 1, 16 * labels, 2000):
-                by_column, _ = self._check(self._draw(rng, (cells, labels)))
-                branches.add(by_column)
-            assert branches == {False, True}
-
-    def test_width_arrays_on_both_branches(self):
-        rng = np.random.default_rng(24)
-        ties = False
-        for width in (1, 2, 11, 17, 40):
-            branches = set()
-            for rows, cols in ((1, 3), (4, 9), (32, 20), (38, 60)):
-                by_column, tie = self._check(self._draw(rng, (rows, cols, width)))
-                branches.add(by_column)
-                ties |= tie
-            assert branches == {False, True}
-        assert ties
-
-    def test_bench_label_part_takes_the_column_branch(self):
-        # 32 charts of n = 40 with 8 labels: their (26240, 8) label part
-        # runs column by column, one np.maximum per column after the first
-        schema = LabelSchema(tuple(f"L{k}" for k in range(7)), latent_label_count=1)
-        rng = np.random.default_rng(25)
-        charts, masks = [], []
-        for _ in range(32):
-            charts.append(random_chart(40, schema, rng))
-            sym = classify_nodes(random_partial_tree(40, schema, rng))
-            masks.append(build_mask(sym, schema))
-        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
-            batched_masked_inside(charts, masks)
-        label_part = [
-            call for call in maximum.call_args_list if call.args[0].shape == (26240,)
-        ]
-        assert len(label_part) == 7
 
 
 class TestBatchLossAndScoreGradient:
@@ -731,20 +871,34 @@ class TestBatchLossAndScoreGradient:
     @pytest.mark.parametrize("count", [1, 4, 16])
     def test_one_mask_and_label_reduction_per_batch(self, schema3, count):
         # the masks, the label reduction and the kernel run once per batch,
-        # whatever its size: one _apply_mask call and n _logsumexp calls
-        # (1 label reduction + n - 1 widths), n the longest length
+        # whatever its size: one seed, given every chart's cells and every
+        # mask in one array each, one label shift and n - 1 widths, n the
+        # longest length
         rng = np.random.default_rng(22)
         n = 12
         lengths = rng.permutation([n, *rng.integers(1, n + 1, size=count - 1)])
         charts, masks = self._sentences(lengths, schema3, rng)
+        real = inference_module._SCALED_REAL
+        seed, split = mock.Mock(wraps=real.seed), mock.Mock(wraps=real.split)
         with mock.patch.object(
-            inference_module, "_apply_mask", wraps=inference_module._apply_mask
-        ) as apply_mask, mock.patch.object(
-            inference_module, "_logsumexp", wraps=inference_module._logsumexp
-        ) as logsumexp:
+            inference_module, "_SCALED_REAL", real._replace(seed=seed, split=split)
+        ), mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate:
             assert len(list(batch_loss_and_score_gradient(charts, masks))) == count
-        assert apply_mask.call_count == 1
-        assert logsumexp.call_count == n
+        cells = sum(m * (m + 1) // 2 for m in lengths)
+        assert seed.call_count == 1
+        inside_pass, batch_charts, batch_masks = seed.call_args.args
+        assert inside_pass.potentials.shape == (2 * cells, 3)
+        assert inside_pass.weights.shape == (2 * cells, 3)
+        assert inside_pass.value.shape == (2 * cells,)
+        assert split.call_count == n - 1
+        # the masks enter one concatenation, as one array
+        with_masks = [
+            call.args[0]
+            for call in concatenate.call_args_list
+            if any(np.shares_memory(x, m.cells) for x in call.args[0] for m in masks)
+        ]
+        assert len(with_masks) == 1
+        assert len(with_masks[0]) == count
 
     def test_batch_of_one(self, schema3):
         rng = np.random.default_rng(19)

@@ -21,7 +21,7 @@ from treecrf import (
     train,
     validate_annotation,
 )
-from treecrf.chart import unpack_cells
+from treecrf.chart import ChartMask, unpack_cells
 from treecrf.data import corpus_schema, corpus_vocab, preprocess, split_corpus
 from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
@@ -274,6 +274,22 @@ class TestTrain:
             NonFiniteLoss, match=r"^sentence 4 \(length 5\), scorer forward: "
         ):
             _batch_gradient(batch, examples, params, [])
+
+    def test_mask_admitting_no_tree_names_the_sentence(self):
+        # the structured layer gives that sentence an infinite loss, and the
+        # finite-loss check names it
+        rng = np.random.default_rng(7)
+        records = [record_of_length(n, rng) for n in (9, 30, 4, 12)]
+        schema, vocab = corpus_schema(records), corpus_vocab(records)
+        examples = preprocess(records, schema, vocab, 0.01)
+        examples[1] = examples[1]._replace(
+            mask=ChartMask(np.zeros_like(examples[1].mask.cells))
+        )
+        params = init_params(vocab, ScorerConfig(16, 32, schema), seed=0)
+        with pytest.raises(
+            NonFiniteLoss, match=r"^sentence 1 \(length 30\), loss: loss=inf"
+        ):
+            _batch_gradient(np.array([0, 1, 2, 3]), examples, params, [])
 
     def test_losses_nonnegative_without_smoothing(self, small_corpus):
         config = TrainConfig(epochs=1, seed=0, epsilon_smoothing=0.0)
