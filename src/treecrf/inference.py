@@ -47,18 +47,18 @@ The range.  Every log value the inside pass forms is at most ``(2n - 1) S
 + (2n - 1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s +
 log M|`` over the admitted labels (there are fewer than ``4^(n-1)``
 bracketings).  The kernel accepts a chart when that stays below the
-largest double, about 1.8e308; beyond it, a chart
-whose log values overflow raises :class:`~treecrf.errors.NonFiniteLoss`
-naming its batch position, never returning inf, NaN or a false -inf.
-Within it, the scaled pass holds a chart exactly when its values keep to a
-window of a double's exponent range (:func:`_certified`): label
+largest double, about 1.8e308; beyond it, a chart whose log values
+overflow raises :class:`~treecrf.errors.NonFiniteLoss` naming its batch
+position, never returning inf, NaN or a false -inf.  Within it, the scaled
+pass is exact, to rounding, for every chart whose values keep to a window
+of a double's exponent range, which :func:`_certified` checks: label
 exponentials and label parts of at least 2^-60, cells of at least 2^-400
 of their width's largest, offset factors of at least 2^-150.  Scorer
 charts, normalized to unit variance, keep well inside it.  The charts it
-does not hold, raw scores spread over hundreds of nats, are redone as one
-batch in the log semiring, exactly; so every chart's values are the ones
-it gets alone, whatever the batch.  A root is -inf only where the mask
-admits no full tree.
+does not certify, raw scores spread over hundreds of nats, are redone as
+one batch in the log semiring, exactly; so every chart's values are the
+ones it gets alone, whatever the batch.  A root is -inf only where the
+mask admits no full tree.
 
 Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
@@ -262,7 +262,9 @@ class _Semiring(NamedTuple):
     read_out: Callable[[_Pass], np.ndarray]
 
 
-def _max_plus_seed(p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[None]) -> None:
+def _max_plus_seed(
+    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[None]
+) -> None:
     p.potentials = np.concatenate([chart.cells for chart in charts])
     p.value, p.arg = p.potentials.max(axis=-1), p.potentials.argmax(axis=-1)
     p.flat.ravel()[p.cells] = p.value
