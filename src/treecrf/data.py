@@ -28,17 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# classify_nodes, build_mask and smooth_mask are re-exported: a tracer that
-# times the mask layer looks them up here.
-from .chart import (  # noqa: F401
-    ChartMask,
-    LabelSchema,
-    build_mask,
-    classify_nodes,
-    smooth_mask,
-    smoothed_masks,
-    validate_annotation,
-)
+from .chart import ChartMask, LabelSchema, smoothed_masks, validate_annotation
 from .errors import BadConfig, EmptyCorpus, ParseError
 from .scorer import Vocab
 

@@ -20,17 +20,17 @@ row-major order (those of ``~below_diagonal(n)``, see
 :func:`treecrf.chart.pack_cells`), and that is the layout the kernel
 reads and the gradients come back in.  One kernel, :func:`_inside_pass`,
 runs the recursion for every algorithm here, in a semiring given as its
-seed (the label part of every cell), split (combine the children of every
-split of one width and reduce over the splits) and read-out (each chart's
-root).  It takes a batch of charts of mixed lengths; a single sentence is
-a batch of one.  Everything done per cell runs on one ``(cells, L)``
-array, the concatenated span cells of every chart, the unmasked charts
-first, and their mask weights likewise.  The split part runs width by
-width over one flat array that holds the charts as rows, longest first,
-in the layout of the longest one, so that at width ``w`` only the prefix
-of rows at least ``w`` long takes part.  The split operands of a whole
-diagonal are strided views of that array, which keeps every cell also at
-its mirror below the diagonal.  Each chart's result sits at its own root,
+seed (the label part of every cell) and split (combine the children of
+every split of one width and reduce over the splits).  It takes a batch
+of charts of mixed lengths; a single sentence is a batch of one.
+Everything done per cell runs on one ``(cells, L)`` array, the
+concatenated span cells of every chart, the unmasked charts first, and
+their mask weights likewise.  The split part runs width by width over one
+flat array that holds the charts as rows, longest first, in the layout of
+the longest one, so that at width ``w`` only the prefix of rows at least
+``w`` long takes part.  The split operands of a whole diagonal are
+strided views of that array, which keeps every cell also at its mirror
+below the diagonal.  Each chart's result sits at its own root,
 ``(0, n_b - 1)``.  The pass's result, :class:`_Pass`, owns that layout.
 
 The inside pass runs in the scaled real semiring: the flat chart holds
@@ -41,7 +41,10 @@ fused product-sum, ``sum_t left_t * right_t * F_t``, with ``F_t =
 exp(c[t+1] + c[w-1-t] - max_t ...)`` one vector per row, after which each
 row's width is scaled to a max of 1.  CKY stays in the max-plus semiring,
 max and first argmax over labels and splits, so its trees and
-:func:`tree_score` are those of a plain max-plus recursion.
+:func:`tree_score` are those of a plain max-plus recursion.  Max-plus and
+the log semiring of the redo below are both additive, ``u + reduce_t
+(left_t + right_t)``: one seed and one split, made by :func:`_additive`
+from the semiring's reduction, serve them both.
 
 The range.  Every log value the inside pass forms is at most ``(2n - 1) S
 + (2n - 1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s +
@@ -58,7 +61,9 @@ charts, normalized to unit variance, keep well inside it.  The charts it
 does not certify, raw scores spread over hundreds of nats, are redone as
 one batch in the log semiring, exactly; so every chart's values are the
 ones it gets alone, whatever the batch.  A root is -inf only where the
-mask admits no full tree.
+mask admits no full tree.  CKY's max-plus values are tree scores, at most
+``(2n - 1) max |s|`` in magnitude; a chart whose root overflows raises
+:class:`~treecrf.errors.NonFiniteLoss` naming its batch position too.
 
 Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
@@ -68,11 +73,14 @@ pass keeps.  Posteriors are the gradient of the roots:
 :func:`_posteriors` takes it by one reverse sweep over the same views
 (inside-outside as backpropagation) from every row's own root, and turns
 the packed label exponentials of the whole batch into posteriors in
-place.  :func:`batch_loss_and_score_gradient` runs every sentence's
-unmasked and masked charts through that pair as one batch and subtracts
-the two halves once, so its values equal ``inside - masked_inside`` and
-the difference of the two :func:`marginals` bit for bit; only
-:func:`marginals` unpacks its result into an ``(n, n, L)`` square.
+place.  That sweep, :func:`_reverse_sweep`, serves both sum-product
+semirings, given the share of a cell that each split passes to its
+children; each semiring keeps its own label step.
+:func:`batch_loss_and_score_gradient` runs every sentence's unmasked and
+masked charts through that pair as one batch and subtracts the two halves
+once, so its values equal ``inside - masked_inside`` and the difference
+of the two :func:`marginals` bit for bit; only :func:`marginals` unpacks
+its result into an ``(n, n, L)`` square.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
 in the log domain as the reference the kernel is checked against.
 """
@@ -233,10 +241,12 @@ class _Pass:
     root_cells: np.ndarray  # each chart's root position, cell (0, n_b - 1)
     potentials: np.ndarray | None = None  # every chart's span cells, packed
     value: np.ndarray | None = None  # label part of each packed cell
-    arg: np.ndarray | None = None  # and its argmax (CKY)
-    # per width w >= 2, of the rows whose charts are at least w long: the
-    # split argmax (CKY), the split sums and offset factors (scaled real) or
-    # the split log-sum-exps (log)
+    arg: np.ndarray | None = None  # and what an additive reduction keeps of it
+    # per width w >= 2: how many rows, longest first, are at least w long,
+    # and what the split keeps of them: the split argmax (CKY), or what the
+    # one reverse sweep of both sum-product semirings reads, the split sums
+    # and offset factors (scaled real) or the split log-sum-exps (log)
+    rows: list[int] = field(default_factory=lambda: [0, 0])
     split: list = field(default_factory=lambda: [None, None])
     # sum-product: each chart's mask weights, packed like the potentials;
     # scaled real: (rows, n + 1) log offsets of each width w at w, and each
@@ -247,45 +257,24 @@ class _Pass:
 
 
 class _Semiring(NamedTuple):
-    """How :func:`_inside_pass` seeds, combines and reads out a chart.
+    """How :func:`_inside_pass` seeds and combines a chart.
 
     ``seed(p, charts, masks)`` takes the label part of every span cell of
     the batch and writes it to the flat chart; ``split(p, rows, w)``
     combines the children of every split of the width-``w`` cells of the
     first ``rows`` rows, reduces over the splits and settles the cells,
-    mirrors included; ``read_out(p)`` gives each chart's value at its own
-    root.
+    mirrors included.  Max-plus and the log semiring are both additive:
+    one seed and one split, made by :func:`_additive` from the reduction,
+    serve them.  The two sum-product semirings, scaled real and log, share
+    one reverse sweep, :func:`_reverse_sweep`.
     """
 
     seed: Callable[[_Pass, Sequence[ScoreChart], Sequence[ChartMask | None]], None]
     split: Callable[[_Pass, int, int], None]
-    read_out: Callable[[_Pass], np.ndarray]
-
-
-def _max_plus_seed(
-    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[None]
-) -> None:
-    p.potentials = np.concatenate([chart.cells for chart in charts])
-    p.value, p.arg = p.potentials.max(axis=-1), p.potentials.argmax(axis=-1)
-    p.flat.ravel()[p.cells] = p.value
-
-
-def _max_plus_split(p: _Pass, rows: int, w: int) -> None:
-    flat = p.flat[:rows]
-    left, right = _split_operands(flat, p.n, w)
-    x = left + right
-    p.split.append(x.argmax(axis=-1))
-    upper, mirror = _cells(flat, p.n, w)
-    upper += x.max(axis=-1)
-    mirror[...] = upper
 
 
 def _root_values(p: _Pass) -> np.ndarray:
     return p.flat.ravel()[p.root_cells]
-
-
-# CKY, unmasked: max and first argmax over labels and splits, node + (left + right).
-_MAX_PLUS = _Semiring(_max_plus_seed, _max_plus_split, _root_values)
 
 
 def _packed(
@@ -303,6 +292,44 @@ def _packed(
     p.weights[:first] = 1.0
     if first < len(p.cells):
         np.concatenate([mask.cells for mask in masks[unmasked:]], out=p.weights[first:])
+
+
+def _additive(reduce: Callable[..., tuple[np.ndarray, np.ndarray]]) -> _Semiring:
+    """The seed and split of an additive semiring, given its reduction:
+    ``reduce(x, axis)`` gives the reduced values and what the pass keeps.
+
+    The label part of a cell is ``reduce_k (s_k + log m_k)``; an unmasked
+    batch (its last chart is unmasked, as the unmasked come first), as
+    CKY's always is, reduces the potentials as they are, and a masked one
+    adds the log mask weights first (-inf for a rejected label).
+    The width-``w`` cells are ``u + reduce_t (left_t + right_t)``.
+    """
+
+    def seed(
+        p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+    ) -> None:
+        if masks[-1] is None:
+            p.potentials = np.concatenate([chart.cells for chart in charts])
+        else:
+            _packed(p, charts, masks)
+            p.potentials += np.log(p.weights, out=p.weights)
+        p.value, p.arg = reduce(p.potentials, -1)
+        p.flat.ravel()[p.cells] = p.value
+
+    def split(p: _Pass, rows: int, w: int) -> None:
+        flat = p.flat[:rows]
+        left, right = _split_operands(flat, p.n, w)
+        value, kept = reduce(left + right, -1)
+        p.split.append(kept)
+        upper, mirror = _cells(flat, p.n, w)
+        upper += value
+        mirror[...] = upper
+
+    return _Semiring(seed, split)
+
+
+# CKY, unmasked: max and first argmax over labels and splits, node + (left + right).
+_MAX_PLUS = _additive(lambda x, axis: (x.max(axis), x.argmax(axis)))
 
 
 def _scaled_seed(
@@ -376,48 +403,62 @@ def _scaled_read_out(p: _Pass) -> np.ndarray:
     return roots + p.offsets[p.row, p.lengths]
 
 
-def _scaled_posteriors(p: _Pass) -> np.ndarray:
-    """Span-label posteriors ``mu = g * m exp(s - r) / u``, ``g = d root /
-    d beta`` of every cell.
+def _reverse_sweep(
+    p: _Pass, admitted: np.ndarray, share: Callable[..., np.ndarray]
+) -> np.ndarray:
+    """``g = d root / d beta`` of every packed cell, by one reverse sweep
+    over the inside pass's stripes; it serves both sum-product semirings.
 
-    ``g`` comes from one reverse sweep over the inside pass's stripes: it
-    starts at 1 on each row's own root, if the mask admits a tree, and
-    flows from each cell to both children of each split, weighted by the
-    split's share of the cell's split sum, ``left * right * F / total``,
-    over the same rows as the inside pass at each width.  A cell whose
-    split sum is 0 is itself 0, so it got no share and passes none on.
-    Left children collect their share in the upper triangle and right
-    children at their mirror, so each update writes distinct cells; a cell
-    adds its two parts when its own width comes up.  The label exponentials
-    become the posteriors in place, for the whole batch at once.
+    ``g`` starts at 1 on each row's own root where ``admitted`` (the mask
+    admits a tree) and flows from each cell to both children of each
+    split, over the same rows as the inside pass at each width.
+    ``share(left, right, kept, g)`` gives each split's part of its cell's
+    ``g``, from what the semiring's split kept at that width.  Left
+    children collect their share in the upper triangle and right children
+    at their mirror, so each update writes distinct cells; a cell adds its
+    two parts when its own width comes up.
     """
     n, flat = p.n, p.flat
     g = np.zeros_like(flat)
-    g.ravel()[p.root_cells] = _root_values(p) > 0.0
+    g.ravel()[p.root_cells] = admitted
     for w in range(n, 1, -1):
-        total, factor = p.split[w]
-        rows = slice(0, len(total))
+        rows = slice(0, p.rows[w])
         upper, mirror = _cells(g[rows], n, w)
         upper += mirror
-        # exact for every nonzero total the pass holds (at least 2^-1010)
-        per_split = upper / (total + _TINY)
         left, right = _split_operands(flat[rows], n, w)
-        share = left * right
-        share *= factor[:, None, :]
-        share *= per_split[..., None]
+        shares = share(left, right, p.split[w], upper)
         to_left, to_right = _split_operands(g[rows], n, w)
-        to_left += share
-        to_right += share
+        to_left += shares
+        to_right += shares
+    return g.ravel()[p.cells]
+
+
+def _scaled_posteriors(p: _Pass) -> np.ndarray:
+    """Span-label posteriors ``mu = g * m exp(s - r) / u``, ``g`` from
+    :func:`_reverse_sweep`; the label exponentials become the posteriors in
+    place, for the whole batch at once."""
+
+    def share(left, right, kept, g):
+        # left * right * F * g / total.  A cell whose split sum is 0 is
+        # itself 0, so it got no share and passes none on; the division is
+        # exact for every nonzero total the pass holds (at least 2^-1010).
+        total, factor = kept
+        out = left * right
+        out *= factor[:, None, :]
+        out *= (g / (total + _TINY))[..., None]
+        return out
+
+    g = _reverse_sweep(p, _root_values(p) > 0.0, share)
     mu = p.potentials
     mu *= p.weights
     # a cell whose labels are all rejected got no share: 0 / TINY
-    mu *= (g.ravel()[p.cells] / (p.value + _TINY))[:, None]
+    mu *= (g / (p.value + _TINY))[:, None]
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0, out=mu)
 
 
 # Inside: sum-product on beta~ = exp(beta - c), c a log offset per row and width.
-_SCALED_REAL = _Semiring(_scaled_seed, _scaled_split, _scaled_read_out)
+_SCALED_REAL = _Semiring(_scaled_seed, _scaled_split)
 
 # What the scaled real pass holds exactly: label exponentials and nonzero
 # label parts of at least 2^-60, nonzero beta~ of at least 2^-400 and offset
@@ -448,53 +489,29 @@ def _certified(p: _Pass) -> np.ndarray:
     return (p.label_low >= _LABEL_LOW) & (low >= _CELL_LOW) & (spread <= _SPREAD)
 
 
-def _log_seed(
-    p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
-) -> None:
-    _packed(p, charts, masks)
-    p.potentials += np.log(p.weights, out=p.weights)
-    p.value = _lse(p.potentials, axis=1)
-    p.flat.ravel()[p.cells] = p.value
-
-
-def _log_split(p: _Pass, rows: int, w: int) -> None:
-    flat = p.flat[:rows]
-    left, right = _split_operands(flat, p.n, w)
-    value = _lse(left + right, axis=-1)
-    p.split.append(value)
-    upper, mirror = _cells(flat, p.n, w)
-    upper += value
-    mirror[...] = upper
-
-
 def _log_posteriors(p: _Pass) -> np.ndarray:
-    """:func:`_scaled_posteriors` in the log semiring: the reverse sweep
-    weights each split by ``exp(left + right - value)``."""
-    n, flat = p.n, p.flat
-    g = np.zeros_like(flat)
-    g.ravel()[p.root_cells] = _root_values(p) > -np.inf
-    for w in range(n, 1, -1):
-        value = p.split[w]
-        rows = slice(0, len(value))
-        upper, mirror = _cells(g[rows], n, w)
-        upper += mirror
-        left, right = _split_operands(flat[rows], n, w)
-        share = left + right
-        share -= np.where(value > -np.inf, value, 0.0)[..., None]
-        np.exp(share, out=share)
-        share *= upper[..., None]
-        to_left, to_right = _split_operands(g[rows], n, w)
-        to_left += share
-        to_right += share
+    """:func:`_scaled_posteriors` in the log semiring, ``mu = g * exp(s +
+    log m - u)``."""
+
+    def share(left, right, value, g):
+        # exp(left + right - value) * g
+        out = left + right
+        out -= np.where(value > -np.inf, value, 0.0)[..., None]
+        np.exp(out, out=out)
+        out *= g[..., None]
+        return out
+
+    g = _reverse_sweep(p, _root_values(p) > -np.inf, share)
     mu = p.potentials
     mu -= np.where(p.value > -np.inf, p.value, 0.0)[:, None]
     np.exp(mu, out=mu)
-    mu *= g.ravel()[p.cells][:, None]
+    mu *= g[:, None]
     return np.clip(mu, 0.0, 1.0, out=mu)
 
 
-# Inside in the log semiring, for the charts the scaled pass cannot hold.
-_LOG = _Semiring(_log_seed, _log_split, _root_values)
+# Inside in the log semiring, for the charts the scaled pass cannot hold; the
+# split keeps its log-sum-exps for the reverse sweep.
+_LOG = _additive(lambda x, axis: (_lse(x, axis),) * 2)
 
 
 def _admits(chart: ScoreChart, mask: ChartMask | None) -> bool:
@@ -550,6 +567,7 @@ def _inside_pass(
     for w in range(2, n + 1):
         while lengths[order[count - 1]] < w:
             count -= 1  # rows at least w long
+        p.rows.append(count)
         semiring.split(p, count, w)
     return p
 
@@ -594,13 +612,17 @@ def _inside(
         ]
     if overflowed:
         b = overflowed[0]
-        position = b % sentences
-        raise NonFiniteLoss(
-            f"batch position {position}: the inside pass over {charts[b].n} tokens "
-            f"overflows (max |score| {np.abs(charts[b].cells).max():.3e})",
-            position=position,
-        )
+        raise _overflow(charts[b], b % sentences, "the inside pass")
     return _Inside(p, roots, redone, log)
+
+
+def _overflow(chart: ScoreChart, position: int, kernel: str) -> NonFiniteLoss:
+    """The error for a chart at batch ``position`` whose ``kernel`` overflows."""
+    return NonFiniteLoss(
+        f"batch position {position}: {kernel} over {chart.n} tokens overflows "
+        f"(max |score| {np.abs(chart.cells).max():.3e})",
+        position=position,
+    )
 
 
 def _posteriors(inside: _Inside) -> np.ndarray:
@@ -744,12 +766,19 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
     :func:`_inside_pass` runs them all; each tree is then read back from
     its own root, through its chart's packed label argmax and its row of
     the split argmax of every width.  Max and argmax are exact, so every
-    tree, ties included, is the one its chart gets alone.
+    tree, ties included, is the one its chart gets alone.  The values are
+    tree scores, at most ``(2n - 1) max |s|`` in magnitude; a chart whose
+    root overflows raises :class:`NonFiniteLoss` naming its batch position.
     """
     _check_batch(charts, [None] * len(charts))
     if not charts:
         return []
-    best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
+    finite = np.isfinite(_root_values(best)).tolist()
+    if not all(finite):
+        b = finite.index(False)  # the first chart whose root overflowed
+        raise _overflow(charts[b], b, "CKY")
     # each chart's row of the flat chart, and the argmax as Python lists:
     # the walk reads one element per node
     labels = best.arg.tolist()

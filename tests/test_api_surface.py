@@ -8,6 +8,10 @@ word of a string constant or of the README), so a method counts as used
 when anything of the same name is; re-exports in ``__init__.py`` and
 docstrings do not count as a use.  Code that only tests reach is deleted,
 not kept public.
+
+A private top-level function, class or constant (one leading underscore)
+must likewise be named in the package or in ``perfbench/`` outside its own
+definition, so that a refactor leaves no orphan helper behind.
 """
 
 import ast
@@ -59,24 +63,68 @@ def _identifiers(path, skip=range(0)):
     return used
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _private_definitions():
+    """``(path, node, name)`` of every private top-level function, class or
+    constant (a name bound by a top-level assignment)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    name.id
+                    for target in bound
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path, node, name
+
+
+def _identifiers_of_the_code():
+    """:func:`_identifiers` of every file of the package and of ``perfbench/``."""
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    elsewhere = {path: _identifiers(path) for path in files}
+    return {path: _identifiers(path) for path in files}
+
+
+def _named_elsewhere(name, path, node, code):
+    """Whether ``name`` is used in the code outside the lines of ``node``."""
+    own = range(node.lineno, node.end_lineno + 1)
+    return any(
+        name in (_identifiers(f, own) if f == path else used)
+        for f, used in code.items()
+    )
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    code = _identifiers_of_the_code()
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    unused = []
-    for path, node, qualified in _public_definitions():
-        if qualified in ALLOWED:
-            continue
-        own = range(node.lineno, node.end_lineno + 1)
-        if node.name in readme or any(
-            node.name in (_identifiers(f, own) if f == path else used)
-            for f, used in elsewhere.items()
-        ):
-            continue
-        unused.append(qualified)
+    unused = [
+        qualified
+        for path, node, qualified in _public_definitions()
+        if qualified not in ALLOWED
+        and node.name not in readme
+        and not _named_elsewhere(node.name, path, node, code)
+    ]
     assert unused == [], f"public but called only by tests: {unused}"
 
 
 def test_the_allowed_exceptions_exist():
     defined = {qualified for _, _, qualified in _public_definitions()}
     assert ALLOWED <= defined
+
+
+def test_every_private_name_is_used_in_the_package():
+    code = _identifiers_of_the_code()
+    definitions = list(_private_definitions())
+    assert definitions
+    unused = [
+        f"{path.stem}.{name}"
+        for path, node, name in definitions
+        if not _named_elsewhere(name, path, node, code)
+    ]
+    assert unused == [], f"private but named only by its own definition: {unused}"

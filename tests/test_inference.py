@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -46,7 +47,14 @@ from treecrf.chart import (
 )
 from treecrf import scorer as scorer_module
 from treecrf.inference import _lse
-from treecrf.oracle import _structures, catalan, random_chart, random_partial_tree
+from treecrf.oracle import (
+    _structure_score_and_labels,
+    _structures,
+    brute_force_best_tree,
+    catalan,
+    random_chart,
+    random_partial_tree,
+)
 from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
 
 from conftest import zero_chart
@@ -633,12 +641,19 @@ def log_domain_reference(chart, mask=None, shift=None):
     return root + shift * (2 * n - 1), mu
 
 
-def wide_spread_probe(schema2):
-    """n = 3: leaves at 0, both width-2 cells at -800, the root at +900."""
+def wide_spread_probes(schema2):
+    """Two charts whose scores spread too far for the scaled pass.
+
+    n = 3: leaves at 0, both width-2 cells at -800, the root at +900;
+    n = 4: cells (0, 1) and (2, 3) at +800, (1, 2) and (0, 2) at -700.
+    """
     s = np.zeros((3, 3, 2))
     s[0, 1] = s[1, 2] = -800.0
     s[0, 2] = 900.0
-    return ScoreChart(pack_cells(s), schema2)
+    t = np.zeros((4, 4, 2))
+    t[0, 1] = t[2, 3] = 800.0
+    t[1, 2] = t[0, 2] = -700.0
+    return [ScoreChart(pack_cells(s), schema2), ScoreChart(pack_cells(t), schema2)]
 
 
 def log_passes(run):
@@ -720,8 +735,42 @@ class TestRange:
             with pytest.raises(NonFiniteLoss, match="batch position 1: "):
                 batch_loss_and_score_gradient([inner, outer], [ones] * 2)
 
+    def test_cky_both_sides_of_its_bound(self, schema2):
+        # max-plus on a constant chart of n = 3: the root is 5 x
+        bound = np.finfo(float).max / 5
+        inner = ScoreChart(np.full((6, 2), 0.99 * bound), schema2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.99 * bound, -0.99 * bound):
+                chart = ScoreChart(np.full((6, 2), x), schema2)
+                assert tree_score(chart, cky_decode(chart)) == pytest.approx(5 * x)
+            for x in (1.01 * bound, -1.01 * bound, 1.7e308):
+                outer = ScoreChart(np.full((6, 2), x), schema2)
+                with pytest.raises(NonFiniteLoss, match="batch position 0: CKY "):
+                    cky_decode(outer)
+                with pytest.raises(NonFiniteLoss, match="batch position 2: ") as error:
+                    batch_cky_decode([inner, inner, outer])
+                assert error.value.position == 2
+
+    def test_cky_on_wide_charts_equals_the_oracle(self, schema2):
+        # the wide-spread probes and raw charts drawn at scale 300: the
+        # decoded tree is the oracle's, and its score the oracle's best
+        rng = np.random.default_rng(37)
+        charts = wide_spread_probes(schema2) + [
+            ScoreChart(pack_cells(300.0 * rng.normal(size=(n, n, 2))), schema2)
+            for n in range(1, 8)
+        ]
+        for chart, tree in zip(charts, batch_cky_decode(charts)):
+            assert tree.nodes == cky_decode(chart).nodes
+            assert tree.nodes == brute_force_best_tree(chart).nodes
+            best = max(
+                _structure_score_and_labels(chart, structure)[0]
+                for structure in _structures(0, chart.n - 1)
+            )
+            assert tree_score(chart, tree) == best
+
     def test_wide_spread_probe(self, schema2):
-        chart = wide_spread_probe(schema2)
+        chart = wide_spread_probes(schema2)[0]
         ones = ChartMask(np.ones((6, 2)))
         assert inside(chart) == pytest.approx(104.15888308335946, rel=1e-12)
         assert masked_inside(chart, ones) == inside(chart)
@@ -740,7 +789,7 @@ class TestRange:
     def test_redone_charts_equal_their_batch_of_one(self, schema2):
         rng = np.random.default_rng(32)
         charts = [random_chart(n, schema2, rng) for n in (5, 3, 7)]
-        charts.insert(1, wide_spread_probe(schema2))
+        charts.insert(1, wide_spread_probes(schema2)[0])
         masks = [
             build_mask(classify_nodes(random_partial_tree(c.n, schema2, rng)), schema2)
             for c in charts
@@ -788,15 +837,20 @@ class TestAgainstLogDomainReference:
             )
 
     def test_wide_spread_probes(self, schema2):
-        charts = [wide_spread_probe(schema2)]
-        s = np.zeros((4, 4, 2))
-        s[0, 1] = s[2, 3] = 800.0
-        s[1, 2] = s[0, 2] = -700.0
-        charts.append(ScoreChart(pack_cells(s), schema2))
-        for chart in charts:
-            root, mu = log_domain_reference(chart)
-            assert inside(chart) == pytest.approx(root, rel=1e-12)
-            np.testing.assert_allclose(marginals(chart), mu, rtol=1e-12, atol=1e-300)
+        # unmasked, under the mask of a random partial tree and under an
+        # all-ones mask: the log redo's both halves and its one sweep
+        rng = np.random.default_rng(36)
+        for chart in wide_spread_probes(schema2):
+            sym = classify_nodes(random_partial_tree(chart.n, schema2, rng))
+            ones = ChartMask(np.ones_like(chart.cells))
+            for mask in (None, build_mask(sym, schema2), ones):
+                root, mu = log_domain_reference(chart, mask)
+                value = inside(chart) if mask is None else masked_inside(chart, mask)
+                assert value == pytest.approx(root, rel=1e-12)
+                assert log_passes(lambda: marginals(chart, mask)) == 1
+                np.testing.assert_allclose(
+                    marginals(chart, mask), mu, rtol=1e-12, atol=1e-300
+                )
 
 
 class TestBatchedMaskedInside:
