@@ -217,8 +217,9 @@ class ScoreChart:
 
     ``cells`` holds the span cells packed, ``(n(n+1)/2, L)`` (see
     :func:`pack_cells`), kept as given (not copied) and made read-only;
-    every one must be finite.  ``s`` is the ``(n, n, L)`` square, 0 below
-    the diagonal, built when first read.
+    every one must be finite.  ``peak`` is the largest ``|cell|``, which
+    the structured layer compares with its range.  ``s`` is the ``(n, n,
+    L)`` square, 0 below the diagonal, built when first read.
     """
 
     def __init__(self, cells: np.ndarray, schema: LabelSchema) -> None:
@@ -227,7 +228,8 @@ class ScoreChart:
             raise DimensionMismatch(
                 f"chart has {cells.shape[1]} labels, schema {schema.n_labels}"
             )
-        if not np.isfinite(cells).all():
+        self.peak = float(np.abs(cells).max(initial=0.0))
+        if not math.isfinite(self.peak):
             raise ValueError("non-finite score in a span cell")
         cells.flags.writeable = False
         self.cells = cells

@@ -49,7 +49,7 @@ class NonFiniteLoss(TreecrfError):
     """Span scores, their spread, or a training loss became NaN or infinite.
 
     ``position`` is the batch position of the sentence, when a batched
-    scorer forward raised it, else ``None``.
+    scorer forward or a structured entry point raised it, else ``None``.
     """
 
     def __init__(self, message: str, position: int | None = None):

@@ -46,24 +46,26 @@ the log semiring of the redo below are both additive, ``u + reduce_t
 (left_t + right_t)``: one seed and one split, made by :func:`_additive`
 from the semiring's reduction, serve them both.
 
-The range.  Every log value the inside pass forms is at most ``(2n - 1) S
-+ (2n - 1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s +
-log M|`` over the admitted labels (there are fewer than ``4^(n-1)``
-bracketings).  The kernel accepts a chart when that stays below the
-largest double, about 1.8e308; beyond it, a chart whose log values
-overflow raises :class:`~treecrf.errors.NonFiniteLoss` naming its batch
-position, never returning inf, NaN or a false -inf.  Within it, the scaled
-pass is exact, to rounding, for every chart whose values keep to a window
-of a double's exponent range, which :func:`_certified` checks: label
-exponentials and label parts of at least 2^-60, cells of at least 2^-400
-of their width's largest, offset factors of at least 2^-150.  Scorer
-charts, normalized to unit variance, keep well inside it.  The charts it
-does not certify, raw scores spread over hundreds of nats, are redone as
-one batch in the log semiring, exactly; so every chart's values are the
-ones it gets alone, whatever the batch.  A root is -inf only where the
-mask admits no full tree.  CKY's max-plus values are tree scores, at most
-``(2n - 1) max |s|`` in magnitude; a chart whose root overflows raises
-:class:`~treecrf.errors.NonFiniteLoss` naming its batch position too.
+The range.  Every log value a pass forms is at most ``(2n - 1) S + (2n -
+1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s + log M|``
+over the admitted labels (there are fewer than ``4^(n-1)`` bracketings).
+Every entry point first compares each chart's largest ``|s|``, its
+``peak``, with :func:`_score_limit`: the ``S`` at which that bound reaches
+the largest double, less 745 for ``log M`` of any positive mask weight.
+A chart beyond it raises :class:`~treecrf.errors.NonFiniteLoss` naming
+its batch position before any pass runs; within it no log value
+overflows, so a root is -inf only where the mask admits no full tree, and
+no pass looks for overflow.  Only a loss, the difference of two roots,
+can still overflow, and raises the same way.
+
+The scaled pass is exact, to rounding, for every chart whose values keep
+to a window of a double's exponent range, which :func:`_certified`
+checks: label exponentials and label parts of at least 2^-60, cells of at
+least 2^-400 of their width's largest, offset factors of at least
+2^-150.  Scorer charts, normalized to unit variance, keep well inside it.
+The charts it does not certify, raw scores spread over hundreds of nats,
+are redone as one batch in the log semiring, exactly; so every chart's
+values are the ones it gets alone, whatever the batch.
 
 Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
@@ -87,6 +89,8 @@ in the log domain as the reference the kernel is checked against.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -159,13 +163,30 @@ class FullTree:
                 due += [(m + 1, j), (i, m)]
 
 
+def _score_limit(n: int, labels: int) -> float:
+    """The largest ``|s|`` a chart of ``n`` tokens and ``labels`` labels may
+    hold: ``(DBL_MAX - (n - 1) log 4) / (2n - 1) - log L - 745``, less a
+    relative 1e-9 that covers the rounding of sums of ``2n - 1`` terms for
+    any ``n`` a chart fits in memory with."""
+    limit = (sys.float_info.max - (n - 1) * math.log(4)) / (2 * n - 1)
+    return (limit - math.log(labels) - 745) * (1 - 1e-9)
+
+
 def _check_batch(
-    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
+    charts: Sequence[ScoreChart],
+    masks: Sequence[ChartMask | None],
+    kernel: str = "the inside pass",
 ) -> None:
-    """Validate a batch of charts and their masks (``None``: unmasked)."""
+    """Validate a batch of charts and their masks (``None``: unmasked).
+
+    A chart whose ``peak`` exceeds :func:`_score_limit` raises
+    :class:`NonFiniteLoss` naming its batch position and the ``kernel``
+    that would overflow on it; within the limit no pass needs to look for
+    overflow.
+    """
     if len(charts) != len(masks):
         raise DimensionMismatch("need one mask per chart")
-    for chart, mask in zip(charts, masks):
+    for b, (chart, mask) in enumerate(zip(charts, masks)):
         if chart.n == 0:
             raise DegenerateChart("chart over zero tokens")
         if mask is not None and mask.cells.shape != chart.cells.shape:
@@ -175,6 +196,15 @@ def _check_batch(
             )
         if chart.cells.shape[1] != charts[0].cells.shape[1]:
             raise DimensionMismatch("charts in a batch must share a label count")
+        limit = _score_limit(chart.n, chart.cells.shape[1])
+        if chart.peak > limit:
+            detail = f"{chart.n} tokens, max |score| {chart.peak:.3e} > {limit:.3e}"
+            raise _overflow(b, f"{kernel} would overflow ({detail})")
+
+
+def _overflow(position: int, detail: str) -> NonFiniteLoss:
+    """The error for the chart or loss at batch ``position`` that overflows."""
+    return NonFiniteLoss(f"batch position {position}: {detail}", position=position)
 
 
 def _check_masked(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> None:
@@ -514,15 +544,6 @@ def _log_posteriors(p: _Pass) -> np.ndarray:
 _LOG = _additive(lambda x, axis: (_lse(x, axis),) * 2)
 
 
-def _admits(chart: ScoreChart, mask: ChartMask | None) -> bool:
-    """Whether some full tree has every node's cell admitted by the mask:
-    the log semiring on zero scores, whose root cannot overflow."""
-    if mask is None:
-        return True
-    zero = ScoreChart(np.zeros_like(chart.cells), chart.schema)
-    return bool(_root_values(_inside_pass([zero], [mask], _LOG))[0] > -np.inf)
-
-
 def _inside_pass(
     charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], semiring: _Semiring
 ) -> _Pass:
@@ -582,17 +603,16 @@ class _Inside(NamedTuple):
     log: _Pass | None
 
 
-def _inside(
-    charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None], sentences: int
-) -> _Inside:
+def _inside(charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]) -> _Inside:
     """The inside pass of a checked, non-empty batch and each chart's log root.
 
     The batch runs in the scaled real semiring; the charts that pass could
     not hold exactly (see :func:`_certified`) run again, as one batch, in
     the log semiring.  Each chart's values are therefore those it gets
-    alone.  A root is -inf only where the mask admits no full tree.  Chart
-    ``b`` is sentence ``b % sentences``; a chart whose log values overflow
-    raises :class:`NonFiniteLoss` naming that position.
+    alone.  The scaled pass may overflow on the charts it redoes, and a
+    log-sum-exp's shift may overflow to -inf (a term of 0); the checked
+    range keeps every log root finite, or -inf where the mask admits no
+    full tree.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = _inside_pass(charts, masks, _SCALED_REAL)
@@ -604,35 +624,18 @@ def _inside(
                 [charts[b] for b in redone], [masks[b] for b in redone], _LOG
             )
             roots[redone] = _root_values(log)
-        overflowed = [
-            b
-            for b in redone
-            if not np.isfinite(roots[b])
-            and (roots[b] != -np.inf or _admits(charts[b], masks[b]))
-        ]
-    if overflowed:
-        b = overflowed[0]
-        raise _overflow(charts[b], b % sentences, "the inside pass")
     return _Inside(p, roots, redone, log)
-
-
-def _overflow(chart: ScoreChart, position: int, kernel: str) -> NonFiniteLoss:
-    """The error for a chart at batch ``position`` whose ``kernel`` overflows."""
-    return NonFiniteLoss(
-        f"batch position {position}: {kernel} over {chart.n} tokens overflows "
-        f"(max |score| {np.abs(chart.cells).max():.3e})",
-        position=position,
-    )
 
 
 def _posteriors(inside: _Inside) -> np.ndarray:
     """Span-label posteriors of every packed cell of the batch, ``(cells, L)``."""
     if not inside.redone:
         return _scaled_posteriors(inside.scaled)
-    # the rows the log semiring redoes may hold any value
+    # the rows the log semiring redoes may hold any value in the scaled
+    # pass, and their log differences may overflow to -inf (a posterior of 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mu = _scaled_posteriors(inside.scaled)
-    redone = _log_posteriors(inside.log)
+        redone = _log_posteriors(inside.log)
     for b, slot in zip(inside.redone, inside.log.slots):
         mu[inside.scaled.slots[b]] = redone[slot]
     return mu
@@ -641,7 +644,7 @@ def _posteriors(inside: _Inside) -> np.ndarray:
 def inside(chart: ScoreChart) -> float:
     """Log partition function over all full labeled binary trees."""
     _check_batch([chart], [None])
-    return float(_inside([chart], [None], 1).roots[0])
+    return float(_inside([chart], [None]).roots[0])
 
 
 def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
@@ -652,7 +655,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     and a mask that admits no full tree gives -inf.
     """
     _check_masked([chart], [mask])
-    return float(_inside([chart], [mask], 1).roots[0])
+    return float(_inside([chart], [mask]).roots[0])
 
 
 def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
@@ -673,29 +676,53 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
     n = chart.n
     n_observed = chart.schema.n_observed
     beta = np.full((n, n), np.nan)
-    for w in range(1, n + 1):
-        for i in range(n - w + 1):
-            j = i + w - 1
-            kind = symbols.node_kind[i, j]
-            if kind == NodeKind.REJECTED:
-                beta[i, j] = -np.inf
-                continue
-            if kind == NodeKind.OBSERVED:
-                ks = list(symbols.observed_label[(i, j)])
-                a = _lse(s[i, j, ks], axis=0)
-            else:
-                a = _lse(s[i, j, n_observed:], axis=0)
-            if w == 1:
-                beta[i, j] = a
-            else:
-                cand = beta[i, i:j] + beta[i + 1 : j + 1, j]
-                beta[i, j] = a + _lse(cand, axis=0)
+    # a log-sum-exp's shift may overflow to -inf (a term of 0)
+    with np.errstate(over="ignore"):
+        for w in range(1, n + 1):
+            for i in range(n - w + 1):
+                j = i + w - 1
+                kind = symbols.node_kind[i, j]
+                if kind == NodeKind.REJECTED:
+                    beta[i, j] = -np.inf
+                    continue
+                if kind == NodeKind.OBSERVED:
+                    ks = list(symbols.observed_label[(i, j)])
+                    a = _lse(s[i, j, ks], axis=0)
+                else:
+                    a = _lse(s[i, j, n_observed:], axis=0)
+                if w == 1:
+                    beta[i, j] = a
+                else:
+                    cand = beta[i, i:j] + beta[i + 1 : j + 1, j]
+                    beta[i, j] = a + _lse(cand, axis=0)
     return float(beta[0, n - 1])
 
 
 def log_prob(chart: ScoreChart, mask: ChartMask) -> float:
-    """Log conditional probability of the partial tree the mask encodes."""
-    return masked_inside(chart, mask) - inside(chart)
+    """Log conditional probability of the partial tree the mask encodes:
+    ``masked_inside - inside``, both roots from one kernel call."""
+    _check_masked([chart], [mask])
+    # 0.0 - loss: +0.0, not -0.0, where the two roots are equal
+    return 0.0 - float(_losses(_inside([chart, chart], [None, mask]).roots)[0])
+
+
+def _losses(roots: np.ndarray) -> np.ndarray:
+    """``inside - masked_inside`` of each sentence, from the roots of every
+    unmasked chart and then every masked one.
+
+    A loss is inf where the mask admits no full tree; one that overflows
+    although its masked root is finite raises :class:`NonFiniteLoss`
+    naming its batch position.
+    """
+    count = len(roots) // 2
+    with np.errstate(over="ignore"):
+        losses = roots[:count] - roots[count:]
+    overflowed = np.flatnonzero(np.isinf(losses) & np.isfinite(roots[count:]))
+    if len(overflowed):
+        b = int(overflowed[0])
+        detail = f"inside {roots[b]:.3e}, masked inside {roots[count + b]:.3e}"
+        raise _overflow(b, f"the loss overflows ({detail})")
+    return losses
 
 
 def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> np.ndarray:
@@ -706,7 +733,7 @@ def marginals(chart: ScoreChart, mask: ChartMask | None = None) -> np.ndarray:
     Cells below the diagonal are zero.
     """
     _check_batch([chart], [mask])
-    mu = _posteriors(_inside([chart], [mask], 1))
+    mu = _posteriors(_inside([chart], [mask]))
     return unpack_cells(mu, chart.n)
 
 
@@ -740,12 +767,11 @@ def batch_loss_and_score_gradient(
     if not charts:
         return iter(())
     count = len(charts)
-    inside = _inside([*charts, *charts], [None] * count + list(masks), count)
+    inside = _inside([*charts, *charts], [None] * count + list(masks))
+    losses = _losses(inside.roots).tolist()
     mu = _posteriors(inside)
-    roots = inside.roots
     slots = inside.scaled.slots[:count]
     grad = mu[: slots[-1].stop] - mu[slots[-1].stop :]
-    losses = (roots[:count] - roots[count:]).tolist()
     return zip(losses, (grad[slot] for slot in slots))
 
 
@@ -767,18 +793,13 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
     its own root, through its chart's packed label argmax and its row of
     the split argmax of every width.  Max and argmax are exact, so every
     tree, ties included, is the one its chart gets alone.  The values are
-    tree scores, at most ``(2n - 1) max |s|`` in magnitude; a chart whose
-    root overflows raises :class:`NonFiniteLoss` naming its batch position.
+    tree scores, at most ``(2n - 1) max |s|`` in magnitude, which the
+    checked range keeps finite.
     """
-    _check_batch(charts, [None] * len(charts))
+    _check_batch(charts, [None] * len(charts), "CKY")
     if not charts:
         return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
-    finite = np.isfinite(_root_values(best)).tolist()
-    if not all(finite):
-        b = finite.index(False)  # the first chart whose root overflowed
-        raise _overflow(charts[b], b, "CKY")
+    best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
     # each chart's row of the flat chart, and the argmax as Python lists:
     # the walk reads one element per node
     labels = best.arg.tolist()
@@ -813,10 +834,12 @@ def tree_score(chart: ScoreChart, tree: FullTree) -> float:
     (node + (left subtree + right subtree)), so a decoded tree's score is
     bit-identical to the decoder's root value.  A stack evaluates the
     reversed preorder: a leaf pushes its potential, an internal node pops
-    its left and then its right subtree's score and pushes its own.
+    its left and then its right subtree's score and pushes its own.  The
+    chart must lie in the range CKY checks, which keeps the sum finite.
     """
     if tree.n != chart.n:
         raise DimensionMismatch(f"tree over {tree.n} tokens, chart over {chart.n}")
+    _check_batch([chart], [None], "tree_score")
     stack: list[float] = []
     for i, j, k in reversed(tree.nodes):
         v = chart.cells[packed_index(i, j, chart.n), k]
@@ -849,4 +872,4 @@ def batched_masked_inside(
     _check_masked(charts, masks)
     if not charts:
         return np.zeros(0)
-    return _inside(charts, masks, len(charts)).roots
+    return _inside(charts, masks).roots

@@ -24,12 +24,13 @@ The masks are built ahead of training by
 :func:`~treecrf.data.preprocess`, one length group at a time.
 
 Prediction decodes the chart of the same scorer forward.  :func:`predict`
-scores one sentence as a batch of one and decodes it.  :func:`batch_predict`, and so :func:`evaluate` and
-the dev evaluation after each epoch, scores and decodes consecutive
-sentences together, one ``forward_batch`` and one
-:func:`~treecrf.inference.batch_cky_decode` call per chunk whose padded
-span cells stay within ``DECODE_CHUNK_CELLS``; the trees are those of
-decoding each sentence alone.
+scores one sentence as a batch of one and decodes it.
+:func:`batch_predict`, and so :func:`evaluate` and the dev evaluation
+after each epoch, scores and decodes consecutive sentences together, one
+``forward_batch`` and one :func:`~treecrf.inference.batch_cky_decode`
+call per chunk whose padded span cells stay within
+``DECODE_CHUNK_CELLS``; the trees are those of decoding each sentence
+alone.
 
 Runs are bit-reproducible: the corpus split, parameter initialization, and
 the per-epoch shuffle all derive from ``TrainConfig.seed``, and batch
@@ -223,7 +224,7 @@ def _batch_gradient(
     score_grads = []
     for idx, chart, (loss, score_grad) in zip(batch, charts, results):
         if not np.isfinite(loss):
-            detail = f"loss: loss={loss}, max |score|={np.abs(chart.cells).max():.3e}"
+            detail = f"loss: loss={loss}, max |score|={chart.peak:.3e}"
             raise _diverged(idx, chart.n, detail)
         losses.append(loss)
         score_grads.append(score_grad)

@@ -715,15 +715,106 @@ class TestMasksThatAdmitNoTree:
 
 
 class TestRange:
-    """The kernel's range: log values up to the largest double.  A chart
-    beyond it raises, naming its batch position; within it, charts whose
-    scores spread too far for the scaled pass are redone exactly."""
+    """The structured layer's range: scores up to ``_score_limit(n, L)``,
+    which keeps every log value below the largest double.  Every entry
+    point checks it before any kernel call, and a chart beyond it raises,
+    naming its batch position; within it, every value is finite (or -inf
+    where a mask admits no tree), and charts whose scores spread too far
+    for the scaled pass are redone exactly."""
+
+    GRID = list(itertools.product((1, 2, 3, 7, 40), (2, 4, 8)))
+
+    @staticmethod
+    def _charts(n, L, x):
+        """Charts of all ``x``, of all ``-x`` and of ``x`` and ``-x``
+        alternating, and their schema."""
+        schema = LabelSchema(tuple(f"L{k}" for k in range(L - 1)), 1)
+        cells = n * (n + 1) // 2
+        signs = np.where(np.indices((cells, L)).sum(axis=0) % 2, 1.0, -1.0)
+        charts = [ScoreChart(np.full((cells, L), value), schema) for value in (x, -x)]
+        return charts + [ScoreChart(x * signs, schema)], schema
+
+    def test_the_limit(self):
+        for n, L in self.GRID:
+            bound = (np.finfo(float).max - (n - 1) * math.log(4)) / (2 * n - 1)
+            limit = inference_module._score_limit(n, L)
+            assert limit == pytest.approx(bound - math.log(L) - 745, rel=1e-8)
+            assert limit < bound - math.log(L) - 745
+
+    def test_every_entry_point_is_finite_at_the_limit(self):
+        # all ones and the smallest positive weight, which adds -744.4; the
+        # reference both on latent cells and on a root of every observed label
+        for n, L in self.GRID:
+            charts, schema = self._charts(n, L, inference_module._score_limit(n, L))
+            root = tuple(Span(0, n - 1, k) for k in range(L - 1))
+            symbols = [classify_nodes(PartialTree(n=n, entities=e)) for e in ((), root)]
+            cells = n * (n + 1) // 2
+            for chart, weight in itertools.product(charts, (1.0, 5e-324)):
+                mask = ChartMask(np.full((cells, L), weight))
+                with np.errstate(over="raise", invalid="raise"):
+                    tree = batch_cky_decode([chart])[0]
+                    values = [
+                        inside(chart),
+                        masked_inside(chart, mask),
+                        log_prob(chart, mask),
+                        *batched_masked_inside([chart, chart], [mask, mask]),
+                        tree_score(chart, tree),
+                        *(vanilla_partial_marginalization(chart, t) for t in symbols),
+                    ]
+                    loss, grad = loss_and_score_gradient(chart, mask)
+                    mu = marginals(chart), marginals(chart, mask)
+                assert np.isfinite(values + [loss]).all(), (n, L, weight)
+                assert np.isfinite(grad).all() and np.isfinite(mu).all()
+
+    def test_one_ulp_above_the_limit_raises_before_any_pass(self):
+        wrapped = inference_module._inside_pass
+        for n, L in self.GRID:
+            limit = inference_module._score_limit(n, L)
+            charts, schema = self._charts(n, L, np.nextafter(limit, np.inf))
+            inner = zero_chart(n, schema)
+            ones = [ChartMask(np.ones_like(inner.cells))] * 3
+            loss = batch_loss_and_score_gradient
+            tree = cky_decode(inner)
+            latent = classify_nodes(PartialTree(n=n, entities=()))
+            for chart in charts:
+                runs = [
+                    ("0: ", lambda: inside(chart)),
+                    ("1: ", lambda: batched_masked_inside([inner, chart], ones[:2])),
+                    ("2: ", lambda: loss([inner, inner, chart], ones)),
+                    ("1: CKY ", lambda: batch_cky_decode([inner, chart])),
+                    ("0: ", lambda: vanilla_partial_marginalization(chart, latent)),
+                    ("0: tree_score ", lambda: tree_score(chart, tree)),
+                ]
+                for position, run in runs:
+                    match = "batch position " + position
+                    with mock.patch.object(
+                        inference_module, "_inside_pass", wraps=wrapped
+                    ) as inside_pass, pytest.raises(NonFiniteLoss, match=match):
+                        run()
+                    assert inside_pass.call_count == 0, match
+
+    def test_a_loss_that_overflows_in_range_raises(self, schema2):
+        # one token: inside 1.7e308, masked inside -1.7e308, both in range;
+        # their difference is not, but the mask admits a tree
+        chart = ScoreChart(np.array([[1.7e308, -1.7e308]]), schema2)
+        mask = ChartMask(np.array([[0.0, 1.0]]))
+        assert masked_inside(chart, mask) == -1.7e308
+        with pytest.raises(NonFiniteLoss, match="batch position 0: ") as error:
+            loss_and_score_gradient(chart, mask)
+        assert error.value.position == 0
+        with pytest.raises(NonFiniteLoss, match="batch position 0: "):
+            log_prob(chart, mask)
+        inner = zero_chart(1, schema2)
+        with pytest.raises(NonFiniteLoss, match="batch position 1: ") as error:
+            batch_loss_and_score_gradient([inner, chart, inner], [mask] * 3)
+        assert error.value.position == 1
 
     def test_both_sides_of_the_overflow_bound(self, schema2):
         # a constant chart of n = 3: log Z = 5 x + log(2 * 2^5)
         bound = np.finfo(float).max / 5
         inner = ScoreChart(np.full((6, 2), 0.99 * bound), schema2)
         assert inside(inner) == pytest.approx(5 * 0.99 * bound, rel=1e-12)
+        latent = classify_nodes(PartialTree(n=3, entities=()))
         for x in (1.01 * bound, -1.01 * bound, 1.7e308):
             outer = ScoreChart(np.full((6, 2), x), schema2)
             with pytest.raises(NonFiniteLoss, match="batch position 0: "):
@@ -734,6 +825,8 @@ class TestRange:
             assert error.value.position == 2
             with pytest.raises(NonFiniteLoss, match="batch position 1: "):
                 batch_loss_and_score_gradient([inner, outer], [ones] * 2)
+            with pytest.raises(NonFiniteLoss, match="batch position 0: "):
+                vanilla_partial_marginalization(outer, latent)
 
     def test_cky_both_sides_of_its_bound(self, schema2):
         # max-plus on a constant chart of n = 3: the root is 5 x
@@ -751,6 +844,8 @@ class TestRange:
                 with pytest.raises(NonFiniteLoss, match="batch position 2: ") as error:
                     batch_cky_decode([inner, inner, outer])
                 assert error.value.position == 2
+                with pytest.raises(NonFiniteLoss, match="position 0: tree_score "):
+                    tree_score(outer, cky_decode(inner))
 
     def test_cky_on_wide_charts_equals_the_oracle(self, schema2):
         # the wide-spread probes and raw charts drawn at scale 300: the
