@@ -52,7 +52,8 @@ def below_diagonal(n: int) -> np.ndarray:
     Indexing a chart with its negation visits the span cells in the same
     row-major order as ``np.triu_indices(n)``.
     """
-    return np.tri(n, k=-1, dtype=bool)
+    j = np.arange(n, dtype=np.min_scalar_type(n))  # small types compare fastest
+    return j[:, None] > j
 
 
 def pack_cells(square: np.ndarray) -> np.ndarray:

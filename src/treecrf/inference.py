@@ -34,17 +34,20 @@ below the diagonal.  Each chart's result sits at its own root,
 ``(0, n_b - 1)``.  The pass's result, :class:`_Pass`, owns that layout.
 
 The inside pass runs in the scaled real semiring: the flat chart holds
-``beta~ = exp(beta - c[w])``, with one log offset per row and width.  The
-label part is one exp of every potential and one fused product with the
-mask weights and sum over the labels; the split part of width ``w`` is one
-fused product-sum, ``sum_t left_t * right_t * F_t``, with ``F_t =
-exp(c[t+1] + c[w-1-t] - max_t ...)`` one vector per row, after which each
-row's width is scaled to a max of 1.  CKY stays in the max-plus semiring,
-max and first argmax over labels and splits, so its trees and
-:func:`tree_score` are those of a plain max-plus recursion.  Max-plus and
-the log semiring of the redo below are both additive, ``u + reduce_t
-(left_t + right_t)``: one seed and one split, made by :func:`_additive`
-from the semiring's reduction, serve them both.
+``beta~ = exp(beta - kappa (2w - 1))`` at width ``w``, with one log offset
+``kappa`` per row and tree node.  A cell's label part and the two children
+of any of its splits hold ``2w - 1`` nodes between them, so the offsets
+cancel.  The label part is one exp of every potential and one fused
+product with the mask weights and sum over the labels; the split part of
+width ``w`` is one fused product-sum, ``u * sum_t left_t * right_t``.
+Every fourth width, a row whose largest cell at that width has left
+``2^(+-200)`` is rebased: its offset moves so that that cell is 1, and its
+cells are scaled to match.  CKY stays in the max-plus semiring, max and
+first argmax over labels and splits, so its trees and :func:`tree_score`
+are those of a plain max-plus recursion.  Max-plus and the log semiring of
+the redo below are both additive, ``u + reduce_t (left_t + right_t)``: one
+seed and one split, made by :func:`_additive` from the semiring's
+reduction, serve them both.
 
 The range.  Every log value a pass forms is at most ``(2n - 1) S + (2n -
 1) log L + (n - 1) log 4`` in magnitude, ``S`` the largest ``|s + log M|``
@@ -60,12 +63,12 @@ can still overflow, and raises the same way.
 
 The scaled pass is exact, to rounding, for every chart whose values keep
 to a window of a double's exponent range, which :func:`_certified`
-checks: label exponentials and label parts of at least 2^-60, cells of at
-least 2^-400 of their width's largest, offset factors of at least
-2^-150.  Scorer charts, normalized to unit variance, keep well inside it.
-The charts it does not certify, raw scores spread over hundreds of nats,
-are redone as one batch in the log semiring, exactly; so every chart's
-values are the ones it gets alone, whatever the batch.
+checks: label exponentials and label parts of at least 2^-60, scaled label
+parts of at least 2^-200 and every nonzero ``beta~`` within 2^(+-400).
+Scorer charts, normalized to unit variance, keep well inside it.  The
+charts it does not certify, raw scores spread over hundreds of nats, are
+redone as one batch in the log semiring, exactly; so every chart's values
+are the ones it gets alone, whatever the batch.
 
 Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
@@ -275,15 +278,16 @@ class _Pass:
     # per width w >= 2: how many rows, longest first, are at least w long,
     # and what the split keeps of them: the split argmax (CKY), or what the
     # one reverse sweep of both sum-product semirings reads, the split sums
-    # and offset factors (scaled real) or the split log-sum-exps (log)
+    # (scaled real) or the split log-sum-exps (log)
     rows: list[int] = field(default_factory=lambda: [0, 0])
     split: list = field(default_factory=lambda: [None, None])
     # sum-product: each chart's mask weights, packed like the potentials;
-    # scaled real: (rows, n + 1) log offsets of each width w at w, and each
-    # chart's smallest label exponential or nonzero label part
+    # scaled real: each chart's smallest label exponential or nonzero label
+    # part, and per row its log offset per node and the largest it held
     weights: np.ndarray | None = None
-    offsets: np.ndarray | None = None
     label_low: np.ndarray | None = None
+    offset: np.ndarray | None = None
+    offset_high: np.ndarray | None = None
 
 
 class _Semiring(NamedTuple):
@@ -292,7 +296,7 @@ class _Semiring(NamedTuple):
     ``seed(p, charts, masks)`` takes the label part of every span cell of
     the batch and writes it to the flat chart; ``split(p, rows, w)``
     combines the children of every split of the width-``w`` cells of the
-    first ``rows`` rows, reduces over the splits and settles the cells,
+    first ``rows`` rows, reduces over the splits and writes the cells,
     mirrors included.  Max-plus and the log semiring are both additive:
     one seed and one split, made by :func:`_additive` from the reduction,
     serve them.  The two sum-product semirings, scaled real and log, share
@@ -365,12 +369,19 @@ _MAX_PLUS = _additive(lambda x, axis: (x.max(axis), x.argmax(axis)))
 def _scaled_seed(
     p: _Pass, charts: Sequence[ScoreChart], masks: Sequence[ChartMask | None]
 ) -> None:
-    """Label parts ``u = sum_k m_k exp(s_k)`` in the scaled real semiring,
-    width 1 settled: one exp over every label of the batch and one fused
-    product with the mask weights and sum over the labels.
+    """Label parts ``u = sum_k m_k exp(s_k)`` in the scaled real semiring:
+    one exp over every label of the batch and one fused product with the
+    mask weights and sum over the labels, written to the flat chart as ``u
+    exp(-kappa)``.
 
-    ``p.label_low`` keeps each chart's smallest label exponential and
-    nonzero label part, for :func:`_certified`.
+    A chart's offset ``kappa`` is the mean of its ``log u``, each cell
+    weighted by its admitted mask weight ``sum_k m_k``, plus ``log 2``; a
+    tree has ``2n - 1`` nodes and fewer than ``4^(n - 1)`` bracketings, so
+    that keeps its cells near 1.  (Unweighted, the mean drifts on masked
+    charts, whose rejected cells may hold a smoothing weight.)
+    ``p.label_low`` keeps each chart's smallest label exponential or
+    nonzero label part, and ``p.offset_high`` the largest offset each row
+    holds, for :func:`_certified`.
     """
     _packed(p, charts, masks)
     q = np.exp(p.potentials, out=p.potentials)
@@ -378,50 +389,59 @@ def _scaled_seed(
     p.label_low = np.minimum.reduceat(np.where(p.value > 0.0, p.value, 1.0), p.starts)
     if q.min() < _LABEL_LOW:  # else no chart has so small a one
         np.minimum(p.label_low, [q[slot].min() for slot in p.slots], out=p.label_low)
+    admitted = np.einsum("ij->i", p.weights)
+    mean = np.add.reduceat(admitted * np.log(np.maximum(p.value, _TINY)), p.starts)
+    mean /= np.maximum(np.add.reduceat(admitted, p.starts), _TINY)
+    p.offset = (mean + math.log(2))[np.argsort(p.row)]  # in row order
+    p.offset_high = p.offset.copy()
     p.flat.ravel()[p.cells] = p.value
-    p.offsets = np.full((len(p.row), p.n + 1), np.nan)
-    upper, _ = _cells(p.flat, p.n, 1)
-    _settle(upper, 0.0, p.offsets[:, 1])
-
-
-def _settle(upper: np.ndarray, base: np.ndarray | float, offset: np.ndarray) -> None:
-    """Scale each row of one width's cells to a max of 1; ``offset`` gets
-    ``base`` plus the log of the scale.
-
-    A row whose cells at that width are all 0 keeps them, and the offset
-    -inf.  The cells are never negative; scaling by magnitude keeps a broken
-    kernel's values finite as well (see :func:`_scaled_read_out`).
-    """
-    scale = np.abs(upper).max(axis=1)
-    upper /= np.maximum(scale, _TINY)[:, None]
-    np.add(base, np.log(scale), out=offset)
+    p.flat *= np.exp(-p.offset)[:, None]
 
 
 def _scaled_split(p: _Pass, rows: int, w: int) -> None:
-    """The width-``w`` cells: ``u * sum_t left_t * right_t * F_t``, settled.
-
-    The children of split ``t`` are ``t + 1`` and ``w - 1 - t`` wide, so
-    their offsets add to ``c_t``; ``F_t = exp(c_t - max_t c_t)`` is one
-    vector per row, and one fused product-sum takes every split.
-    """
-    flat, offsets = p.flat[:rows], p.offsets[:rows]
-    factor = offsets[:, 1:w] + offsets[:, w - 1 : 0 : -1]
-    # -inf where every split is 0: the factors are then NaN, and the chart
-    # goes to the log semiring (see _inside)
-    top = factor.max(axis=1)
-    factor -= top[:, None]
-    np.exp(factor, out=factor)
-    left, right = _split_operands(flat, p.n, w)
-    total = np.einsum("bit,bit,bt->bi", left, right, factor)
-    p.split.append((total, factor))
+    """The width-``w`` cells: ``u * sum_t left_t * right_t``, by one fused
+    product-sum over every split; the offsets cancel, as the children of a
+    split hold ``2w - 2`` nodes.  Every ``_REBASE_EVERY`` widths,
+    :func:`_rebase` keeps each row's values in range."""
+    flat = p.flat[:rows]
+    total = np.einsum("bit,bit->bi", *_split_operands(flat, p.n, w))
+    p.split.append(total)
     upper, mirror = _cells(flat, p.n, w)
     upper *= total
-    _settle(upper, top, offsets[:, w])
     mirror[...] = upper
+    if w % _REBASE_EVERY == 0:
+        _rebase(p, upper, w)
+
+
+def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
+    """Raise the offset of each row whose width-``w`` cells' max ``M`` has
+    left ``2^(+-_REBASE_WINDOW)`` by ``d = log M / (2w - 1)``, making ``M``
+    1.
+
+    The row's cells of width ``v <= w`` are scaled by ``exp(-d (2v - 1))``,
+    its label parts still to come by ``exp(-d)`` and its kept split sums by
+    ``exp(-d (2v - 2))``.  Only the row's own values decide, so every
+    chart's values are those it gets alone.  A row whose max is 0, infinite
+    or NaN keeps its offset and is left to :func:`_certified`.
+    """
+    top = upper.max(axis=1)
+    # the binary exponent of 0, inf or NaN is 0
+    far = np.flatnonzero(np.abs(np.frexp(top)[1]) > _REBASE_WINDOW)
+    if len(far):
+        d = np.log(top[far]) / (2 * w - 1)
+        width = np.abs(np.subtract.outer(np.arange(p.n), np.arange(p.n))).ravel() + 1
+        # cells of width v <= w hold 2v - 1 nodes; a label part still to come, 1
+        nodes = np.where(width <= w, 2 * width - 1, 1)
+        p.flat[far, : p.n**2] *= np.exp(-np.outer(d, nodes))
+        for v in range(2, w + 1):
+            p.split[v][far] *= np.exp(-d * (2 * v - 2))[:, None]
+        p.offset[far] += d
+        np.maximum(p.offset_high, p.offset, out=p.offset_high)
 
 
 def _scaled_read_out(p: _Pass) -> np.ndarray:
-    """``log beta~ + offset`` at each root; -inf where ``beta~`` is 0.
+    """``log beta~ + (2 n_b - 1) kappa`` at each root; -inf where ``beta~``
+    is 0.
 
     ``beta~`` is never negative; a broken kernel's negative root reads as
     the smallest double, so that ``selfcheck --inject-fault`` sees a wrong
@@ -430,7 +450,7 @@ def _scaled_read_out(p: _Pass) -> np.ndarray:
     beta = _root_values(p)
     roots = np.full(len(beta), -np.inf)
     np.log(np.maximum(beta, _TINY), out=roots, where=beta != 0.0)
-    return roots + p.offsets[p.row, p.lengths]
+    return roots + (2 * p.lengths - 1) * p.offset[p.row]
 
 
 def _reverse_sweep(
@@ -455,8 +475,7 @@ def _reverse_sweep(
         rows = slice(0, p.rows[w])
         upper, mirror = _cells(g[rows], n, w)
         upper += mirror
-        left, right = _split_operands(flat[rows], n, w)
-        shares = share(left, right, p.split[w], upper)
+        shares = share(*_split_operands(flat[rows], n, w), p.split[w], upper)
         to_left, to_right = _split_operands(g[rows], n, w)
         to_left += shares
         to_right += shares
@@ -464,59 +483,54 @@ def _reverse_sweep(
 
 
 def _scaled_posteriors(p: _Pass) -> np.ndarray:
-    """Span-label posteriors ``mu = g * m exp(s - r) / u``, ``g`` from
+    """Span-label posteriors ``mu = g * m exp(s) / u``, ``g`` from
     :func:`_reverse_sweep`; the label exponentials become the posteriors in
     place, for the whole batch at once."""
 
-    def share(left, right, kept, g):
-        # left * right * F * g / total.  A cell whose split sum is 0 is
-        # itself 0, so it got no share and passes none on; the division is
-        # exact for every nonzero total the pass holds (at least 2^-1010).
-        total, factor = kept
+    def share(left, right, total, g):
+        # left * right * g / total.  A cell whose split sum is 0 is itself
+        # 0, so it got no share and passes none on; the division is exact
+        # for every nonzero total a certified pass holds (at least 2^-800).
         out = left * right
-        out *= factor[:, None, :]
-        out *= (g / (total + _TINY))[..., None]
-        return out
+        return np.multiply(out, (g / (total + _TINY))[..., None], out=out)
 
     g = _reverse_sweep(p, _root_values(p) > 0.0, share)
-    mu = p.potentials
-    mu *= p.weights
+    mu = np.multiply(p.potentials, p.weights, out=p.potentials)
     # a cell whose labels are all rejected got no share: 0 / TINY
     mu *= (g / (p.value + _TINY))[:, None]
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0, out=mu)
 
 
-# Inside: sum-product on beta~ = exp(beta - c), c a log offset per row and width.
+# Inside: sum-product on beta~ = exp(beta - kappa (2w - 1)) at width w, with
+# one log offset kappa per row and node.
 _SCALED_REAL = _Semiring(_scaled_seed, _scaled_split)
 
+# Every fourth width, a row whose max at that width has left 2^(+-200) is
+# rebased (the window is a binary exponent).
+_REBASE_EVERY, _REBASE_WINDOW = 4, 200
+
 # What the scaled real pass holds exactly: label exponentials and nonzero
-# label parts of at least 2^-60, nonzero beta~ of at least 2^-400 and offset
-# factors F_t of at least 2^-150.  Every product the pass forms then stays
-# above 2^-(60 + 2*400 + 150) = 2^-1010, so no value underflows and every 0
-# is a rejection.
-_LABEL_LOW, _CELL_LOW = 2.0**-60, 2.0**-400
-_SPREAD = 150 * np.log(2) / 2  # of d below, for F_t >= 2^-150
+# label parts of at least 2^-60, nonzero scaled label parts of at least
+# 2^-200, and nonzero beta~ within 2^(+-400).  Every product the pass and
+# its sweep form then stays within 2^(+-1000), so no value overflows or
+# underflows and every 0 is a rejection.
+_LABEL_LOW, _PART_LOW, _CELL_HIGH = 2.0**-60, 2.0**-200, 2.0**400
 
 
 def _certified(p: _Pass) -> np.ndarray:
     """Per chart: whether its scaled real pass stayed inside those bounds.
 
-    ``F_t >= exp(2 min d - 2 max d)`` for the offsets ``c_w = k (2w - 1) +
-    d_w`` of any slope ``k``, over the widths that hold a nonzero cell;
-    the slope through the root's offset keeps ``d`` small on charts whose
-    offsets grow about linearly.  A NaN anywhere fails the chart.
+    The scaled label parts are at least the chart's smallest label part
+    times ``exp(-kappa)`` for the largest offset its row held.  A NaN
+    anywhere fails the chart.
     """
     beta = p.flat.ravel()[p.cells]
-    low = np.minimum.reduceat(np.where(beta <= 0.0, 1.0, beta), p.starts)
-    # NaN at width 0 and past the chart's length; -inf at a width of 0s
-    offsets = p.offsets[p.row]
-    nodes = 2 * np.arange(p.n + 1) - 1
-    slope = offsets[np.arange(len(p.row)), p.lengths] / nodes[p.lengths]
-    d = offsets - np.outer(slope, nodes)
-    d[d == -np.inf] = np.nan
-    spread = np.fmax.reduce(d, axis=1) - np.fmin.reduce(d, axis=1)
-    return (p.label_low >= _LABEL_LOW) & (low >= _CELL_LOW) & (spread <= _SPREAD)
+    beta[beta == 0.0] = 1.0
+    low, high = (f.reduceat(beta, p.starts) for f in (np.minimum, np.maximum))
+    parts = p.label_low * np.exp(-p.offset_high[p.row])
+    cells = (low >= 1.0 / _CELL_HIGH) & (high <= _CELL_HIGH)
+    return cells & (p.label_low >= _LABEL_LOW) & (parts >= _PART_LOW)
 
 
 def _log_posteriors(p: _Pass) -> np.ndarray:
@@ -822,9 +836,8 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
 
 def extract_entities(tree: FullTree, schema: LabelSchema) -> list[Span]:
     """Tree nodes carrying observed labels, in document order."""
-    return [
-        Span(i, j, k) for i, j, k in tree.nodes if k < schema.n_observed
-    ]
+    n_observed = schema.n_observed
+    return [Span(i, j, k) for i, j, k in tree.nodes if k < n_observed]
 
 
 def tree_score(chart: ScoreChart, tree: FullTree) -> float:

@@ -20,7 +20,13 @@ from treecrf import (
     smoothed_masks,
     validate_annotation,
 )
-from treecrf.chart import _spans_cross, below_diagonal, pack_cells, unpack_cells
+from treecrf.chart import (
+    _spans_cross,
+    below_diagonal,
+    pack_cells,
+    span_positions,
+    unpack_cells,
+)
 from treecrf.errors import BadConfig, DimensionMismatch
 from treecrf.oracle import random_partial_tree
 
@@ -28,6 +34,27 @@ from treecrf.oracle import random_partial_tree
 def square(mask):
     """A mask's ``(n, n, L)`` square, 0 below the diagonal."""
     return unpack_cells(mask.cells, mask.n)
+
+
+class TestPackedLayout:
+    def test_below_diagonal_is_the_strict_lower_triangle(self):
+        for n in range(101):
+            mask = below_diagonal(n)
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, np.tri(n, k=-1, dtype=bool))
+
+    def test_span_positions_of_mixed_lengths(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            lengths = rng.integers(1, 30, size=rng.integers(1, 6)).tolist()
+            n = max(lengths) + int(rng.integers(0, 3))
+            expected = np.concatenate(
+                [
+                    b * n * n + np.ravel_multi_index(np.triu_indices(m), (n, n))
+                    for b, m in enumerate(lengths)
+                ]
+            )
+            np.testing.assert_array_equal(span_positions(lengths, n), expected)
 
 
 class TestLabelSchema:

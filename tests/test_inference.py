@@ -1,6 +1,9 @@
 import functools
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import warnings
 from unittest import mock
 
@@ -33,6 +36,7 @@ from treecrf import (
     mask_from_full_tree,
     masked_inside,
     smooth_mask,
+    train,
     tree_score,
     vanilla_partial_marginalization,
 )
@@ -43,10 +47,8 @@ from treecrf.chart import (
     below_diagonal,
     pack_cells,
     packed_index,
-    unpack_cells,
 )
 from treecrf import scorer as scorer_module
-from treecrf.inference import _lse
 from treecrf.oracle import (
     _structure_score_and_labels,
     _structures,
@@ -56,8 +58,9 @@ from treecrf.oracle import (
     random_partial_tree,
 )
 from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
+from treecrf.train import TrainConfig
 
-from conftest import zero_chart
+from conftest import log_domain_reference, log_passes, zero_chart
 
 LOG8 = math.log(8.0)
 LOG64 = math.log(64.0)
@@ -601,46 +604,6 @@ class TestNoModuleState:
         assert self._container_sizes() == before
 
 
-def log_domain_reference(chart, mask=None, shift=None):
-    """Log root and ``(n, n, L)`` marginals by a per-width log-sum-exp
-    inside and outside, rejected labels at -inf.
-
-    Every full tree has 2n - 1 nodes, so the marginals do not change when
-    every score drops by the same ``shift``; the one that makes the root 0
-    keeps the log values small, and their rounding with them.
-    """
-    n = chart.n
-    if shift is None:
-        root, _ = log_domain_reference(chart, mask, 0.0)
-        shift = root / (2 * n - 1) if np.isfinite(root) else 0.0
-    with np.errstate(divide="ignore"):
-        logm = 0.0 if mask is None else np.log(unpack_cells(mask.cells, n))
-    x = chart.s - shift + logm
-    a = _lse(x, axis=2)
-    beta = np.full((n, n), -np.inf)
-    beta[np.arange(n), np.arange(n)] = a[np.arange(n), np.arange(n)]
-    for w in range(2, n + 1):
-        i = np.arange(n - w + 1)[:, None]
-        t = np.arange(w - 1)[None, :]
-        split = _lse(beta[i, i + t] + beta[i + t + 1, i + w - 1], axis=1)
-        beta[i[:, 0], i[:, 0] + w - 1] = a[i[:, 0], i[:, 0] + w - 1] + split
-    root = beta[0, n - 1]
-    alpha = np.full((n, n), -np.inf)
-    alpha[0, n - 1] = 0.0
-    for w in range(n, 1, -1):
-        i = np.arange(n - w + 1)[:, None]
-        t = np.arange(w - 1)[None, :]
-        j = i + w - 1
-        parent = alpha[i, j] + a[i, j]
-        alpha[i, i + t] = np.logaddexp(alpha[i, i + t], parent + beta[i + t + 1, j])
-        alpha[i + t + 1, j] = np.logaddexp(alpha[i + t + 1, j], parent + beta[i, i + t])
-    cell = np.exp(alpha + beta - root)
-    label = np.exp(x - np.where(a > -np.inf, a, 0.0)[..., None])
-    mu = cell[..., None] * label
-    mu[below_diagonal(n)] = 0.0
-    return root + shift * (2 * n - 1), mu
-
-
 def wide_spread_probes(schema2):
     """Two charts whose scores spread too far for the scaled pass.
 
@@ -654,16 +617,6 @@ def wide_spread_probes(schema2):
     t[0, 1] = t[2, 3] = 800.0
     t[1, 2] = t[0, 2] = -700.0
     return [ScoreChart(pack_cells(s), schema2), ScoreChart(pack_cells(t), schema2)]
-
-
-def log_passes(run):
-    """How many times ``run`` redoes charts in the log semiring."""
-    with mock.patch.object(
-        inference_module, "_inside_pass", wraps=inference_module._inside_pass
-    ) as inside_pass:
-        run()
-    log = inference_module._LOG
-    return sum(call.args[2] is log for call in inside_pass.call_args_list)
 
 
 class TestMasksThatAdmitNoTree:
@@ -911,6 +864,120 @@ class TestRange:
         assert (
             log_passes(lambda: list(batch_loss_and_score_gradient(charts, masks))) == 0
         )
+
+
+def normalized_chart(n, schema, rng):
+    """Normal draws scaled to mean 0 and variance 1, as the scorer's charts."""
+    cells = rng.normal(size=(n * (n + 1) // 2, schema.n_labels))
+    return ScoreChart((cells - cells.mean()) / max(cells.std(), 1e-3), schema)
+
+
+def width_growing_chart(n, c, schema, rng):
+    """Scores ``c (j - i)`` plus noise: a cell's log inside value grows (or,
+    for ``c < 0``, falls) about as the square of its width, which no one
+    offset per node follows over every width."""
+    i, j = np.triu_indices(n)
+    noise = 0.3 * rng.normal(size=(len(i), schema.n_labels))
+    return ScoreChart(c * (j - i)[:, None] + noise, schema)
+
+
+def smoothed_random_masks(charts, schema, rng):
+    """Epsilon-smoothed masks of random partial trees, one per chart."""
+    symbols = [classify_nodes(random_partial_tree(c.n, schema, rng)) for c in charts]
+    return [smooth_mask(build_mask(s, schema), s, 0.01) for s in symbols]
+
+
+def rebases(run):
+    """How many rows the scaled passes of ``run`` rebase."""
+    count = 0
+    rebase = inference_module._rebase
+
+    def spy(p, upper, w):
+        nonlocal count
+        before = p.offset.copy()
+        rebase(p, upper, w)
+        count += int((p.offset != before).sum())
+
+    with mock.patch.object(inference_module, "_rebase", spy):
+        run()
+    return count
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, which builds its corpora."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestOffsets:
+    """The scaled pass's one log offset per row and node.  It holds every
+    chart the scaling per width held, and rebases a row whose values leave
+    its window at some width, exactly and from the row's own values."""
+
+    def test_normalized_charts_stay_in_the_scaled_pass(self, schema3):
+        # lengths 1-100 as one batch, then 300 and 1000; each unmasked and
+        # under a smoothed mask
+        rng = np.random.default_rng(40)
+        for lengths in (range(1, 101), [300], [1000]):
+            charts = [normalized_chart(n, schema3, rng) for n in lengths]
+            masks = smoothed_random_masks(charts, schema3, rng)
+            run = functools.partial(batch_loss_and_score_gradient, charts, masks)
+            assert log_passes(lambda: list(run())) == 0, max(lengths)
+
+    def test_training_corpora_stay_in_the_scaled_pass(self):
+        # one epoch on each of the benchmark's train-std and train-long corpora
+        workloads = benchmark_workloads()
+        for corpus in (workloads.std_corpus, workloads.long_corpus):
+            records = corpus(41)
+            run = functools.partial(train, records, TrainConfig(seed=0, epochs=1))
+            assert log_passes(run) == 0, corpus.__name__
+
+    @pytest.mark.parametrize("n, c", [(200, 0.02), (400, 0.01)])
+    def test_width_growing_charts_are_rebased_exactly(self, schema3, n, c):
+        rng = np.random.default_rng(41)
+        chart = width_growing_chart(n, c, schema3, rng)
+        assert rebases(lambda: inside(chart)) >= 2
+        assert log_passes(lambda: inside(chart)) == 0
+        # the root against the log semiring's; the marginals against the
+        # shifted reference, whose log values stay small
+        log = inference_module._inside_pass([chart], [None], inference_module._LOG)
+        root = float(inference_module._root_values(log)[0])
+        assert inside(chart) == pytest.approx(root, rel=1e-12)
+        _, mu = log_domain_reference(chart)
+        np.testing.assert_allclose(marginals(chart), mu, rtol=1e-12, atol=1e-300)
+
+    def test_batched_equals_alone_with_and_without_rebased_rows(self, schema3):
+        rng = np.random.default_rng(42)
+        plain = [normalized_chart(n, schema3, rng) for n in range(1, 101)]
+        rebased = [
+            width_growing_chart(80, 0.2, schema3, rng),
+            width_growing_chart(60, -0.2, schema3, rng),
+        ]
+        for charts in (plain, plain[:40] + rebased + plain[40:]):
+            masks = smoothed_random_masks(charts, schema3, rng)
+            run = functools.partial(batch_loss_and_score_gradient, charts, masks)
+            assert (rebases(lambda: list(run())) > 0) == (charts is not plain)
+            assert log_passes(lambda: list(run())) == 0
+            roots = batched_masked_inside(charts, masks)
+            for chart, mask, root, (loss, grad) in zip(charts, masks, roots, run()):
+                assert root == masked_inside(chart, mask)
+                expected_loss, expected_grad = loss_and_score_gradient(chart, mask)
+                assert loss == expected_loss
+                np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_all_ones_mask_reproduces_inside_bitwise(self, schema3):
+        rng = np.random.default_rng(43)
+        for c in (0.2, -0.2, 0.0):
+            chart = width_growing_chart(70, c, schema3, rng)
+            ones = ChartMask(np.ones_like(chart.cells))
+            assert (rebases(lambda: inside(chart)) > 0) == (c != 0.0)
+            assert masked_inside(chart, ones) == inside(chart)
+            np.testing.assert_array_equal(marginals(chart, ones), marginals(chart))
 
 
 class TestAgainstLogDomainReference:

@@ -21,7 +21,7 @@ from treecrf import (
     train,
     validate_annotation,
 )
-from treecrf.chart import ChartMask, unpack_cells
+from treecrf.chart import ChartMask, pack_cells, unpack_cells
 from treecrf.data import corpus_schema, corpus_vocab, preprocess, split_corpus
 from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
@@ -40,6 +40,8 @@ from treecrf.train import (
     adam_step,
     write_training_log,
 )
+
+from conftest import log_domain_reference
 
 
 def sentence_loss_and_grads(tokens, mask, params):
@@ -145,6 +147,13 @@ class TestOverfit:
             grads = tape._backward_raw([unpack_cells(sg, raw.n)[None]])
             adam_step(params.arrays(), grads, adam, 0.05)
         assert loss < 0.01
+        # the last raw chart spreads over thousands of nats; its loss and
+        # gradient are still exact
+        root, mu = log_domain_reference(raw)
+        masked_root, masked_mu = log_domain_reference(raw, example.mask)
+        assert loss == pytest.approx(root - masked_root, abs=1e-12 * abs(root))
+        expected = pack_cells(mu - masked_mu)
+        np.testing.assert_allclose(sg, expected, rtol=1e-12, atol=1e-12)
 
     def test_normalized_pipeline_predicts_gold_exactly(self):
         # variance-1 normalization bounds score gaps, so the loss plateaus
