@@ -392,8 +392,8 @@ def _scaled_seed(
     admitted = np.einsum("ij->i", p.weights)
     mean = np.add.reduceat(admitted * np.log(np.maximum(p.value, _TINY)), p.starts)
     mean /= np.maximum(np.add.reduceat(admitted, p.starts), _TINY)
-    p.offset = (mean + math.log(2))[np.argsort(p.row)]  # in row order
-    p.offset_high = p.offset.copy()
+    # in row order: each row's offset, and the largest it has held
+    p.offset, p.offset_high = np.tile((mean + math.log(2))[np.argsort(p.row)], (2, 1))
     p.flat.ravel()[p.cells] = p.value
     p.flat *= np.exp(-p.offset)[:, None]
 
@@ -414,7 +414,7 @@ def _scaled_split(p: _Pass, rows: int, w: int) -> None:
 
 
 def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
-    """Raise the offset of each row whose width-``w`` cells' max ``M`` has
+    """Move the offset of each row whose width-``w`` cells' max ``M`` has
     left ``2^(+-_REBASE_WINDOW)`` by ``d = log M / (2w - 1)``, making ``M``
     1.
 
@@ -422,7 +422,9 @@ def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
     its label parts still to come by ``exp(-d)`` and its kept split sums by
     ``exp(-d (2v - 2))``.  Only the row's own values decide, so every
     chart's values are those it gets alone.  A row whose max is 0, infinite
-    or NaN keeps its offset and is left to :func:`_certified`.
+    or NaN keeps its offset and is left to :func:`_certified`, and so is a
+    row that holds a nonzero cell outside the certified window when it is
+    rebased: its largest offset becomes NaN, which fails it.
     """
     top = upper.max(axis=1)
     # the binary exponent of 0, inf or NaN is 0
@@ -432,6 +434,10 @@ def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
         width = np.abs(np.subtract.outer(np.arange(p.n), np.arange(p.n))).ravel() + 1
         # cells of width v <= w hold 2v - 1 nodes; a label part still to come, 1
         nodes = np.where(width <= w, 2 * width - 1, 1)
+        # a row holding a cell outside the certified window fails: the
+        # scaling could take that cell to 0, or back inside
+        exponent = np.abs(np.frexp(p.flat[far, : p.n**2])[1]).max(axis=1)
+        p.offset_high[far[exponent > _CELL_EXPONENT]] = np.nan
         p.flat[far, : p.n**2] *= np.exp(-np.outer(d, nodes))
         for v in range(2, w + 1):
             p.split[v][far] *= np.exp(-d * (2 * v - 2))[:, None]
@@ -515,7 +521,7 @@ _REBASE_EVERY, _REBASE_WINDOW = 4, 200
 # 2^-200, and nonzero beta~ within 2^(+-400).  Every product the pass and
 # its sweep form then stays within 2^(+-1000), so no value overflows or
 # underflows and every 0 is a rejection.
-_LABEL_LOW, _PART_LOW, _CELL_HIGH = 2.0**-60, 2.0**-200, 2.0**400
+_LABEL_LOW, _PART_LOW, _CELL_EXPONENT = 2.0**-60, 2.0**-200, 400
 
 
 def _certified(p: _Pass) -> np.ndarray:
@@ -523,13 +529,15 @@ def _certified(p: _Pass) -> np.ndarray:
 
     The scaled label parts are at least the chart's smallest label part
     times ``exp(-kappa)`` for the largest offset its row held.  A NaN
-    anywhere fails the chart.
+    anywhere fails the chart.  Every cell is checked as it ends the pass,
+    and, in a row :func:`_rebase` scales, as it was before each rebase, so
+    the window held at every split.
     """
     beta = p.flat.ravel()[p.cells]
     beta[beta == 0.0] = 1.0
     low, high = (f.reduceat(beta, p.starts) for f in (np.minimum, np.maximum))
     parts = p.label_low * np.exp(-p.offset_high[p.row])
-    cells = (low >= 1.0 / _CELL_HIGH) & (high <= _CELL_HIGH)
+    cells = (low >= 2.0**-_CELL_EXPONENT) & (high <= 2.0**_CELL_EXPONENT)
     return cells & (p.label_low >= _LABEL_LOW) & (parts >= _PART_LOW)
 
 
@@ -583,8 +591,7 @@ def _inside_pass(
     # chart's row.
     count = len(charts)
     order = sorted(range(count), key=lambda b: -lengths[b])
-    row = np.empty(count, dtype=int)
-    row[order] = range(count)
+    row = np.argsort(order)
     stride = n * (n + 1) + 1
     cells = span_positions(lengths, n)
     cells += np.repeat(row * stride - np.arange(count) * n * n, sizes)

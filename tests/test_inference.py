@@ -970,6 +970,21 @@ class TestOffsets:
                 assert loss == expected_loss
                 np.testing.assert_array_equal(grad, expected_grad)
 
+    def test_a_rebase_never_hides_a_cell_outside_the_window(self, schema3):
+        # cell (0, 1) at 2^-1000, below the window, and cell (0, 3) at 2^300:
+        # the rebase at width 4 takes the first to 0, which alone would read
+        # as a rejection, so the row must fail the certificate
+        chart = normalized_chart(8, schema3, np.random.default_rng(44))
+        scaled = inference_module._SCALED_REAL
+        p = inference_module._inside_pass([chart], [None], scaled)
+        assert inference_module._certified(p).all()
+        p.flat[0, 1] = 2.0**-1000
+        upper, _ = inference_module._cells(p.flat, 8, 4)
+        upper[0, 0] = 2.0**300
+        inference_module._rebase(p, upper, 4)
+        assert p.flat[0, 1] == 0.0 and p.flat[0, 3] == pytest.approx(1.0)
+        assert not inference_module._certified(p).any()
+
     def test_all_ones_mask_reproduces_inside_bitwise(self, schema3):
         rng = np.random.default_rng(43)
         for c in (0.2, -0.2, 0.0):
