@@ -447,16 +447,9 @@ def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
 
 def _scaled_read_out(p: _Pass) -> np.ndarray:
     """``log beta~ + (2 n_b - 1) kappa`` at each root; -inf where ``beta~``
-    is 0.
-
-    ``beta~`` is never negative; a broken kernel's negative root reads as
-    the smallest double, so that ``selfcheck --inject-fault`` sees a wrong
-    finite value.
-    """
-    beta = _root_values(p)
-    roots = np.full(len(beta), -np.inf)
-    np.log(np.maximum(beta, _TINY), out=roots, where=beta != 0.0)
-    return roots + (2 * p.lengths - 1) * p.offset[p.row]
+    is 0.  The caller silences ``log(0)``; a root that is negative or not
+    finite fails :func:`_certified` and is redone."""
+    return np.log(_root_values(p)) + (2 * p.lengths - 1) * p.offset[p.row]
 
 
 def _reverse_sweep(

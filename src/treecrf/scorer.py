@@ -183,8 +183,6 @@ def init_params(vocab: Vocab, config: ScorerConfig, seed: int) -> ScorerParams:
     Arrays are drawn in ``PARAM_ORDER`` so the same seed always yields
     bit-identical parameters.
     """
-    if len(vocab) == 0:
-        raise BadConfig("empty vocabulary")
     d, h = config.embed_dim, config.hidden_dim
     h2 = config.half_dim
     n_labels = config.schema.n_labels

@@ -228,7 +228,6 @@ def _batch_gradient(
             raise _diverged(idx, chart.n, detail)
         losses.append(loss)
         score_grads.append(score_grad)
-    del results  # the structured layer's posteriors, before the backward pass
     grads = tape.backward(score_grads)
     scale = 1.0 / len(batch)
     for name in grads:
@@ -344,7 +343,6 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
     if not records:
         raise EmptyCorpus("cannot evaluate on an empty corpus")
     schema = params.config.schema
-    gold_n = pred_n = match_n = 0
     by_label: dict[str, list[int]] = {
         name: [0, 0, 0] for name in schema.observed_labels
     }
@@ -353,15 +351,14 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
         gold = _gold_spans(record, schema)
         pred = {(s.start, s.end, s.label) for s in spans}
         matched = gold & pred
-        gold_n += len(gold)
-        pred_n += len(pred)
-        match_n += len(matched)
         for i, j, k in gold:
             by_label[schema.observed_labels[k]][0] += 1
         for i, j, k in pred:
             by_label[schema.observed_labels[k]][1] += 1
         for i, j, k in matched:
             by_label[schema.observed_labels[k]][2] += 1
+    # every gold and predicted span carries an observed label
+    gold_n, pred_n, match_n = map(sum, zip(*by_label.values()))
     precision, recall, f1 = _prf(gold_n, pred_n, match_n)
     per_label = {}
     for name, (g, p, m) in by_label.items():

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -368,6 +371,66 @@ class TestPredictEval:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestInputBoundaries:
+    """Malformed model and corpus files exit 1, and an impossible corpus
+    request exits 2, each with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("short", "truncated model file"),
+            ("non-json", "corrupt header"),
+            ("trailing", "trailing bytes after parameter arrays"),
+        ],
+        ids=["shorter-than-16-bytes", "non-json-header", "trailing-payload"],
+    )
+    def test_broken_model_file(
+        self, model_path, corpus_path, tmp_path, capsys, kind, message
+    ):
+        blob = open(model_path, "rb").read()
+        (header_len,) = struct.unpack_from("<Q", blob, 8)
+        header, payload = blob[16 : 16 + header_len], blob[16 + header_len :]
+        if kind == "short":
+            blob = blob[:15]
+        elif kind == "non-json":
+            blob = blob[:16] + b"{" * header_len + payload
+        else:
+            # one more double, under a checksum that covers it
+            payload += bytes(8)
+            fields = json.loads(header)
+            fields["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+            header = json.dumps(fields, sort_keys=True).encode("utf-8")
+            blob = blob[:8] + struct.pack("<Q", len(header)) + header + payload
+        bad = tmp_path / "bad.tcrf"
+        bad.write_bytes(blob)
+        assert main(["eval", "--model", str(bad), "--data", corpus_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entity, message",
+        [
+            ('{"start":0,"end":1.5,"label":"X"}', 'entity field "end" must be an integer'),
+            ('{"start":0,"end":1,"label":""}', 'entity field "label" must be a non-empty string'),
+            ('{"start":-1,"end":1,"label":"X"}', 'entity field "start" is negative (-1)'),
+        ],
+        ids=["non-integer-end", "empty-label", "negative-start"],
+    )
+    def test_bad_corpus_entity(self, model_path, tmp_path, capsys, entity, message):
+        bad = tmp_path / "bad.jsonl"
+        good = '{"entities":[],"tokens":["a"]}'
+        bad.write_text(f'{good}\n{{"tokens":["a","b"],"entities":[{entity}]}}\n')
+        assert main(["eval", "--model", model_path, "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+    def test_gen_too_small_for_every_type(self, tmp_path, capsys):
+        argv = ["--sentences", "1", "--types", "5", "--max-length", "6", "--depth", "1"]
+        assert main(["gen", "--out", str(tmp_path / "c.jsonl"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: corpus too small to cover every entity type\n"
+
+
 class TestSelfcheck:
     def test_fresh_checkout_passes(self, capsys):
         rc = main(["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"])
@@ -407,6 +470,29 @@ class TestSelfcheck:
     def test_oracle_guard(self):
         assert main(["selfcheck", "--max-n", "9"]) == 2
 
+    def test_nan_inside_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(treecrf.cli, "inside", lambda chart: np.nan)
+        rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert (
+            "FAIL  inside equals enumerated log-partition: 6 cases, 6 failures, "
+            "worst error nan"
+        ) in out
+
+    def test_nan_masked_marginals_fail(self, capsys, monkeypatch):
+        # the masked posteriors are the last of the row's four errors
+        marginals = treecrf.cli.marginals
+
+        def nan_when_masked(chart, mask=None):
+            mu = marginals(chart, mask)
+            return mu if mask is None else np.full_like(mu, np.nan)
+
+        monkeypatch.setattr(treecrf.cli, "marginals", nan_when_masked)
+        rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
+        assert rc == 1
+        assert "FAIL  marginal identities" in capsys.readouterr().out
+
 
 class TestBench:
     def test_small_bench_agrees_and_reports(self, capsys):
@@ -432,6 +518,18 @@ class TestBench:
             disc = float(line.split(",")[6])
             assert disc <= 1e-6
         assert "summary:" in captured.err
+
+    def test_nan_discrepancy_voids_the_benchmark(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            treecrf.cli,
+            "batched_masked_inside",
+            lambda charts, masks: np.full(len(charts), np.nan),
+        )
+        argv = ["--batch", "4", "--length", "6", "--labels", "3", "--repeats", "2"]
+        assert main(["bench", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "max value discrepancy nan" in err
+        assert "error: the two paths disagree" in err
 
     def test_nonpositive_sizes_usage_error(self):
         assert main(["bench", "--batch", "0"]) == 2

@@ -23,7 +23,12 @@ from treecrf import (
     write_corpus,
 )
 from treecrf.chart import build_mask, classify_nodes, smooth_mask
-from treecrf.data import _gen_sentence, nesting_depths, record_to_line
+from treecrf.data import (
+    _coverage_sentence,
+    _gen_sentence,
+    nesting_depths,
+    record_to_line,
+)
 
 
 class TestCorpusIO:
@@ -224,6 +229,25 @@ class TestGenSynthetic:
         labels = {e.label for r in records for e in r.entities}
         assert labels == {"E0", "E1", "E2"}
         assert any(2 in nesting_depths(r) for r in records)
+
+    def test_missing_types_get_coverage_sentences(self, monkeypatch):
+        # the three draws hold E0, E1 and E2 but no E3, so coverage
+        # templates replace the tail
+        made = []
+
+        def spy(types):
+            made.append(types)
+            return _coverage_sentence(types)
+
+        monkeypatch.setattr("treecrf.data._coverage_sentence", spy)
+        config = SynthConfig(
+            num_sentences=3, num_entity_types=4, max_length=9, seed=3
+        )
+        records = gen_synthetic(config)
+        assert made
+        assert len(records) == 3
+        labels = {e.label for r in records for e in r.entities}
+        assert labels == {"E0", "E1", "E2", "E3"}
 
     @pytest.mark.parametrize(
         "config, digest",

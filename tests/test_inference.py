@@ -167,6 +167,16 @@ class TestMaskedInside:
         with pytest.raises(DimensionMismatch):
             masked_inside(zero_chart(2, schema2), ChartMask(np.zeros((6, 2))))
 
+    def test_length_mismatch_of_tree_and_symbols(self, schema3):
+        rng = np.random.default_rng(3)
+        chart = random_chart(4, schema3, rng)
+        tree = cky_decode(random_chart(3, schema3, rng))
+        symbols = classify_nodes(random_partial_tree(3, schema3, rng))
+        with pytest.raises(DimensionMismatch, match="symbols over 3 tokens"):
+            vanilla_partial_marginalization(chart, symbols)
+        with pytest.raises(DimensionMismatch, match="tree over 3 tokens"):
+            tree_score(chart, tree)
+
     def test_upper_bound_for_arbitrary_masks(self, schema3):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -917,7 +927,9 @@ def benchmark_workloads():
 class TestOffsets:
     """The scaled pass's one log offset per row and node.  It holds every
     chart the scaling per width held, and rebases a row whose values leave
-    its window at some width, exactly and from the row's own values."""
+    its window at some width, exactly and from the row's own values.
+    Normalized charts stay in the scaled pass up to n = 600, masked or not;
+    at n = 1000 some draws are redone in the log semiring."""
 
     def test_normalized_charts_stay_in_the_scaled_pass(self, schema3):
         # lengths 1-100 as one batch, then 300 and 1000; each unmasked and
@@ -928,6 +940,25 @@ class TestOffsets:
             masks = smoothed_random_masks(charts, schema3, rng)
             run = functools.partial(batch_loss_and_score_gradient, charts, masks)
             assert log_passes(lambda: list(run())) == 0, max(lengths)
+        # fresh draws at 300 and 600, each chart with its own seed
+        for n, seeds in ((300, range(4)), (600, range(3))):
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                charts = [normalized_chart(n, schema3, rng)]
+                masks = smoothed_random_masks(charts, schema3, rng)
+                run = functools.partial(batch_loss_and_score_gradient, charts, masks)
+                assert log_passes(lambda: list(run())) == 0, (n, seed)
+
+    def test_a_redone_n1000_chart_keeps_its_root(self, schema3):
+        # a masked n = 1000 draw that holds a cell beyond 2^+-400 before a
+        # rebase: its root is the log semiring's, whichever pass gives it
+        rng = np.random.default_rng(1006)
+        chart = normalized_chart(1000, schema3, rng)
+        (mask,) = smoothed_random_masks([chart], schema3, rng)
+        with np.errstate(divide="ignore"):  # log of a rejected label's 0
+            log = inference_module._inside_pass([chart], [mask], inference_module._LOG)
+        root = float(inference_module._root_values(log)[0])
+        assert masked_inside(chart, mask) == pytest.approx(root, rel=1e-12)
 
     def test_training_corpora_stay_in_the_scaled_pass(self):
         # one epoch on each of the benchmark's train-std and train-long corpora
