@@ -81,11 +81,15 @@ the packed label exponentials of the whole batch into posteriors in
 place.  That sweep, :func:`_reverse_sweep`, serves both sum-product
 semirings, given the share of a cell that each split passes to its
 children; each semiring keeps its own label step.
-:func:`batch_loss_and_score_gradient` runs every sentence's unmasked and
-masked charts through that pair as one batch and subtracts the two halves
-once, so its values equal ``inside - masked_inside`` and the difference
-of the two :func:`marginals` bit for bit; only :func:`marginals` unpacks
-its result into an ``(n, n, L)`` square.
+:func:`batch_loss_and_score_gradient` runs the sentences longest first in
+consecutive blocks within ``DECODE_CHUNK_CELLS`` padded cells, the one
+bound that also caps a decode chunk of :func:`treecrf.train.batch_predict`.
+Each block's unmasked and masked charts run through that pair as one
+batch, and the two halves are subtracted once per block.  A chart's values
+do not depend on its batch, so every loss and gradient equals the
+sentence's alone, ``inside - masked_inside`` and the difference of the two
+:func:`marginals`, bit for bit; only :func:`marginals` unpacks its result
+into an ``(n, n, L)`` square.
 :func:`vanilla_partial_marginalization` keeps its own cell-by-cell loop
 in the log domain as the reference the kernel is checked against.
 """
@@ -112,6 +116,14 @@ from .chart import (
     unpack_cells,
 )
 from .errors import DegenerateChart, DimensionMismatch, NonFiniteLoss
+
+# The one bound on the padded chart of a kernel call cut from a larger
+# batch: a block of batch_loss_and_score_gradient (two rows per sentence)
+# and a decode chunk of train.batch_predict (one row per sentence) grow
+# while their rows times the span cells n (n + 1) / 2 of their longest
+# sentence stay within this many cells; a longer sentence runs alone.
+# Either way every value is the one the sentence gets alone.
+DECODE_CHUNK_CELLS = 2**15
 
 # Smallest positive double; lets log() skip the undefined log(0) lanes
 # without an errstate context (the -inf branch is selected separately), and
@@ -282,8 +294,9 @@ class _Pass:
     rows: list[int] = field(default_factory=lambda: [0, 0])
     split: list = field(default_factory=lambda: [None, None])
     # sum-product: each chart's mask weights, packed like the potentials;
-    # scaled real: each chart's smallest label exponential or nonzero label
-    # part, and per row its log offset per node and the largest it held
+    # scaled real: each chart's smallest nonzero label part (or a label
+    # exponential below _LABEL_LOW), and per row its log offset per node
+    # and the largest it held
     weights: np.ndarray | None = None
     label_low: np.ndarray | None = None
     offset: np.ndarray | None = None
@@ -379,16 +392,19 @@ def _scaled_seed(
     tree has ``2n - 1`` nodes and fewer than ``4^(n - 1)`` bracketings, so
     that keeps its cells near 1.  (Unweighted, the mean drifts on masked
     charts, whose rejected cells may hold a smoothing weight.)
-    ``p.label_low`` keeps each chart's smallest label exponential or
-    nonzero label part, and ``p.offset_high`` the largest offset each row
-    holds, for :func:`_certified`.
+    ``p.label_low`` keeps each chart's smallest nonzero label part, or its
+    smallest label exponential where that is below ``_LABEL_LOW``, which
+    fails the chart; so whether a chart is certified does not depend on
+    its batch.  ``p.offset_high`` keeps the largest offset each row holds,
+    for :func:`_certified`.
     """
     _packed(p, charts, masks)
     q = np.exp(p.potentials, out=p.potentials)
     p.value = np.einsum("ij,ij->i", q, p.weights)
     p.label_low = np.minimum.reduceat(np.where(p.value > 0.0, p.value, 1.0), p.starts)
     if q.min() < _LABEL_LOW:  # else no chart has so small a one
-        np.minimum(p.label_low, [q[slot].min() for slot in p.slots], out=p.label_low)
+        exps = np.array([q[slot].min() for slot in p.slots])
+        p.label_low[exps < _LABEL_LOW] = exps[exps < _LABEL_LOW]
     admitted = np.einsum("ij->i", p.weights)
     mean = np.add.reduceat(admitted * np.log(np.maximum(p.value, _TINY)), p.starts)
     mean /= np.maximum(np.add.reduceat(admitted, p.starts), _TINY)
@@ -769,24 +785,55 @@ def batch_loss_and_score_gradient(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """:func:`loss_and_score_gradient` of each sentence, in input order.
 
-    Every sentence's unmasked chart and then every sentence's masked
-    chart, whatever their lengths, run through the kernel as one batch, so
-    every value is bit-identical to ``inside - masked_inside`` and to the
-    difference of the two :func:`marginals` at the span cells.  The whole
-    batch's packed gradient is one subtraction of the two halves of the
+    After one check of the whole batch, the sentences run longest first in
+    consecutive blocks, each within the padded cells of
+    ``DECODE_CHUNK_CELLS`` (see :func:`_blocks`).  Each block's unmasked
+    and then masked charts run through the kernel as one batch, and its
+    packed gradient is one subtraction of the two halves of the
     posteriors, after which the pass's buffers are released; each
     sentence's gradient is a view of it, shaped like its ``chart.cells``.
+    A chart's values do not depend on its batch, so every value is
+    bit-identical to the sentence alone, to ``inside - masked_inside`` and
+    to the difference of the two :func:`marginals` at the span cells.  The
+    losses are taken once, in input order, so a loss that overflows is
+    named by its position in ``charts``.
     """
     _check_masked(charts, masks)
-    if not charts:
-        return iter(())
+    count = len(charts)
+    roots = np.empty((2, count))
+    grads: list[np.ndarray | None] = [None] * count
+    for block in _blocks(charts):
+        roots[:, block], block_grads = _block_gradients(
+            [charts[b] for b in block], [masks[b] for b in block]
+        )
+        for b, grad in zip(block, block_grads):
+            grads[b] = grad
+    return zip(_losses(roots.ravel()).tolist(), grads)
+
+
+def _blocks(charts: Sequence[ScoreChart]) -> Iterator[list[int]]:
+    """Batch positions, longest chart first in a stable order, cut into
+    consecutive blocks.  A block grows while its rows, an unmasked and a
+    masked one per sentence, times the span cells of its longest (first)
+    chart stay within ``DECODE_CHUNK_CELLS``; a longer chart runs alone."""
+    order = sorted(range(len(charts)), key=lambda b: -charts[b].n)
+    while order:
+        size = max(1, DECODE_CHUNK_CELLS // (2 * len(charts[order[0]].cells)))
+        yield order[:size]
+        order = order[size:]
+
+
+def _block_gradients(
+    charts: Sequence[ScoreChart], masks: Sequence[ChartMask]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The roots, ``(2, B)`` unmasked over masked, and each sentence's
+    packed score gradient, of one checked block run as one batch."""
     count = len(charts)
     inside = _inside([*charts, *charts], [None] * count + list(masks))
-    losses = _losses(inside.roots).tolist()
     mu = _posteriors(inside)
     slots = inside.scaled.slots[:count]
     grad = mu[: slots[-1].stop] - mu[slots[-1].stop :]
-    return zip(losses, (grad[slot] for slot in slots))
+    return inside.roots.reshape(2, count), [grad[slot] for slot in slots]
 
 
 def cky_decode(chart: ScoreChart) -> FullTree:

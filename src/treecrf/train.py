@@ -10,10 +10,13 @@ Each minibatch is one step in three calls: one
 :func:`~treecrf.scorer.forward_batch`, which gives every sentence's
 normalized score chart and one tape for the minibatch, one
 :func:`~treecrf.inference.batch_loss_and_score_gradient` call that runs
-the structured layer of the whole minibatch through the chart kernel at
-once, and one ``tape.backward``, which sums the sentences' parameter
-gradients in batch order.  The values equal those of running the
-sentences one by one (bit for bit at the default scorer dimensions; see
+the structured layer of the whole minibatch through the chart kernel in
+length-sorted blocks, and one ``tape.backward``, which sums the
+sentences' parameter gradients in batch order.  Each block's padded span
+cells stay within ``DECODE_CHUNK_CELLS``, the one bound that also caps a
+decode chunk (below); a train-std minibatch of 16 sentences of up to 20
+tokens is one block.  The values equal those of running the sentences one
+by one (bit for bit at the default scorer dimensions; see
 :mod:`treecrf.scorer`).  Scores, masks and score gradients pass between
 the three as packed span cells, ``(n(n+1)/2, L)`` per sentence (see
 :func:`~treecrf.chart.pack_cells`); the only squares on the way are the
@@ -29,8 +32,8 @@ scores one sentence as a batch of one and decodes it.
 after each epoch, scores and decodes consecutive sentences together, one
 ``forward_batch`` and one :func:`~treecrf.inference.batch_cky_decode`
 call per chunk whose padded span cells stay within
-``DECODE_CHUNK_CELLS``; the trees are those of decoding each sentence
-alone.
+``DECODE_CHUNK_CELLS`` (defined in :mod:`treecrf.inference`); the trees
+are those of decoding each sentence alone.
 
 Runs are bit-reproducible: the corpus split, parameter initialization, and
 the per-epoch shuffle all derive from ``TrainConfig.seed``, and batch
@@ -62,6 +65,7 @@ from .errors import BadConfig, EmptyCorpus, NonFiniteLoss
 # loss_and_score_gradient is re-exported: the per-sentence step is looked
 # up here by callers that check a trained model sentence by sentence.
 from .inference import (  # noqa: F401
+    DECODE_CHUNK_CELLS,
     batch_cky_decode,
     batch_loss_and_score_gradient,
     cky_decode,
@@ -79,12 +83,6 @@ from .scorer import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Bound on one batch_cky_decode call of batch_predict and evaluate: a chunk
-# of consecutive sentences is decoded together while its size times the
-# span cells n (n + 1) / 2 of its longest sentence, the padded chart the
-# kernel holds, stays within this many cells.  A longer sentence goes alone.
-DECODE_CHUNK_CELLS = 2**15
 
 
 @dataclass(frozen=True)

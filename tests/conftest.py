@@ -65,11 +65,20 @@ def log_domain_reference(chart, mask=None, shift=None):
     return root + shift * (2 * n - 1), mu
 
 
-def log_passes(run):
-    """How many times ``run`` redoes charts in the log semiring."""
+def _passes(run, semiring):
+    """How many inside passes in ``semiring`` ``run`` makes."""
     with mock.patch.object(
         inference_module, "_inside_pass", wraps=inference_module._inside_pass
     ) as inside_pass:
         run()
-    log = inference_module._LOG
-    return sum(call.args[2] is log for call in inside_pass.call_args_list)
+    return sum(call.args[2] is semiring for call in inside_pass.call_args_list)
+
+
+def log_passes(run):
+    """How many times ``run`` redoes charts in the log semiring."""
+    return _passes(run, inference_module._LOG)
+
+
+def scaled_passes(run):
+    """How many kernel batches ``run`` makes: one scaled real pass each."""
+    return _passes(run, inference_module._SCALED_REAL)

@@ -49,6 +49,7 @@ from treecrf.chart import (
     packed_index,
 )
 from treecrf import scorer as scorer_module
+from treecrf.data import corpus_schema, corpus_vocab, preprocess
 from treecrf.oracle import (
     _structure_score_and_labels,
     _structures,
@@ -60,7 +61,7 @@ from treecrf.oracle import (
 from treecrf.scorer import ScorerConfig, Vocab, forward_batch, init_params
 from treecrf.train import TrainConfig
 
-from conftest import log_domain_reference, log_passes, zero_chart
+from conftest import log_domain_reference, log_passes, scaled_passes, zero_chart
 
 LOG8 = math.log(8.0)
 LOG64 = math.log(64.0)
@@ -772,6 +773,26 @@ class TestRange:
             batch_loss_and_score_gradient([inner, chart, inner], [mask] * 3)
         assert error.value.position == 1
 
+    def test_the_first_overflowing_loss_in_input_order_is_named(self, schema2):
+        # five zero charts of n = 100 cut the batch into blocks of three:
+        # positions 0, 2, 3; then 4, 5 and the n = 2 overflow at 6; then the
+        # 1-token overflow at 1, alone in the last block.  Its position in
+        # the input is named, not the block's first overflow, nor a
+        # position in its block or in the longest-first order
+        first = ScoreChart(np.array([[1.7e308, -1.7e308]]), schema2)
+        x = 0.99 * inference_module._score_limit(2, 2)
+        second = ScoreChart(np.tile([x, -x], (3, 1)), schema2)
+        inner = zero_chart(100, schema2)
+        charts = [inner, first, inner, inner, inner, inner, second]
+        masks = [ChartMask(np.tile([0.0, 1.0], (len(c.cells), 1))) for c in charts]
+        blocks = list(inference_module._blocks(charts))
+        assert blocks == [[0, 2, 3], [4, 5, 6], [1]]
+        with pytest.raises(NonFiniteLoss, match="batch position 0: the loss "):
+            loss_and_score_gradient(second, masks[6])
+        with pytest.raises(NonFiniteLoss, match="batch position 1: the loss ") as error:
+            batch_loss_and_score_gradient(charts, masks)
+        assert error.value.position == 1
+
     def test_both_sides_of_the_overflow_bound(self, schema2):
         # a constant chart of n = 3: log Z = 5 x + log(2 * 2^5)
         bound = np.finfo(float).max / 5
@@ -843,6 +864,26 @@ class TestRange:
         root, mu = log_domain_reference(chart)
         assert inside(chart) == pytest.approx(root, rel=1e-12)
         np.testing.assert_allclose(marginals(chart), mu, rtol=1e-12, atol=1e-300)
+
+    def test_a_chart_is_redone_or_not_as_it_is_alone(self, schema2):
+        # a leaf of scores 100 and -41: every label exponential is at least
+        # 2^-60, and its scaled label part is 1/2, so it stays in the scaled
+        # pass; next to a chart whose label exponential e^-50 is below
+        # 2^-60 it must too, with the bits it gets alone
+        chart = ScoreChart(np.array([[100.0, -41.0]]), schema2)
+        other = ScoreChart(np.array([[0.0, -50.0]]), schema2)
+        mask = ChartMask(np.array([[1.0, 0.5]]))
+        masks = [mask, ChartMask(np.ones((1, 2)))]
+        assert log_passes(lambda: masked_inside(chart, mask)) == 0
+        assert log_passes(lambda: masked_inside(other, masks[1])) == 1
+        for b, charts in ((0, [chart, other]), (1, [other, chart])):
+            batch_masks = masks if b == 0 else masks[::-1]
+            root = batched_masked_inside(charts, batch_masks)[b]
+            assert root == masked_inside(chart, mask)
+            loss, grad = list(batch_loss_and_score_gradient(charts, batch_masks))[b]
+            expected_loss, expected_grad = loss_and_score_gradient(chart, mask)
+            assert loss == expected_loss
+            np.testing.assert_array_equal(grad, expected_grad)
 
     def test_redone_charts_equal_their_batch_of_one(self, schema2):
         rng = np.random.default_rng(32)
@@ -1112,10 +1153,37 @@ class TestBatchLossAndScoreGradient:
     def test_mixed_lengths_bitwise_in_input_order(self, schema3):
         # lengths 1..30, some repeated, and a few long ones, shuffled so
         # that the longest-first rows of the kernel differ from the input
-        # order; cells below the diagonal are NaN
+        # order; cells below the diagonal are NaN.  The batch is more than
+        # DECODE_CHUNK_CELLS padded cells, so it runs in blocks
         rng = np.random.default_rng(18)
         lengths = rng.permutation(list(range(1, 31)) + [1, 7, 7, 19, 30, 45, 76, 100])
         charts, masks = self._sentences(lengths, schema3, rng)
+        run = lambda: list(batch_loss_and_score_gradient(charts, masks))  # noqa: E731
+        assert scaled_passes(run) >= 2
+        self._assert_matches_per_sentence(charts, masks)
+
+    def test_a_train_long_block_equals_each_sentence_alone(self):
+        # block 0 of the benchmark's train-long corpus (seed 41, 19
+        # sentences of 6-100 tokens) as a training step sees it: the charts
+        # of an initial model and the smoothed masks; it runs in blocks
+        records = benchmark_workloads().long_corpus(41)[:19]
+        schema, vocab = corpus_schema(records, 1), corpus_vocab(records)
+        examples = preprocess(records, schema, vocab, 0.01)
+        params = init_params(vocab, ScorerConfig(16, 32, schema), seed=0)
+        charts, _ = forward_batch([example.token_ids for example in examples], params)
+        masks = [example.mask for example in examples]
+        run = lambda: list(batch_loss_and_score_gradient(charts, masks))  # noqa: E731
+        assert scaled_passes(run) >= 2
+        self._assert_matches_per_sentence(charts, masks)
+
+    def test_a_train_std_minibatch_is_one_kernel_batch(self, schema3):
+        # 16 sentences of 6-20 tokens, 20 among them: at most 32 rows of
+        # 210 span cells, within DECODE_CHUNK_CELLS
+        rng = np.random.default_rng(27)
+        lengths = rng.permutation([6, 20, *rng.integers(6, 21, size=14)])
+        charts, masks = self._sentences(lengths, schema3, rng)
+        run = lambda: list(batch_loss_and_score_gradient(charts, masks))  # noqa: E731
+        assert scaled_passes(run) == 1
         self._assert_matches_per_sentence(charts, masks)
 
     def test_equals_inside_and_marginals_bitwise(self, schema3):
@@ -1130,37 +1198,60 @@ class TestBatchLossAndScoreGradient:
             expected = marginals(chart) - marginals(chart, mask)
             assert np.array_equal(grad, expected[~below_diagonal(chart.n)])
 
-    @pytest.mark.parametrize("count", [1, 4, 16])
-    def test_one_mask_and_label_reduction_per_batch(self, schema3, count):
-        # the masks, the label reduction and the kernel run once per batch,
-        # whatever its size: one seed, given every chart's cells and every
-        # mask in one array each, one label shift and n - 1 widths, n the
-        # longest length
+    @pytest.mark.parametrize(
+        "count, n",
+        [pytest.param(c, 12, id=str(c)) for c in (1, 4, 16)]
+        + [pytest.param(16, 60, id="16-above-the-bound")],
+    )
+    def test_one_mask_and_label_reduction_per_batch(self, schema3, count, n):
+        # the masks, the label reduction and the kernel run once per block:
+        # one seed, given the block's charts longest first in a stable order
+        # and every chart's cells and every mask of the block in one array
+        # each, and n_b - 1 widths, n_b the block's longest length.  A block
+        # grows while 2 rows per sentence times the span cells of its
+        # longest stay within DECODE_CHUNK_CELLS: a batch within it, as at
+        # n = 12, is one block; 16 sentences up to n = 60 are two
         rng = np.random.default_rng(22)
-        n = 12
         lengths = rng.permutation([n, *rng.integers(1, n + 1, size=count - 1)])
         charts, masks = self._sentences(lengths, schema3, rng)
+
+        def padded(block):  # two rows per sentence, at the first's span cells
+            return len(block) * lengths[block[0]] * (lengths[block[0]] + 1)
+
+        bound = inference_module.DECODE_CHUNK_CELLS
+        blocks: list[list[int]] = []
+        for b in sorted(range(count), key=lambda b: -lengths[b]):
+            if blocks and padded(blocks[-1] + [b]) <= bound:
+                blocks[-1].append(b)
+            else:
+                blocks.append([b])
+        assert len(blocks) == (2 if n == 60 else 1)
         real = inference_module._SCALED_REAL
         seed, split = mock.Mock(wraps=real.seed), mock.Mock(wraps=real.split)
         with mock.patch.object(
             inference_module, "_SCALED_REAL", real._replace(seed=seed, split=split)
         ), mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate:
             assert len(list(batch_loss_and_score_gradient(charts, masks))) == count
-        cells = sum(m * (m + 1) // 2 for m in lengths)
-        assert seed.call_count == 1
-        inside_pass, batch_charts, batch_masks = seed.call_args.args
-        assert inside_pass.potentials.shape == (2 * cells, 3)
-        assert inside_pass.weights.shape == (2 * cells, 3)
-        assert inside_pass.value.shape == (2 * cells,)
-        assert split.call_count == n - 1
-        # the masks enter one concatenation, as one array
+        assert seed.call_count == len(blocks)
+        assert split.call_count == sum(lengths[block[0]] - 1 for block in blocks)
+        for call, block in zip(seed.call_args_list, blocks):
+            inside_pass, batch_charts, batch_masks = call.args
+            expected = [charts[b] for b in block] * 2
+            assert all(x is y for x, y in zip(batch_charts, expected, strict=True))
+            cells = sum(lengths[b] * (lengths[b] + 1) // 2 for b in block)
+            assert inside_pass.potentials.shape == (2 * cells, 3)
+            assert inside_pass.weights.shape == (2 * cells, 3)
+            assert inside_pass.value.shape == (2 * cells,)
+        # each block's masks enter one concatenation, as one array
         with_masks = [
             call.args[0]
             for call in concatenate.call_args_list
             if any(np.shares_memory(x, m.cells) for x in call.args[0] for m in masks)
         ]
-        assert len(with_masks) == 1
-        assert len(with_masks[0]) == count
+        assert len(with_masks) == len(blocks)
+        for arrays, block in zip(with_masks, blocks):
+            expected = [masks[b].cells for b in block]
+            assert all(x is y for x, y in zip(arrays, expected, strict=True))
 
     def test_batch_of_one(self, schema3):
         rng = np.random.default_rng(19)
