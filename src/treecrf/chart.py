@@ -249,7 +249,9 @@ class ChartMask:
     ``cells`` holds the span cells packed (see :func:`pack_cells`), kept as
     given (not copied) and made read-only.  Unsmoothed masks are 0/1
     valued.  A weight outside [0, 1], NaN included, raises
-    :class:`BadConfig`.
+    :class:`BadConfig`.  ``admitted`` holds each span cell's admitted
+    weight, the sum of its labels' weights, read-only: the inside pass
+    weighs a cell's share of its chart's offset by it in every epoch.
     """
 
     def __init__(self, cells: np.ndarray) -> None:
@@ -258,6 +260,8 @@ class ChartMask:
             raise BadConfig("mask weights must lie in [0, 1]")
         cells.flags.writeable = False
         self.cells = cells
+        self.admitted = np.einsum("ij->i", cells)
+        self.admitted.flags.writeable = False
 
 
 def validate_annotation(

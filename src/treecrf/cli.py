@@ -303,8 +303,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         # run only, to show that the checks catch a broken kernel.
         split_operands = inference._split_operands
 
-        def flipped(flat, n, w):
-            left, right = split_operands(flat, n, w)
+        def flipped(table, w):
+            left, right = split_operands(table, w)
             return left, -right
 
         fault = mock.patch.object(inference, "_split_operands", flipped)

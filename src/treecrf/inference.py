@@ -26,14 +26,17 @@ of charts of mixed lengths; a single sentence is a batch of one.
 Everything done per cell runs on one ``(cells, L)`` array, the
 concatenated span cells of every chart, the unmasked charts first, and
 their mask weights likewise.  The split part runs width by width over one
-flat array that holds the charts as rows, longest first, in the layout of
-the longest one, so that at width ``w`` only the prefix of rows at least
-``w`` long takes part.  The split operands of a whole diagonal are
-strided views of that array, which keeps every cell also at its mirror
-below the diagonal.  Each chart's result sits at its own root,
-``(0, n_b - 1)``.  The pass's result, :class:`_Pass`, owns that layout.
+table of diagonals, ``table[w - 1, i, row]`` for cell ``(i, i + w - 1)``,
+with the charts as rows, innermost and longest first, so that at width
+``w`` only the prefix of rows at least ``w`` long takes part.  Both split
+operands of a width are views of that table, the left children its first
+``w - 1`` diagonals as they are and the right children the same
+diagonals reversed and sheared, so no cell is stored twice and every
+cell sums its splits in their order, whatever else its batch holds.
+Each chart's result sits at its own root, ``(0, n_b - 1)``.  The pass's
+result, :class:`_Pass`, owns that layout.
 
-The inside pass runs in the scaled real semiring: the flat chart holds
+The inside pass runs in the scaled real semiring: the table holds
 ``beta~ = exp(beta - kappa (2w - 1))`` at width ``w``, with one log offset
 ``kappa`` per row and tree node.  A cell's label part and the two children
 of any of its splits hold ``2w - 1`` nodes between them, so the offsets
@@ -76,11 +79,12 @@ Every structured entry point is one check, :func:`_check_batch` (a
 walks each chart's tree back from its own root through the argmax the
 pass keeps.  Posteriors are the gradient of the roots:
 :func:`_posteriors` takes it by one reverse sweep over the same views
-(inside-outside as backpropagation) from every row's own root, and turns
-the packed label exponentials of the whole batch into posteriors in
-place.  That sweep, :func:`_reverse_sweep`, serves both sum-product
-semirings, given the share of a cell that each split passes to its
-children; each semiring keeps its own label step.
+(inside-outside as backpropagation) from every row's own root, into a
+table that keeps each cell's left- and right-child parts apart until the
+cell's own width, and turns the packed label exponentials of the whole
+batch into posteriors in place.  That sweep, :func:`_reverse_sweep`,
+serves both sum-product semirings, given the share of a cell that each
+split passes to its children; each semiring keeps its own label step.
 :func:`batch_loss_and_score_gradient` runs the sentences longest first in
 consecutive blocks within ``DECODE_CHUNK_CELLS`` padded cells, the one
 bound that also caps a decode chunk of :func:`treecrf.train.batch_predict`.
@@ -132,10 +136,19 @@ _TINY = 5e-324
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log-sum-exp that maps all-(-inf) slices to -inf."""
+    """Max-shifted log-sum-exp that maps all-(-inf) slices to -inf.
+
+    Over the leading axis of a kernel width, every cell sums its terms in
+    order; numpy sums the terms of a lone cell pairwise instead, so those
+    are accumulated.
+    """
     m = x.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
-    total = np.exp(x - shift).sum(axis=axis)
+    terms = np.exp(x - shift)
+    if axis == 0 and terms.ndim > 1 and terms.size == len(terms):
+        total = np.add.accumulate(terms)[-1]
+    else:
+        total = terms.sum(axis=axis)
     out = np.where(total > 0.0, np.log(np.maximum(total, _TINY)), -np.inf)
     return out + np.squeeze(shift, axis=axis)
 
@@ -230,67 +243,54 @@ def _check_masked(charts: Sequence[ScoreChart], masks: Sequence[ChartMask]) -> N
             raise DimensionMismatch(f"missing mask at batch position {b}")
 
 
-def _stripe(flat: np.ndarray, n: int, offset: int, rows: int, cols: int) -> np.ndarray:
-    """Writable view ``[b, i, t] = flat[b, offset + i * (n + 1) + t]``.
+def _split_operands(table: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right children of every split of the width-``w`` cells,
+    ``(w - 1, n - w + 1, rows)`` each, as views of ``table`` (see
+    :class:`_Pass`).
 
-    ``flat`` holds one chart per row: cell ``(i, j)`` at ``i * n + j``, plus
-    one padding entry.  A slice and a reshape give the view, never a copy.
+    ``left[t, i]`` is cell ``(i, i + t)``: the first ``w - 1`` diagonals as
+    they are.  ``right[t, i]`` is cell ``(i + t + 1, i + w - 1)``, diagonal
+    ``w - 2 - t`` at start ``i + t + 1``: the same diagonals in reverse,
+    each read one start further right.  With the two leading axes read as
+    one, a step of ``n`` goes one diagonal on and one start left, so a
+    slice and a reshape give that view, never a copy, also of a prefix of
+    the rows.
     """
-    block = flat[:, offset : offset + rows * (n + 1)]
-    return block.reshape(-1, rows, n + 1)[:, :, :cols]
-
-
-def _cells(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The width-``w`` cells ``(i, i + w - 1)`` and their mirrors, ``(B, rows)``.
-
-    One-column :func:`_stripe` views taken as basic slices with step
-    ``n + 1``, which skips the reshape.
-    """
-    rows = n - w + 1
-    upper = flat[:, w - 1 : w - 1 + rows * (n + 1) : n + 1]
-    mirror = flat[:, (w - 1) * n : (w - 1) * n + rows * (n + 1) : n + 1]
-    return upper, mirror
-
-
-def _split_operands(flat: np.ndarray, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right children of every split of the width-``w`` cells.
-
-    ``left[b, i, t]`` is cell ``(i, i + t)`` and ``right[b, i, t]`` is cell
-    ``(i + t + 1, i + w - 1)``, read from its mirror ``(i + w - 1, i + t + 1)``
-    in the lower triangle, so both are stripes with strides ``(n + 1, 1)``.
-    """
-    rows = n - w + 1
-    left = _stripe(flat, n, 0, rows, w - 1)
-    right = _stripe(flat, n, (w - 1) * n + 1, rows, w - 1)
-    return left, right
+    n, cols = table.shape[1] - 1, table.shape[1] - w
+    left = table[: w - 1, :cols]
+    run = table.reshape(-1, table.shape[-1])[w - 1 : (w - 1) * (n + 1)]
+    return left, run.reshape(w - 1, n, -1)[::-1, :cols]
 
 
 @dataclass(eq=False)
 class _Pass:
     """What one :func:`_inside_pass` builds and leaves behind.
 
-    ``flat`` holds one chart per row, longest first, all in the layout of
-    the longest length ``n`` (see :func:`_stripe`; cell ``(i, j)`` is also
-    stored at its mirror ``(j, i)``).  Positions index ``flat.ravel()``;
-    per-chart fields are in the order the charts were given.  The semiring
-    fills the rest.
+    ``table[w - 1, i, row]`` holds cell ``(i, i + w - 1)`` of the chart in
+    ``row``: one diagonal per width, indexed by start, with the rows
+    innermost, longest first; ``(n, n + 1, rows)`` for the longest length
+    ``n``, whose last start only pads the views of
+    :func:`_split_operands`.  Each cell is stored once.  Width ``w`` runs over the first ``rows[w]``
+    rows, so every operand of a width is a view whose contiguous runs hold
+    those rows.  Positions index ``table.ravel()``; per-chart fields are in
+    the order the charts were given.  The semiring fills the rest.
     """
 
     slots: list[slice]  # each chart's cells in the packed arrays
     starts: list[int]  # and where they start
-    flat: np.ndarray
+    table: np.ndarray
     n: int
     cells: np.ndarray  # each packed cell's position
-    row: np.ndarray  # each chart's row of the flat chart
+    row: np.ndarray  # each chart's row of the table
     lengths: np.ndarray
     root_cells: np.ndarray  # each chart's root position, cell (0, n_b - 1)
     potentials: np.ndarray | None = None  # every chart's span cells, packed
     value: np.ndarray | None = None  # label part of each packed cell
     arg: np.ndarray | None = None  # and what an additive reduction keeps of it
     # per width w >= 2: how many rows, longest first, are at least w long,
-    # and what the split keeps of them: the split argmax (CKY), or what the
-    # one reverse sweep of both sum-product semirings reads, the split sums
-    # (scaled real) or the split log-sum-exps (log)
+    # and what the split keeps of them, (n - w + 1, rows): the split argmax
+    # (CKY), or what the one reverse sweep of both sum-product semirings
+    # reads, the split sums (scaled real) or the split log-sum-exps (log)
     rows: list[int] = field(default_factory=lambda: [0, 0])
     split: list = field(default_factory=lambda: [None, None])
     # sum-product: each chart's mask weights, packed like the potentials;
@@ -307,21 +307,39 @@ class _Semiring(NamedTuple):
     """How :func:`_inside_pass` seeds and combines a chart.
 
     ``seed(p, charts, masks)`` takes the label part of every span cell of
-    the batch and writes it to the flat chart; ``split(p, rows, w)``
-    combines the children of every split of the width-``w`` cells of the
-    first ``rows`` rows, reduces over the splits and writes the cells,
-    mirrors included.  Max-plus and the log semiring are both additive:
-    one seed and one split, made by :func:`_additive` from the reduction,
-    serve them.  The two sum-product semirings, scaled real and log, share
-    one reverse sweep, :func:`_reverse_sweep`.
+    the batch and writes it to the table; ``split(p, rows, w)`` combines
+    the children of every split of the width-``w`` cells of the first
+    ``rows`` rows, reduces over the splits and writes the cells.  Max-plus
+    and the log semiring are both additive: one seed and one split, made
+    by :func:`_additive` from the reductions, serve them.  The two
+    sum-product semirings, scaled real and log, share one reverse sweep,
+    :func:`_reverse_sweep`.
     """
 
     seed: Callable[[_Pass, Sequence[ScoreChart], Sequence[ChartMask | None]], None]
     split: Callable[[_Pass, int, int], None]
 
 
+# An additive semiring's reduction: the reduced values and what the pass keeps.
+_Reduction = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
 def _root_values(p: _Pass) -> np.ndarray:
-    return p.flat.ravel()[p.root_cells]
+    return p.table.ravel()[p.root_cells]
+
+
+def _by_mask(
+    p: _Pass, masks: Sequence[ChartMask | None], out: np.ndarray, fill: float, name: str
+) -> None:
+    """Write ``fill`` to the packed cells of the unmasked charts in ``out``,
+    which come first, and each mask's array ``name`` to those of the others,
+    by one concatenation."""
+    unmasked = sum(mask is None for mask in masks)
+    first = (p.starts + [len(p.cells)])[unmasked]
+    out[:first] = fill
+    if first < len(p.cells):
+        arrays = [getattr(mask, name) for mask in masks[unmasked:]]
+        np.concatenate(arrays, out=out[first:])
 
 
 def _packed(
@@ -334,22 +352,18 @@ def _packed(
     # (a quarter of a 32 x 40 batched_masked_inside call).
     p.potentials, p.weights = np.empty((2, len(p.cells), charts[0].cells.shape[1]))
     np.concatenate([chart.cells for chart in charts], out=p.potentials)
-    unmasked = sum(mask is None for mask in masks)
-    first = (p.starts + [len(p.cells)])[unmasked]
-    p.weights[:first] = 1.0
-    if first < len(p.cells):
-        np.concatenate([mask.cells for mask in masks[unmasked:]], out=p.weights[first:])
+    _by_mask(p, masks, p.weights, 1.0, "cells")
 
 
-def _additive(reduce: Callable[..., tuple[np.ndarray, np.ndarray]]) -> _Semiring:
-    """The seed and split of an additive semiring, given its reduction:
-    ``reduce(x, axis)`` gives the reduced values and what the pass keeps.
+def _additive(label: _Reduction, split: _Reduction) -> _Semiring:
+    """The seed and split of an additive semiring, given its reductions,
+    ``label`` over the last axis and ``split`` over the first.
 
-    The label part of a cell is ``reduce_k (s_k + log m_k)``; an unmasked
+    The label part of a cell is ``label_k (s_k + log m_k)``; an unmasked
     batch (its last chart is unmasked, as the unmasked come first), as
     CKY's always is, reduces the potentials as they are, and a masked one
     adds the log mask weights first (-inf for a rejected label).
-    The width-``w`` cells are ``u + reduce_t (left_t + right_t)``.
+    The width-``w`` cells are ``u + split_t (left_t + right_t)``.
     """
 
     def seed(
@@ -360,23 +374,36 @@ def _additive(reduce: Callable[..., tuple[np.ndarray, np.ndarray]]) -> _Semiring
         else:
             _packed(p, charts, masks)
             p.potentials += np.log(p.weights, out=p.weights)
-        p.value, p.arg = reduce(p.potentials, -1)
-        p.flat.ravel()[p.cells] = p.value
+        p.value, p.arg = label(p.potentials)
+        p.table.ravel()[p.cells] = p.value
 
-    def split(p: _Pass, rows: int, w: int) -> None:
-        flat = p.flat[:rows]
-        left, right = _split_operands(flat, p.n, w)
-        value, kept = reduce(left + right, -1)
+    def split_width(p: _Pass, rows: int, w: int) -> None:
+        table = p.table[..., :rows]
+        left, right = _split_operands(table, w)
+        value, kept = split(left + right)
         p.split.append(kept)
-        upper, mirror = _cells(flat, p.n, w)
-        upper += value
-        mirror[...] = upper
+        table[w - 1, : p.n - w + 1] += value
 
-    return _Semiring(seed, split)
+    return _Semiring(seed, split_width)
 
 
-# CKY, unmasked: max and first argmax over labels and splits, node + (left + right).
-_MAX_PLUS = _additive(lambda x, axis: (x.max(axis), x.argmax(axis)))
+def _label_max_argmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax over the short last axis of ``x``, column by
+    column: numpy reduces a short last axis row by row, at about three
+    times the cost on a batch's cells.  A later label takes over only
+    where it is larger, so a tie keeps the lowest label."""
+    best = x[:, 0].copy()
+    arg = np.zeros(len(x), dtype=np.intp)
+    for k in range(1, x.shape[1]):
+        column = x[:, k]
+        arg[column > best] = k
+        np.maximum(best, column, out=best)
+    return best, arg
+
+
+# CKY, unmasked: max and first argmax over labels and splits, node + (left +
+# right); the splits run in ascending order, so a tie keeps the lowest.
+_MAX_PLUS = _additive(_label_max_argmax, lambda x: (x.max(0), x.argmax(0)))
 
 
 def _scaled_seed(
@@ -384,79 +411,84 @@ def _scaled_seed(
 ) -> None:
     """Label parts ``u = sum_k m_k exp(s_k)`` in the scaled real semiring:
     one exp over every label of the batch and one fused product with the
-    mask weights and sum over the labels, written to the flat chart as ``u
+    mask weights and sum over the labels, written to the table as ``u
     exp(-kappa)``.
 
     A chart's offset ``kappa`` is the mean of its ``log u``, each cell
-    weighted by its admitted mask weight ``sum_k m_k``, plus ``log 2``; a
-    tree has ``2n - 1`` nodes and fewer than ``4^(n - 1)`` bracketings, so
-    that keeps its cells near 1.  (Unweighted, the mean drifts on masked
-    charts, whose rejected cells may hold a smoothing weight.)
-    ``p.label_low`` keeps each chart's smallest nonzero label part, or its
-    smallest label exponential where that is below ``_LABEL_LOW``, which
-    fails the chart; so whether a chart is certified does not depend on
-    its batch.  ``p.offset_high`` keeps the largest offset each row holds,
-    for :func:`_certified`.
+    weighted by its admitted mask weight ``sum_k m_k`` (see
+    :class:`~treecrf.chart.ChartMask`), plus ``log 2``; a tree has ``2n -
+    1`` nodes and fewer than ``4^(n - 1)`` bracketings, so that keeps its
+    cells near 1.  (Unweighted, the mean drifts on masked charts, whose
+    rejected cells may hold a smoothing weight.)  ``p.label_low`` keeps
+    each chart's smallest nonzero label part, or its smallest label
+    exponential where that is below ``_LABEL_LOW``, which fails the chart;
+    so whether a chart is certified does not depend on its batch.  A batch
+    whose every ``peak`` is below ``_PEAK_LOW`` holds no label exponential
+    that small and skips that scan.  ``p.offset_high`` keeps the largest
+    offset each row holds, for :func:`_certified`.
     """
     _packed(p, charts, masks)
     q = np.exp(p.potentials, out=p.potentials)
     p.value = np.einsum("ij,ij->i", q, p.weights)
     p.label_low = np.minimum.reduceat(np.where(p.value > 0.0, p.value, 1.0), p.starts)
-    if q.min() < _LABEL_LOW:  # else no chart has so small a one
+    if max(chart.peak for chart in charts) >= _PEAK_LOW and q.min() < _LABEL_LOW:
         exps = np.array([q[slot].min() for slot in p.slots])
         p.label_low[exps < _LABEL_LOW] = exps[exps < _LABEL_LOW]
-    admitted = np.einsum("ij->i", p.weights)
+    admitted = np.empty(len(p.cells))
+    _by_mask(p, masks, admitted, charts[0].cells.shape[1], "admitted")
     mean = np.add.reduceat(admitted * np.log(np.maximum(p.value, _TINY)), p.starts)
     mean /= np.maximum(np.add.reduceat(admitted, p.starts), _TINY)
     # in row order: each row's offset, and the largest it has held
     p.offset, p.offset_high = np.tile((mean + math.log(2))[np.argsort(p.row)], (2, 1))
-    p.flat.ravel()[p.cells] = p.value
-    p.flat *= np.exp(-p.offset)[:, None]
+    p.table.ravel()[p.cells] = p.value
+    p.table *= np.exp(-p.offset)
 
 
 def _scaled_split(p: _Pass, rows: int, w: int) -> None:
     """The width-``w`` cells: ``u * sum_t left_t * right_t``, by one fused
-    product-sum over every split; the offsets cancel, as the children of a
-    split hold ``2w - 2`` nodes.  Every ``_REBASE_EVERY`` widths,
+    product-sum over the splits, the outer axis, which every cell sums in
+    split order whatever the rows; the offsets cancel, as the children of
+    a split hold ``2w - 2`` nodes.  Every ``_REBASE_EVERY`` widths,
     :func:`_rebase` keeps each row's values in range."""
-    flat = p.flat[:rows]
-    total = np.einsum("bit,bit->bi", *_split_operands(flat, p.n, w))
+    table = p.table[..., :rows]
+    total = np.einsum("tib,tib->ib", *_split_operands(table, w))
     p.split.append(total)
-    upper, mirror = _cells(flat, p.n, w)
-    upper *= total
-    mirror[...] = upper
+    cells = table[w - 1, : p.n - w + 1]
+    cells *= total
     if w % _REBASE_EVERY == 0:
-        _rebase(p, upper, w)
+        _rebase(p, cells, w)
 
 
-def _rebase(p: _Pass, upper: np.ndarray, w: int) -> None:
-    """Move the offset of each row whose width-``w`` cells' max ``M`` has
-    left ``2^(+-_REBASE_WINDOW)`` by ``d = log M / (2w - 1)``, making ``M``
-    1.
+def _rebase(p: _Pass, cells: np.ndarray, w: int) -> None:
+    """Move the offset of each row whose width-``w`` ``cells``' max ``M``
+    has left ``2^(+-_REBASE_WINDOW)`` by ``d = log M / (2w - 1)``, making
+    ``M`` 1.
 
-    The row's cells of width ``v <= w`` are scaled by ``exp(-d (2v - 1))``,
-    its label parts still to come by ``exp(-d)`` and its kept split sums by
-    ``exp(-d (2v - 2))``.  Only the row's own values decide, so every
-    chart's values are those it gets alone.  A row whose max is 0, infinite
-    or NaN keeps its offset and is left to :func:`_certified`, and so is a
-    row that holds a nonzero cell outside the certified window when it is
-    rebased: its largest offset becomes NaN, which fails it.
+    The row's diagonals of width ``v <= w`` are scaled by ``exp(-d (2v -
+    1))``, its label parts still to come by ``exp(-d)`` and its kept split
+    sums by ``exp(-d (2v - 2))``.  Only the row's own values decide, so
+    every chart's values are those it gets alone.  A row whose max is 0,
+    infinite or NaN keeps its offset and is left to :func:`_certified`, and
+    so is a row that holds a nonzero cell outside the certified window when
+    it is rebased: its largest offset becomes NaN, which fails it.
     """
-    top = upper.max(axis=1)
+    top = cells.max(axis=0)
     # the binary exponent of 0, inf or NaN is 0
     far = np.flatnonzero(np.abs(np.frexp(top)[1]) > _REBASE_WINDOW)
     if len(far):
         d = np.log(top[far]) / (2 * w - 1)
-        width = np.abs(np.subtract.outer(np.arange(p.n), np.arange(p.n))).ravel() + 1
+        width = np.arange(1, p.n + 1)
         # cells of width v <= w hold 2v - 1 nodes; a label part still to come, 1
         nodes = np.where(width <= w, 2 * width - 1, 1)
+        rows = p.table[..., far]
         # a row holding a cell outside the certified window fails: the
         # scaling could take that cell to 0, or back inside
-        exponent = np.abs(np.frexp(p.flat[far, : p.n**2])[1]).max(axis=1)
+        exponent = np.abs(np.frexp(rows)[1]).max(axis=(0, 1))
         p.offset_high[far[exponent > _CELL_EXPONENT]] = np.nan
-        p.flat[far, : p.n**2] *= np.exp(-np.outer(d, nodes))
+        rows *= np.exp(-np.outer(nodes, d))[:, None]
+        p.table[..., far] = rows
         for v in range(2, w + 1):
-            p.split[v][far] *= np.exp(-d * (2 * v - 2))[:, None]
+            p.split[v][:, far] *= np.exp(-d * (2 * v - 2))
         p.offset[far] += d
         np.maximum(p.offset_high, p.offset, out=p.offset_high)
 
@@ -472,28 +504,33 @@ def _reverse_sweep(
     p: _Pass, admitted: np.ndarray, share: Callable[..., np.ndarray]
 ) -> np.ndarray:
     """``g = d root / d beta`` of every packed cell, by one reverse sweep
-    over the inside pass's stripes; it serves both sum-product semirings.
+    over the inside pass's operands; it serves both sum-product semirings.
 
     ``g`` starts at 1 on each row's own root where ``admitted`` (the mask
     admits a tree) and flows from each cell to both children of each
-    split, over the same rows as the inside pass at each width.
-    ``share(left, right, kept, g)`` gives each split's part of its cell's
-    ``g``, from what the semiring's split kept at that width.  Left
-    children collect their share in the upper triangle and right children
-    at their mirror, so each update writes distinct cells; a cell adds its
-    two parts when its own width comes up.
+    split, widest cells first, over the same rows as the inside pass at
+    each width.  ``share(left, right, kept, g)`` gives each split's part of
+    its cell's ``g``, from what the semiring's split kept at that width.
+    A table shaped like the pass's collects the parts of cell ``(i, i +
+    d)``: those it gets as a left child at its own place ``[d, i]``, and
+    those it gets as a right child (``i >= 1``) at ``[n - 1 - d, i + d]``,
+    past the starts that diagonal ``n - 1 - d`` holds.  So each update
+    writes distinct cells; a cell adds its two parts when its own width
+    comes up, and a leaf collects both at its own place, in the order they
+    come.
     """
-    n, flat = p.n, p.flat
-    g = np.zeros_like(flat)
+    n = p.n
+    g = np.zeros_like(p.table)
     g.ravel()[p.root_cells] = admitted
     for w in range(n, 1, -1):
-        rows = slice(0, p.rows[w])
-        upper, mirror = _cells(g[rows], n, w)
-        upper += mirror
-        shares = share(*_split_operands(flat[rows], n, w), p.split[w], upper)
-        to_left, to_right = _split_operands(g[rows], n, w)
-        to_left += shares
-        to_right += shares
+        parts = g[..., : p.rows[w]]
+        cell = parts[w - 1, : n - w + 1]
+        cell[1:] += parts[n - w, w:n]  # a cell at start 0 is no right child
+        operands = _split_operands(p.table[..., : p.rows[w]], w)
+        shares = share(*operands, p.split[w], cell)
+        parts[: w - 1, : n - w + 1] += shares
+        parts[n + 1 - w : n - 1, w - 1 : n] += shares[:-1]
+        parts[0, w - 1 : n] += shares[-1]  # leaves, as right children
     return g.ravel()[p.cells]
 
 
@@ -507,7 +544,7 @@ def _scaled_posteriors(p: _Pass) -> np.ndarray:
         # 0, so it got no share and passes none on; the division is exact
         # for every nonzero total a certified pass holds (at least 2^-800).
         out = left * right
-        return np.multiply(out, (g / (total + _TINY))[..., None], out=out)
+        return np.multiply(out, g / (total + _TINY), out=out)
 
     g = _reverse_sweep(p, _root_values(p) > 0.0, share)
     mu = np.multiply(p.potentials, p.weights, out=p.potentials)
@@ -532,6 +569,9 @@ _REBASE_EVERY, _REBASE_WINDOW = 4, 200
 # underflows and every 0 is a rejection.
 _LABEL_LOW, _PART_LOW, _CELL_EXPONENT = 2.0**-60, 2.0**-200, 400
 
+# Scores above -_PEAK_LOW have label exponentials above exp(-41) > 2^-60.
+_PEAK_LOW = 41.0
+
 
 def _certified(p: _Pass) -> np.ndarray:
     """Per chart: whether its scaled real pass stayed inside those bounds.
@@ -542,7 +582,7 @@ def _certified(p: _Pass) -> np.ndarray:
     and, in a row :func:`_rebase` scales, as it was before each rebase, so
     the window held at every split.
     """
-    beta = p.flat.ravel()[p.cells]
+    beta = p.table.ravel()[p.cells]
     beta[beta == 0.0] = 1.0
     low, high = (f.reduceat(beta, p.starts) for f in (np.minimum, np.maximum))
     parts = p.label_low * np.exp(-p.offset_high[p.row])
@@ -557,9 +597,9 @@ def _log_posteriors(p: _Pass) -> np.ndarray:
     def share(left, right, value, g):
         # exp(left + right - value) * g
         out = left + right
-        out -= np.where(value > -np.inf, value, 0.0)[..., None]
+        out -= np.where(value > -np.inf, value, 0.0)
         np.exp(out, out=out)
-        out *= g[..., None]
+        out *= g
         return out
 
     g = _reverse_sweep(p, _root_values(p) > -np.inf, share)
@@ -572,7 +612,7 @@ def _log_posteriors(p: _Pass) -> np.ndarray:
 
 # Inside in the log semiring, for the charts the scaled pass cannot hold; the
 # split keeps its log-sum-exps for the reverse sweep.
-_LOG = _additive(lambda x, axis: (_lse(x, axis),) * 2)
+_LOG = _additive(lambda x: (_lse(x, -1),) * 2, lambda x: (_lse(x, 0),) * 2)
 
 
 def _inside_pass(
@@ -581,13 +621,13 @@ def _inside_pass(
     """The chart recursion over a checked, non-empty batch of charts.
 
     The unmasked charts (mask ``None``) come first; charts may differ in
-    length.  The semiring seeds the flat chart with the label part of every
+    length.  The semiring seeds the table with the label part of every
     cell of the batch at once.  Then the split recursion runs one width at
     a time over all start positions of every row long enough for that
     width (a prefix, since rows are longest first), reading the split
-    operands as stripes.  Cells of a row past its own length hold finite
-    values that no cell of its chart reads, because a cell's splits stay
-    inside its span.
+    operands as views of the table.  Cells of a row past its own length
+    hold finite values that no cell of its chart reads, because a cell's
+    splits stay inside its span.
     """
     lengths = [chart.n for chart in charts]
     sizes = [m * (m + 1) // 2 for m in lengths]
@@ -596,23 +636,24 @@ def _inside_pass(
     unmasked = sum(mask is None for mask in masks)
     assert all(mask is None for mask in masks[:unmasked]), "unmasked charts first"
     # Rows longest first, in a stable order.  Chart b's cell (i, j) is
-    # b * n * n + i * n + j in a stack of (n, n) squares; shift it to the
-    # chart's row.
+    # P = b n^2 + i n + j in a stack of (n, n) squares, and (j - i, i, row)
+    # in the table: (n + 2) (P mod n) - P = (j - i)(n + 1) + i - b n^2.
     count = len(charts)
     order = sorted(range(count), key=lambda b: -lengths[b])
     row = np.argsort(order)
-    stride = n * (n + 1) + 1
-    cells = span_positions(lengths, n)
-    cells += np.repeat(row * stride - np.arange(count) * n * n, sizes)
+    square = span_positions(lengths, n)
+    cells = (n + 2) * (square % n) - square
+    cells *= count
+    cells += np.repeat(np.arange(count) * n * n * count + row, sizes)
     p = _Pass(
         [slice(a, b) for a, b in zip(starts, starts[1:])],
         starts[:-1],
-        np.zeros((count, stride)),
+        np.zeros((n, n + 1, count)),
         n,
         cells,
         row,
         np.array(lengths),
-        row * stride + np.array(lengths) - 1,
+        (np.array(lengths) - 1) * (n + 1) * count + row,
     )
     semiring.seed(p, charts, masks)
     for w in range(2, n + 1):
@@ -861,7 +902,7 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
     if not charts:
         return []
     best = _inside_pass(charts, [None] * len(charts), _MAX_PLUS)
-    # each chart's row of the flat chart, and the argmax as Python lists:
+    # each chart's row of the table, and the argmax as Python lists:
     # the walk reads one element per node
     labels = best.arg.tolist()
     splits = [None, None] + [arg.tolist() for arg in best.split[2:]]
@@ -874,7 +915,7 @@ def batch_cky_decode(charts: Sequence[ScoreChart]) -> list[FullTree]:
             i0, j0 = stack.pop()
             nodes.append((i0, j0, labels[slot.start + packed_index(i0, j0, n)]))
             if i0 < j0:
-                m = i0 + splits[j0 - i0 + 1][row][i0]
+                m = i0 + splits[j0 - i0 + 1][i0][row]
                 stack.append((m + 1, j0))
                 stack.append((i0, m))
         trees.append(FullTree(n=n, nodes=tuple(nodes)))

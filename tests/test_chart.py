@@ -372,6 +372,18 @@ class TestChartMask:
         np.testing.assert_array_equal(pack_cells(square(mask)), mask.cells)
         assert not square(mask)[below_diagonal(3)].any()
 
+    def test_admitted_weight_per_cell(self):
+        # the sum of each span cell's label weights, read-only, with the
+        # bits of one sum over the mask stacked in a batch
+        rng = np.random.default_rng(3)
+        masks = [ChartMask(rng.uniform(size=(m * (m + 1) // 2, 9))) for m in (1, 4, 7)]
+        stacked = np.einsum("ij->i", np.concatenate([mask.cells for mask in masks]))
+        np.testing.assert_array_equal(
+            np.concatenate([mask.admitted for mask in masks]), stacked
+        )
+        np.testing.assert_allclose(masks[1].admitted, masks[1].cells.sum(axis=1))
+        assert not masks[0].admitted.flags.writeable
+
     def test_packed_cell_count_is_checked(self):
         for cells in (np.zeros((4, 2)), np.zeros((6,)), np.zeros((3, 3, 2))):
             with pytest.raises(DimensionMismatch):

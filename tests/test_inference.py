@@ -885,6 +885,24 @@ class TestRange:
             assert loss == expected_loss
             np.testing.assert_array_equal(grad, expected_grad)
 
+    def test_a_label_exponential_below_2_60_is_refused_alone_and_in_a_batch(
+        self, schema2
+    ):
+        # exp(-42) < 2^-60 <= exp(-41): the chart's peak, 42, asks for the
+        # scan of its label exponentials, and the rest of the batch, whose
+        # peaks stay below 41, cannot hold one so small
+        rng = np.random.default_rng(38)
+        low = ScoreChart(np.array([[0.5, -42.0], [1.0, 0.0], [0.0, 2.0]]), schema2)
+        edge = ScoreChart(np.array([[0.5, -41.0], [1.0, 0.0], [0.0, 2.0]]), schema2)
+        others = [normalized_chart(n, schema2, rng) for n in (4, 2, 1)]
+        assert max(chart.peak for chart in others) < 41.0
+        for chart, refused in ((low, True), (edge, False)):
+            assert inference_module._inside([chart], [None]).redone == [0] * refused
+            batch = [others[0], chart, *others[1:]]
+            ones = [ChartMask(np.ones_like(c.cells)) for c in batch]
+            for masks in ([None] * 4, ones):
+                assert inference_module._inside(batch, masks).redone == [1] * refused
+
     def test_redone_charts_equal_their_batch_of_one(self, schema2):
         rng = np.random.default_rng(32)
         charts = [random_chart(n, schema2, rng) for n in (5, 3, 7)]
@@ -943,10 +961,10 @@ def rebases(run):
     count = 0
     rebase = inference_module._rebase
 
-    def spy(p, upper, w):
+    def spy(p, cells, w):
         nonlocal count
         before = p.offset.copy()
-        rebase(p, upper, w)
+        rebase(p, cells, w)
         count += int((p.offset != before).sum())
 
     with mock.patch.object(inference_module, "_rebase", spy):
@@ -1050,11 +1068,12 @@ class TestOffsets:
         scaled = inference_module._SCALED_REAL
         p = inference_module._inside_pass([chart], [None], scaled)
         assert inference_module._certified(p).all()
-        p.flat[0, 1] = 2.0**-1000
-        upper, _ = inference_module._cells(p.flat, 8, 4)
-        upper[0, 0] = 2.0**300
-        inference_module._rebase(p, upper, 4)
-        assert p.flat[0, 1] == 0.0 and p.flat[0, 3] == pytest.approx(1.0)
+        # cell (i, j) sits at table[j - i, i, row]
+        p.table[1, 0, 0] = 2.0**-1000
+        cells = p.table[3, :5]  # the width-4 cells
+        cells[0, 0] = 2.0**300
+        inference_module._rebase(p, cells, 4)
+        assert p.table[1, 0, 0] == 0.0 and p.table[3, 0, 0] == pytest.approx(1.0)
         assert not inference_module._certified(p).any()
 
     def test_all_ones_mask_reproduces_inside_bitwise(self, schema3):
@@ -1242,16 +1261,22 @@ class TestBatchLossAndScoreGradient:
             assert inside_pass.potentials.shape == (2 * cells, 3)
             assert inside_pass.weights.shape == (2 * cells, 3)
             assert inside_pass.value.shape == (2 * cells,)
-        # each block's masks enter one concatenation, as one array
-        with_masks = [
-            call.args[0]
-            for call in concatenate.call_args_list
-            if any(np.shares_memory(x, m.cells) for x in call.args[0] for m in masks)
-        ]
-        assert len(with_masks) == len(blocks)
-        for arrays, block in zip(with_masks, blocks):
-            expected = [masks[b].cells for b in block]
-            assert all(x is y for x, y in zip(arrays, expected, strict=True))
+        # each block's masks enter one concatenation, as one array, and so
+        # do their admitted weights, which no pass sums again
+        for name in ("cells", "admitted"):
+            with_masks = [
+                call.args[0]
+                for call in concatenate.call_args_list
+                if any(
+                    np.shares_memory(x, getattr(m, name))
+                    for x in call.args[0]
+                    for m in masks
+                )
+            ]
+            assert len(with_masks) == len(blocks)
+            for arrays, block in zip(with_masks, blocks):
+                expected = [getattr(masks[b], name) for b in block]
+                assert all(x is y for x, y in zip(arrays, expected, strict=True))
 
     def test_batch_of_one(self, schema3):
         rng = np.random.default_rng(19)
@@ -1274,6 +1299,89 @@ class TestBatchLossAndScoreGradient:
         for batch_charts, batch_masks in bad:
             with pytest.raises(DimensionMismatch):
                 batch_loss_and_score_gradient(batch_charts, batch_masks)
+
+
+class TestBatchedEqualsAloneAtTableEdges:
+    """Every chart's values in a batch are those it gets alone, bit for
+    bit, at the edge shapes of the kernel's table ``[w - 1, i, row]``: n = 1
+    and n = 2, a lone row (the chart alone, against a batch in which an
+    equal-length chart doubles every width's rows), a longest chart whose
+    rows shrink to one while the table keeps the others, and a short chart
+    padded next to a much longer one.  Normal draws stay in the scaled
+    pass; with one label score of -50, whose exponential is below 2^-60,
+    the same draws are redone in the log semiring."""
+
+    # (the chart's length, the lengths of the rest of its batch)
+    CASES = {
+        "n1": (1, [1, 5, 1]),
+        "n2": (2, [2, 7, 1]),
+        "lone-row": (40, [40]),
+        "prefix-shrinks-to-one": (12, [5, 3, 5, 1]),
+        "padded-next-to-a-long-one": (3, [60, 2]),
+    }
+
+    @staticmethod
+    def _batch(n, others, redo, schema, rng):
+        """The batch, with the chart of ``n`` tokens in the middle, their
+        masks, and the chart's position."""
+        b = len(others) // 2
+        charts = []
+        for m in others[:b] + [n] + others[b:]:
+            cells = rng.normal(size=(m * (m + 1) // 2, 3))
+            cells[0, 0] = -50.0 if redo else cells[0, 0]
+            charts.append(ScoreChart(cells, schema))
+        return charts, smoothed_random_masks(charts, schema, rng), b
+
+    def test_a_lone_cell_sums_its_splits_in_order(self):
+        # the log semiring's split of a width with one cell and one row,
+        # against the same cell next to another row: numpy sums a lone
+        # slice pairwise, which differs from in-order sums in about one
+        # draw in eight
+        rng = np.random.default_rng(55)
+        for k in (9, 29, 99):
+            for _ in range(50):
+                x = 3.0 * rng.normal(size=(k, 1, 2))
+                lone = inference_module._lse(x[..., :1].copy(), 0)
+                assert lone[0, 0] == inference_module._lse(x, 0)[0, 0]
+
+    @pytest.mark.parametrize("redo", [False, True], ids=["scaled", "log"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_entry_point(self, schema3, case, redo):
+        n, others = self.CASES[case]
+        rng = np.random.default_rng(50 + n)
+        charts, masks, b = self._batch(n, others, redo, schema3, rng)
+        chart, mask = charts[b], masks[b]
+        packed = ~below_diagonal(n)
+        count = len(charts)
+        assert log_passes(lambda: inside(chart)) == redo
+        # inside, marginals and the CKY root values of the unmasked batch
+        unmasked = inference_module._inside(charts, [None] * count)
+        assert unmasked.roots[b] == inside(chart)
+        mu = inference_module._posteriors(unmasked)[unmasked.scaled.slots[b]]
+        np.testing.assert_array_equal(mu, marginals(chart)[packed])
+        best = inference_module._inside_pass(
+            charts, [None] * count, inference_module._MAX_PLUS
+        )
+        alone = inference_module._inside_pass(
+            [chart], [None], inference_module._MAX_PLUS
+        )
+        assert (
+            inference_module._root_values(best)[b]
+            == inference_module._root_values(alone)[0]
+        )
+        # masked_inside, masked marginals, the loss and gradient, CKY trees
+        masked = inference_module._inside(charts, masks)
+        assert masked.roots[b] == masked_inside(chart, mask)
+        assert batched_masked_inside(charts, masks)[b] == masked_inside(chart, mask)
+        mu = inference_module._posteriors(masked)[masked.scaled.slots[b]]
+        np.testing.assert_array_equal(mu, marginals(chart, mask)[packed])
+        loss, grad = list(batch_loss_and_score_gradient(charts, masks))[b]
+        expected_loss, expected_grad = loss_and_score_gradient(chart, mask)
+        assert loss == expected_loss
+        np.testing.assert_array_equal(grad, expected_grad)
+        tree = batch_cky_decode(charts)[b]
+        assert tree.nodes == cky_decode(chart).nodes
+        assert tree_score(chart, tree) == inference_module._root_values(alone)[0]
 
 
 class TestBatchCkyDecode:
@@ -1340,8 +1448,8 @@ class TestLongestFirstRows:
             run()
         rows: dict[int, set[int]] = {}
         for call in split_operands.call_args_list:
-            flat, _, w = call.args
-            rows.setdefault(w, set()).add(flat.shape[0])
+            table, w = call.args
+            rows.setdefault(w, set()).add(table.shape[-1])
         return rows
 
     def _expected(self, copies):
