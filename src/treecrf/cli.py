@@ -239,14 +239,14 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         mi = masked_inside(chart, mask)
         vp = vanilla_partial_marginalization(chart, symbols)
         bf = oracle.brute_force_partial_score(chart, symbols)
-        err = max(abs(mi - vp), abs(mi - bf))
+        err = np.max([abs(mi - vp), abs(mi - bf)])
         three_way.add(err, not err <= 1e-6)
 
         mu = marginals(chart)
         node_count = abs(mu.sum() - (2 * n - 1))
-        leaf_root = max(
-            max(abs(mu[i, i, :].sum() - 1.0) for i in range(n)),
-            abs(mu[0, n - 1, :].sum() - 1.0),
+        leaf_root = np.max(
+            [abs(mu[i, i, :].sum() - 1.0) for i in range(n)]
+            + [abs(mu[0, n - 1, :].sum() - 1.0)]
         )
         bounds_ok = bool((mu >= 0.0).all() and (mu <= 1.0).all())
         oracle_mu = oracle.brute_force_marginals(chart)
@@ -254,7 +254,7 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         vs_oracle = np.abs(mu - oracle_mu).max()
         mu_masked = marginals(chart, mask)
         vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
-        err = max(node_count, leaf_root, vs_oracle, vs_oracle_masked)
+        err = np.max([node_count, leaf_root, vs_oracle, vs_oracle_masked])
         marginal.add(
             err,
             not node_count <= 1e-6
@@ -288,9 +288,8 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
             charts, masks, losses, grads, bests = zip(*(group[k] for k in batch))
             results = batch_loss_and_score_gradient(charts, masks)
             for (loss, grad), want_loss, want_grad in zip(results, losses, grads):
-                # max() drops a NaN gradient error; each error is checked
-                errs = abs(loss - want_loss), np.abs(grad - want_grad).max()
-                batched.add(max(errs), not (np.array(errs) <= 1e-6).all())
+                errs = np.array([abs(loss - want_loss), np.abs(grad - want_grad).max()])
+                batched.add(errs.max(), not (errs <= 1e-6).all())
             for chart, decoded, best in zip(charts, batch_cky_decode(charts), bests):
                 batched_decode.add(0.0, not _same_tree(chart, decoded, best))
     return [partition, three_way, marginal, decode, full_eval, batched, batched_decode]
@@ -299,8 +298,9 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     fault = contextlib.nullcontext()
     if args.inject_fault:
-        # Flip the sign of the right split operand inside the DP, for this
-        # run only, to show that the checks catch a broken kernel.
+        # Flip the sign of the inside pass's right split operand, for this
+        # run only, to show that the checks catch a broken kernel.  The
+        # outside sweep reads its own views, of the broken pass's values.
         split_operands = inference._split_operands
 
         def flipped(table, w):

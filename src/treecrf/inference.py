@@ -77,14 +77,20 @@ Every structured entry point is one check, :func:`_check_batch` (a
 ``None`` mask: unmasked) or, where every chart needs its mask,
 :func:`_check_masked`, and one kernel call.  CKY, :func:`batch_cky_decode`,
 walks each chart's tree back from its own root through the argmax the
-pass keeps.  Posteriors are the gradient of the roots:
-:func:`_posteriors` takes it by one reverse sweep over the same views
-(inside-outside as backpropagation) from every row's own root, into a
-table that keeps each cell's left- and right-child parts apart until the
-cell's own width, and turns the packed label exponentials of the whole
-batch into posteriors in place.  That sweep, :func:`_reverse_sweep`,
-serves both sum-product semirings, given the share of a cell that each
-split passes to its children; each semiring keeps its own label step.
+pass keeps.  Posteriors are the gradient of the roots (inside-outside
+as backpropagation): :func:`_posteriors` takes it by one outside sweep,
+:func:`_outside`, in pull form over the same table, widest first from
+every row's own root, and turns the packed label exponentials of the
+whole batch into posteriors in place.  A cell's share of its chart's
+trees is its ``beta`` times the sum, over its parents, of the parent's
+share per split sum, its ratio, times the sibling's ``beta``; a second
+table, shaped like the pass's, keeps the ratios, and each width is two
+fused product-sums over views of the two tables, one per role of the
+cell, left or right child, each cell's terms in order.  A parent outside
+a chart has a ratio of exactly 0 (-inf in the log semiring), so the
+padded terms add exact zeros and each cell's sum is the one it gets
+alone.  The sweep serves both sum-product semirings; each semiring keeps
+its own product-sum, ratio and label step.
 :func:`batch_loss_and_score_gradient` runs the sentences longest first in
 consecutive blocks within ``DECODE_CHUNK_CELLS`` padded cells, the one
 bound that also caps a decode chunk of :func:`treecrf.train.batch_predict`.
@@ -269,11 +275,12 @@ class _Pass:
     ``table[w - 1, i, row]`` holds cell ``(i, i + w - 1)`` of the chart in
     ``row``: one diagonal per width, indexed by start, with the rows
     innermost, longest first; ``(n, n + 1, rows)`` for the longest length
-    ``n``, whose last start only pads the views of
-    :func:`_split_operands`.  Each cell is stored once.  Width ``w`` runs over the first ``rows[w]``
-    rows, so every operand of a width is a view whose contiguous runs hold
-    those rows.  Positions index ``table.ravel()``; per-chart fields are in
-    the order the charts were given.  The semiring fills the rest.
+    ``n``, whose last start only pads the views of :func:`_split_operands`
+    and :func:`_parent_operands`.  Each cell is stored once.  Width ``w``
+    runs over the first ``rows[w]`` rows, so every operand of a width is a
+    view whose contiguous runs hold those rows.  Positions index
+    ``table.ravel()``; per-chart fields are in the order the charts were
+    given.  The semiring fills the rest.
     """
 
     slots: list[slice]  # each chart's cells in the packed arrays
@@ -289,7 +296,7 @@ class _Pass:
     arg: np.ndarray | None = None  # and what an additive reduction keeps of it
     # per width w >= 2: how many rows, longest first, are at least w long,
     # and what the split keeps of them, (n - w + 1, rows): the split argmax
-    # (CKY), or what the one reverse sweep of both sum-product semirings
+    # (CKY), or what the one outside sweep of both sum-product semirings
     # reads, the split sums (scaled real) or the split log-sum-exps (log)
     rows: list[int] = field(default_factory=lambda: [0, 0])
     split: list = field(default_factory=lambda: [None, None])
@@ -312,8 +319,8 @@ class _Semiring(NamedTuple):
     ``rows`` rows, reduces over the splits and writes the cells.  Max-plus
     and the log semiring are both additive: one seed and one split, made
     by :func:`_additive` from the reductions, serve them.  The two
-    sum-product semirings, scaled real and log, share one reverse sweep,
-    :func:`_reverse_sweep`.
+    sum-product semirings, scaled real and log, share one outside sweep,
+    :func:`_outside`.
     """
 
     seed: Callable[[_Pass, Sequence[ScoreChart], Sequence[ChartMask | None]], None]
@@ -500,55 +507,97 @@ def _scaled_read_out(p: _Pass) -> np.ndarray:
     return np.log(_root_values(p)) + (2 * p.lengths - 1) * p.offset[p.row]
 
 
-def _reverse_sweep(
-    p: _Pass, admitted: np.ndarray, share: Callable[..., np.ndarray]
-) -> np.ndarray:
-    """``g = d root / d beta`` of every packed cell, by one reverse sweep
-    over the inside pass's operands; it serves both sum-product semirings.
+def _parent_operands(
+    table: np.ndarray, ratio: np.ndarray, w: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The parents' ratios and the siblings of every width-``w`` cell, as
+    views of the ratio table and of ``table``, shaped like the pass's (see
+    :class:`_Pass`): ``(ratio, sibling)`` for the cell as a left child and
+    as a right child, over the same ``t`` per term.
 
-    ``g`` starts at 1 on each row's own root where ``admitted`` (the mask
-    admits a tree) and flows from each cell to both children of each
-    split, widest cells first, over the same rows as the inside pass at
-    each width.  ``share(left, right, kept, g)`` gives each split's part of
-    its cell's ``g``, from what the semiring's split kept at that width.
-    A table shaped like the pass's collects the parts of cell ``(i, i +
-    d)``: those it gets as a left child at its own place ``[d, i]``, and
-    those it gets as a right child (``i >= 1``) at ``[n - 1 - d, i + d]``,
-    past the starts that diagonal ``n - 1 - d`` holds.  So each update
-    writes distinct cells; a cell adds its two parts when its own width
-    comes up, and a leaf collects both at its own place, in the order they
-    come.
+    As a left child, cell ``(i, i + w - 1)`` has the parent ``(i, i + w +
+    t)``, ``ratio[w + t, i]``, and the sibling ``(i + w, i + w + t)``,
+    ``table[t, i + w]``: straight views, ``(n - w, n - w + 1, rows)``.  As
+    a right child, at a start ``i >= 1``, it has the parent ``(i - t - 1,
+    i + w - 1)``, ``ratio[w + t, i - t - 1]``, and the sibling ``(i - t -
+    1, i - 1)``, ``table[t, i - t - 1]``: with the two leading axes read as
+    one, a step of ``n`` goes one diagonal on and one start left, so a
+    slice and a reshape give those views from start 1, ``(n - w, n - w,
+    rows)``, as :func:`_split_operands` gives the right children.  A term
+    past a cell's own parents reads a parent outside its chart, whose
+    ratio is the pad (see :func:`_outside`): past the chart's end, or, for
+    ``t >= i`` of a right child, at the end of the diagonal before, past
+    the cells of every chart.
+    """
+    n, cols = table.shape[1] - 1, table.shape[1] - w
+
+    def sheared(x: np.ndarray, first: int) -> np.ndarray:
+        run = x.reshape(-1, x.shape[-1])[first : first + (n - w) * n]
+        return run.reshape(n - w, n, -1)[:, : cols - 1]
+
+    left = ratio[w:, :cols], table[: n - w, w:]
+    return left, (sheared(ratio, w * (n + 1)), sheared(table, 0))
+
+
+def _outside(
+    p: _Pass, root: np.ndarray, pad: float, pull: Callable, ratio: Callable
+) -> np.ndarray:
+    """``g``, each packed cell's share of its chart's trees, by one pull
+    sweep over the inside pass's table; it serves both sum-product
+    semirings, ``g`` in the semiring's own domain.
+
+    ``g`` starts at ``root`` on each row's own root and at ``pad``, the
+    semiring's 0, everywhere else, and so does a second table shaped like
+    the pass's, which holds each cell's ratio ``g / split`` once its width
+    is done.  Widest first, over the same rows as the inside pass at each
+    width, ``pull(cell, beta, left, right)`` adds to every cell's ``g`` its
+    ``beta`` times the sum of its parents' ratios times its siblings, over
+    each role's views from :func:`_parent_operands` in order of the
+    sibling's width; ``ratio(cell, kept, out)`` then writes the cells'
+    ratios from what the semiring's split kept.  Every term a view reads
+    outside a chart's own cells has a ratio of exactly ``pad``: the ratio
+    table starts at ``pad``, and a cell outside a chart has parents only
+    outside it, so its share and its ratio stay ``pad`` (the scaled pass
+    holds 0 there, in a chart it certifies).  So the padded terms of a
+    cell, which come after its own, each add an exact 0 to a sum taken in
+    order, and every cell sums the terms it gets alone, whatever its batch.
     """
     n = p.n
-    g = np.zeros_like(p.table)
-    g.ravel()[p.root_cells] = admitted
-    for w in range(n, 1, -1):
-        parts = g[..., : p.rows[w]]
-        cell = parts[w - 1, : n - w + 1]
-        cell[1:] += parts[n - w, w:n]  # a cell at start 0 is no right child
-        operands = _split_operands(p.table[..., : p.rows[w]], w)
-        shares = share(*operands, p.split[w], cell)
-        parts[: w - 1, : n - w + 1] += shares
-        parts[n + 1 - w : n - 1, w - 1 : n] += shares[:-1]
-        parts[0, w - 1 : n] += shares[-1]  # leaves, as right children
+    g, ratios = np.full((2, *p.table.shape), pad)
+    g.ravel()[p.root_cells] = root
+    for w in range(n, 0, -1):
+        rows, cols = p.rows[w] if w > 1 else p.table.shape[-1], n - w + 1
+        cell = g[w - 1, :cols, :rows]
+        if w < n:
+            beta = p.table[w - 1, :cols, :rows]
+            table, r = p.table[..., :rows], ratios[..., :rows]
+            pull(cell, beta, *_parent_operands(table, r, w))
+        if w > 1:
+            ratio(cell, p.split[w], out=ratios[w - 1, :cols, :rows])
     return g.ravel()[p.cells]
 
 
 def _scaled_posteriors(p: _Pass) -> np.ndarray:
     """Span-label posteriors ``mu = g * m exp(s) / u``, ``g`` from
-    :func:`_reverse_sweep`; the label exponentials become the posteriors in
+    :func:`_outside`; the label exponentials become the posteriors in
     place, for the whole batch at once."""
 
-    def share(left, right, total, g):
-        # left * right * g / total.  A cell whose split sum is 0 is itself
-        # 0, so it got no share and passes none on; the division is exact
-        # for every nonzero total a certified pass holds (at least 2^-800).
-        out = left * right
-        return np.multiply(out, g / (total + _TINY), out=out)
+    def pull(cell, beta, left, right):
+        # two fused product-sums over the outer axis, each cell's terms in
+        # order; a cell at start 0 is no right child
+        total = np.einsum("tib,tib->ib", *left)
+        total[1:] += np.einsum("tib,tib->ib", *right)
+        cell += np.multiply(beta, total, out=total)
 
-    g = _reverse_sweep(p, _root_values(p) > 0.0, share)
+    def ratio(cell, total, out):
+        # A cell whose split sum is 0 is itself 0, so it has no share and
+        # passes none on; the division is exact for every nonzero total a
+        # certified pass holds (at least 2^-800).
+        np.divide(cell, total + _TINY, out=out)
+
+    g = _outside(p, _root_values(p) > 0.0, 0.0, pull, ratio)
     mu = np.multiply(p.potentials, p.weights, out=p.potentials)
-    # a cell whose labels are all rejected got no share: 0 / TINY
+    # a cell whose labels are all rejected has no share: 0 / TINY
     mu *= (g / (p.value + _TINY))[:, None]
     # Rounding can overshoot 1 by an ulp; the posterior is a probability.
     return np.clip(mu, 0.0, 1.0, out=mu)
@@ -591,27 +640,28 @@ def _certified(p: _Pass) -> np.ndarray:
 
 
 def _log_posteriors(p: _Pass) -> np.ndarray:
-    """:func:`_scaled_posteriors` in the log semiring, ``mu = g * exp(s +
-    log m - u)``."""
+    """:func:`_scaled_posteriors` in the log semiring, ``mu = exp(s + log m
+    - u + g)`` with ``g`` a log share; the ratios' pad is -inf."""
 
-    def share(left, right, value, g):
-        # exp(left + right - value) * g
-        out = left + right
-        out -= np.where(value > -np.inf, value, 0.0)
-        np.exp(out, out=out)
-        out *= g
-        return out
+    def pull(cell, beta, left, right):
+        total = _lse(np.add(*left), 0)
+        total[1:] = np.logaddexp(total[1:], _lse(np.add(*right), 0))
+        np.logaddexp(cell, np.add(beta, total, out=total), out=cell)
 
-    g = _reverse_sweep(p, _root_values(p) > -np.inf, share)
+    def ratio(cell, value, out):
+        np.subtract(cell, np.where(value > -np.inf, value, 0.0), out=out)
+
+    root = np.where(_root_values(p) > -np.inf, 0.0, -np.inf)
+    g = _outside(p, root, -np.inf, pull, ratio)
     mu = p.potentials
     mu -= np.where(p.value > -np.inf, p.value, 0.0)[:, None]
+    mu += g[:, None]
     np.exp(mu, out=mu)
-    mu *= g[:, None]
     return np.clip(mu, 0.0, 1.0, out=mu)
 
 
 # Inside in the log semiring, for the charts the scaled pass cannot hold; the
-# split keeps its log-sum-exps for the reverse sweep.
+# split keeps its log-sum-exps for the outside sweep.
 _LOG = _additive(lambda x: (_lse(x, -1),) * 2, lambda x: (_lse(x, 0),) * 2)
 
 

@@ -467,6 +467,27 @@ class TestSelfcheck:
         assert out.count("PASS") == 7
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("fault", ["dropped", "negated"])
+    def test_a_broken_outside_sweep_fails(self, capsys, monkeypatch, fault):
+        # --inject-fault breaks the inside pass; this breaks only the
+        # outside sweep's right-role view, which the posteriors and every
+        # gradient read
+        operands = treecrf.inference._parent_operands
+
+        def broken(table, ratio, w):
+            left, (parents, siblings) = operands(table, ratio, w)
+            if fault == "dropped":
+                return left, (parents[:0], siblings[:0])
+            return left, (parents, -siblings)
+
+        monkeypatch.setattr(treecrf.inference, "_parent_operands", broken)
+        rc = main(["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "PASS  inside equals enumerated log-partition" in out
+        assert "FAIL  marginal identities and enumerated posteriors" in out
+        assert "FAIL  batched loss and gradient equal enumerated ones" in out
+
     def test_oracle_guard(self):
         assert main(["selfcheck", "--max-n", "9"]) == 2
 
@@ -491,7 +512,26 @@ class TestSelfcheck:
         monkeypatch.setattr(treecrf.cli, "marginals", nan_when_masked)
         rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
         assert rc == 1
-        assert "FAIL  marginal identities" in capsys.readouterr().out
+        assert (
+            "FAIL  marginal identities and enumerated posteriors: 6 cases, "
+            "6 failures, worst error nan"
+        ) in capsys.readouterr().out
+
+    def test_nan_batched_gradients_fail(self, capsys, monkeypatch):
+        # the gradient error is the second of the batched row's two errors
+        batched = treecrf.cli.batch_loss_and_score_gradient
+
+        def nan_gradients(charts, masks):
+            for loss, grad in batched(charts, masks):
+                yield loss, np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(treecrf.cli, "batch_loss_and_score_gradient", nan_gradients)
+        rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
+        assert rc == 1
+        assert (
+            "FAIL  batched loss and gradient equal enumerated ones: 6 cases, "
+            "6 failures, worst error nan"
+        ) in capsys.readouterr().out
 
 
 class TestBench:

@@ -1345,6 +1345,50 @@ class TestBatchedEqualsAloneAtTableEdges:
                 assert lone[0, 0] == inference_module._lse(x, 0)[0, 0]
 
     @pytest.mark.parametrize("redo", [False, True], ids=["scaled", "log"])
+    def test_outside_each_chart_every_entry_is_the_pad(self, schema3, redo):
+        # The outside sweep's padded terms read the pass's table and the
+        # sweep's ratio table outside each chart's own cells, and add an
+        # exact 0 only if every such entry of a certified row of the scaled
+        # pass is +0.0 and every such ratio of the log redo is -inf.  An
+        # unmasked and a masked row per chart, as in a training step; with
+        # ``redo``, the charts of 60 and 2 tokens are redone in the log
+        # semiring, and the 3-token one stays in the scaled pass.
+        rng = np.random.default_rng(58)
+        charts = []
+        for m in (3, 60, 2):
+            cells = rng.normal(size=(m * (m + 1) // 2, 3))
+            cells[0, 0] = -50.0 if redo and m != 3 else cells[0, 0]
+            charts.append(ScoreChart(cells, schema3))
+        masks = smoothed_random_masks(charts, schema3, rng)
+        batch = inference_module._inside([*charts, *charts], [None] * 3 + masks)
+        assert batch.redone == ([1, 2, 4, 5] if redo else [])
+        with mock.patch.object(
+            inference_module,
+            "_parent_operands",
+            wraps=inference_module._parent_operands,
+        ) as views:
+            inference_module._posteriors(batch)
+        for p, pad in ((batch.scaled, 0.0), (batch.log, -np.inf)):
+            if p is None:
+                continue
+            # the leaves' views read the whole ratio table, after its last write
+            (ratios,) = [
+                call.args[1]
+                for call in views.call_args_list
+                if call.args[2] == 1 and np.shares_memory(call.args[0], p.table)
+            ]
+            held = inference_module._certified(p) if pad == 0.0 else slice(None)
+            diagonal, start = np.indices(p.table.shape[:2])
+            for length, row in zip(p.lengths[held], p.row[held]):
+                outside = start + diagonal >= length
+                entries = [ratios[..., row][outside]]
+                if pad == 0.0:  # the log pass's own table holds finite values
+                    entries.append(p.table[..., row][outside])
+                for x in entries:
+                    np.testing.assert_array_equal(x, pad)
+                    assert not np.signbit(x).any() or pad < 0.0
+
+    @pytest.mark.parametrize("redo", [False, True], ids=["scaled", "log"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_entry_point(self, schema3, case, redo):
         n, others = self.CASES[case]
@@ -1435,29 +1479,29 @@ TAKES_MASK = sorted(
 class TestLongestFirstRows:
     """At each width ``w`` the split operands span exactly the charts at
     least ``w`` long: the kernel keeps its rows longest first and runs
-    each width over the prefix of rows long enough for it."""
+    each width over the prefix of rows long enough for it.  So does the
+    outside sweep, whose views of the table and of its ratio table at
+    width ``w`` read the parents of the width-``w`` cells."""
 
     LENGTHS = [3, 17, 1, 9, 17, 5]  # shuffled, with a repeat and a 1
 
-    def _rows_per_width(self, run):
+    @staticmethod
+    def _rows_per_width(run, name="_split_operands"):
+        """The rows of each width's views of ``name``'s every call."""
         with mock.patch.object(
-            inference_module,
-            "_split_operands",
-            wraps=inference_module._split_operands,
-        ) as split_operands:
+            inference_module, name, wraps=getattr(inference_module, name)
+        ) as views:
             run()
         rows: dict[int, set[int]] = {}
-        for call in split_operands.call_args_list:
-            table, w = call.args
-            rows.setdefault(w, set()).add(table.shape[-1])
+        for call in views.call_args_list:
+            *tables, w = call.args
+            rows.setdefault(w, set()).update(table.shape[-1] for table in tables)
         return rows
 
-    def _expected(self, copies):
+    def _expected(self, copies, widths=None):
         # every sentence is ``copies`` rows: its unmasked and masked chart
-        return {
-            w: {copies * sum(n >= w for n in self.LENGTHS)}
-            for w in range(2, max(self.LENGTHS) + 1)
-        }
+        widths = widths or range(2, max(self.LENGTHS) + 1)
+        return {w: {copies * sum(n >= w for n in self.LENGTHS)} for w in widths}
 
     def test_batched_masked_inside(self, schema3):
         rng = np.random.default_rng(23)
@@ -1468,15 +1512,16 @@ class TestLongestFirstRows:
         assert rows == self._expected(1)
 
     def test_batch_loss_and_score_gradient(self, schema3):
-        # the inside pass and the posterior sweep both run over the prefix
+        # the inside pass over the prefix of each width's rows, and the
+        # outside sweep at every width below the longest, leaves included
         rng = np.random.default_rng(24)
         charts, masks = TestBatchLossAndScoreGradient._sentences(
             self.LENGTHS, schema3, rng
         )
-        rows = self._rows_per_width(
-            lambda: list(batch_loss_and_score_gradient(charts, masks))
-        )
-        assert rows == self._expected(2)
+        run = lambda: list(batch_loss_and_score_gradient(charts, masks))  # noqa: E731
+        assert self._rows_per_width(run) == self._expected(2)
+        sweep = self._rows_per_width(run, "_parent_operands")
+        assert sweep == self._expected(2, range(1, max(self.LENGTHS)))
 
     def test_batch_cky_decode(self, schema3):
         rng = np.random.default_rng(26)
