@@ -1382,7 +1382,7 @@ class TestBatchedEqualsAloneAtTableEdges:
             for length, row in zip(p.lengths[held], p.row[held]):
                 outside = start + diagonal >= length
                 entries = [ratios[..., row][outside]]
-                if pad == 0.0:  # the log pass's own table holds finite values
+                if pad == 0.0:  # outside a chart the log table holds what -inf masks
                     entries.append(p.table[..., row][outside])
                 for x in entries:
                     np.testing.assert_array_equal(x, pad)
@@ -1487,7 +1487,7 @@ class TestLongestFirstRows:
 
     @staticmethod
     def _rows_per_width(run, name="_split_operands"):
-        """The rows of each width's views of ``name``'s every call."""
+        """Each width's rows in the views of every call of ``name``."""
         with mock.patch.object(
             inference_module, name, wraps=getattr(inference_module, name)
         ) as views:
