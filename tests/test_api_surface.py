@@ -12,6 +12,9 @@ not kept public.
 A private top-level function, class or constant (one leading underscore)
 must likewise be named in the package or in ``perfbench/`` outside its own
 definition, so that a refactor leaves no orphan helper behind.
+
+No module of the package imports a test library: a test breaks the code
+it checks from the outside.
 """
 
 import ast
@@ -128,3 +131,22 @@ def test_every_private_name_is_used_in_the_package():
         if not _named_elsewhere(name, path, node, code)
     ]
     assert unused == [], f"private but named only by its own definition: {unused}"
+
+
+def test_no_module_imports_a_test_library():
+    test_libraries = {"unittest", "pytest", "hypothesis"}
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [
+                f"{path.stem}: {name}"
+                for name in names
+                if name.partition(".")[0] in test_libraries
+            ]
+    assert imports == [], f"test libraries imported by the package: {imports}"

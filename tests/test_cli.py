@@ -178,6 +178,22 @@ class TestOutputPathsFailFast:
         assert rc == 1
         assert err.startswith("error: ") and "missing.jsonl" not in err
 
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    def test_train_log_that_is_the_model(self, tmp_path, capsys, spelling):
+        # exit 2 before the corpus, which is missing, is read; the log
+        # would otherwise overwrite the model it follows
+        model = str(tmp_path / "m.tcrf")
+        log = model
+        if spelling == "symlink":
+            log = str(tmp_path / "log.csv")
+            os.symlink(model, log)
+        argv = ["train", "--data", str(tmp_path / "missing.jsonl")]
+        rc = main(argv + ["--model", model, "--log", log])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ([] if spelling == "same" else ["log.csv"])
+
     def test_gen_checks_before_generating(self, tmp_path, capsys, monkeypatch):
         def never(config):
             raise AssertionError("gen_synthetic called")
@@ -439,54 +455,44 @@ class TestSelfcheck:
         assert out.count("PASS") == 7
         assert "FAIL" not in out
 
-    def test_injected_fault_fails_loudly(self, capsys):
-        rc = main(
-            [
-                "selfcheck",
-                "--max-n",
-                "4",
-                "--cases",
-                "40",
-                "--seed",
-                "0",
-                "--inject-fault",
-            ]
-        )
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "PASS" not in out
-        assert "FAIL  batched loss and gradient" in out
-        assert "FAIL  batched decoder equals enumerated best tree" in out
+    @pytest.mark.parametrize(
+        "fault", ["inside-flipped", "outside-dropped", "outside-negated"]
+    )
+    def test_a_broken_kernel_fails(self, capsys, monkeypatch, fault):
+        # Flipping the inside pass's right split operand breaks every row.
+        # Dropping or negating the outside sweep's right-role view breaks
+        # the posteriors and every gradient, and no inside or decoder row.
+        inference = treecrf.inference
+        split_operands = inference._split_operands
+        parent_operands = inference._parent_operands
 
-    def test_injected_fault_does_not_outlive_its_run(self, capsys):
-        args = ["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"]
-        assert main(args + ["--inject-fault"]) == 1
-        capsys.readouterr()
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 7
-        assert "FAIL" not in out
-
-    @pytest.mark.parametrize("fault", ["dropped", "negated"])
-    def test_a_broken_outside_sweep_fails(self, capsys, monkeypatch, fault):
-        # --inject-fault breaks the inside pass; this breaks only the
-        # outside sweep's right-role view, which the posteriors and every
-        # gradient read
-        operands = treecrf.inference._parent_operands
+        def flipped(table, w):
+            left, right = split_operands(table, w)
+            return left, -right
 
         def broken(table, ratio, w):
-            left, (parents, siblings) = operands(table, ratio, w)
-            if fault == "dropped":
+            left, (parents, siblings) = parent_operands(table, ratio, w)
+            if fault == "outside-dropped":
                 return left, (parents[:0], siblings[:0])
             return left, (parents, -siblings)
 
-        monkeypatch.setattr(treecrf.inference, "_parent_operands", broken)
+        if fault == "inside-flipped":
+            monkeypatch.setattr(inference, "_split_operands", flipped)
+        else:
+            monkeypatch.setattr(inference, "_parent_operands", broken)
         rc = main(["selfcheck", "--max-n", "4", "--cases", "40", "--seed", "0"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "PASS  inside equals enumerated log-partition" in out
-        assert "FAIL  marginal identities and enumerated posteriors" in out
-        assert "FAIL  batched loss and gradient equal enumerated ones" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1 and len(lines) == 7
+        failing = {
+            line[6:].partition(":")[0] for line in lines if line.startswith("FAIL")
+        }
+        if fault == "inside-flipped":
+            assert len(failing) == 7
+        else:
+            assert failing == {
+                "marginal identities and enumerated posteriors",
+                "batched loss and gradient equal enumerated ones",
+            }
 
     def test_oracle_guard(self):
         assert main(["selfcheck", "--max-n", "9"]) == 2

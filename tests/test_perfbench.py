@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,3 +17,21 @@ def test_selftest_passes():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_short_traced_run_completes():
+    # selftest runs untraced; a traced run also wraps every layer site of
+    # tracer.SITES that treecrf still has, times the units it wraps, and
+    # writes the spans, so a change that breaks --trace 1 fails here.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
+        + ["--workload", "train-std", "--seed", "1"]
+        + ["--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["metrics"]
