@@ -77,16 +77,24 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-dim", type=int, default=d.hidden_dim)
 
 
-def _check_output_path(path: str) -> None:
-    """Raise, before any work is done, the error that writing ``path`` at
-    the end would: its directory must exist, and it must not be one."""
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(
-            errno.ENOENT, f"no directory {directory!r} for output file", path
-        )
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
+def _check_outputs(outputs: dict[str, str], inputs: dict[str, str]) -> None:
+    """Raise, before any work is done, the error that writing ``outputs``
+    (flag -> path) at the end would.  No output may resolve, symlinks
+    followed, to one of the command's ``inputs`` or to another output;
+    each output's directory must exist, and the output must not be one."""
+    claimed = {os.path.realpath(path): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
+        other = claimed.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise BadConfig(f"{flag} and {other} name the same file: {path!r}")
+    for path in outputs.values():
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(
+                errno.ENOENT, f"no directory {directory!r} for output file", path
+            )
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -98,7 +106,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         seed=args.seed,
     )
-    _check_output_path(args.out)
+    _check_outputs({"--out": args.out}, {})
     records = gen_synthetic(cfg)
     write_corpus(records, args.out)
     n_entities = sum(len(r.entities) for r in records)
@@ -109,10 +117,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args, latent_label_count=args.latent)
     log_path = args.log or args.model + ".train.csv"
-    if os.path.realpath(log_path) == os.path.realpath(args.model):
-        raise BadConfig(f"--log and --model name the same file: {log_path!r}")
-    _check_output_path(args.model)
-    _check_output_path(log_path)
+    _check_outputs({"--model": args.model, "--log": log_path}, {"--data": args.data})
     records = read_corpus(args.data)
     result = train(records, config)
     for row in result.log:
@@ -137,7 +142,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _check_output_path(args.out)
+    _check_outputs({"--out": args.out}, {"--model": args.model, "--data": args.data})
     params = load_model(args.model)
     records = read_corpus(args.data)
     schema = params.config.schema

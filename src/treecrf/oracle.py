@@ -11,6 +11,16 @@ per-node label sums, and maximizing is the per-node max.  That keeps the
 oracles exact while reaching sizes (n = 6, four labels) where the labeled
 enumeration would exceed a hundred million trees.  The two views are
 cross-checked against each other in the test suite at sizes where both run.
+
+One rule states what an annotation admits: an ``(n, n, L)`` table of the
+labels each span may carry (every label without an annotation; with one,
+the annotated labels on an observed span, the latent labels on a latent
+span and none on a rejected span).  The log-partition, the partial score
+and both marginals read that table alone: each node's label sum runs over
+its admitted labels, and a bracketing counts iff it holds every observed
+span and only spans that admit a label.  The table is built from the
+annotation here, never from the kernel's mask code, so the oracle stays
+independent of what it certifies.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from .chart import (
     _spans_cross,
     pack_cells,
 )
-from .errors import TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .inference import FullTree, _lse
 
 ENUMERATION_LIMIT = 10_000_000
@@ -104,73 +114,66 @@ def enumerate_full_trees(n: int, schema: LabelSchema) -> TreeEnumeration:
     return TreeEnumeration(n=n, total=total, trees=gen())
 
 
-def _label_lse(chart: ScoreChart) -> np.ndarray:
-    """Per-cell log-sum over all labels, upper triangle only."""
+def _admissible(chart: ScoreChart, symbols: SymbolTree | None) -> np.ndarray:
+    """The ``(n, n, L)`` table of the labels each span may carry.
+
+    Without an annotation every span takes every label.  With one, an
+    observed span takes its annotated labels, a latent span the latent
+    labels and a rejected span none.
+    """
     n = chart.n
-    out = np.full((n, n), np.nan)
-    for i in range(n):
-        out[i, i:] = _lse(chart.s[i, i:, :], axis=1)
+    if symbols is None:
+        return np.ones((n, n, chart.schema.n_labels), dtype=bool)
+    if symbols.n != n:
+        raise DimensionMismatch(f"symbols over {symbols.n} tokens but chart over {n}")
+    admissible = np.zeros((n, n, chart.schema.n_labels), dtype=bool)
+    admissible[symbols.node_kind == NodeKind.LATENT, chart.schema.n_observed:] = True
+    for (i, j), ks in symbols.observed_label.items():
+        admissible[i, j, list(ks)] = True
+    return admissible
+
+
+def _label_lse(chart: ScoreChart, admissible: np.ndarray) -> np.ndarray:
+    """Per-cell log-sum over the admitted labels; -inf where none is."""
+    out = np.full(admissible.shape[:2], -np.inf)
+    for i, j in zip(*np.nonzero(admissible.any(axis=2))):
+        out[i, j] = _lse(chart.s[i, j, admissible[i, j]], axis=0)
     return out
 
 
-def _restricted_label_lse(
-    chart: ScoreChart, symbols: SymbolTree
-) -> np.ndarray:
-    """Per-cell log-sum over admissible labels; NaN marks rejected cells."""
-    n = chart.n
-    n_observed = chart.schema.n_observed
-    out = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i, n):
-            kind = symbols.node_kind[i, j]
-            if kind == NodeKind.REJECTED:
-                continue
-            if kind == NodeKind.OBSERVED:
-                ks = list(symbols.observed_label[(i, j)])
-                out[i, j] = _lse(chart.s[i, j, ks], axis=0)
-            else:
-                out[i, j] = _lse(chart.s[i, j, n_observed:], axis=0)
-    return out
+def _weighted_structures(
+    chart: ScoreChart, symbols: SymbolTree | None, lab: np.ndarray
+) -> Iterator[tuple[Structure, float]]:
+    """Bracketings holding every observed span and only admitted spans,
+    each with its log weight under the per-cell label sums ``lab``."""
+    observed = set() if symbols is None else set(symbols.observed_label)
+    for structure in _structures(0, chart.n - 1):
+        spans = {(i, j) for i, j, _ in structure}
+        if observed <= spans and all(lab[i, j] > -np.inf for i, j in spans):
+            yield structure, float(sum(lab[i, j] for i, j, _ in structure))
+
+
+def _log_sum(weights: list[float]) -> float:
+    return float(_lse(np.array(weights), axis=0)) if weights else float("-inf")
 
 
 def brute_force_log_z(chart: ScoreChart) -> float:
     """Log partition function by exhaustive enumeration of bracketings."""
-    _check_structure_guard(chart.n)
-    lab = _label_lse(chart)
-    weights = [
-        sum(lab[i, j] for i, j, _ in structure)
-        for structure in _structures(0, chart.n - 1)
-    ]
-    return float(_lse(np.array(weights), axis=0))
+    return brute_force_partial_score(chart, None)
 
 
-def _compatible_structures(
-    chart: ScoreChart, symbols: SymbolTree
-) -> Iterator[tuple[Structure, float]]:
-    """Structures embedding every observed span and no rejected span."""
-    lab = _restricted_label_lse(chart, symbols)
-    observed = set(symbols.observed_label.keys())
-    for structure in _structures(0, chart.n - 1):
-        spans = {(i, j) for i, j, _ in structure}
-        if not observed <= spans:
-            continue
-        if any(not np.isfinite(lab[i, j]) for i, j in spans):
-            continue
-        yield structure, float(sum(lab[i, j] for i, j, _ in structure))
-
-
-def brute_force_partial_score(chart: ScoreChart, symbols: SymbolTree) -> float:
+def brute_force_partial_score(
+    chart: ScoreChart, symbols: SymbolTree | None
+) -> float:
     """Log-sum over full trees compatible with the partial annotation.
 
     A full tree is compatible iff every observed span is present carrying
     one of its annotated labels, every other node carries a latent label,
-    and no node's span is rejected.
+    and no node's span is rejected.  ``symbols=None`` admits every tree.
     """
     _check_structure_guard(chart.n)
-    weights = [w for _, w in _compatible_structures(chart, symbols)]
-    if not weights:
-        return float("-inf")
-    return float(_lse(np.array(weights), axis=0))
+    lab = _label_lse(chart, _admissible(chart, symbols))
+    return _log_sum([w for _, w in _weighted_structures(chart, symbols, lab)])
 
 
 def brute_force_marginals(
@@ -182,36 +185,16 @@ def brute_force_marginals(
     :func:`treecrf.inference.marginals` must match.
     """
     _check_structure_guard(chart.n)
-    n = chart.n
-    n_labels = chart.schema.n_labels
-    s = chart.s
-    if symbols is None:
-        lab = _label_lse(chart)
-        pairs = [
-            (structure, float(sum(lab[i, j] for i, j, _ in structure)))
-            for structure in _structures(0, n - 1)
-        ]
-        admissible = np.ones((n, n, n_labels), dtype=bool)
-    else:
-        lab = _restricted_label_lse(chart, symbols)
-        pairs = list(_compatible_structures(chart, symbols))
-        admissible = np.zeros((n, n, n_labels), dtype=bool)
-        n_observed = chart.schema.n_observed
-        for i in range(n):
-            for j in range(i, n):
-                kind = symbols.node_kind[i, j]
-                if kind == NodeKind.OBSERVED:
-                    admissible[i, j, list(symbols.observed_label[(i, j)])] = True
-                elif kind == NodeKind.LATENT:
-                    admissible[i, j, n_observed:] = True
-    log_z = _lse(np.array([w for _, w in pairs]), axis=0)
-    mu = np.zeros((n, n, n_labels))
+    admissible = _admissible(chart, symbols)
+    lab = _label_lse(chart, admissible)
+    pairs = list(_weighted_structures(chart, symbols, lab))
+    log_z = _log_sum([w for _, w in pairs])
+    mu = np.zeros(admissible.shape)
     for structure, w in pairs:
         p_structure = math.exp(w - log_z)
         for i, j, _ in structure:
-            ks = np.nonzero(admissible[i, j])[0]
-            p_label = np.exp(s[i, j, ks] - lab[i, j])
-            mu[i, j, ks] += p_structure * p_label
+            ks = admissible[i, j]
+            mu[i, j, ks] += p_structure * np.exp(chart.s[i, j, ks] - lab[i, j])
     return np.clip(mu, 0.0, 1.0)
 
 

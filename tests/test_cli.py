@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -151,9 +152,15 @@ class TestTrainCommand:
         assert "Traceback" not in err
 
 
+def _snapshot(directory) -> dict:
+    """Each entry of ``directory``: whether it is a symlink, and its bytes."""
+    return {p.name: (p.is_symlink(), p.read_bytes()) for p in directory.iterdir()}
+
+
 class TestOutputPathsFailFast:
     """An output path that cannot be written fails before the corpus is
-    read: exit 1, an ``error:`` line, no training and no file written."""
+    read: exit 1, an ``error:`` line, no training and no file written.  An
+    output that resolves to an input or to another output exits 2."""
 
     @pytest.mark.parametrize("where", ["log", "model"])
     def test_train_output_in_a_missing_directory(self, tmp_path, capsys, where):
@@ -193,6 +200,47 @@ class TestOutputPathsFailFast:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == ([] if spelling == "same" else ["log.csv"])
+
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    @pytest.mark.parametrize(
+        "command, output, target",
+        [
+            ("predict", "--out", "--model"),
+            ("predict", "--out", "--data"),
+            ("train", "--model", "--data"),
+            ("train", "--log", "--data"),
+        ],
+    )
+    def test_output_that_is_an_input(
+        self, model_path, corpus_path, tmp_path, capsys, command, output, target,
+        spelling,
+    ):
+        # exit 2 before anything is read or written; the output would
+        # otherwise replace the input it names
+        paths = {
+            "--model": str(tmp_path / "m.tcrf"),
+            "--data": str(tmp_path / "g.jsonl"),
+            "--out": str(tmp_path / "p.jsonl"),
+            "--log": str(tmp_path / "log.csv"),
+        }
+        shutil.copy(model_path, paths["--model"])
+        shutil.copy(corpus_path, paths["--data"])
+        paths[output] = paths[target]
+        if spelling == "symlink":
+            paths[output] = str(tmp_path / "link")
+            os.symlink(paths[target], paths[output])
+        flags = {"predict": ["--model", "--data", "--out"],
+                 "train": ["--data", "--model", "--log"]}[command]
+        before = _snapshot(tmp_path)
+        argv = [command] + [arg for flag in flags for arg in (flag, paths[flag])]
+        if command == "train":
+            argv += ["--epochs", "1"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert output in err and target in err
+        assert _snapshot(tmp_path) == before
 
     def test_gen_checks_before_generating(self, tmp_path, capsys, monkeypatch):
         def never(config):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treecrf import (
+    DimensionMismatch,
     LabelSchema,
     PartialTree,
     Span,
@@ -13,6 +14,7 @@ from treecrf import (
     inside,
     masked_inside,
     tree_score,
+    vanilla_partial_marginalization,
 )
 from treecrf.inference import _lse
 from treecrf.oracle import (
@@ -141,21 +143,62 @@ class TestCompatibility:
             )
 
 
+def _counted_marginals(chart, trees):
+    """Span-label probabilities by normalized counting over ``trees``."""
+    n = chart.n
+    weights = np.array([tree_score(chart, t) for t in trees])
+    z = _lse(weights, axis=0)
+    mu = np.zeros((n, n, chart.schema.n_labels))
+    for tree, w in zip(trees, weights):
+        for i, j, k in tree.nodes:
+            mu[i, j, k] += math.exp(w - z)
+    return mu
+
+
 class TestBruteForceMarginals:
     def test_matches_labeled_counting(self, schema3):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
             chart = random_chart(n, schema3, rng)
             trees = list(enumerate_full_trees(n, schema3))
-            weights = np.array([tree_score(chart, t) for t in trees])
-            z = _lse(weights, axis=0)
-            mu = np.zeros((n, n, 3))
-            for tree, w in zip(trees, weights):
-                for i, j, k in tree.nodes:
-                    mu[i, j, k] += math.exp(w - z)
             np.testing.assert_allclose(
-                brute_force_marginals(chart), mu, atol=1e-10
+                brute_force_marginals(chart), _counted_marginals(chart, trees),
+                atol=1e-10,
             )
+
+    def test_masked_matches_compatible_counting(self, schema3):
+        # 30 draws hold four spans with two annotated labels
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            n = trial % 3 + 1
+            chart = random_chart(n, schema3, rng)
+            sym = classify_nodes(
+                random_partial_tree(n, schema3, rng, multilabel_prob=0.3)
+            )
+            trees = [
+                t for t in enumerate_full_trees(n, schema3)
+                if is_compatible(t, sym, schema3)
+            ]
+            np.testing.assert_allclose(
+                brute_force_marginals(chart, sym), _counted_marginals(chart, trees),
+                atol=1e-10,
+            )
+
+
+class TestAnnotationLength:
+    """An annotation over another length is refused, as by the kernel's
+    per-node reference."""
+
+    @pytest.mark.parametrize("symbols_n", [2, 4])
+    def test_other_length_raises(self, schema3, symbols_n):
+        chart = random_chart(3, schema3, np.random.default_rng(6))
+        sym = classify_nodes(PartialTree(n=symbols_n, entities=(Span(0, 1, 0),)))
+        with pytest.raises(DimensionMismatch):
+            vanilla_partial_marginalization(chart, sym)
+        with pytest.raises(DimensionMismatch):
+            brute_force_partial_score(chart, sym)
+        with pytest.raises(DimensionMismatch):
+            brute_force_marginals(chart, sym)
 
 
 class TestBruteForceBestTree:
