@@ -177,6 +177,8 @@ class PartialTree:
                 raise OutOfBounds(
                     f"span ({ent.start}, {ent.end}) outside sentence of length {self.n}"
                 )
+            if ent.label < 0:
+                raise UnknownLabel(f"negative label index {ent.label}")
         triples = [(e.start, e.end, e.label) for e in self.entities]
         if len(set(triples)) != len(triples):
             raise ValueError("duplicate (start, end, label) triples in annotation")
@@ -330,6 +332,15 @@ def _reject(cells: np.ndarray, kinds: np.ndarray, epsilon: float) -> None:
     cells[kinds == int(NodeKind.REJECTED)] = epsilon
 
 
+def _check_observed(labels: np.ndarray, schema: LabelSchema) -> None:
+    """Raise unless every annotated label index names an observed label."""
+    bad = (labels < 0) | (labels >= schema.n_observed)
+    if bad.any():
+        raise DimensionMismatch(
+            f"annotated label index {labels[bad][0]} is not an observed label"
+        )
+
+
 def _masks(
     kinds: np.ndarray, annotated: np.ndarray, schema: LabelSchema, epsilon: float
 ) -> np.ndarray:
@@ -341,11 +352,7 @@ def _masks(
     exactly its annotated labels (rows of ``annotated``, see
     :func:`_annotated`); everything else is 0.
     """
-    latent = annotated[:, 3] >= schema.n_observed
-    if latent.any():
-        raise DimensionMismatch(
-            f"annotated label index {annotated[latent, 3][0]} is not an observed label"
-        )
+    _check_observed(annotated[:, 3], schema)
     count, n, _ = kinds.shape
     kinds = kinds[:, ~below_diagonal(n)]
     m = np.zeros((*kinds.shape, schema.n_labels))

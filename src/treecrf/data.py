@@ -244,59 +244,45 @@ def _nested_sentence() -> CorpusRecord:
 
 def nesting_depths(record: CorpusRecord) -> list[int]:
     """Depth of each entity: 1 + the number of entities strictly containing it."""
-    depths = []
-    for ent in record.entities:
-        depth = 1
-        for other in record.entities:
-            if other is ent:
-                continue
-            if (
-                other.start <= ent.start
-                and ent.end <= other.end
-                and (other.start, other.end) != (ent.start, ent.end)
-            ):
-                depth += 1
-        depths.append(depth)
-    return depths
+    spans = [(e.start, e.end) for e in record.entities]
+    return [
+        1 + sum(a <= i and j <= b and (a, b) != (i, j) for a, b in spans)
+        for i, j in spans
+    ]
 
 
 def gen_synthetic(cfg: SynthConfig) -> list[CorpusRecord]:
     """Deterministic synthetic nested-entity corpus.
 
-    Guarantees every entity type occurs somewhere and, when nesting is
-    enabled, that at least one sentence nests to depth 2; tiny corpora get
-    these guarantees by replacing trailing sentences with fixed templates.
+    Guarantees that every entity type occurs somewhere and, when nesting
+    is enabled, that at least one sentence nests to depth 2.  One repair
+    rule keeps both: the fewest trailing sentences are replaced by fixed
+    templates (the nested one when the kept sentences nest nothing, then
+    packed ones for the types still missing).  A config too small for the
+    guarantees raises :class:`BadConfig` (exit code 2 from the CLI).
     """
     rng = np.random.default_rng(cfg.seed)
-    records = [_gen_sentence(rng, cfg) for _ in range(cfg.num_sentences)]
-
-    tail: list[CorpusRecord] = []
-    if cfg.max_nesting_depth >= 2 and not any(2 in nesting_depths(r) for r in records):
-        tail.append(_nested_sentence())
-    # Replacing the last k sentences may itself remove types, so find the
-    # smallest k whose kept prefix plus k replacement sentences covers
-    # every type; replacements pack several types each.
-    per_sentence = max(1, cfg.max_length // 3)
-    k = len(tail)
-    while True:
-        if k > len(records):
-            raise BadConfig("corpus too small to cover every entity type")
-        present = {e.label for r in records[: len(records) - k] for e in r.entities}
-        present |= {e.label for r in tail for e in r.entities}
-        missing = [
-            t for t in range(cfg.num_entity_types) if label_name(t) not in present
-        ]
-        need = -(-len(missing) // per_sentence)  # ceil
-        if len(tail) + need <= k:
-            break
-        k += 1
-    replacements = [
-        _coverage_sentence(missing[lo : lo + per_sentence])
-        for lo in range(0, len(missing), per_sentence)
-    ] + tail
-    if replacements:
-        records = records[: len(records) - len(replacements)] + replacements
-    return records
+    n = cfg.num_sentences
+    records = [_gen_sentence(rng, cfg) for _ in range(n)]
+    names = [label_name(t) for t in range(cfg.num_entity_types)]
+    size = max(1, cfg.max_length // 3)  # types per coverage template
+    # Try each count k of trailing sentences to give up, fewest first.  The
+    # templates that the kept prefix needs number k at the first k where
+    # they fit, or fewer when the nested template brings types the prefix
+    # lacks; only that many sentences are then replaced.
+    for k in range(n + 1):
+        kept = records[: n - k]
+        tail = []
+        if cfg.max_nesting_depth >= 2 and not any(2 in nesting_depths(r) for r in kept):
+            tail = [_nested_sentence()]
+        present = {e.label for r in kept + tail for e in r.entities}
+        missing = [t for t, name in enumerate(names) if name not in present]
+        starts = range(0, len(missing), size)
+        if len(starts) + len(tail) <= k:
+            cover = [_coverage_sentence(missing[lo : lo + size]) for lo in starts]
+            return records[: n - len(cover) - len(tail)] + cover + tail
+    nest = " and a depth-2 nest" if cfg.max_nesting_depth >= 2 else ""
+    raise BadConfig(f"corpus too small to cover every entity type{nest}")
 
 
 def split_corpus(

@@ -121,6 +121,7 @@ from .chart import (
     ScoreChart,
     Span,
     SymbolTree,
+    _check_observed,
     packed_index,
     span_positions,
     unpack_cells,
@@ -793,6 +794,8 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
         raise DimensionMismatch(
             f"symbols over {symbols.n} tokens but chart over {chart.n}"
         )
+    labels = [k for ks in symbols.observed_label.values() for k in ks]
+    _check_observed(np.array(labels, dtype=np.intp), chart.schema)
     s = chart.s
     n = chart.n
     n_observed = chart.schema.n_observed
@@ -978,6 +981,12 @@ def extract_entities(tree: FullTree, schema: LabelSchema) -> list[Span]:
     return [Span(i, j, k) for i, j, k in tree.nodes if k < n_observed]
 
 
+def _check_tree_labels(tree: FullTree, schema: LabelSchema) -> None:
+    k, n_labels = max(k for _, _, k in tree.nodes), schema.n_labels
+    if k >= n_labels:
+        raise DimensionMismatch(f"tree label index {k} outside {n_labels} labels")
+
+
 def tree_score(chart: ScoreChart, tree: FullTree) -> float:
     """Sum of a tree's node potentials.
 
@@ -991,6 +1000,7 @@ def tree_score(chart: ScoreChart, tree: FullTree) -> float:
     if tree.n != chart.n:
         raise DimensionMismatch(f"tree over {tree.n} tokens, chart over {chart.n}")
     _check_batch([chart], [None], "tree_score")
+    _check_tree_labels(tree, chart.schema)
     stack: list[float] = []
     for i, j, k in reversed(tree.nodes):
         v = chart.cells[packed_index(i, j, chart.n), k]
@@ -1004,6 +1014,7 @@ def mask_from_full_tree(tree: FullTree, schema: LabelSchema) -> ChartMask:
     Feeding this to :func:`masked_inside` recovers plain bottom-up
     evaluation of that tree.
     """
+    _check_tree_labels(tree, schema)
     cells = np.zeros((tree.n * (tree.n + 1) // 2, schema.n_labels))
     i, j, k = np.array(tree.nodes).T
     cells[packed_index(i, j, tree.n), k] = 1.0

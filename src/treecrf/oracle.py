@@ -25,8 +25,8 @@ independent of what it certifies.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -71,24 +71,12 @@ def _check_structure_guard(n: int) -> None:
         raise TooLarge(f"oracle supports 1 <= n <= {MAX_ORACLE_N}, got {n}")
 
 
-@dataclass
-class TreeEnumeration:
-    """Lazy sequence of every full labeled binary tree over ``n`` tokens."""
-
-    n: int
-    total: int
-    trees: Iterator[FullTree]
-
-    def __iter__(self) -> Iterator[FullTree]:
-        return self.trees
-
-
-def enumerate_full_trees(n: int, schema: LabelSchema) -> TreeEnumeration:
+def enumerate_full_trees(n: int, schema: LabelSchema) -> Iterator[FullTree]:
     """Every (bracketing, labeling) pair exactly once, deterministically.
 
     Bracketings recurse on split points; labelings run as an odometer over
-    preorder nodes (first node slowest).  Guarded so the full enumeration
-    stays below ``ENUMERATION_LIMIT`` trees.
+    the ``2n - 1`` preorder nodes (first node slowest).  Guarded, when
+    called, so the full enumeration stays below ``ENUMERATION_LIMIT`` trees.
     """
     _check_structure_guard(n)
     n_labels = schema.n_labels
@@ -97,21 +85,11 @@ def enumerate_full_trees(n: int, schema: LabelSchema) -> TreeEnumeration:
         raise TooLarge(
             f"{total} labeled trees exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
-
-    def gen() -> Iterator[FullTree]:
-        import itertools
-
-        for structure in _structures(0, n - 1):
-            spans = [(i, j) for i, j, _ in structure]
-            for labels in itertools.product(range(n_labels), repeat=len(spans)):
-                yield FullTree(
-                    n=n,
-                    nodes=tuple(
-                        (i, j, k) for (i, j), k in zip(spans, labels)
-                    ),
-                )
-
-    return TreeEnumeration(n=n, total=total, trees=gen())
+    return (
+        FullTree(n=n, nodes=tuple((i, j, k) for (i, j, _), k in zip(structure, labels)))
+        for structure in _structures(0, n - 1)
+        for labels in itertools.product(range(n_labels), repeat=2 * n - 1)
+    )
 
 
 def _admissible(chart: ScoreChart, symbols: SymbolTree | None) -> np.ndarray:

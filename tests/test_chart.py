@@ -403,3 +403,9 @@ class TestPartialTree:
     def test_duplicate_triples(self):
         with pytest.raises(ValueError):
             PartialTree(n=2, entities=(Span(0, 1, 0), Span(0, 1, 0)))
+
+    def test_negative_label(self):
+        # -1 would index the schema's last label, a latent one, so the
+        # malformed annotation would score as a latent node
+        with pytest.raises(UnknownLabel, match="negative label index -1"):
+            PartialTree(n=3, entities=(Span(0, 1, -1),))

@@ -494,6 +494,14 @@ class TestInputBoundaries:
         err = capsys.readouterr().err
         assert err == "error: corpus too small to cover every entity type\n"
 
+    def test_gen_too_small_for_a_nest(self, tmp_path, capsys):
+        argv = ["--sentences", "1", "--types", "5", "--max-length", "6", "--depth", "2"]
+        assert main(["gen", "--out", str(tmp_path / "c.jsonl"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: corpus too small to cover every entity type and a depth-2 nest\n"
+        )
+
 
 class TestSelfcheck:
     def test_fresh_checkout_passes(self, capsys):

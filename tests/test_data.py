@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -249,6 +250,45 @@ class TestGenSynthetic:
         labels = {e.label for r in records for e in r.entities}
         assert labels == {"E0", "E1", "E2", "E3"}
 
+    def test_nest_survives_the_coverage_repair(self):
+        # the draws nest nothing and lack E0; a repair that decides on the
+        # nested template over the whole draw and then lets the coverage
+        # template replace it leaves no nest at all
+        records = gen_synthetic(SynthConfig(num_sentences=3, max_length=8, seed=18))
+        assert len(records) == 3
+        assert {e.label for r in records for e in r.entities} == {"E0", "E1", "E2"}
+        assert any(2 in nesting_depths(r) for r in records)
+
+    def test_tiny_configs_meet_both_guarantees_or_are_refused(self):
+        refused = kept = 0
+        for n, types, depth, max_length, seed in itertools.product(
+            range(1, 8), range(1, 7), range(1, 4), range(3, 21), range(3)
+        ):
+            if depth >= 2 and (types < 2 or max_length < 5):
+                continue  # SynthConfig refuses these itself
+            config = SynthConfig(
+                num_sentences=n,
+                num_entity_types=types,
+                max_nesting_depth=depth,
+                max_length=max_length,
+                seed=seed,
+            )
+            try:
+                records = gen_synthetic(config)
+            except BadConfig as exc:
+                refused += 1
+                nest = " and a depth-2 nest" if depth >= 2 else ""
+                assert str(exc) == f"corpus too small to cover every entity type{nest}"
+                continue
+            kept += 1
+            assert len(records) == n
+            assert max(len(r.tokens) for r in records) <= max_length
+            labels = {e.label for r in records for e in r.entities}
+            assert labels == {f"E{t}" for t in range(types)}
+            if depth >= 2:
+                assert any(2 in nesting_depths(r) for r in records)
+        assert refused and kept
+
     @pytest.mark.parametrize(
         "config, digest",
         [
@@ -269,8 +309,14 @@ class TestGenSynthetic:
                 SynthConfig(num_sentences=3, max_length=8, seed=4),
                 "1f631143ba73ac79ed791644678f0fe6b7c7f3894178b8b6bcdd0d3a45c38458",
             ),
+            # the first pool perfbench's long_corpus draws for seed 41:
+            # sentences of 6 to 100 tokens
+            (
+                SynthConfig(num_sentences=950, max_length=100, seed=41000),
+                "e2d691d559727321510d0d9775c3b7623639654d610870cbb79db04eb3407316",
+            ),
         ],
-        ids=["standard", "tail-repair"],
+        ids=["standard", "tail-repair", "long-pool"],
     )
     def test_output_bytes_are_pinned(self, config, digest, tmp_path):
         # every benchmark corpus is generator output, so any change to the

@@ -1558,6 +1558,23 @@ class TestArgumentChecks:
         with pytest.raises(DimensionMismatch, match="mask at batch position 1"):
             batch([chart] * 3, [mask, None, mask])
 
+    def test_tree_label_outside_the_schema(self, schema3):
+        tree = FullTree(n=1, nodes=((0, 0, 5),))
+        with pytest.raises(DimensionMismatch, match="label index 5 outside 3 labels"):
+            tree_score(zero_chart(1, schema3), tree)
+        with pytest.raises(DimensionMismatch, match="label index 5 outside 3 labels"):
+            mask_from_full_tree(tree, schema3)
+
+    @pytest.mark.parametrize("label", [2, 5], ids=["latent", "past-the-schema"])
+    def test_vanilla_rejects_a_label_that_is_not_observed(self, label, schema3):
+        # schema3 has two observed labels and one latent one (index 2)
+        symbols = classify_nodes(PartialTree(n=2, entities=(Span(0, 1, label),)))
+        message = f"annotated label index {label} is not an observed label"
+        with pytest.raises(DimensionMismatch, match=message):
+            build_mask(symbols, schema3)
+        with pytest.raises(DimensionMismatch, match=message):
+            vanilla_partial_marginalization(zero_chart(2, schema3), symbols)
+
     def test_marginals_without_a_mask_are_unmasked(self, schema2):
         chart = zero_chart(3, schema2)
         np.testing.assert_array_equal(marginals(chart, None), marginals(chart))
