@@ -16,9 +16,12 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
 * LATENT   - anything else; the span may appear in a tree, labeled with a
   latent label.
 
-The classification is turned into a 0/1 mask over every span cell and
-label; structure smoothing later relaxes rejected cells from 0 to a small
-epsilon.  The cells ``i > j`` below the diagonal stand for no span;
+A :class:`SymbolTree` holds that classification and is made from a
+validated :class:`PartialTree` alone, so the mask, the vanilla pass and
+the oracle all read the one classification its annotation implies.  It
+is turned into a 0/1 mask over every span cell and label; structure
+smoothing later relaxes rejected cells from 0 to a small epsilon.  The
+cells ``i > j`` below the diagonal stand for no span;
 :func:`below_diagonal` marks them.  Score charts and masks hold their
 span cells packed: one ``(n(n+1)/2, |labels|)`` array of the cells of
 ``~below_diagonal(n)`` in row-major order (:func:`pack_cells`), the layout
@@ -28,10 +31,11 @@ the chart kernel reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -112,6 +116,8 @@ class LabelSchema:
     latent_label_count: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.observed_labels, str):
+            raise BadConfig("observed labels must be a sequence of names, not a string")
         object.__setattr__(self, "observed_labels", tuple(self.observed_labels))
         if not self.observed_labels:
             raise BadConfig("schema needs at least one observed label")
@@ -146,6 +152,14 @@ class Span:
     label: int
 
 
+def _integer(value: object, error: type[Exception], what: str) -> int:
+    """``value`` as an integer, or ``error`` if it does not index."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def _spans_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """True if the two inclusive spans overlap without nesting."""
     (i, j), (a0, b0) = a, b
@@ -170,14 +184,15 @@ class PartialTree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", tuple(self.entities))
-        if self.n < 1:
+        if _integer(self.n, OutOfBounds, "sentence length") < 1:
             raise OutOfBounds("sentence length must be at least 1")
         for ent in self.entities:
-            if not (0 <= ent.start <= ent.end < self.n):
+            start, end = (_integer(x, OutOfBounds, "offset") for x in (ent.start, ent.end))
+            if not (0 <= start <= end < self.n):
                 raise OutOfBounds(
                     f"span ({ent.start}, {ent.end}) outside sentence of length {self.n}"
                 )
-            if ent.label < 0:
+            if _integer(ent.label, UnknownLabel, "label index") < 0:
                 raise UnknownLabel(f"negative label index {ent.label}")
         triples = [(e.start, e.end, e.label) for e in self.entities]
         if len(set(triples)) != len(triples):
@@ -198,21 +213,24 @@ class PartialTree:
         return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
-@dataclass(frozen=True)
 class SymbolTree:
-    """Per-span node classification derived from a PartialTree.
+    """The node classification of a PartialTree, made from that tree alone.
 
-    ``node_kind`` is an ``n x n`` array of NodeKind values; only the upper
-    triangle (i <= j) is meaningful.  ``observed_label`` maps each observed
-    span to its annotated label indices.
+    ``n`` is the tree's length and ``node_kind`` an ``n x n`` read-only
+    array of NodeKind values, of which only the upper triangle (i <= j) is
+    meaningful: a cell is OBSERVED iff its span is annotated, REJECTED iff
+    it crosses at least one annotated span, LATENT otherwise.  Width-1
+    cells and the root cell cross nothing, so they are never REJECTED.
+    ``observed_label`` maps each observed span to its annotated label
+    indices.
     """
 
-    n: int
-    node_kind: np.ndarray
-    observed_label: Mapping[tuple[int, int], tuple[int, ...]]
-
-    def __post_init__(self) -> None:
+    def __init__(self, tree: PartialTree) -> None:
+        self.tree = tree
+        self.n = tree.n
+        self.node_kind = _node_kinds(tree.n, 1, _annotated([tree]))[0]
         self.node_kind.flags.writeable = False
+        self.observed_label = tree.span_labels()
 
 
 class ScoreChart:
@@ -369,14 +387,9 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def classify_nodes(tree: PartialTree) -> SymbolTree:
-    """Classify every chart cell as Observed, Latent, or Rejected.
-
-    A cell is Observed iff its span is annotated; Rejected iff it crosses
-    at least one annotated span; Latent otherwise.  Width-1 cells and the
-    root cell can never cross anything, so they are never Rejected.
-    """
-    kinds = _node_kinds(tree.n, 1, _annotated([tree]))
-    return SymbolTree(n=tree.n, node_kind=kinds[0], observed_label=tree.span_labels())
+    """Classify every chart cell as Observed, Latent, or Rejected (see
+    :class:`SymbolTree`)."""
+    return SymbolTree(tree)
 
 
 def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
@@ -385,12 +398,8 @@ def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
     Observed cells admit exactly their annotated label(s); latent cells
     admit all latent labels; rejected cells admit nothing.
     """
-    annotated = np.array(
-        [(0, i, j, k) for (i, j), ks in symbols.observed_label.items() for k in ks],
-        dtype=np.intp,
-    ).reshape(-1, 4)
-    m = _masks(symbols.node_kind[None], annotated, schema, 0.0)
-    return ChartMask(m[0])
+    annotated = _annotated([symbols.tree])
+    return ChartMask(_masks(symbols.node_kind[None], annotated, schema, 0.0)[0])
 
 
 def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMask:

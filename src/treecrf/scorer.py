@@ -20,12 +20,13 @@ sentence is a group of one.  Scores leave the scorer as packed span cells
 (see :func:`~treecrf.chart.pack_cells`): one gather takes a group's span
 cells from its biaffine squares, normalization runs on them in place and
 each chart is a view of them.  The backward pass takes gradients packed
-the same way and scatters them once per group into the padded square the
-biaffine backward reads.  At the default dimensions every chart, and
-every sentence's share of the gradients, is bit-identical to the sentence
-alone (see ``PADDED_MAX_TOKENS``).  A single sentence is a batch of
-one; the test suite certifies every parameter gradient against central
-finite differences.
+the same way and runs one group at a time: normalization's backward, one
+scatter into the group's padded square, the biaffine and encoder backward,
+then the embedding rows.  At the default dimensions every chart, and every
+sentence's share of the gradients, is bit-identical to the sentence alone
+(see ``PADDED_MAX_TOKENS``).  A single sentence is a batch of one; the
+test suite certifies every parameter gradient against central finite
+differences.
 
 Model files are self-describing: magic, a little-endian uint32 format
 version, a JSON config block (dimensions, label schema, vocabulary, array
@@ -423,39 +424,47 @@ def _padded_groups(lengths: Sequence[int]) -> list[list[int]]:
     return [padded, *alone] if padded else alone
 
 
+@dataclass
 class BatchTape:
-    """What :func:`forward_batch` keeps of a batch for :meth:`backward`."""
+    """What :func:`forward_batch` keeps of a batch for :meth:`backward`: the
+    parameters, the charts in input order and the groups' layers."""
 
-    def __init__(
-        self, params: ScorerParams, charts: list[ScoreChart], groups: list[_Group]
-    ) -> None:
-        self.params = params
-        self._charts = charts
-        self._groups = groups
+    params: ScorerParams
+    charts: list[ScoreChart]
+    groups: list[_Group]
 
     def backward(self, score_gradients: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
         """Parameter gradients, in ``PARAM_ORDER``, of a loss whose gradient
         with respect to the charts :func:`forward_batch` returned is
         ``score_gradients``, one per chart in input order.
 
-        Each is the sum over the batch, in batch order, of the sentences'
-        gradients, as adding each sentence's gradients from its batch of
-        one to zeros in turn gives it (bit for bit at the default
-        dimensions).
+        Group by group, normalization's backward takes the group's packed
+        gradients to its raw span cells, one scatter puts them in the
+        group's padded square, and the biaffine and encoder backward read
+        that square.  Each gradient is the sum over the batch, in batch
+        order, of the sentences' gradients, as adding each sentence's
+        gradients from its batch of one to zeros in turn gives it (bit for
+        bit at the default dimensions).
         """
-        if len(score_gradients) != len(self._charts):
+        if len(score_gradients) != len(self.charts):
             raise DimensionMismatch(
                 f"{len(score_gradients)} score gradients for a batch of "
-                f"{len(self._charts)} charts"
+                f"{len(self.charts)} charts"
             )
-        for b, (grad, chart) in enumerate(zip(score_gradients, self._charts)):
+        for b, (grad, chart) in enumerate(zip(score_gradients, self.charts)):
             if np.shape(grad) != chart.cells.shape:
                 raise DimensionMismatch(
                     f"score gradient {b} has shape {np.shape(grad)}, "
                     f"its chart's span cells {chart.cells.shape}"
                 )
-        raw_grads = []
-        for group in self._groups:
+        params = self.params
+        d = params.config.embed_dim
+        stacks = {
+            name: np.zeros((len(self.charts), *getattr(params, name).shape))
+            for name in PARAM_ORDER[1:]
+        }
+        slots, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, d))]
+        for group in self.groups:
             lengths = [len(ids) for ids in group.ids]
             cells = _normalize_backward(
                 group.normalized,
@@ -464,26 +473,10 @@ class BatchTape:
                 np.concatenate([score_gradients[b] for b in group.members]),
             )
             count, n, _ = group.layers.out.shape
-            positions = span_positions(lengths, n)
             raw = np.zeros((count, n, n, cells.shape[1]))
-            raw.reshape(-1, cells.shape[1])[positions] = cells
-            raw_grads.append(raw)
-        return self._backward_raw(raw_grads)
-
-    def _backward_raw(self, raw_grads: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-        """:meth:`backward` from each group's padded raw-score gradient."""
-        params = self.params
-        d = params.config.embed_dim
-        stacks = {
-            name: np.zeros((len(self._charts), *getattr(params, name).shape))
-            for name in PARAM_ORDER[1:]
-        }
-        slots, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, d))]
-        for group, grad in zip(self._groups, raw_grads):
-            lengths = [len(ids) for ids in group.ids]
-            n = grad.shape[1]
+            raw.reshape(-1, cells.shape[1])[span_positions(lengths, n)] = cells
+            grads, de = _biaffine_backward(group.layers.out, params, raw)
             ctx = _context(group.ids, n, params.emb)
-            grads, de = _biaffine_backward(group.layers.out, params, grad)
             more, dctx = _encode_backward(group.layers, ctx, params, de)
             grads.update(more)
             for name, value in grads.items():
@@ -491,7 +484,7 @@ class BatchTape:
             # a token's embedding slot in its sentence, b * V + id, takes its
             # centre contributions, then its part of its right neighbor's
             # context, then of its left neighbor's (zeros past the edges)
-            padded = np.zeros((len(lengths), n + 2, 3 * d))
+            padded = np.zeros((count, n + 2, 3 * d))
             padded[:, 1:-1] = dctx
             padded = padded.reshape(-1, 3 * d)
             at = _rows(lengths, n + 2) + 1
@@ -512,7 +505,9 @@ class BatchTape:
 def forward_batch(
     ids_list: Sequence[np.ndarray], params: ScorerParams
 ) -> tuple[list[ScoreChart], BatchTape]:
-    """The normalized chart of each sentence, in input order, and one tape.
+    """The normalized chart of each sentence, in input order, and the tape
+    that :meth:`BatchTape.backward` reads: the charts and each group's
+    encoder layers, normalized span cells and standard deviations.
 
     A chart is what training consumes and ``predict`` decodes:
     :func:`potential_normalize` of :func:`biaffine_scores` of the token

@@ -13,6 +13,7 @@ from treecrf import (
     OutOfBounds,
     PartialTree,
     Span,
+    SymbolTree,
     UnknownLabel,
     build_mask,
     classify_nodes,
@@ -34,6 +35,21 @@ from treecrf.oracle import random_partial_tree
 def square(mask):
     """A mask's ``(n, n, L)`` square, 0 below the diagonal."""
     return unpack_cells(mask.cells, mask.n)
+
+
+def crossing_kinds(tree):
+    """The node kind of each span cell of ``tree``, in packed order, by the
+    definition: one cell and one annotated span at a time."""
+    annotated = {(e.start, e.end) for e in tree.entities}
+    kinds = []
+    for i, j in zip(*np.triu_indices(tree.n)):
+        if (i, j) in annotated:
+            kinds.append(NodeKind.OBSERVED)
+        elif any(_spans_cross((i, j), (e.start, e.end)) for e in tree.entities):
+            kinds.append(NodeKind.REJECTED)
+        else:
+            kinds.append(NodeKind.LATENT)
+    return np.array(kinds)
 
 
 class TestPackedLayout:
@@ -72,7 +88,8 @@ class TestLabelSchema:
 
     @pytest.mark.parametrize(
         "labels,latent",
-        [((), 1), (("A", "A"), 1), (("A", ""), 1), (("A",), 0)],
+        # a string is refused: tuple("PER") is three labels, "P", "E", "R"
+        [((), 1), (("A", "A"), 1), (("A", ""), 1), (("A",), 0), ("PER", 1)],
     )
     def test_invalid_schemas(self, labels, latent):
         with pytest.raises(BadConfig):
@@ -166,18 +183,7 @@ class TestClassifyNodes:
         rng = np.random.default_rng(seed)
         tree = random_partial_tree(n, schema, rng, multilabel_prob=0.2)
         sym = classify_nodes(tree)
-        annotated = {(e.start, e.end) for e in tree.entities}
-        for i in range(n):
-            for j in range(i, n):
-                if (i, j) in annotated:
-                    expected = NodeKind.OBSERVED
-                elif any(
-                    _spans_cross((i, j), (e.start, e.end)) for e in tree.entities
-                ):
-                    expected = NodeKind.REJECTED
-                else:
-                    expected = NodeKind.LATENT
-                assert sym.node_kind[i, j] == expected
+        np.testing.assert_array_equal(pack_cells(sym.node_kind), crossing_kinds(tree))
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
@@ -188,6 +194,38 @@ class TestClassifyNodes:
         for i in range(n):
             assert sym.node_kind[i, i] != NodeKind.REJECTED
         assert sym.node_kind[0, n - 1] != NodeKind.REJECTED
+
+
+class TestSymbolTree:
+    def test_made_only_from_a_partial_tree(self):
+        # a hand-built classification could disagree with itself, as a
+        # 2-token chart all OBSERVED with no observed label would
+        observed = np.full((2, 2), NodeKind.OBSERVED)
+        with pytest.raises(TypeError):
+            SymbolTree(n=2, node_kind=observed, observed_label={})
+        with pytest.raises(TypeError):
+            SymbolTree(2, observed, {})
+        tree = PartialTree(n=2, entities=(Span(0, 1, 0),))
+        sym = SymbolTree(tree)
+        assert (sym.tree, sym.n, sym.observed_label) == (tree, 2, {(0, 1): (0,)})
+        with pytest.raises(ValueError):
+            sym.node_kind[0, 0] = NodeKind.OBSERVED
+
+    def test_kinds_and_mask_of_random_trees(self):
+        # its node kinds are the definition's, and its mask is the batched
+        # builder's at epsilon 0, bit for bit
+        schema = LabelSchema(observed_labels=("A", "B", "C"), latent_label_count=2)
+        rng = np.random.default_rng(27)
+        for n in range(1, 13):
+            trees = [random_partial_tree(n, schema, rng, 0.4) for _ in range(8)]
+            for tree, batched in zip(trees, smoothed_masks(trees, schema, 0.0)):
+                sym = SymbolTree(tree)
+                assert sym.n == n and sym.observed_label == tree.span_labels()
+                kinds = pack_cells(sym.node_kind)
+                np.testing.assert_array_equal(kinds, crossing_kinds(tree))
+                mask = build_mask(sym, schema)
+                assert mask.cells.dtype == batched.cells.dtype
+                assert mask.cells.tobytes() == batched.cells.tobytes()
 
 
 class TestBuildMask:
@@ -409,3 +447,25 @@ class TestPartialTree:
         # malformed annotation would score as a latent node
         with pytest.raises(UnknownLabel, match="negative label index -1"):
             PartialTree(n=3, entities=(Span(0, 1, -1),))
+
+    @pytest.mark.parametrize(
+        "span,error",
+        [
+            (Span(0, 1, 1.5), UnknownLabel),
+            (Span(0, 1, "0"), UnknownLabel),
+            (Span(0.0, 1, 0), OutOfBounds),
+            (Span(0, np.float64(1.0), 0), OutOfBounds),
+        ],
+        ids=["float-label", "str-label", "float-start", "numpy-float-end"],
+    )
+    def test_non_integer_offset_or_label(self, span, error):
+        # a label of 1.5 used to make build_mask admit label 1 at (0, 1),
+        # and the vanilla pass and the oracle raise a bare numpy IndexError
+        with pytest.raises(error, match="is not an integer"):
+            PartialTree(n=3, entities=(span,))
+
+    def test_integer_length_and_numpy_integers(self):
+        with pytest.raises(OutOfBounds, match="is not an integer"):
+            PartialTree(n=3.0, entities=())
+        tree = PartialTree(n=np.int64(3), entities=(Span(*np.arange(3)[[0, 1, 0]]),))
+        assert tree.span_labels() == {(0, 1): (0,)}

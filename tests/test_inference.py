@@ -43,7 +43,6 @@ from treecrf import (
 from treecrf import inference as inference_module
 from treecrf.chart import (
     NodeKind,
-    SymbolTree,
     below_diagonal,
     pack_cells,
     packed_index,
@@ -647,10 +646,6 @@ class TestMasksThatAdmitNoTree:
         rng = np.random.default_rng(30)
         charts = [random_chart(n, schema3, rng) for n in (4, 6, 5)]
         admitting, rejecting = self._masks(charts[1], schema3, rng)
-        rejected = SymbolTree(
-            n=6, node_kind=np.full((6, 6), NodeKind.REJECTED), observed_label={}
-        )
-        assert vanilla_partial_marginalization(charts[1], rejected) == -np.inf
         assert np.isfinite(masked_inside(charts[1], admitting))
         ones = [ChartMask(np.ones_like(chart.cells)) for chart in charts]
         for mask in rejecting:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
@@ -19,13 +21,16 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_a_short_traced_run_completes():
+@pytest.mark.parametrize("workload", ["train-std", "batch-inside"])
+def test_a_short_traced_run_completes(workload):
     # selftest runs untraced; a traced run also wraps every layer site of
     # tracer.SITES that treecrf still has, times the units it wraps, and
     # writes the spans, so a change that breaks --trace 1 fails here.
+    # batch-inside classifies nodes, builds masks and runs the vanilla
+    # pass on its SymbolTrees, and its tracer reads each chart's square.
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
-        + ["--workload", "train-std", "--seed", "1"]
+        + ["--workload", workload, "--seed", "1"]
         + ["--seconds", "0.5", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,

@@ -265,7 +265,7 @@ class TestForward:
                 biaffine_scores(encode(tokens, params), params)
             )
             np.testing.assert_array_equal(chart.s, staged.s)
-            (group,) = tape._groups
+            (group,) = tape.groups
             np.testing.assert_array_equal(group.layers.out[0], encode(tokens, params))
 
     def test_empty_sentence(self, small_vocab, small_config):
@@ -355,7 +355,7 @@ class TestForwardBatch:
         charts, tape = forward_batch([params.vocab.encode(t) for t in sentences], params)
         embedded = {
             b: group.layers.out[k, : len(sentences[b])]
-            for group in tape._groups
+            for group in tape.groups
             for k, b in enumerate(group.members)
         }
         for b, (tokens, chart) in enumerate(zip(sentences, charts)):
