@@ -110,6 +110,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import index
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -166,8 +167,9 @@ class FullTree:
 
     The tree is just its nodes ``(i, j, k)``, stored in document order
     (start ascending, end descending), which coincides with preorder
-    traversal.  Construction validates that the spans form a binary tree
-    whose children exactly partition their parent.
+    traversal.  Construction validates that the length, offsets and labels
+    are integers (numpy's too) and that the spans form a binary tree whose
+    children exactly partition their parent, raising ``ValueError``.
     """
 
     n: int
@@ -176,12 +178,15 @@ class FullTree:
     def __post_init__(self) -> None:
         nodes = tuple(sorted(self.nodes, key=lambda t: (t[0], -t[1])))
         object.__setattr__(self, "nodes", nodes)
-        n = self.n
-        if len(nodes) != 2 * n - 1:
-            raise ValueError(f"expected {2 * n - 1} nodes, got {len(nodes)}")
-        for i, j, k in nodes:
-            if not (0 <= i <= j < n) or k < 0:
-                raise ValueError(f"bad node ({i}, {j}, {k})")
+        try:
+            n = index(self.n)
+            if len(nodes) != 2 * n - 1:
+                raise ValueError(f"expected {2 * n - 1} nodes, got {len(nodes)}")
+            for i, j, k in nodes:
+                if not (0 <= index(i) <= index(j) < n) or index(k) < 0:
+                    raise ValueError(f"bad node ({i}, {j}, {k})")
+        except TypeError:
+            raise ValueError("tree length, offsets and labels must be integers") from None
         # One preorder walk: each node must be the next span due, and an
         # internal span (i, j) comes right before its left child (i, m),
         # which gives the split.  The nodes walked so far are a preorder

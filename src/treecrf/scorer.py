@@ -12,14 +12,15 @@ boundary embeddings::
 order, and one :class:`BatchTape` whose ``backward`` chains hand-written
 reverse-mode gradients of every layer, normalization's Jacobian included,
 and returns the minibatch's parameter gradients summed in batch order.
-Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run as one group padded to
-the longest of them: each encoder layer and each backward layer is one
-stacked ``@`` for the group, one gemm per sentence.  A sentence's biaffine
-products and its normalization statistics are its own.  Every other
-sentence is a group of one.  Scores leave the scorer as packed span cells
-(see :func:`~treecrf.chart.pack_cells`): one gather takes a group's span
-cells from its biaffine squares, normalization runs on them in place and
-each chart is a view of them.  The backward pass takes gradients packed
+Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run in at most two groups,
+each padded to its longest sentence, cut where the padding is least: each
+encoder layer and each backward layer is one stacked ``@`` per group, one
+gemm per sentence.  A sentence's biaffine products and its normalization
+statistics are its own.  Every other sentence is a group of one.  Scores
+leave the scorer as packed span cells (see
+:func:`~treecrf.chart.pack_cells`): one gather takes a group's span cells
+from its biaffine squares, normalization runs on them in place and each
+chart is a view of them.  The backward pass takes gradients packed
 the same way and runs one group at a time: normalization's backward, one
 scatter into the group's padded square, the biaffine and encoder backward,
 then the embedding rows.  At the default dimensions every chart, and every
@@ -76,7 +77,7 @@ PARAM_ORDER = (
 # Degenerate-scale floor for potential normalization.
 STD_FLOOR = 1e-8
 
-# The longest sentence forward_batch pads into its shared group.  Measured
+# The longest sentence forward_batch pads into a shared group.  Measured
 # on OpenBLAS 0.3.31 (Haswell kernels), embed 16, hidden 32, 2 to 8 labels:
 # in a group whose longest sentence has at most 75 tokens, every sentence
 # of 2 to 75 tokens keeps the bits it has alone; at 76 every shorter one
@@ -272,8 +273,10 @@ def _biaffine(e: np.ndarray, lengths: Sequence[int], params: ScorerParams) -> np
 
     Each sentence's ``(m, m)`` square is computed with the products of its
     sentence alone, square after square: padded, the pairwise sums
-    ``e_i + e_j`` of a group would take ``(B, n, n, h/2)`` floats, most of
-    them past the sentences' ends.  One gather then takes the span cells.
+    ``e_i + e_j`` of a group would take ``(B, n, n, h/2)`` floats, many of
+    them past the sentences' ends, and one padded product per group
+    measured slower than this loop on groups of 15 to 75 tokens.  One
+    gather then takes the span cells.
     """
     eu = _times_u1(e, params)
     scores = np.empty((sum(m * m for m in lengths), len(params.bi_b)))
@@ -417,11 +420,31 @@ class _Group(NamedTuple):
 
 
 def _padded_groups(lengths: Sequence[int]) -> list[list[int]]:
-    """Batch positions by group: the padded one first, then one per sentence
-    outside ``2 .. PADDED_MAX_TOKENS``."""
+    """Batch positions by group, each ascending: at most two padded groups
+    first, then one per sentence outside ``2 .. PADDED_MAX_TOKENS``.
+
+    The ``m`` padded sentences, longest first, are cut where the padded
+    cells ``k n_0^2 + (m - k) n_k^2`` are fewest: the ``k`` longest pad to
+    the longest, ``n_0`` tokens, the other ``m - k`` to the first of them,
+    ``n_k``.  ``k = 0`` is one group, and the first fewest is taken, so a
+    tie keeps it.  A cut between equal lengths never pads fewer cells than
+    the cut before them, so the second group is the sentences of at most
+    ``n_k`` tokens.  More groups would pad less, but each pays a fixed
+    numpy cost per layer that short sentences feel.  Fewer than two padded
+    sentences, as in ``predict``'s batch of one, skip the search, whose
+    Python cost per-sentence decoding would feel.
+    """
     padded = [b for b, n in enumerate(lengths) if 2 <= n <= PADDED_MAX_TOKENS]
     alone = [[b] for b, n in enumerate(lengths) if not 2 <= n <= PADDED_MAX_TOKENS]
-    return [padded, *alone] if padded else alone
+    if len(padded) < 2:
+        return [padded, *alone] if padded else alone
+    sizes = sorted((lengths[b] for b in padded), reverse=True)
+    m, longest = len(sizes), sizes[0] ** 2
+    cells = [k * longest + (m - k) * n * n for k, n in enumerate(sizes)]
+    short = sizes[cells.index(min(cells))]
+    first = [b for b in padded if lengths[b] > short]
+    second = [b for b in padded if lengths[b] <= short]
+    return [group for group in (first, second) if group] + alone
 
 
 @dataclass
@@ -512,13 +535,14 @@ def forward_batch(
     A chart is what training consumes and ``predict`` decodes:
     :func:`potential_normalize` of :func:`biaffine_scores` of the token
     ids' embeddings.  Sentences of 2 to ``PADDED_MAX_TOKENS`` tokens run
-    together, each layer once for all of them, padded to the longest;
-    every other sentence runs alone.  Each chart is that of its sentence's
-    batch of one, and each sentence's share of the gradients too, bit for
-    bit at the default dimensions and to rounding at others.  An empty
-    sentence raises :class:`EmptySentence`; scores that are not finite, or
-    whose spread overflows, raise :class:`NonFiniteLoss` for the first such
-    sentence, its batch position in ``position``.
+    in at most two groups (see :func:`_padded_groups`), each layer once per
+    group, padded to the group's longest; every other sentence runs alone.
+    Each chart is that of its sentence's batch of one, and each sentence's
+    share of the gradients too, bit for bit at the default dimensions and
+    to rounding at others.  An empty sentence raises
+    :class:`EmptySentence`; scores that are not finite, or whose spread
+    overflows, raise :class:`NonFiniteLoss` for the first such sentence,
+    its batch position in ``position``.
     """
     for b, ids in enumerate(ids_list):
         if len(ids) == 0:

@@ -461,6 +461,25 @@ class TestFullTree:
         # well-formed version passes
         FullTree(n=3, nodes=((0, 2, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0), (2, 2, 0)))
 
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [
+            (1, ((0, 0, 1.5),)),
+            (1, ((0.0, 0, 0),)),
+            (1, ((0, 0.0, 0),)),
+            (1.0, ((0, 0, 0),)),
+            (2, ((0, 1, 0), (0, 0, 0), (1, 1, "0"))),
+        ],
+    )
+    def test_non_integer_values_rejected(self, n, nodes):
+        with pytest.raises(ValueError, match="must be integers"):
+            FullTree(n=n, nodes=nodes)
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        nodes = ((i(0), i(1), i(0)), (i(0), i(0), i(1)), (i(1), i(1), i(0)))
+        assert FullTree(n=i(2), nodes=nodes).nodes == ((0, 1, 0), (0, 0, 1), (1, 1, 0))
+
     def test_document_order_canonicalization(self):
         scrambled = ((1, 1, 0), (0, 1, 0), (0, 0, 0))
         assert FullTree(n=2, nodes=scrambled).nodes == (

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treecrf
@@ -330,7 +330,7 @@ class TestForwardBatch:
     def test_non_finite_scores_name_the_batch_position(
         self, small_vocab, small_config, poisoned, position
     ):
-        # row 7 is read only by the third sentence, in the padded group that
+        # row 7 is read only by the third sentence, in a padded group, which
         # runs before the two sentences that run alone; row 1 only by the
         # first, which runs alone: the first failing sentence is named
         params = noised_params(small_vocab, small_config, seed=2)
@@ -399,15 +399,25 @@ class TestForwardBatch:
             tape.backward(grads)
 
 
+def _padded(lengths, groups):
+    """The groups of ``groups`` whose sentences are padded."""
+    return [g for g in groups if 2 <= lengths[g[0]] <= PADDED_MAX_TOKENS]
+
+
+def _padded_cells(lengths, groups):
+    """The cells of the padded squares of ``groups``' padded groups."""
+    return sum(len(g) * max(lengths[b] for b in g) ** 2 for g in _padded(lengths, groups))
+
+
 class TestPaddingFacts:
     """``forward_batch`` pads sentences of 2 to ``PADDED_MAX_TOKENS`` tokens
-    into one group and runs each of its gemms with as many rows as the
-    longest of them.  That a sentence's values stay bit-identical is a fact
-    about the BLAS build and the gemm shapes, not about the algebra: a gemm
-    of 76 or more rows changes kernel, and a single row takes numpy's gemv
-    path.  These tests check the fact at every length for the default
-    dimensions, so that another BLAS fails here, naming the length, rather
-    than as a changed training log.
+    into at most two groups and runs each of a group's gemms with as many
+    rows as its longest sentence.  That a sentence's values stay
+    bit-identical is a fact about the BLAS build and the gemm shapes, not
+    about the algebra: a gemm of 76 or more rows changes kernel, and a
+    single row takes numpy's gemv path.  These tests check the fact at
+    every length for the default dimensions, so that another BLAS fails
+    here, naming the length, rather than as a changed training log.
     """
 
     @pytest.mark.parametrize("n_labels", range(2, 9))
@@ -419,9 +429,12 @@ class TestPaddingFacts:
         for group in np.array_split(rng.permutation(np.arange(1, 101)), 12):
             ids = [rng.integers(0, len(vocab), size=n) for n in group]
             charts, tape = forward_batch(ids, params)
+            # every batch is cut in two, so the shorter group is checked too
+            padded = [g for g in tape.groups if 2 <= len(g.ids[0]) <= PADDED_MAX_TOKENS]
+            assert len(padded) == 2, f"lengths {sorted(group)} are not cut in two"
             grads = [rng.normal(size=chart.cells.shape) for chart in charts]
             for b, (x, chart) in enumerate(zip(ids, charts)):
-                where = f"length {len(x)} in a group whose longest has {max(group)} tokens"
+                where = f"length {len(x)} in a batch whose longest has {max(group)} tokens"
                 (alone,), alone_tape = forward_batch([x], params)
                 assert np.array_equal(chart.s, alone.s), f"{where}: chart differs"
                 # the batch's backward with every other gradient zero gives
@@ -434,9 +447,33 @@ class TestPaddingFacts:
                     )
 
     def test_groups(self):
-        # 2 to PADDED_MAX_TOKENS tokens share a group, the rest run alone
+        # 2 to PADDED_MAX_TOKENS tokens are padded, the rest run alone; the
+        # cut after the longest pads 75^2 + 2 * 30^2 cells, one group 3 * 75^2
         lengths = [1, 2, PADDED_MAX_TOKENS, PADDED_MAX_TOKENS + 1, 30]
-        assert _padded_groups(lengths) == [[1, 2, 4], [0], [3]]
+        assert _padded_groups(lengths) == [[2], [1, 4], [0], [3]]
+
+    @settings(deadline=None, max_examples=300)
+    @given(lengths=st.lists(st.integers(1, 100), min_size=1, max_size=40))
+    @example(lengths=[13] * 16)
+    @example(lengths=[7, 7, 1, 90, 7])
+    @example(lengths=[40])
+    def test_groups_of_any_lengths(self, lengths):
+        groups = _padded_groups(lengths)
+        assert sorted(b for g in groups for b in g) == list(range(len(lengths)))
+        assert all(g == sorted(g) for g in groups)
+        padded = _padded(lengths, groups)
+        assert len(padded) <= 2
+        assert all(2 <= lengths[b] <= PADDED_MAX_TOKENS for g in padded for b in g)
+        assert all(len(g) == 1 for g in groups if g not in padded)
+        # never more padded cells than one group, a tie keeps one group,
+        # and no cut of the longest-first order pads fewer
+        members = sorted((b for g in padded for b in g), key=lambda b: -lengths[b])
+        one = _padded_cells(lengths, [members] if members else [])
+        chosen = _padded_cells(lengths, groups)
+        assert chosen <= one
+        assert chosen < one or len(padded) <= 1
+        cuts = [[members[:k], members[k:]] for k in range(1, len(members))]
+        assert all(chosen <= _padded_cells(lengths, cut) for cut in cuts)
 
 
 class TestModuleBoundary:
