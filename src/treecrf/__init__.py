@@ -75,7 +75,6 @@ from .train import (
     batch_predict,
     evaluate,
     predict,
-    sweep_latent_labels,
     train,
 )
 

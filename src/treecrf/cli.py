@@ -45,7 +45,6 @@ from .train import (
     batch_predict,
     evaluate,
     format_eval_report,
-    sweep_latent_labels,
     train,
     write_training_log,
 )
@@ -374,16 +373,14 @@ def cmd_sweep_latent(args: argparse.Namespace) -> int:
     # every count's config is checked before the read
     configs = [_train_config(args, latent_label_count=count) for count in counts]
     records = read_corpus(args.data)
-    rows = sweep_latent_labels(records, configs[0], counts)
     print(
-        "# context: on real nested-entity corpora, adding latent labels tends to"
+        "# context: on real nested-entity corpora, adding latent labels tends to\n"
+        "# raise recall and lower precision; the trend is dataset-dependent and\n"
+        "# is reported here for inspection, not asserted."
     )
-    print(
-        "# raise recall and lower precision; the trend is dataset-dependent and"
-    )
-    print("# is reported here for inspection, not asserted.")
     print("latent_labels,dev_precision,dev_recall,dev_f1")
-    for count, report in rows:
+    for count, config in zip(counts, configs):
+        report = train(records, config).dev_report
         print(f"{count},{report.precision:.6f},{report.recall:.6f},{report.f1:.6f}")
     return 0
 
@@ -460,10 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BadConfig, EmptyCorpus, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TreecrfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TreecrfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

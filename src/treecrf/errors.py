@@ -48,8 +48,12 @@ class EmptyCorpus(TreecrfError):
 class NonFiniteLoss(TreecrfError):
     """Span scores, their spread, or a training loss became NaN or infinite.
 
-    ``position`` is the batch position of the sentence, when a batched
-    scorer forward or a structured entry point raised it, else ``None``.
+    ``position`` is the 0-based position of the sentence in the input of
+    the call that raised it, else ``None``.  For a batched scorer forward
+    or a structured entry point it is the batch position.  For
+    ``batch_predict`` (and so ``evaluate``) it counts the sentences given,
+    and for ``train`` its training examples; the message names it as
+    ``sentence {position} (length {n})``.
     """
 
     def __init__(self, message: str, position: int | None = None):

@@ -215,7 +215,8 @@ def _rows(lengths: Sequence[int], stride: int) -> np.ndarray:
 def _context(ids_list: Sequence[np.ndarray], n: int, emb: np.ndarray) -> np.ndarray:
     """``(B, n, 3d)``: each token's left neighbor, itself and its right
     neighbor; a sentence's edges, and the rows past its end, see zeros."""
-    x = emb[np.concatenate(ids_list)]
+    # intp: int64 and uint64 ids alone would concatenate to floats
+    x = emb[np.concatenate(ids_list, dtype=np.intp)]
     padded = np.zeros((len(ids_list), n + 2, emb.shape[1]))
     start = 0
     for row, ids in zip(padded, ids_list):
@@ -525,6 +526,18 @@ class BatchTape:
         return out
 
 
+def _check_ids(ids_list: Sequence[np.ndarray], size: int) -> None:
+    """Raise for the first sentence whose ids are not integers in
+    ``0 .. size - 1``; one check of the concatenation passes a good batch."""
+    flat = np.concatenate(ids_list)
+    if not (flat.dtype.kind in "iu" and 0 <= flat.min() and flat.max() < size):
+        for b, ids in enumerate(map(np.asarray, ids_list)):
+            if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= size:
+                raise DimensionMismatch(
+                    f"token ids at batch position {b} are not integers in 0 .. {size - 1}"
+                )
+
+
 def forward_batch(
     ids_list: Sequence[np.ndarray], params: ScorerParams
 ) -> tuple[list[ScoreChart], BatchTape]:
@@ -542,11 +555,15 @@ def forward_batch(
     to rounding at others.  An empty sentence raises
     :class:`EmptySentence`; scores that are not finite, or whose spread
     overflows, raise :class:`NonFiniteLoss` for the first such sentence,
-    its batch position in ``position``.
+    its batch position in ``position``.  Token ids that are not of an
+    integer type, or fall outside ``0 .. len(params.vocab) - 1``, raise
+    :class:`DimensionMismatch` naming the first such batch position.
     """
     for b, ids in enumerate(ids_list):
         if len(ids) == 0:
             raise EmptySentence(f"cannot encode an empty sentence (batch position {b})")
+    if ids_list:
+        _check_ids(ids_list, len(params.vocab))
     schema = params.config.schema
     charts: list = [None] * len(ids_list)
     groups = []

@@ -1,4 +1,4 @@
-"""Training loop, Adam optimizer, evaluation metrics, latent-label sweep.
+"""Training loop, Adam optimizer and evaluation metrics.
 
 The objective per sentence is the negative log conditional probability of
 its partial annotation: ``inside(s) - masked_inside(s, M)`` with the mask
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -196,7 +196,7 @@ def _prf(gold: int, predicted: int, matched: int) -> tuple[float, float, float]:
 
 
 def _diverged(idx: int, n: int, detail: object) -> NonFiniteLoss:
-    return NonFiniteLoss(f"sentence {idx} (length {n}), {detail}")
+    return NonFiniteLoss(f"sentence {idx} (length {n}), {detail}", position=idx)
 
 
 def _batch_gradient(
@@ -305,24 +305,30 @@ def batch_predict(
     :func:`~treecrf.inference.batch_cky_decode` once per chunk of
     consecutive sentences (see ``DECODE_CHUNK_CELLS``), so the entities
     equal those of :func:`predict`.  Lazy: a chunk is scored and decoded
-    when the iterator reaches it.
+    when the iterator reaches it.  A :class:`NonFiniteLoss` from the
+    scorer names the sentence by its 0-based position among
+    ``sentences``, in the message and in ``position``.
     """
     schema = params.config.schema
 
-    def decode(chunk: list[np.ndarray]) -> Iterator[list[Span]]:
-        charts, _ = forward_batch(chunk, params)
+    def decode(start: int, chunk: list[np.ndarray]) -> Iterator[list[Span]]:
+        try:
+            charts, _ = forward_batch(chunk, params)
+        except NonFiniteLoss as exc:
+            b = exc.position
+            raise _diverged(start + b, len(chunk[b]), exc) from None
         return (extract_entities(t, schema) for t in batch_cky_decode(charts))
 
     chunk: list[np.ndarray] = []
-    longest = 0
+    start = longest = 0
     for tokens in sentences:
         longest = max(longest, len(tokens))
         padded = (len(chunk) + 1) * longest * (longest + 1) // 2
         if chunk and padded > DECODE_CHUNK_CELLS:
-            yield from decode(chunk)
-            chunk, longest = [], len(tokens)
+            yield from decode(start, chunk)
+            start, chunk, longest = start + len(chunk), [], len(tokens)
         chunk.append(params.vocab.encode(tokens))
-    yield from decode(chunk)
+    yield from decode(start, chunk)
 
 
 def _gold_spans(record: CorpusRecord, schema: LabelSchema) -> set[tuple[int, int, int]]:
@@ -373,18 +379,6 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
         matched_count=match_n,
         per_label=per_label,
     )
-
-
-def sweep_latent_labels(
-    records: Sequence[CorpusRecord],
-    config: TrainConfig,
-    counts: Sequence[int],
-) -> list[tuple[int, EvalReport]]:
-    """Train once per latent-label count (same seed) and collect dev reports."""
-    configs = [replace(config, latent_label_count=c) for c in counts]  # check all first
-    return [
-        (count, train(records, cfg).dev_report) for count, cfg in zip(counts, configs)
-    ]
 
 
 def write_training_log(log: Sequence[EpochLog], path: str) -> None:

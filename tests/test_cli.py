@@ -14,7 +14,7 @@ import treecrf
 from treecrf import load_model, predict, read_corpus, save_model, validate_annotation
 from treecrf.cli import _train_config, build_parser, main
 from treecrf.data import corpus_schema
-from treecrf.train import TrainConfig
+from treecrf.train import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -659,6 +659,23 @@ class TestSweepLatent:
         assert lines[0] == "latent_labels,dev_precision,dev_recall,dev_f1"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
+
+    def test_rows_are_the_dev_reports_of_train(self, tmp_path, capsys):
+        # one row per count, in --counts order, from train() on that count's
+        # config: the shared flags, and the count as latent_label_count
+        data = str(tmp_path / "small.jsonl")
+        assert main(["gen", "--out", data, "--sentences", "80", "--seed", "1"]) == 0
+        capsys.readouterr()
+        flags = ["--epochs", "2", "--seed", "3", "--batch", "8"]
+        assert main(["sweep-latent", "--data", data, "--counts", "2,1", *flags]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        records = read_corpus(data)
+        want = ["latent_labels,dev_precision,dev_recall,dev_f1"]
+        for count in (2, 1):
+            config = TrainConfig(epochs=2, seed=3, batch_size=8, latent_label_count=count)
+            r = train(records, config).dev_report
+            want.append(f"{count},{r.precision:.6f},{r.recall:.6f},{r.f1:.6f}")
+        assert lines == want
 
     def test_has_no_latent_flag(self, capsys):
         # --counts sets every run's latent label count

@@ -21,13 +21,14 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["train-std", "batch-inside"])
+@pytest.mark.parametrize("workload", ["train-std", "decode-std", "batch-inside"])
 def test_a_short_traced_run_completes(workload):
     # selftest runs untraced; a traced run also wraps every layer site of
     # tracer.SITES that treecrf still has, times the units it wraps, and
     # writes the spans, so a change that breaks --trace 1 fails here.
     # batch-inside classifies nodes, builds masks and runs the vanilla
     # pass on its SymbolTrees, and its tracer reads each chart's square.
+    # decode-std wraps predict, cky_decode and evaluate.
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
         + ["--workload", workload, "--seed", "1"]

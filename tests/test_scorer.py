@@ -326,6 +326,38 @@ class TestForwardBatch:
         with pytest.raises(EmptySentence, match="batch position 1"):
             forward_batch(ids, params)
 
+    @pytest.mark.parametrize("kind", ["negative", "vocab-size", "float", "bool"])
+    def test_token_ids_outside_the_vocab(self, small_vocab, small_config, kind):
+        # -1 would read, and train, the last embedding row; the others would
+        # raise numpy's IndexError
+        params = init_params(small_vocab, small_config, seed=0)
+        bad = {
+            "negative": np.array([1, 2, -1]),
+            "vocab-size": np.array([1, len(params.vocab)]),
+            "float": np.array([1.0, 2.0]),
+            "bool": np.array([True, False]),
+        }[kind]
+        ids = [np.array([1, 2]), np.array([3]), bad, np.array([-1])]
+        with pytest.raises(DimensionMismatch, match="batch position 2 "):
+            forward_batch(ids, params)
+
+    def test_integer_ids_of_any_width(self, small_vocab, small_config):
+        params = init_params(small_vocab, small_config, seed=0)
+        size = len(params.vocab)
+        ids = [np.array([1, 2, 3])]
+        (want,), _ = forward_batch(ids, params)
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            (chart,), _ = forward_batch([ids[0].astype(dtype)], params)
+            np.testing.assert_array_equal(chart.cells, want.cells)
+        (edge,), _ = forward_batch([np.array([0, size - 1])], params)
+        assert edge.n == 2
+        # one padded group of signed and unsigned ids, which numpy's
+        # concatenation alone would promote to floats
+        mixed = [ids[0], ids[0].astype(np.uint64)]
+        charts, _ = forward_batch(mixed, params)
+        for chart in charts:
+            np.testing.assert_array_equal(chart.cells, want.cells)
+
     @pytest.mark.parametrize("poisoned, position", [([7], 2), ([7, 1], 0)])
     def test_non_finite_scores_name_the_batch_position(
         self, small_vocab, small_config, poisoned, position

@@ -17,7 +17,6 @@ from treecrf import (
     evaluate,
     gen_synthetic,
     predict,
-    sweep_latent_labels,
     train,
     validate_annotation,
 )
@@ -421,6 +420,29 @@ class TestPredictEvaluate:
         totals = tuple(sum(c[column] for c in counts.values()) for column in range(3))
         assert (report.gold_count, report.predicted_count, report.matched_count) == totals
 
+    @pytest.mark.parametrize("entry", ["batch_predict", "evaluate"])
+    def test_scorer_failure_names_the_corpus_position(self, entry, monkeypatch):
+        # only sentence 350 holds the token whose embedding overflows the
+        # scores; chunks of a few sentences put it in a later chunk than the
+        # first, so its position in its chunk is not its position in the input
+        train_module = importlib.import_module("treecrf.train")
+        monkeypatch.setattr(train_module, "DECODE_CHUNK_CELLS", 1000)
+        records = list(gen_synthetic(SynthConfig(num_sentences=400, seed=5)))
+        bad = records[350]
+        records[350] = CorpusRecord(("poison",) + bad.tokens[1:], bad.entities)
+        schema = corpus_schema(records)
+        vocab = corpus_vocab(records)
+        params = init_params(vocab, ScorerConfig(8, 16, schema), seed=0)
+        params.emb[vocab.index["poison"]] = 1e200
+        with pytest.raises(NonFiniteLoss) as info:
+            if entry == "evaluate":
+                evaluate(params, records)
+            else:
+                list(batch_predict(params, (r.tokens for r in records)))
+        assert info.value.position == 350
+        prefix = f"sentence 350 (length {len(bad.tokens)}), scorer forward: "
+        assert str(info.value).startswith(prefix)
+
     def test_report_arithmetic(self):
         from treecrf.train import _prf
 
@@ -430,26 +452,6 @@ class TestPredictEvaluate:
     def test_evaluate_empty_corpus(self, trained):
         with pytest.raises(EmptyCorpus):
             evaluate(trained.params, [])
-
-
-class TestSweep:
-    def test_single_count_matches_plain_train(self, small_corpus):
-        config = TrainConfig(epochs=2, seed=0)
-        rows = sweep_latent_labels(small_corpus[:80], config, [1])
-        plain = train(small_corpus[:80], config)
-        assert rows[0][0] == 1
-        assert rows[0][1] == plain.dev_report
-
-    def test_row_per_count(self, small_corpus):
-        config = TrainConfig(epochs=1, seed=0)
-        rows = sweep_latent_labels(small_corpus[:60], config, [1, 2, 3])
-        assert [c for c, _ in rows] == [1, 2, 3]
-        for _, report in rows:
-            assert 0.0 <= report.f1 <= 1.0
-
-    def test_bad_count(self, small_corpus):
-        with pytest.raises(BadConfig):
-            sweep_latent_labels(small_corpus[:10], TrainConfig(), [0])
 
 
 class TestTrainingLog:
