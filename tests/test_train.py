@@ -21,7 +21,14 @@ from treecrf import (
     validate_annotation,
 )
 from treecrf.chart import ChartMask, ScoreChart, pack_cells
-from treecrf.data import corpus_schema, corpus_vocab, preprocess, split_corpus
+from treecrf.cli import main as cli_main
+from treecrf.data import (
+    corpus_schema,
+    corpus_vocab,
+    preprocess,
+    split_corpus,
+    write_corpus,
+)
 from treecrf.inference import loss_and_score_gradient
 from treecrf.scorer import (
     PARAM_ORDER,
@@ -452,6 +459,37 @@ class TestPredictEvaluate:
     def test_evaluate_empty_corpus(self, trained):
         with pytest.raises(EmptyCorpus):
             evaluate(trained.params, [])
+
+
+def _sweep_rows(records, tmp_path, capsys, counts, flags):
+    """The (count, precision, recall, f1) rows `treecrf sweep-latent` prints."""
+    path = str(tmp_path / "sweep.jsonl")
+    write_corpus(records, path)
+    assert cli_main(["sweep-latent", "--data", path, "--counts", counts, *flags]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "latent_labels,dev_precision,dev_recall,dev_f1"
+    return [
+        (int(c), float(p), float(r), float(f))
+        for c, p, r, f in (line.split(",") for line in lines[1:])
+    ]
+
+
+class TestSweep:
+    def test_single_count_matches_plain_train(self, small_corpus, tmp_path, capsys):
+        rows = _sweep_rows(small_corpus[:80], tmp_path, capsys, "1",
+                           ["--epochs", "2", "--seed", "0"])
+        plain = train(small_corpus[:80], TrainConfig(epochs=2, seed=0)).dev_report
+        assert [row[0] for row in rows] == [1]
+        assert rows[0][1:] == pytest.approx(
+            (plain.precision, plain.recall, plain.f1), abs=5e-7
+        )
+
+    def test_row_per_count(self, small_corpus, tmp_path, capsys):
+        rows = _sweep_rows(small_corpus[:60], tmp_path, capsys, "1,2,3",
+                           ["--epochs", "1", "--seed", "0"])
+        assert [row[0] for row in rows] == [1, 2, 3]
+        for _, *report in rows:
+            assert all(0.0 <= value <= 1.0 for value in report)
 
 
 class TestTrainingLog:
