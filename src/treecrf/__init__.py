@@ -7,7 +7,6 @@ from .chart import (
     PartialTree,
     ScoreChart,
     Span,
-    SymbolTree,
     build_mask,
     classify_nodes,
     pack_cells,

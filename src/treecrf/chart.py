@@ -16,16 +16,16 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
 * LATENT   - anything else; the span may appear in a tree, labeled with a
   latent label.
 
-A :class:`SymbolTree` holds that classification and is made from a
-validated :class:`PartialTree` alone, so the mask, the vanilla pass and
-the oracle all read the one classification its annotation implies.  It
-is turned into a 0/1 mask over every span cell and label; structure
-smoothing later relaxes rejected cells from 0 to a small epsilon.  The
-cells ``i > j`` below the diagonal stand for no span;
-:func:`below_diagonal` marks them.  Score charts and masks hold their
-span cells packed: one ``(n(n+1)/2, |labels|)`` array of the cells of
-``~below_diagonal(n)`` in row-major order (:func:`pack_cells`), the layout
-the chart kernel reads.
+A validated :class:`PartialTree` carries that classification as its
+``node_kind``, built from its annotation when first read, so the mask and
+the vanilla pass read the one classification the annotation implies (the
+oracle reads the annotated spans themselves).  It is turned into a 0/1
+mask over every span cell and label; structure smoothing later relaxes
+rejected cells from 0 to a small epsilon.  The cells ``i > j`` below the
+diagonal stand for no span; :func:`below_diagonal` marks them.  Score
+charts and masks hold their span cells packed: one ``(n(n+1)/2,
+|labels|)`` array of the cells of ``~below_diagonal(n)`` in row-major
+order (:func:`pack_cells`), the layout the chart kernel reads.
 """
 
 from __future__ import annotations
@@ -177,7 +177,16 @@ def _first_crossing(spans: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class PartialTree:
-    """A validated laminar set of observed entity spans over ``n`` tokens."""
+    """A validated laminar set of observed entity spans over ``n`` tokens.
+
+    Two read-only attributes are built from the entities when first read.
+    ``node_kind`` is an ``n x n`` read-only array of NodeKind values, of
+    which only the upper triangle (i <= j) is meaningful: a cell is
+    OBSERVED iff its span is annotated, REJECTED iff it crosses at least
+    one annotated span, LATENT otherwise.  Width-1 cells and the root cell
+    cross nothing, so they are never REJECTED.  ``observed_label`` maps
+    each annotated (start, end) to its sorted annotated labels.
+    """
 
     n: int
     entities: tuple[Span, ...]
@@ -205,32 +214,18 @@ class PartialTree:
                 f"spans {bounds[p]} and {bounds[q]} cross (inclusive offsets)"
             )
 
-    def span_labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Map each annotated (start, end) to its sorted annotated labels."""
+    @cached_property
+    def node_kind(self) -> np.ndarray:
+        kinds = _node_kinds(self.n, 1, _annotated([self]))[0]
+        kinds.flags.writeable = False
+        return kinds
+
+    @cached_property
+    def observed_label(self) -> dict[tuple[int, int], tuple[int, ...]]:
         out: dict[tuple[int, int], list[int]] = {}
         for ent in self.entities:
             out.setdefault((ent.start, ent.end), []).append(ent.label)
         return {k: tuple(sorted(v)) for k, v in out.items()}
-
-
-class SymbolTree:
-    """The node classification of a PartialTree, made from that tree alone.
-
-    ``n`` is the tree's length and ``node_kind`` an ``n x n`` read-only
-    array of NodeKind values, of which only the upper triangle (i <= j) is
-    meaningful: a cell is OBSERVED iff its span is annotated, REJECTED iff
-    it crosses at least one annotated span, LATENT otherwise.  Width-1
-    cells and the root cell cross nothing, so they are never REJECTED.
-    ``observed_label`` maps each observed span to its annotated label
-    indices.
-    """
-
-    def __init__(self, tree: PartialTree) -> None:
-        self.tree = tree
-        self.n = tree.n
-        self.node_kind = _node_kinds(tree.n, 1, _annotated([tree]))[0]
-        self.node_kind.flags.writeable = False
-        self.observed_label = tree.span_labels()
 
 
 class ScoreChart:
@@ -386,42 +381,40 @@ def _check_epsilon(epsilon: float) -> None:
         raise BadConfig(f"epsilon must be in [0, 1), got {epsilon}")
 
 
-def classify_nodes(tree: PartialTree) -> SymbolTree:
-    """Classify every chart cell as Observed, Latent, or Rejected (see
-    :class:`SymbolTree`)."""
-    return SymbolTree(tree)
+def classify_nodes(tree: PartialTree) -> PartialTree:
+    """The tree itself, which carries its node kinds (see
+    :class:`PartialTree`), so that callers that classify a tree before
+    building its mask keep working."""
+    return tree
 
 
-def build_mask(symbols: SymbolTree, schema: LabelSchema) -> ChartMask:
-    """Materialize the 0/1 mask that encodes the node classification.
+def build_mask(tree: PartialTree, schema: LabelSchema) -> ChartMask:
+    """Materialize the 0/1 mask that encodes the tree's node kinds.
 
     Observed cells admit exactly their annotated label(s); latent cells
     admit all latent labels; rejected cells admit nothing.
     """
-    annotated = _annotated([symbols.tree])
-    return ChartMask(_masks(symbols.node_kind[None], annotated, schema, 0.0)[0])
+    return ChartMask(_masks(tree.node_kind[None], _annotated([tree]), schema, 0.0)[0])
 
 
-def smooth_mask(mask: ChartMask, symbols: SymbolTree, epsilon: float) -> ChartMask:
+def smooth_mask(mask: ChartMask, tree: PartialTree, epsilon: float) -> ChartMask:
     """Structure smoothing: raise rejected cells' weights from 0 to epsilon.
 
     Only rejected cells change; zero entries of observed and latent cells
     stay zero.  ``epsilon = 0`` returns an identical mask.
     """
     _check_epsilon(epsilon)
-    if mask.n != symbols.n:
-        raise DimensionMismatch(
-            f"mask is over {mask.n} tokens but symbols over {symbols.n}"
-        )
+    if mask.n != tree.n:
+        raise DimensionMismatch(f"mask is over {mask.n} tokens but tree over {tree.n}")
     cells = mask.cells.copy()
-    _reject(cells, pack_cells(symbols.node_kind), epsilon)
+    _reject(cells, pack_cells(tree.node_kind), epsilon)
     return ChartMask(cells)
 
 
 def smoothed_masks(
     trees: Sequence[PartialTree], schema: LabelSchema, epsilon: float
 ) -> list[ChartMask]:
-    """``smooth_mask(build_mask(classify_nodes(t), schema), ...)`` of each tree.
+    """``smooth_mask(build_mask(t, schema), t, epsilon)`` of each tree ``t``.
 
     The masks of all trees of one length are built together, packed, in
     one ``(count, n(n+1)/2, L)`` array: one crossing test over every

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference, oracle
-from .chart import LabelSchema, build_mask, classify_nodes, pack_cells
+from .chart import LabelSchema, build_mask, pack_cells
 from .data import (
     CorpusRecord,
     Entity,
@@ -200,11 +200,10 @@ def _case_schema(rng: np.random.Generator) -> LabelSchema:
 
 def _random_case(n: int, schema: LabelSchema, rng: np.random.Generator,
                  multilabel_prob: float = 0.0):
-    """A random chart and annotation: ``(chart, symbols, mask)``."""
+    """A random chart and annotation: ``(chart, tree, mask)``."""
     chart = oracle.random_chart(n, schema, rng)
     tree = oracle.random_partial_tree(n, schema, rng, multilabel_prob)
-    symbols = classify_nodes(tree)
-    return chart, symbols, build_mask(symbols, schema)
+    return chart, tree, build_mask(tree, schema)
 
 
 def _same_tree(chart, decoded, best) -> bool:
@@ -240,15 +239,15 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     for case in range(cases):
         n = case % max_n + 1
         schema = _case_schema(rng)
-        chart, symbols, mask = _random_case(n, schema, rng, multilabel_prob=0.1)
+        chart, tree, mask = _random_case(n, schema, rng, multilabel_prob=0.1)
 
         log_z = oracle.brute_force_log_z(chart)
         err = abs(inside(chart) - log_z)
         partition.add(err, not err <= 1e-8)
 
         mi = masked_inside(chart, mask)
-        vp = vanilla_partial_marginalization(chart, symbols)
-        bf = oracle.brute_force_partial_score(chart, symbols)
+        vp = vanilla_partial_marginalization(chart, tree)
+        bf = oracle.brute_force_partial_score(chart, tree)
         err = np.max([abs(mi - vp), abs(mi - bf)])
         three_way.add(err, not err <= 1e-6)
 
@@ -260,7 +259,7 @@ def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
         )
         bounds_ok = bool((mu >= 0.0).all() and (mu <= 1.0).all())
         oracle_mu = oracle.brute_force_marginals(chart)
-        oracle_mu_masked = oracle.brute_force_marginals(chart, symbols)
+        oracle_mu_masked = oracle.brute_force_marginals(chart, tree)
         vs_oracle = np.abs(mu - oracle_mu).max()
         mu_masked = marginals(chart, mask)
         vs_oracle_masked = np.abs(mu_masked - oracle_mu_masked).max()
@@ -324,7 +323,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         observed_labels=tuple(f"L{i}" for i in range(args.labels - 1)),
         latent_label_count=1,
     )
-    charts, symbol_trees, masks = zip(
+    charts, trees, masks = zip(
         *(_random_case(args.length, schema, rng) for _ in range(args.batch))
     )
 
@@ -336,8 +335,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for _ in range(args.repeats):
         t0 = time.perf_counter()
         vanilla_values = [
-            vanilla_partial_marginalization(chart, symbols)
-            for chart, symbols in zip(charts, symbol_trees)
+            vanilla_partial_marginalization(chart, tree)
+            for chart, tree in zip(charts, trees)
         ]
         t_vanilla = time.perf_counter() - t0
         t0 = time.perf_counter()

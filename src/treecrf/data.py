@@ -288,7 +288,11 @@ def gen_synthetic(cfg: SynthConfig) -> list[CorpusRecord]:
 def split_corpus(
     records: Sequence[CorpusRecord], seed: int
 ) -> tuple[list[CorpusRecord], list[CorpusRecord], list[CorpusRecord]]:
-    """80/10/10 train/dev/test split by a stable hash of (seed, index)."""
+    """80/10/10 train/dev/test split by a stable hash of (seed, index).
+
+    Any sequence splits by the same rule, so ``split_corpus(range(len(
+    records)), seed)`` gives the corpus positions of each split.
+    """
     train: list[CorpusRecord] = []
     dev: list[CorpusRecord] = []
     test: list[CorpusRecord] = []

@@ -52,7 +52,7 @@ class NonFiniteLoss(TreecrfError):
     the call that raised it, else ``None``.  For a batched scorer forward
     or a structured entry point it is the batch position.  For
     ``batch_predict`` (and so ``evaluate``) it counts the sentences given,
-    and for ``train`` its training examples; the message names it as
+    and for ``train`` the corpus's records; the message names it as
     ``sentence {position} (length {n})``.
     """
 

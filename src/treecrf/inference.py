@@ -119,9 +119,9 @@ from .chart import (
     ChartMask,
     LabelSchema,
     NodeKind,
+    PartialTree,
     ScoreChart,
     Span,
-    SymbolTree,
     _check_observed,
     packed_index,
     span_positions,
@@ -785,7 +785,7 @@ def masked_inside(chart: ScoreChart, mask: ChartMask) -> float:
     return float(_inside([chart], [mask]).roots[0])
 
 
-def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> float:
+def vanilla_partial_marginalization(chart: ScoreChart, tree: PartialTree) -> float:
     """Reference partial marginalization with per-cell branching.
 
     Walks the chart cell by cell: observed cells contribute only their
@@ -795,11 +795,9 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
     path is checked and benchmarked against.
     """
     _check_batch([chart], [None])
-    if symbols.n != chart.n:
-        raise DimensionMismatch(
-            f"symbols over {symbols.n} tokens but chart over {chart.n}"
-        )
-    labels = [k for ks in symbols.observed_label.values() for k in ks]
+    if tree.n != chart.n:
+        raise DimensionMismatch(f"tree over {tree.n} tokens but chart over {chart.n}")
+    labels = [k for ks in tree.observed_label.values() for k in ks]
     _check_observed(np.array(labels, dtype=np.intp), chart.schema)
     s = chart.s
     n = chart.n
@@ -810,12 +808,12 @@ def vanilla_partial_marginalization(chart: ScoreChart, symbols: SymbolTree) -> f
         for w in range(1, n + 1):
             for i in range(n - w + 1):
                 j = i + w - 1
-                kind = symbols.node_kind[i, j]
+                kind = tree.node_kind[i, j]
                 if kind == NodeKind.REJECTED:
                     beta[i, j] = -np.inf
                     continue
                 if kind == NodeKind.OBSERVED:
-                    ks = list(symbols.observed_label[(i, j)])
+                    ks = list(tree.observed_label[(i, j)])
                     a = _lse(s[i, j, ks], axis=0)
                 else:
                     a = _lse(s[i, j, n_observed:], axis=0)

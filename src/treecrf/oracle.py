@@ -14,13 +14,14 @@ cross-checked against each other in the test suite at sizes where both run.
 
 One rule states what an annotation admits: an ``(n, n, L)`` table of the
 labels each span may carry (every label without an annotation; with one,
-the annotated labels on an observed span, the latent labels on a latent
-span and none on a rejected span).  The log-partition, the partial score
-and both marginals read that table alone: each node's label sum runs over
-its admitted labels, and a bracketing counts iff it holds every observed
-span and only spans that admit a label.  The table is built from the
-annotation here, never from the kernel's mask code, so the oracle stays
-independent of what it certifies.
+the annotated labels on an annotated span and the latent labels on any
+other).  The log-partition, the partial score and both marginals read
+that table alone: each node's label sum runs over its admitted labels,
+and a bracketing counts iff it holds every observed span.  No bracketing
+that holds a span can hold one that crosses it, so the spans the masks
+reject never count.  The table is built from the annotated spans and
+labels alone, never from the node kinds or the mask code, so the oracle
+stays independent of what it certifies.
 """
 
 from __future__ import annotations
@@ -31,16 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chart import (
-    LabelSchema,
-    NodeKind,
-    PartialTree,
-    ScoreChart,
-    Span,
-    SymbolTree,
-    _spans_cross,
-    pack_cells,
-)
+from .chart import LabelSchema, PartialTree, ScoreChart, Span, _spans_cross, pack_cells
 from .errors import DimensionMismatch, TooLarge
 from .inference import FullTree, _lse
 
@@ -92,21 +84,22 @@ def enumerate_full_trees(n: int, schema: LabelSchema) -> Iterator[FullTree]:
     )
 
 
-def _admissible(chart: ScoreChart, symbols: SymbolTree | None) -> np.ndarray:
+def _admissible(chart: ScoreChart, tree: PartialTree | None) -> np.ndarray:
     """The ``(n, n, L)`` table of the labels each span may carry.
 
     Without an annotation every span takes every label.  With one, an
-    observed span takes its annotated labels, a latent span the latent
-    labels and a rejected span none.
+    annotated span takes its annotated labels and every other span the
+    latent labels.
     """
     n = chart.n
-    if symbols is None:
+    if tree is None:
         return np.ones((n, n, chart.schema.n_labels), dtype=bool)
-    if symbols.n != n:
-        raise DimensionMismatch(f"symbols over {symbols.n} tokens but chart over {n}")
+    if tree.n != n:
+        raise DimensionMismatch(f"tree over {tree.n} tokens but chart over {n}")
     admissible = np.zeros((n, n, chart.schema.n_labels), dtype=bool)
-    admissible[symbols.node_kind == NodeKind.LATENT, chart.schema.n_observed:] = True
-    for (i, j), ks in symbols.observed_label.items():
+    admissible[:, :, chart.schema.n_observed :] = True
+    for (i, j), ks in tree.observed_label.items():
+        admissible[i, j] = False
         admissible[i, j, list(ks)] = True
     return admissible
 
@@ -120,14 +113,13 @@ def _label_lse(chart: ScoreChart, admissible: np.ndarray) -> np.ndarray:
 
 
 def _weighted_structures(
-    chart: ScoreChart, symbols: SymbolTree | None, lab: np.ndarray
+    chart: ScoreChart, tree: PartialTree | None, lab: np.ndarray
 ) -> Iterator[tuple[Structure, float]]:
-    """Bracketings holding every observed span and only admitted spans,
-    each with its log weight under the per-cell label sums ``lab``."""
-    observed = set() if symbols is None else set(symbols.observed_label)
+    """Bracketings holding every observed span, each with its log weight
+    under the per-cell label sums ``lab``."""
+    observed = set() if tree is None else set(tree.observed_label)
     for structure in _structures(0, chart.n - 1):
-        spans = {(i, j) for i, j, _ in structure}
-        if observed <= spans and all(lab[i, j] > -np.inf for i, j in spans):
+        if observed <= {(i, j) for i, j, _ in structure}:
             yield structure, float(sum(lab[i, j] for i, j, _ in structure))
 
 
@@ -140,22 +132,20 @@ def brute_force_log_z(chart: ScoreChart) -> float:
     return brute_force_partial_score(chart, None)
 
 
-def brute_force_partial_score(
-    chart: ScoreChart, symbols: SymbolTree | None
-) -> float:
+def brute_force_partial_score(chart: ScoreChart, tree: PartialTree | None) -> float:
     """Log-sum over full trees compatible with the partial annotation.
 
     A full tree is compatible iff every observed span is present carrying
-    one of its annotated labels, every other node carries a latent label,
-    and no node's span is rejected.  ``symbols=None`` admits every tree.
+    one of its annotated labels and every other node carries a latent
+    label.  ``tree=None`` admits every full tree.
     """
     _check_structure_guard(chart.n)
-    lab = _label_lse(chart, _admissible(chart, symbols))
-    return _log_sum([w for _, w in _weighted_structures(chart, symbols, lab)])
+    lab = _label_lse(chart, _admissible(chart, tree))
+    return _log_sum([w for _, w in _weighted_structures(chart, tree, lab)])
 
 
 def brute_force_marginals(
-    chart: ScoreChart, symbols: SymbolTree | None = None
+    chart: ScoreChart, tree: PartialTree | None = None
 ) -> np.ndarray:
     """Posterior span-label probabilities by normalized counting.
 
@@ -163,9 +153,9 @@ def brute_force_marginals(
     :func:`treecrf.inference.marginals` must match.
     """
     _check_structure_guard(chart.n)
-    admissible = _admissible(chart, symbols)
+    admissible = _admissible(chart, tree)
     lab = _label_lse(chart, admissible)
-    pairs = list(_weighted_structures(chart, symbols, lab))
+    pairs = list(_weighted_structures(chart, tree, lab))
     log_z = _log_sum([w for _, w in pairs])
     mu = np.zeros(admissible.shape)
     for structure, w in pairs:
@@ -220,21 +210,15 @@ def brute_force_best_tree(chart: ScoreChart) -> FullTree:
     )
 
 
-def is_compatible(tree: FullTree, symbols: SymbolTree, schema: LabelSchema) -> bool:
-    """Definitional compatibility of a full tree with a partial annotation."""
+def is_compatible(tree: FullTree, partial: PartialTree, schema: LabelSchema) -> bool:
+    """Definitional compatibility of a full tree with a partial annotation:
+    every observed span is present with an annotated label, and every
+    other node has a latent label."""
     labels = {(i, j): k for i, j, k in tree.nodes}
-    for span, ks in symbols.observed_label.items():
-        if labels.get(span) not in ks:
-            return False
-    for (i, j), k in labels.items():
-        kind = symbols.node_kind[i, j]
-        if kind == NodeKind.REJECTED:
-            return False
-        if kind == NodeKind.LATENT and k < schema.n_observed:
-            return False
-        if kind == NodeKind.OBSERVED and k not in symbols.observed_label[(i, j)]:
-            return False
-    return True
+    observed = partial.observed_label
+    if any(labels.get(span) not in ks for span, ks in observed.items()):
+        return False
+    return all(span in observed or k >= schema.n_observed for span, k in labels.items())
 
 
 def random_chart(

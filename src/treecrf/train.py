@@ -61,7 +61,7 @@ from .data import (
     preprocess,
     split_corpus,
 )
-from .errors import BadConfig, EmptyCorpus, NonFiniteLoss
+from .errors import BadConfig, EmptyCorpus, EmptySentence, NonFiniteLoss
 # loss_and_score_gradient is re-exported: the per-sentence step is looked
 # up here by callers that check a trained model sentence by sentence.
 from .inference import (  # noqa: F401
@@ -204,26 +204,27 @@ def _batch_gradient(
     examples: Sequence[PreprocessedExample],
     params: ScorerParams,
     losses: list[float],
+    positions: Sequence[int],
 ) -> dict[str, np.ndarray]:
     """Mean parameter gradient of one minibatch; appends its losses.
 
     Three calls: one scorer :func:`~treecrf.scorer.forward_batch`, one
     batched structured loss and gradient, then the batch tape's backward,
-    which sums the sentences' gradients in batch order.  A
-    :class:`NonFiniteLoss` from the forward gets the sentence's index and
-    length.
+    which sums the sentences' gradients in batch order.  A sentence whose
+    scores or loss stop being finite raises :class:`NonFiniteLoss` naming
+    its length and ``positions[idx]``, ``idx`` its index in ``examples``.
     """
     try:
         charts, tape = forward_batch([examples[idx].token_ids for idx in batch], params)
     except NonFiniteLoss as exc:
         idx = batch[exc.position]
-        raise _diverged(idx, len(examples[idx].token_ids), exc) from None
+        raise _diverged(positions[idx], len(examples[idx].token_ids), exc) from None
     results = batch_loss_and_score_gradient(charts, [examples[idx].mask for idx in batch])
     score_grads = []
     for idx, chart, (loss, score_grad) in zip(batch, charts, results):
         if not np.isfinite(loss):
             detail = f"loss: loss={loss}, max |score|={chart.peak:.3e}"
-            raise _diverged(idx, chart.n, detail)
+            raise _diverged(positions[idx], chart.n, detail)
         losses.append(loss)
         score_grads.append(score_grad)
     grads = tape.backward(score_grads)
@@ -240,16 +241,20 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
     label schema come from the whole corpus.  The model with the highest
     dev F1 wins, ties going to the earliest epoch.  If the dev split is
     empty (tiny corpora), checkpoint selection falls back to the training
-    split.
+    split.  A sentence that diverges, in training or in the dev
+    evaluation, raises :class:`NonFiniteLoss` naming its 0-based position
+    among ``records``.
     """
     if not records:
         raise EmptyCorpus("cannot train on an empty corpus")
     schema = corpus_schema(records, config.latent_label_count)
     vocab = corpus_vocab(records)
-    train_records, dev_records, _ = split_corpus(records, config.seed)
-    if not train_records:
+    train_at, dev_at, _ = split_corpus(range(len(records)), config.seed)
+    if not train_at:
         raise EmptyCorpus("train split is empty")
-    eval_records = dev_records if dev_records else train_records
+    train_records = [records[k] for k in train_at]
+    eval_at = dev_at if dev_at else train_at
+    eval_records = [records[k] for k in eval_at]
     examples = preprocess(train_records, schema, vocab, config.epsilon_smoothing)
     params = init_params(
         vocab,
@@ -269,9 +274,14 @@ def train(records: Sequence[CorpusRecord], config: TrainConfig) -> TrainResult:
         losses: list[float] = []
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            grads = _batch_gradient(batch, examples, params, losses)
+            grads = _batch_gradient(batch, examples, params, losses, train_at)
             adam_step(params.arrays(), grads, adam, config.learning_rate)
-        report = evaluate(params, eval_records)
+        try:
+            report = evaluate(params, eval_records)
+        except NonFiniteLoss as exc:
+            # batch_predict chains the scorer's error to its own
+            k, detail = exc.position, exc.__cause__
+            raise _diverged(eval_at[k], len(eval_records[k].tokens), detail) from None
         mean_loss = float(np.mean(losses))
         log.append(
             EpochLog(
@@ -307,7 +317,9 @@ def batch_predict(
     equal those of :func:`predict`.  Lazy: a chunk is scored and decoded
     when the iterator reaches it.  A :class:`NonFiniteLoss` from the
     scorer names the sentence by its 0-based position among
-    ``sentences``, in the message and in ``position``.
+    ``sentences``, in the message and in ``position``, and is chained to
+    the scorer's error.  An empty sentence raises :class:`EmptySentence`
+    naming its position in the same form.
     """
     schema = params.config.schema
 
@@ -316,12 +328,15 @@ def batch_predict(
             charts, _ = forward_batch(chunk, params)
         except NonFiniteLoss as exc:
             b = exc.position
-            raise _diverged(start + b, len(chunk[b]), exc) from None
+            raise _diverged(start + b, len(chunk[b]), exc) from exc
         return (extract_entities(t, schema) for t in batch_cky_decode(charts))
 
     chunk: list[np.ndarray] = []
     start = longest = 0
-    for tokens in sentences:
+    for k, tokens in enumerate(sentences):
+        if len(tokens) == 0:
+            detail = "cannot decode an empty sentence"
+            raise EmptySentence(f"sentence {k} (length 0), {detail}")
         longest = max(longest, len(tokens))
         padded = (len(chunk) + 1) * longest * (longest + 1) // 2
         if chunk and padded > DECODE_CHUNK_CELLS:

@@ -13,7 +13,6 @@ from treecrf import (
     OutOfBounds,
     PartialTree,
     Span,
-    SymbolTree,
     UnknownLabel,
     build_mask,
     classify_nodes,
@@ -196,34 +195,41 @@ class TestClassifyNodes:
         assert sym.node_kind[0, n - 1] != NodeKind.REJECTED
 
 
-class TestSymbolTree:
-    def test_made_only_from_a_partial_tree(self):
-        # a hand-built classification could disagree with itself, as a
-        # 2-token chart all OBSERVED with no observed label would
-        observed = np.full((2, 2), NodeKind.OBSERVED)
-        with pytest.raises(TypeError):
-            SymbolTree(n=2, node_kind=observed, observed_label={})
-        with pytest.raises(TypeError):
-            SymbolTree(2, observed, {})
+class TestPartialTreeKinds:
+    def test_read_only_and_classify_nodes_returns_the_tree(self):
         tree = PartialTree(n=2, entities=(Span(0, 1, 0),))
-        sym = SymbolTree(tree)
-        assert (sym.tree, sym.n, sym.observed_label) == (tree, 2, {(0, 1): (0,)})
+        assert classify_nodes(tree) is tree
+        assert tree.observed_label == {(0, 1): (0,)}
+        assert tree.node_kind is tree.node_kind
         with pytest.raises(ValueError):
-            sym.node_kind[0, 0] = NodeKind.OBSERVED
+            tree.node_kind[0, 0] = NodeKind.OBSERVED
+        for name in ("node_kind", "observed_label"):
+            with pytest.raises(AttributeError):
+                setattr(tree, name, None)
+        # the cached attributes take no part in equality or hashing
+        again = PartialTree(n=2, entities=(Span(0, 1, 0),))
+        assert again == tree and hash(again) == hash(tree)
 
-    def test_kinds_and_mask_of_random_trees(self):
-        # its node kinds are the definition's, and its mask is the batched
-        # builder's at epsilon 0, bit for bit
+    def test_kinds_labels_and_mask_of_random_trees(self):
+        # its node kinds are the definition's, its observed labels are
+        # the entities', and its mask is the batched builder's at epsilon
+        # 0, bit for bit
         schema = LabelSchema(observed_labels=("A", "B", "C"), latent_label_count=2)
         rng = np.random.default_rng(27)
         for n in range(1, 13):
             trees = [random_partial_tree(n, schema, rng, 0.4) for _ in range(8)]
             for tree, batched in zip(trees, smoothed_masks(trees, schema, 0.0)):
-                sym = SymbolTree(tree)
-                assert sym.n == n and sym.observed_label == tree.span_labels()
-                kinds = pack_cells(sym.node_kind)
+                labels = {}
+                for e in tree.entities:
+                    labels.setdefault((e.start, e.end), set()).add(e.label)
+                assert tree.observed_label == {
+                    span: tuple(sorted(ks)) for span, ks in labels.items()
+                }
+                assert tree.node_kind.shape == (n, n)
+                assert not tree.node_kind.flags.writeable
+                kinds = pack_cells(tree.node_kind)
                 np.testing.assert_array_equal(kinds, crossing_kinds(tree))
-                mask = build_mask(sym, schema)
+                mask = build_mask(tree, schema)
                 assert mask.cells.dtype == batched.cells.dtype
                 assert mask.cells.tobytes() == batched.cells.tobytes()
 
@@ -320,7 +326,7 @@ class TestSmoothMask:
 def reference_mask(tree, schema, epsilon):
     """The smoothed mask of one tree, cell by cell from the three rules."""
     m = np.zeros((tree.n, tree.n, schema.n_labels))
-    spans = tree.span_labels()
+    spans = tree.observed_label
     for i in range(tree.n):
         for j in range(i, tree.n):
             if (i, j) in spans:
@@ -468,4 +474,4 @@ class TestPartialTree:
         with pytest.raises(OutOfBounds, match="is not an integer"):
             PartialTree(n=3.0, entities=())
         tree = PartialTree(n=np.int64(3), entities=(Span(*np.arange(3)[[0, 1, 0]]),))
-        assert tree.span_labels() == {(0, 1): (0,)}
+        assert tree.observed_label == {(0, 1): (0,)}

@@ -172,7 +172,7 @@ class TestMaskedInside:
         chart = random_chart(4, schema3, rng)
         tree = cky_decode(random_chart(3, schema3, rng))
         symbols = classify_nodes(random_partial_tree(3, schema3, rng))
-        with pytest.raises(DimensionMismatch, match="symbols over 3 tokens"):
+        with pytest.raises(DimensionMismatch, match="tree over 3 tokens"):
             vanilla_partial_marginalization(chart, symbols)
         with pytest.raises(DimensionMismatch, match="tree over 3 tokens"):
             tree_score(chart, tree)

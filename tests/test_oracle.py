@@ -12,6 +12,7 @@ from treecrf import (
     build_mask,
     classify_nodes,
     inside,
+    marginals,
     masked_inside,
     tree_score,
     vanilla_partial_marginalization,
@@ -232,3 +233,37 @@ class TestRandomPartialTree:
             n = int(rng.integers(1, 12))
             tree = random_partial_tree(n, schema3, rng, multilabel_prob=0.3)
             assert tree.n == n  # PartialTree construction validates the rest
+
+
+class TestIndependentOfNodeKinds:
+    """The oracle reads the annotated spans and labels alone, never the node
+    kinds the masks and the vanilla pass are built from."""
+
+    def test_values_with_node_kinds_unreadable(self, schema3, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = []
+        for trial in range(30):
+            n = trial % 4 + 1
+            chart = random_chart(n, schema3, rng)
+            tree = random_partial_tree(n, schema3, rng, multilabel_prob=0.3)
+            cases.append((chart, tree, build_mask(tree, schema3)))
+
+        def unreadable(tree):
+            raise AssertionError("node kinds read")
+
+        monkeypatch.setattr(PartialTree, "node_kind", property(unreadable))
+        with pytest.raises(AssertionError, match="node kinds read"):
+            build_mask(cases[0][1], schema3)
+        for chart, tree, mask in cases:
+            assert brute_force_partial_score(chart, tree) == pytest.approx(
+                masked_inside(chart, mask), abs=1e-9
+            )
+            np.testing.assert_allclose(
+                brute_force_marginals(chart, tree), marginals(chart, mask), atol=1e-9
+            )
+            kept = [t for t in enumerate_full_trees(chart.n, schema3)
+                    if is_compatible(t, tree, schema3)]
+            scores = [tree_score(chart, t) for t in kept]
+            assert float(_lse(np.array(scores), axis=0)) == pytest.approx(
+                masked_inside(chart, mask), abs=1e-9
+            )

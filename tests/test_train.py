@@ -9,6 +9,7 @@ from treecrf import (
     BadConfig,
     CorpusRecord,
     EmptyCorpus,
+    EmptySentence,
     Entity,
     NonFiniteLoss,
     SynthConfig,
@@ -288,7 +289,7 @@ class TestTrain:
         with pytest.raises(
             NonFiniteLoss, match=r"^sentence 4 \(length 5\), scorer forward: "
         ):
-            _batch_gradient(batch, examples, params, [])
+            _batch_gradient(batch, examples, params, [], range(len(examples)))
 
     def test_mask_admitting_no_tree_names_the_sentence(self):
         # the structured layer gives that sentence an infinite loss, and the
@@ -304,7 +305,32 @@ class TestTrain:
         with pytest.raises(
             NonFiniteLoss, match=r"^sentence 1 \(length 30\), loss: loss=inf"
         ):
-            _batch_gradient(np.array([0, 1, 2, 3]), examples, params, [])
+            _batch_gradient(np.array([0, 1, 2, 3]), examples, params, [], range(4))
+
+    @pytest.mark.parametrize("poisoned", [126, 93])
+    def test_divergence_names_the_corpus_position(self, poisoned, monkeypatch):
+        # record 126 is the 101st of the train split and record 93 the 11th
+        # of the dev split; only the poisoned record reads the token whose
+        # embedding overflows the scores, in training or in the dev
+        # evaluation after the epoch
+        records = list(gen_synthetic(SynthConfig(num_sentences=400, seed=5)))
+        train_at, dev_at, _ = split_corpus(range(len(records)), 0)
+        assert train_at.index(126) == 100 and dev_at.index(93) == 10
+        bad = records[poisoned]
+        records[poisoned] = CorpusRecord(("poison",) + bad.tokens[1:], bad.entities)
+        train_module = importlib.import_module("treecrf.train")
+
+        def poisoned_params(vocab, config, seed):
+            params = init_params(vocab, config, seed)
+            params.emb[vocab.index["poison"]] = 1e200
+            return params
+
+        monkeypatch.setattr(train_module, "init_params", poisoned_params)
+        with pytest.raises(NonFiniteLoss) as info:
+            train(records, TrainConfig(epochs=1))
+        assert info.value.position == poisoned
+        prefix = f"sentence {poisoned} (length {len(bad.tokens)}), scorer forward: "
+        assert str(info.value).startswith(prefix)
 
     def test_losses_nonnegative_without_smoothing(self, small_corpus):
         config = TrainConfig(epochs=1, seed=0, epsilon_smoothing=0.0)
@@ -449,6 +475,16 @@ class TestPredictEvaluate:
         assert info.value.position == 350
         prefix = f"sentence 350 (length {len(bad.tokens)}), scorer forward: "
         assert str(info.value).startswith(prefix)
+
+    def test_empty_sentence_names_its_input_position(self):
+        # sentence 350 falls in a later decode chunk than the first
+        records = list(gen_synthetic(SynthConfig(num_sentences=400, seed=5)))
+        schema, vocab = corpus_schema(records), corpus_vocab(records)
+        params = init_params(vocab, ScorerConfig(8, 16, schema), seed=0)
+        sentences = [r.tokens for r in records]
+        sentences[350] = ()
+        with pytest.raises(EmptySentence, match=r"^sentence 350 \(length 0\), "):
+            list(batch_predict(params, sentences))
 
     def test_report_arithmetic(self):
         from treecrf.train import _prf
