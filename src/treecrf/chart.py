@@ -31,7 +31,6 @@ order (:func:`pack_cells`), the layout the chart kernel reads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -47,6 +46,7 @@ from .errors import (
     EmptySpan,
     OutOfBounds,
     UnknownLabel,
+    integer,
 )
 
 
@@ -123,10 +123,10 @@ class LabelSchema:
             raise BadConfig("schema needs at least one observed label")
         if len(set(self.observed_labels)) != len(self.observed_labels):
             raise BadConfig("observed label names must be unique")
-        if any(not name for name in self.observed_labels):
-            raise BadConfig("observed label names must be non-empty")
-        if self.latent_label_count < 1:
-            raise BadConfig("schema needs at least one latent label")
+        if any(not (isinstance(name, str) and name) for name in self.observed_labels):
+            raise BadConfig("observed label names must be non-empty strings")
+        count = integer(self.latent_label_count, "latent_label_count", 1)
+        object.__setattr__(self, "latent_label_count", count)
 
     @property
     def n_observed(self) -> int:
@@ -150,14 +150,6 @@ class Span:
     start: int
     end: int
     label: int
-
-
-def _integer(value: object, error: type[Exception], what: str) -> int:
-    """``value`` as an integer, or ``error`` if it does not index."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def _spans_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -193,16 +185,12 @@ class PartialTree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", tuple(self.entities))
-        if _integer(self.n, OutOfBounds, "sentence length") < 1:
-            raise OutOfBounds("sentence length must be at least 1")
+        n = integer(self.n, "sentence length", 1, error=OutOfBounds)
+        object.__setattr__(self, "n", n)
         for ent in self.entities:
-            start, end = (_integer(x, OutOfBounds, "offset") for x in (ent.start, ent.end))
-            if not (0 <= start <= end < self.n):
-                raise OutOfBounds(
-                    f"span ({ent.start}, {ent.end}) outside sentence of length {self.n}"
-                )
-            if _integer(ent.label, UnknownLabel, "label index") < 0:
-                raise UnknownLabel(f"negative label index {ent.label}")
+            start = integer(ent.start, "span start", 0, error=OutOfBounds)
+            integer(ent.end, "span end", start, n - 1, error=OutOfBounds)
+            integer(ent.label, "label index", 0, error=UnknownLabel)
         triples = [(e.start, e.end, e.label) for e in self.entities]
         if len(set(triples)) != len(triples):
             raise ValueError("duplicate (start, end, label) triples in annotation")
@@ -376,7 +364,8 @@ def _masks(
     return m
 
 
-def _check_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
+    """Reject a structure-smoothing epsilon outside [0, 1)."""
     if not 0.0 <= epsilon < 1.0:
         raise BadConfig(f"epsilon must be in [0, 1), got {epsilon}")
 
@@ -403,7 +392,7 @@ def smooth_mask(mask: ChartMask, tree: PartialTree, epsilon: float) -> ChartMask
     Only rejected cells change; zero entries of observed and latent cells
     stay zero.  ``epsilon = 0`` returns an identical mask.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     if mask.n != tree.n:
         raise DimensionMismatch(f"mask is over {mask.n} tokens but tree over {tree.n}")
     cells = mask.cells.copy()
@@ -423,7 +412,7 @@ def smoothed_masks(
     and one scatter for the observed cells.  Each returned mask, in input
     order, holds a view of its group's array.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     groups: dict[int, list[int]] = {}
     for idx, tree in enumerate(trees):
         groups.setdefault(tree.n, []).append(idx)

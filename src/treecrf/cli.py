@@ -27,7 +27,7 @@ from .data import (
     read_corpus,
     write_corpus,
 )
-from .errors import BadConfig, EmptyCorpus, TooLarge, TreecrfError
+from .errors import BadConfig, EmptyCorpus, TooLarge, TreecrfError, integer
 from .inference import (
     batch_cky_decode,
     batch_loss_and_score_gradient,
@@ -215,14 +215,13 @@ def _same_tree(chart, decoded, best) -> bool:
 
 def run_selfcheck(max_n: int, cases: int, seed: int) -> list[_CheckResult]:
     """Certify the chart DP against the enumeration oracles."""
+    flags = {"--max-n": (max_n, 1), "--cases": (cases, 1), "--seed": (seed, 0)}
+    for flag, (value, low) in flags.items():
+        integer(value, flag, low)
     if max_n > oracle.MAX_ORACLE_N:
         raise TooLarge(
             f"--max-n {max_n} exceeds the oracle guard ({oracle.MAX_ORACLE_N})"
         )
-    if max_n < 1 or cases < 1:
-        raise BadConfig("--max-n and --cases must be positive")
-    if seed < 0:
-        raise BadConfig("--seed must be non-negative")
     rng = np.random.default_rng(seed)
 
     partition = _CheckResult("inside equals enumerated log-partition")
@@ -312,12 +311,9 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.batch < 1 or args.length < 1 or args.labels < 2 or args.repeats < 1:
-        raise BadConfig(
-            "--batch, --length, --repeats must be positive and --labels >= 2"
-        )
-    if args.seed < 0:
-        raise BadConfig("--seed must be non-negative")
+    lows = {"batch": 1, "length": 1, "labels": 2, "repeats": 1, "seed": 0}
+    for flag, low in lows.items():
+        integer(getattr(args, flag), f"--{flag}", low)
     rng = np.random.default_rng(args.seed)
     schema = LabelSchema(
         observed_labels=tuple(f"L{i}" for i in range(args.labels - 1)),

@@ -21,6 +21,7 @@ training acceptance run relies on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chart import ChartMask, LabelSchema, smoothed_masks, validate_annotation
-from .errors import BadConfig, EmptyCorpus, ParseError
+from .errors import BadConfig, EmptyCorpus, ParseError, integer
 from .scorer import Vocab
 
 
@@ -58,18 +59,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_sentences < 1:
-            raise BadConfig("num_sentences must be at least 1")
-        if not 1 <= self.vocab_size <= np.iinfo(np.int64).max:
-            raise BadConfig("vocab_size must be between 1 and 2**63 - 1")
-        if self.num_entity_types < 1:
-            raise BadConfig("num_entity_types must be at least 1")
-        if self.max_nesting_depth < 1:
-            raise BadConfig("max_nesting_depth must be at least 1")
-        if self.max_length < 3:
-            raise BadConfig("max_length must be at least 3")
-        if self.seed < 0:
-            raise BadConfig("seed must be non-negative")
+        for name, low, high in (
+            ("num_sentences", 1, None),
+            ("vocab_size", 1, np.iinfo(np.int64).max),
+            ("num_entity_types", 1, None),
+            ("max_nesting_depth", 1, None),
+            ("max_length", 3, None),
+            ("seed", 0, None),
+        ):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low, high))
         if self.max_nesting_depth >= 2:
             if self.num_entity_types < 2:
                 raise BadConfig("nesting requires at least 2 entity types")
@@ -93,18 +91,15 @@ def _record_from_obj(obj: object, line: int) -> CorpusRecord:
     if not isinstance(raw_entities, list):
         raise ParseError(line, 'field "entities" must be an array')
     entities = []
+    error = functools.partial(ParseError, line)
     for ent in raw_entities:
         if not isinstance(ent, dict):
             raise ParseError(line, "entity is not an object")
-        start, end, label = ent.get("start"), ent.get("end"), ent.get("label")
-        if not isinstance(start, int) or isinstance(start, bool):
-            raise ParseError(line, 'entity field "start" must be an integer')
-        if not isinstance(end, int) or isinstance(end, bool):
-            raise ParseError(line, 'entity field "end" must be an integer')
+        start = integer(ent.get("start"), 'entity field "start"', 0, error=error)
+        end = integer(ent.get("end"), 'entity field "end"', 0, error=error)
+        label = ent.get("label")
         if not isinstance(label, str) or not label:
             raise ParseError(line, 'entity field "label" must be a non-empty string')
-        if start < 0:
-            raise ParseError(line, f'entity field "start" is negative ({start})')
         if end <= start:
             raise ParseError(
                 line, f'entity field "end" ({end}) must exceed "start" ({start})'

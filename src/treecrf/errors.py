@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule.
+
+Every boundary that takes an integer (a config field, a tree's length,
+offsets and labels, a model header's dimensions, a corpus file's offsets,
+a command-line flag the library checks) passes it through
+:func:`integer`: a Python or numpy integer within its bounds is taken as
+a plain ``int``; a bool, a float, a string or ``None`` is refused.
+"""
+
+import operator
 
 
 class TreecrfError(Exception):
@@ -74,3 +83,24 @@ class ParseError(TreecrfError):
 
 class ModelFormatError(TreecrfError):
     """A model file is corrupt or has an unsupported format version."""
+
+
+def integer(value: object, what: str, low: int, high=None, error=BadConfig) -> int:
+    """``value`` as a plain ``int`` in ``low .. high`` (no upper bound if
+    ``high`` is None).
+
+    Takes anything that indexes (``operator.index``) except a bool, and
+    otherwise raises ``error`` with a message naming ``what``.
+    """
+    if type(value) is not int:  # the common plain int skips the conversion
+        try:
+            number = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            number = None
+        if number is None:
+            raise error(f"{what} must be an integer, got {value!r}")
+        value = number
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in {low} .. {high}"
+        raise error(f"{what} must be {bound}, got {value}")
+    return value

@@ -54,6 +54,7 @@ from .errors import (
     EmptySentence,
     ModelFormatError,
     NonFiniteLoss,
+    integer,
 )
 
 UNK_TOKEN = "<unk>"
@@ -100,6 +101,8 @@ class Vocab:
     def __post_init__(self) -> None:
         if not self.tokens or self.tokens[0] != UNK_TOKEN:
             raise BadConfig(f"vocabulary must start with {UNK_TOKEN!r}")
+        if not all(isinstance(tok, str) for tok in self.tokens):
+            raise BadConfig("vocabulary tokens must be strings")
         if len(set(self.tokens)) != len(self.tokens):
             raise BadConfig("vocabulary tokens must be unique")
         object.__setattr__(
@@ -118,12 +121,13 @@ class Vocab:
         return np.array([self.index.get(t, 0) for t in tokens], dtype=np.int64)
 
 
-def check_dimensions(embed_dim: int, hidden_dim: int) -> None:
-    """Reject layer sizes the scorer cannot be built with."""
-    if embed_dim < 2 or hidden_dim < 2:
-        raise BadConfig("embed_dim and hidden_dim must be at least 2")
-    if hidden_dim % 2:
-        raise BadConfig(f"hidden_dim must be even, got {hidden_dim}")
+def check_dimensions(config) -> None:
+    """Reject layer sizes the scorer cannot be built with, and store the
+    frozen ``config``'s ``embed_dim`` and ``hidden_dim`` as plain ints."""
+    for name in ("embed_dim", "hidden_dim"):
+        object.__setattr__(config, name, integer(getattr(config, name), name, 2))
+    if config.hidden_dim % 2:
+        raise BadConfig(f"hidden_dim must be even, got {config.hidden_dim}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ class ScorerConfig:
     schema: LabelSchema
 
     def __post_init__(self) -> None:
-        check_dimensions(self.embed_dim, self.hidden_dim)
+        check_dimensions(self)
 
     @property
     def half_dim(self) -> int:
@@ -616,10 +620,6 @@ def save_model(params: ScorerParams, path: str) -> None:
         fh.write(payload)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -629,7 +629,7 @@ def _is_array_list(value: object) -> bool:
     return isinstance(value, list) and all(
         isinstance(a, dict)
         and isinstance(a.get("shape"), list)
-        and all(_is_int(d) for d in a["shape"])
+        and all(type(d) is int for d in a["shape"])
         for a in value
     )
 
@@ -674,11 +674,9 @@ def load_model(path: str) -> ScorerParams:
     try:
         schema = LabelSchema(
             observed_labels=tuple(header_field("observed_labels", _is_str_list)),
-            latent_label_count=header_field("latent_label_count", _is_int),
+            latent_label_count=header.get("latent_label_count"),
         )
-        embed_dim = header_field("embed_dim", _is_int)
-        hidden_dim = header_field("hidden_dim", _is_int)
-        config = ScorerConfig(embed_dim=embed_dim, hidden_dim=hidden_dim, schema=schema)
+        config = ScorerConfig(header.get("embed_dim"), header.get("hidden_dim"), schema)
         vocab = Vocab(tokens=tuple(header_field("vocab_tokens", _is_str_list)))
     except BadConfig as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
@@ -688,7 +686,8 @@ def load_model(path: str) -> ScorerParams:
         (a.get("name"), tuple(a["shape"]))
         for a in header_field("arrays", _is_array_list)
     ]
-    d, h, h2, n_labels = embed_dim, hidden_dim, config.half_dim, schema.n_labels
+    d, h, h2 = config.embed_dim, config.hidden_dim, config.half_dim
+    n_labels = schema.n_labels
     shapes = [(len(vocab), d), (d, 3 * d), (d,), (h, d), (h,), (h2, h), (h2,)]
     shapes += [(n_labels, h2, h2), (n_labels, h2), (n_labels,)]
     if expected != list(zip(PARAM_ORDER, shapes)):

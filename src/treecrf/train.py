@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chart import LabelSchema, Span, validate_annotation
+from .chart import LabelSchema, Span, check_epsilon, validate_annotation
 from .data import (
     CorpusRecord,
     PreprocessedExample,
@@ -61,7 +62,7 @@ from .data import (
     preprocess,
     split_corpus,
 )
-from .errors import BadConfig, EmptyCorpus, EmptySentence, NonFiniteLoss
+from .errors import BadConfig, EmptyCorpus, EmptySentence, NonFiniteLoss, integer
 # loss_and_score_gradient is re-exported: the per-sentence step is looked
 # up here by callers that check a trained model sentence by sentence.
 from .inference import (  # noqa: F401
@@ -97,19 +98,19 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "epsilon_smoothing"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise BadConfig(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfig(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if not 0.0 <= self.epsilon_smoothing < 1.0:
-            raise BadConfig("epsilon_smoothing must be in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise BadConfig("epochs and batch_size must be positive")
-        if self.latent_label_count < 1:
-            raise BadConfig("latent_label_count must be at least 1")
-        if self.seed < 0:
-            raise BadConfig("seed must be non-negative")
-        check_dimensions(self.embed_dim, self.hidden_dim)
+        check_epsilon(self.epsilon_smoothing)
+        lows = {"epochs": 1, "batch_size": 1, "seed": 0, "latent_label_count": 1}
+        for name, low in lows.items():
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
+        check_dimensions(self)
 
 
 @dataclass

@@ -475,9 +475,12 @@ class TestInputBoundaries:
     @pytest.mark.parametrize(
         "entity, message",
         [
-            ('{"start":0,"end":1.5,"label":"X"}', 'entity field "end" must be an integer'),
+            (
+                '{"start":0,"end":1.5,"label":"X"}',
+                'entity field "end" must be an integer, got 1.5',
+            ),
             ('{"start":0,"end":1,"label":""}', 'entity field "label" must be a non-empty string'),
-            ('{"start":-1,"end":1,"label":"X"}', 'entity field "start" is negative (-1)'),
+            ('{"start":-1,"end":1,"label":"X"}', 'entity field "start" must be at least 0, got -1'),
         ],
         ids=["non-integer-end", "empty-label", "negative-start"],
     )
