@@ -31,6 +31,7 @@ order (:func:`pack_cells`), the layout the chart kernel reads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -116,9 +117,10 @@ class LabelSchema:
     latent_label_count: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.observed_labels, str):
-            raise BadConfig("observed labels must be a sequence of names, not a string")
-        object.__setattr__(self, "observed_labels", tuple(self.observed_labels))
+        labels = self.observed_labels
+        if not isinstance(labels, (list, tuple)):
+            raise BadConfig(f"observed labels must be a list or tuple, got {labels!r}")
+        object.__setattr__(self, "observed_labels", tuple(labels))
         if not self.observed_labels:
             raise BadConfig("schema needs at least one observed label")
         if len(set(self.observed_labels)) != len(self.observed_labels):
@@ -365,7 +367,10 @@ def _masks(
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Reject a structure-smoothing epsilon outside [0, 1)."""
+    """Reject a structure-smoothing epsilon that is a bool, not a real
+    number, or outside [0, 1)."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise BadConfig(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 <= epsilon < 1.0:
         raise BadConfig(f"epsilon must be in [0, 1), got {epsilon}")
 

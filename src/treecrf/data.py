@@ -307,9 +307,7 @@ def corpus_schema(
     labels = sorted({e.label for r in records for e in r.entities})
     if not labels:
         raise BadConfig("corpus has no entity annotations")
-    return LabelSchema(
-        observed_labels=tuple(labels), latent_label_count=latent_label_count
-    )
+    return LabelSchema(observed_labels=labels, latent_label_count=latent_label_count)
 
 
 def corpus_vocab(records: Sequence[CorpusRecord]) -> Vocab:

@@ -99,6 +99,10 @@ class Vocab:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        tokens = self.tokens
+        if not isinstance(tokens, (list, tuple)):
+            raise BadConfig(f"vocabulary must be a list or tuple, got {tokens!r}")
+        object.__setattr__(self, "tokens", tuple(tokens))
         if not self.tokens or self.tokens[0] != UNK_TOKEN:
             raise BadConfig(f"vocabulary must start with {UNK_TOKEN!r}")
         if not all(isinstance(tok, str) for tok in self.tokens):
@@ -673,11 +677,11 @@ def load_model(path: str) -> ScorerParams:
 
     try:
         schema = LabelSchema(
-            observed_labels=tuple(header_field("observed_labels", _is_str_list)),
+            observed_labels=header_field("observed_labels", _is_str_list),
             latent_label_count=header.get("latent_label_count"),
         )
         config = ScorerConfig(header.get("embed_dim"), header.get("hidden_dim"), schema)
-        vocab = Vocab(tokens=tuple(header_field("vocab_tokens", _is_str_list)))
+        vocab = Vocab(tokens=header_field("vocab_tokens", _is_str_list))
     except BadConfig as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     arrays: dict[str, np.ndarray] = {}

@@ -98,14 +98,11 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "epsilon_smoothing"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise BadConfig(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise BadConfig(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise BadConfig(f"learning_rate must be a real number, got {rate!r}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise BadConfig(f"learning_rate must be positive and finite, got {rate}")
         check_epsilon(self.epsilon_smoothing)
         lows = {"epochs": 1, "batch_size": 1, "seed": 0, "latent_label_count": 1}
         for name, low in lows.items():

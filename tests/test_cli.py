@@ -556,15 +556,25 @@ class TestSelfcheck:
     def test_oracle_guard(self):
         assert main(["selfcheck", "--max-n", "9"]) == 2
 
-    def test_nan_inside_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(treecrf.cli, "inside", lambda chart: np.nan)
+    @pytest.mark.parametrize(
+        "score, row",
+        [
+            ("inside", "inside equals enumerated log-partition"),
+            # the first of the row's two errors
+            (
+                "vanilla_partial_marginalization",
+                "masked = vanilla = enumerated partial score",
+            ),
+            ("tree_score", "full-tree mask recovers tree evaluation"),
+        ],
+        ids=["inside", "three-way", "full-tree"],
+    )
+    def test_nan_score_fails(self, capsys, monkeypatch, score, row):
+        monkeypatch.setattr(treecrf.cli, score, lambda *args: np.nan)
         rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert (
-            "FAIL  inside equals enumerated log-partition: 6 cases, 6 failures, "
-            "worst error nan"
-        ) in out
+        assert f"FAIL  {row}: 6 cases, 6 failures, worst error nan" in out
 
     def test_nan_masked_marginals_fail(self, capsys, monkeypatch):
         # the masked posteriors are the last of the row's four errors
@@ -581,6 +591,26 @@ class TestSelfcheck:
             "FAIL  marginal identities and enumerated posteriors: 6 cases, "
             "6 failures, worst error nan"
         ) in capsys.readouterr().out
+
+    def test_each_error_has_its_own_tolerance(self, capsys, monkeypatch):
+        # A leaf-root error of 1e-8 fails the row: its tolerance is 1e-9,
+        # though the row's other errors, 1e-8 here too, are within 1e-6.
+        marginals = treecrf.cli.marginals
+
+        def leaf_off_by_1e_8(chart, mask=None):
+            mu = marginals(chart, mask)
+            if mask is None:
+                mu[0, 0, mu[0, 0].argmin()] += 1e-8
+            return mu
+
+        monkeypatch.setattr(treecrf.cli, "marginals", leaf_off_by_1e_8)
+        rc = main(["selfcheck", "--max-n", "3", "--cases", "6", "--seed", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  marginal identities and enumerated posteriors: 6 cases, "
+            "6 failures, worst error 1.000e-08"
+        ]
 
     def test_nan_batched_gradients_fail(self, capsys, monkeypatch):
         # the gradient error is the second of the batched row's two errors

@@ -1,7 +1,8 @@
 """The one integer rule: every config, tree, model header, corpus offset and
 checked flag takes a Python or numpy integer as a plain ``int`` and refuses
 a bool, a float, a string or ``None``; every model the library saves, it
-can load."""
+can load.  Beside it, the real-number rule of the smoothing epsilon and the
+list-or-tuple rule of label names and vocabulary tokens."""
 
 import dataclasses
 import functools
@@ -23,6 +24,7 @@ from treecrf import (
     TrainConfig,
     Vocab,
 )
+from treecrf.chart import build_mask, smooth_mask, smoothed_masks, validate_annotation
 from treecrf.errors import integer
 from treecrf.scorer import PARAM_ORDER, init_params, load_model, save_model
 
@@ -123,6 +125,32 @@ class TestNames:
             with pytest.raises(BadConfig, match="vocabulary tokens must be strings"):
                 Vocab(tokens=tokens)
 
+    # a set's order follows string hashing, so it could index labels or
+    # tokens differently from one run to the next
+    @pytest.mark.parametrize(
+        "make",
+        [set, dict.fromkeys, lambda names: (name for name in names), "".join],
+        ids=["set", "dict", "generator", "string"],
+    )
+    def test_names_and_tokens_are_a_list_or_tuple(self, make):
+        labels = make(["PER", "ORG", "LOC", "GPE"])
+        with pytest.raises(BadConfig) as info:
+            LabelSchema(labels)
+        message = f"observed labels must be a list or tuple, got {labels!r}"
+        assert str(info.value) == message
+        tokens = make(["<unk>", "a"])
+        with pytest.raises(BadConfig) as info:
+            Vocab(tokens=tokens)
+        assert str(info.value) == f"vocabulary must be a list or tuple, got {tokens!r}"
+
+    def test_a_list_built_vocab_is_a_tuple_and_round_trips(self, tmp_path):
+        vocab = Vocab(tokens=["<unk>", "a", "b"])
+        assert vocab.tokens == ("<unk>", "a", "b")
+        assert vocab == Vocab(tokens=("<unk>", "a", "b"))
+        config = ScorerConfig(4, 8, LabelSchema(["A"]))
+        params = init_params(vocab, config, 0)
+        assert _save_and_load(params, str(tmp_path / "model.tcrf")).vocab == vocab
+
 
 class TestRealFields:
     @pytest.mark.parametrize("name", ["learning_rate", "epsilon_smoothing"])
@@ -130,7 +158,31 @@ class TestRealFields:
     def test_refuses_what_is_not_a_real_number(self, name, value):
         with pytest.raises(BadConfig) as info:
             TrainConfig(**{name: value})
-        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+        # the epsilon is checked by the masks' own rule
+        what = {"epsilon_smoothing": "epsilon"}.get(name, name)
+        assert str(info.value) == f"{what} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, False, 1j])
+    def test_the_masks_refuse_what_is_not_a_real_number(self, value):
+        schema = LabelSchema(("PER",))
+        tree = validate_annotation(["a", "b"], [(0, 1, "PER")], schema)
+        message = f"epsilon must be a real number, got {value!r}"
+        with pytest.raises(BadConfig) as info:
+            smooth_mask(build_mask(tree, schema), tree, value)
+        assert str(info.value) == message
+        with pytest.raises(BadConfig) as info:
+            smoothed_masks([tree], schema, value)
+        assert str(info.value) == message
+
+    def test_the_masks_take_numpy_reals(self):
+        schema = LabelSchema(("PER",))
+        # span (1, 2) crosses the entity (0, 1), so its cell is rejected
+        tree = validate_annotation(["a", "b", "c"], [(0, 2, "PER")], schema)
+        for epsilon in (np.float64(0.25), np.float32(0.25), np.int64(0)):
+            cells = smooth_mask(build_mask(tree, schema), tree, epsilon).cells
+            assert cells.max() == 1.0 and epsilon in cells
+            batched = smoothed_masks([tree], schema, epsilon)[0].cells
+            assert np.array_equal(batched, cells)
 
     def test_numpy_reals_and_integers_are_taken(self):
         config = TrainConfig(learning_rate=np.float64(0.5), epsilon_smoothing=np.int64(0))
