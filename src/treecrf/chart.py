@@ -17,15 +17,18 @@ A chart over an ``n``-token sentence has one cell per span ``(i, j)`` with
   latent label.
 
 A validated :class:`PartialTree` carries that classification as its
-``node_kind``, built from its annotation when first read, so the mask and
-the vanilla pass read the one classification the annotation implies (the
-oracle reads the annotated spans themselves).  It is turned into a 0/1
-mask over every span cell and label; structure smoothing later relaxes
-rejected cells from 0 to a small epsilon.  The cells ``i > j`` below the
-diagonal stand for no span; :func:`below_diagonal` marks them.  Score
-charts and masks hold their span cells packed: one ``(n(n+1)/2,
-|labels|)`` array of the cells of ``~below_diagonal(n)`` in row-major
-order (:func:`pack_cells`), the layout the chart kernel reads.
+``node_kind``, built from its annotation when first read by the same rule
+(:func:`_node_kinds`) that :func:`smoothed_masks` applies to a whole
+length group, so the masks, :func:`smooth_mask` and the vanilla pass use
+the one classification the annotation implies (the oracle reads the
+annotated spans themselves).  It is turned into a 0/1 mask over every
+span cell and label; structure smoothing later relaxes rejected cells
+from 0 to a small epsilon.  The cells ``i > j`` below the diagonal stand
+for no span; :func:`below_diagonal` marks them.  Score charts and masks
+hold their span cells packed: one ``(n(n+1)/2, |labels|)`` array of the
+cells of ``~below_diagonal(n)`` in row-major order (:func:`pack_cells`),
+the layout the chart kernel reads, of bool, integer or float dtype
+(:func:`packed_length`).
 """
 
 from __future__ import annotations
@@ -90,7 +93,17 @@ def span_positions(lengths: Sequence[int], n: int) -> np.ndarray:
 
 
 def packed_length(cells: np.ndarray) -> int:
-    """The sentence length ``n`` of packed span cells ``(n(n+1)/2, L)``."""
+    """The sentence length ``n`` of packed span cells ``(n(n+1)/2, L)``.
+
+    The one packed-cells rule, which charts and masks share: the cells are
+    a numpy array of bool, integer or floating dtype.  Anything else, a
+    list or complex, object or string cells, raises
+    :class:`DimensionMismatch`.
+    """
+    if not isinstance(cells, np.ndarray) or cells.dtype.kind not in "biuf":
+        raise DimensionMismatch(
+            "span cells must be a numpy array of bool, integer or float dtype"
+        )
     if cells.ndim == 2:
         n = (math.isqrt(8 * len(cells) + 1) - 1) // 2
         if n * (n + 1) // 2 == len(cells):
@@ -344,28 +357,6 @@ def _check_observed(labels: np.ndarray, schema: LabelSchema) -> None:
         )
 
 
-def _masks(
-    kinds: np.ndarray, annotated: np.ndarray, schema: LabelSchema, epsilon: float
-) -> np.ndarray:
-    """The packed ``(count, n(n+1)/2, L)`` masks of trees with node kinds
-    ``kinds``.
-
-    The one mask rule: a latent span cell admits every latent label, a
-    rejected one every label at weight ``epsilon`` and an observed one
-    exactly its annotated labels (rows of ``annotated``, see
-    :func:`_annotated`); everything else is 0.
-    """
-    _check_observed(annotated[:, 3], schema)
-    count, n, _ = kinds.shape
-    kinds = kinds[:, ~below_diagonal(n)]
-    m = np.zeros((*kinds.shape, schema.n_labels))
-    m[kinds == int(NodeKind.LATENT), schema.n_observed :] = 1.0
-    _reject(m, kinds, epsilon)
-    owner, i, j, k = annotated.T
-    m[owner, packed_index(i, j, n), k] = 1.0
-    return m
-
-
 def check_epsilon(epsilon: float) -> None:
     """Reject a structure-smoothing epsilon that is a bool, not a real
     number, or outside [0, 1)."""
@@ -383,12 +374,13 @@ def classify_nodes(tree: PartialTree) -> PartialTree:
 
 
 def build_mask(tree: PartialTree, schema: LabelSchema) -> ChartMask:
-    """Materialize the 0/1 mask that encodes the tree's node kinds.
+    """Materialize the 0/1 mask that encodes the tree's node kinds:
+    ``smoothed_masks([tree], schema, 0.0)[0]``.
 
     Observed cells admit exactly their annotated label(s); latent cells
     admit all latent labels; rejected cells admit nothing.
     """
-    return ChartMask(_masks(tree.node_kind[None], _annotated([tree]), schema, 0.0)[0])
+    return smoothed_masks([tree], schema, 0.0)[0]
 
 
 def smooth_mask(mask: ChartMask, tree: PartialTree, epsilon: float) -> ChartMask:
@@ -410,12 +402,15 @@ def smoothed_masks(
 ) -> list[ChartMask]:
     """``smooth_mask(build_mask(t, schema), t, epsilon)`` of each tree ``t``.
 
-    The masks of all trees of one length are built together, packed, in
-    one ``(count, n(n+1)/2, L)`` array: one crossing test over every
-    annotated span of the group, one gather of the group's node kinds at
-    the span cells, one fill each for the latent and the rejected cells
-    and one scatter for the observed cells.  Each returned mask, in input
-    order, holds a view of its group's array.
+    The one mask rule: a latent span cell admits every latent label, a
+    rejected one every label at weight ``epsilon`` and an observed one
+    exactly its annotated labels; everything else is 0.  The masks of all
+    trees of one length are built together, packed, in one ``(count,
+    n(n+1)/2, L)`` array: one crossing test over every annotated span of
+    the group, one gather of the group's node kinds at the span cells, one
+    fill each for the latent and the rejected cells and one scatter for
+    the observed cells.  Each returned mask, in input order, holds a view
+    of its group's array.
     """
     check_epsilon(epsilon)
     groups: dict[int, list[int]] = {}
@@ -424,7 +419,13 @@ def smoothed_masks(
     masks: dict[int, ChartMask] = {}
     for n, members in groups.items():
         annotated = _annotated([trees[idx] for idx in members])
-        m = _masks(_node_kinds(n, len(members), annotated), annotated, schema, epsilon)
+        _check_observed(annotated[:, 3], schema)
+        kinds = _node_kinds(n, len(members), annotated)[:, ~below_diagonal(n)]
+        m = np.zeros((*kinds.shape, schema.n_labels))
+        m[kinds == int(NodeKind.LATENT), schema.n_observed :] = 1.0
+        _reject(m, kinds, epsilon)
+        owner, i, j, k = annotated.T
+        m[owner, packed_index(i, j, n), k] = 1.0
         for g, idx in enumerate(members):
             masks[idx] = ChartMask(m[g])
     return [masks[idx] for idx in range(len(trees))]

@@ -16,7 +16,11 @@ entities, and a closing marker ``</et>``.  Within one sentence each entity
 type is used at most once, so a span is an entity exactly when its first
 and last tokens are a matching marker pair; that keeps the task learnable
 by a scorer whose features are width-3 token contexts, which is what the
-training acceptance run relies on.
+training acceptance run relies on.  One recursive function writes each
+sentence in place: an entity appends its span at the current offset, then
+its opening marker, its body (nested entities included) and its closing
+marker, to the sentence's own two lists, so no span is shifted after it
+is written.
 """
 
 from __future__ import annotations
@@ -160,65 +164,47 @@ def write_corpus(records: Sequence[CorpusRecord], path: str) -> None:
             fh.write("\n")
 
 
-def _filler(rng: np.random.Generator, cfg: SynthConfig) -> str:
-    return f"w{int(rng.integers(0, cfg.vocab_size))}"
-
-
-def _gen_entity(
-    rng: np.random.Generator,
-    cfg: SynthConfig,
-    entity_type: int,
-    depth: int,
-    size: int,
-    available: list[int],
-) -> tuple[list[str], list[Entity]]:
-    """Entity of exactly ``size`` tokens: marker, body, marker."""
-    body, spans = _gen_segment(rng, cfg, depth + 1, size - 2, available)
-    tokens = [f"<e{entity_type}>", *body, f"</e{entity_type}>"]
-    entities = [Entity(0, len(tokens), label_name(entity_type))]
-    entities += [Entity(e.start + 1, e.end + 1, e.label) for e in spans]
-    return tokens, entities
-
-
 def _gen_segment(
     rng: np.random.Generator,
     cfg: SynthConfig,
     depth: int,
     size: int,
     available: list[int],
-) -> tuple[list[str], list[Entity]]:
-    """A run of exactly ``size`` tokens mixing fillers and entities.
+    tokens: list[str],
+    entities: list[Entity],
+) -> None:
+    """Append a run of exactly ``size`` tokens, fillers and entities, to the
+    sentence's ``tokens`` and ``entities``.
 
     ``depth`` is the nesting depth an entity created here would have;
     ``available`` holds the entity types not yet used in this sentence and
-    is consumed in place.
+    is consumed in place.  An entity records its span first, then appends
+    its opening marker, a body one level deeper and its closing marker, so
+    every entity is written where it ends up and its nested entities
+    follow it.
     """
-    tokens: list[str] = []
-    entities: list[Entity] = []
-    remaining = size
-    while remaining > 0:
+    end = len(tokens) + size
+    while len(tokens) < end:
+        remaining = end - len(tokens)
         can_nest = depth <= cfg.max_nesting_depth and available and remaining >= 3
         if can_nest and rng.random() < 0.35:
             t = available.pop(int(rng.integers(0, len(available))))
             esize = int(rng.integers(3, min(remaining, 9) + 1))
-            etoks, espans = _gen_entity(rng, cfg, t, depth, esize, available)
-            offset = len(tokens)
-            entities += [
-                Entity(e.start + offset, e.end + offset, e.label) for e in espans
-            ]
-            tokens += etoks
-            remaining -= esize
+            entities.append(Entity(len(tokens), len(tokens) + esize, label_name(t)))
+            tokens.append(f"<e{t}>")
+            _gen_segment(rng, cfg, depth + 1, esize - 2, available, tokens, entities)
+            tokens.append(f"</e{t}>")
         else:
-            tokens.append(_filler(rng, cfg))
-            remaining -= 1
-    return tokens, entities
+            tokens.append(f"w{int(rng.integers(0, cfg.vocab_size))}")
 
 
 def _gen_sentence(rng: np.random.Generator, cfg: SynthConfig) -> CorpusRecord:
     low = min(cfg.max_length, 6)
     size = int(rng.integers(low, cfg.max_length + 1))
+    tokens: list[str] = []
+    entities: list[Entity] = []
     available = list(range(cfg.num_entity_types))
-    tokens, entities = _gen_segment(rng, cfg, depth=1, size=size, available=available)
+    _gen_segment(rng, cfg, 1, size, available, tokens, entities)
     return CorpusRecord(tokens=tuple(tokens), entities=tuple(entities))
 
 

@@ -89,13 +89,16 @@ def _admissible(chart: ScoreChart, tree: PartialTree | None) -> np.ndarray:
 
     Without an annotation every span takes every label.  With one, an
     annotated span takes its annotated labels and every other span the
-    latent labels.
+    latent labels; an annotated label that is not observed is refused.
     """
     n = chart.n
     if tree is None:
         return np.ones((n, n, chart.schema.n_labels), dtype=bool)
     if tree.n != n:
         raise DimensionMismatch(f"tree over {tree.n} tokens but chart over {n}")
+    bad = [e.label for e in tree.entities if e.label >= chart.schema.n_observed]
+    if bad:
+        raise DimensionMismatch(f"annotated label index {bad[0]} is not an observed label")
     admissible = np.zeros((n, n, chart.schema.n_labels), dtype=bool)
     admissible[:, :, chart.schema.n_observed :] = True
     for (i, j), ks in tree.observed_label.items():

@@ -367,13 +367,9 @@ def evaluate(params: ScorerParams, records: Sequence[CorpusRecord]) -> EvalRepor
     for record, spans in zip(records, predictions):
         gold = _gold_spans(record, schema)
         pred = {(s.start, s.end, s.label) for s in spans}
-        matched = gold & pred
-        for i, j, k in gold:
-            by_label[schema.observed_labels[k]][0] += 1
-        for i, j, k in pred:
-            by_label[schema.observed_labels[k]][1] += 1
-        for i, j, k in matched:
-            by_label[schema.observed_labels[k]][2] += 1
+        for column, triples in enumerate((gold, pred, gold & pred)):
+            for _, _, k in triples:
+                by_label[schema.observed_labels[k]][column] += 1
     # every gold and predicted span carries an observed label
     gold_n, pred_n, match_n = map(sum, zip(*by_label.values()))
     precision, recall, f1 = _prf(gold_n, pred_n, match_n)

@@ -315,8 +315,26 @@ class TestGenSynthetic:
                 SynthConfig(num_sentences=950, max_length=100, seed=41000),
                 "e2d691d559727321510d0d9775c3b7623639654d610870cbb79db04eb3407316",
             ),
+            # six types nested up to depth 5: one entity reaches depth 4
+            (
+                SynthConfig(
+                    num_sentences=300,
+                    num_entity_types=6,
+                    max_nesting_depth=5,
+                    max_length=60,
+                    seed=3,
+                ),
+                "8a7598187ed10cad6537e5e0f890fff4c1aacecd01f37e4cc0146c591a59574b",
+            ),
+            # nesting off: every entity sits at depth 1
+            (
+                SynthConfig(
+                    num_sentences=200, num_entity_types=4, max_nesting_depth=1, seed=3
+                ),
+                "265f3fa8bc056908234d06c2d32b72e85e1ae40b0f23128bcf45b81bb3b85647",
+            ),
         ],
-        ids=["standard", "tail-repair", "long-pool"],
+        ids=["standard", "tail-repair", "long-pool", "deep", "flat"],
     )
     def test_output_bytes_are_pinned(self, config, digest, tmp_path):
         # every benchmark corpus is generator output, so any change to the

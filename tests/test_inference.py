@@ -139,8 +139,31 @@ class TestScoreChart:
         with pytest.raises(DimensionMismatch):
             ScoreChart(np.zeros((6, 2)), schema3)
 
+    @pytest.mark.parametrize("make", [ScoreChart, ChartMask], ids=["chart", "mask"])
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            np.zeros((6, 3)) + 0.5j,
+            np.zeros((6, 3)).astype(object),
+            np.zeros((6, 3)).astype(str),
+            np.zeros((6, 3)).tolist(),
+        ],
+        ids=["complex", "object", "string", "list"],
+    )
+    def test_cells_that_are_not_a_real_array_raise(self, schema3, make, cells):
+        # unchecked, cky_decode dropped a complex chart's imaginary parts, a
+        # mask took complex weights, and the rest failed inside numpy
+        args = (cells, schema3) if make is ScoreChart else (cells,)
+        with pytest.raises(DimensionMismatch, match="bool, integer or float"):
+            make(*args)
 
-class TestMaskedInside:
+    @pytest.mark.parametrize("dtype", [np.int64, bool, np.float32])
+    def test_bool_integer_and_float32_cells_are_taken(self, schema3, dtype):
+        cells = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 3))
+        chart = ScoreChart(cells.astype(dtype), schema3)
+        mask = ChartMask((cells > 0).astype(dtype))
+        assert np.isfinite(inside(chart)) and np.isfinite(masked_inside(chart, mask))
+        assert cky_decode(chart).n == 3
     def test_forced_single_tree(self, schema2):
         _, mask = annotation_mask(2, (Span(0, 1, 0),), schema2)
         assert masked_inside(zero_chart(2, schema2), mask) == pytest.approx(

@@ -14,6 +14,7 @@ from treecrf import (
     inside,
     marginals,
     masked_inside,
+    smooth_mask,
     tree_score,
     vanilla_partial_marginalization,
 )
@@ -203,6 +204,30 @@ class TestAnnotationLength:
             brute_force_marginals(chart, sym)
 
 
+class TestAnnotatedLabels:
+    """An annotated label that is not observed is refused, as by the masks
+    and the kernel's per-node reference."""
+
+    @pytest.mark.parametrize("label", [1, 5])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            brute_force_partial_score,
+            brute_force_marginals,
+            lambda chart, tree: masked_inside(chart, build_mask(tree, chart.schema)),
+            vanilla_partial_marginalization,
+        ],
+        ids=["partial-score", "marginals", "masked-inside", "vanilla"],
+    )
+    def test_latent_or_unknown_label_raises(self, path, label):
+        # label 1 is the latent label; label 5 is outside the schema
+        schema = LabelSchema(("A",), latent_label_count=1)
+        chart = random_chart(3, schema, np.random.default_rng(0))
+        tree = PartialTree(3, (Span(0, 1, label),))
+        with pytest.raises(DimensionMismatch, match=f"label index {label} is not an"):
+            path(chart, tree)
+
+
 class TestBruteForceBestTree:
     def test_matches_direct_max(self, schema3):
         rng = np.random.default_rng(4)
@@ -253,7 +278,7 @@ class TestIndependentOfNodeKinds:
 
         monkeypatch.setattr(PartialTree, "node_kind", property(unreadable))
         with pytest.raises(AssertionError, match="node kinds read"):
-            build_mask(cases[0][1], schema3)
+            smooth_mask(cases[0][2], cases[0][1], 0.0)
         for chart, tree, mask in cases:
             assert brute_force_partial_score(chart, tree) == pytest.approx(
                 masked_inside(chart, mask), abs=1e-9
